@@ -1,21 +1,20 @@
-# cython: language_level=3
-# cython: boundscheck=False
-# cython: wraparound=False
-"""Exact rational kernels, compiled backend.
+"""Exact rational kernels: the hot loops of rational polynomial and
+matrix arithmetic.
 
-Same contract as ``_pykernel``: rationals are (numerator, denominator)
-int pairs in lowest terms with positive denominators, carried in
-parallel flat lists.  Numerators and denominators stay arbitrary
-precision Python ints; compilation removes the interpreter loop
-overhead, which is where the time goes at small matrix orders.
+A rational is a pair of Python ints (numerator, denominator) with
+denominator > 0 and gcd(numerator, denominator) = 1.  Sequences of
+rationals travel as two parallel flat lists, numerators and
+denominators; matrices are row-major, polynomials are coefficient
+lists with index = degree and no trailing zeros.
 """
 
 from math import gcd
 
-BACKEND = "c"
+BACKEND = "python"
 
 
-cdef inline tuple _add(an, ad, bn, bd):
+def _add(an, ad, bn, bd):
+    # Knuth's scheme: reduce by gcd of denominators before the cross sum.
     g = gcd(ad, bd)
     if g == 1:
         return an * bd + bn * ad, ad * bd
@@ -24,7 +23,7 @@ cdef inline tuple _add(an, ad, bn, bd):
     return t // g2, (ad // g) * (bd // g2)
 
 
-cdef inline tuple _mul(an, ad, bn, bd):
+def _mul(an, ad, bn, bd):
     if an == 0 or bn == 0:
         return 0, 1
     g1 = gcd(an, bd)
@@ -32,15 +31,14 @@ cdef inline tuple _mul(an, ad, bn, bd):
     return (an // g1) * (bn // g2), (ad // g2) * (bd // g1)
 
 
-def poly_mul(list an, list ad, list bn, list bd):
+def poly_mul(an, ad, bn, bd):
     """Product of two dense rational polynomials."""
-    cdef Py_ssize_t la = len(an), lb = len(bn)
-    cdef Py_ssize_t i, j, k, out
+    la, lb = len(an), len(bn)
     if la == 0 or lb == 0:
         return [], []
     out = la + lb - 1
-    cdef list cn = [0] * out
-    cdef list cd = [1] * out
+    cn = [0] * out
+    cd = [1] * out
     for i in range(la):
         ani = an[i]
         if ani == 0:
@@ -53,56 +51,55 @@ def poly_mul(list an, list ad, list bn, list bd):
             tn, td = _mul(ani, adi, bnj, bd[j])
             k = i + j
             cn[k], cd[k] = _add(cn[k], cd[k], tn, td)
-    while cn and cn[len(cn) - 1] == 0:
+    while cn and cn[-1] == 0:
         cn.pop()
         cd.pop()
     return cn, cd
 
 
-def poly_divmod(list an, list ad, list bn, list bd):
-    """Quotient and remainder of dense rational polynomials."""
-    cdef Py_ssize_t la = len(an), lb = len(bn)
-    cdef Py_ssize_t i, k, qlen, top
+def poly_divmod(an, ad, bn, bd):
+    """Quotient and remainder of dense rational polynomials.
+
+    The divisor must be nonzero; the caller checks.
+    """
+    la, lb = len(an), len(bn)
     if la < lb:
         return [], [], list(an), list(ad)
-    cdef list rn = list(an)
-    cdef list rd = list(ad)
+    rn = list(an)
+    rd = list(ad)
     qlen = la - lb + 1
-    cdef list qn = [0] * qlen
-    cdef list qd = [1] * qlen
-    ln = bn[lb - 1]
-    ld = bd[lb - 1]
+    qn = [0] * qlen
+    qd = [1] * qlen
+    ln, ld = bn[-1], bd[-1]
     for k in range(qlen - 1, -1, -1):
         top = k + lb - 1
         if rn[top] == 0:
             continue
+        # leading coefficient of remainder divided by that of divisor
         cn, cd = _mul(rn[top], rd[top], ld, ln)
         if cd < 0:
             cn, cd = -cn, -cd
-        qn[k] = cn
-        qd[k] = cd
+        qn[k], qd[k] = cn, cd
         for i in range(lb):
             if bn[i] == 0:
                 continue
             tn, td = _mul(cn, cd, bn[i], bd[i])
             rn[k + i], rd[k + i] = _add(rn[k + i], rd[k + i], -tn, td)
-    while qn and qn[len(qn) - 1] == 0:
+    while qn and qn[-1] == 0:
         qn.pop()
         qd.pop()
-    del rn[lb - 1:]
-    del rd[lb - 1:]
-    while rn and rn[len(rn) - 1] == 0:
+    del rn[lb - 1 :]
+    del rd[lb - 1 :]
+    while rn and rn[-1] == 0:
         rn.pop()
         rd.pop()
     return qn, qd, rn, rd
 
 
-def mat_mul(list an, list ad, list bn, list bd,
-            Py_ssize_t n, Py_ssize_t k, Py_ssize_t m):
+def mat_mul(an, ad, bn, bd, n, k, m):
     """Product of an n*k and a k*m rational matrix, both row-major."""
-    cdef list cn = [0] * (n * m)
-    cdef list cd = [1] * (n * m)
-    cdef Py_ssize_t i, j, t, arow, brow, crow
+    cn = [0] * (n * m)
+    cd = [1] * (n * m)
     for i in range(n):
         arow = i * k
         crow = i * m
@@ -121,13 +118,16 @@ def mat_mul(list an, list ad, list bn, list bd,
     return cn, cd
 
 
-def rref(list an, list ad, Py_ssize_t rows, Py_ssize_t cols):
-    """Reduced row echelon form; pivots on the first nonzero entry."""
-    cdef list rn = list(an)
-    cdef list rd = list(ad)
-    cdef list pivots = []
-    cdef Py_ssize_t rank = 0
-    cdef Py_ssize_t col, r, j, pivot, base, off, a, b
+def rref(an, ad, rows, cols):
+    """Reduced row echelon form by Gauss-Jordan elimination.
+
+    Pivots on the first nonzero entry of each column, top down, so the
+    result is deterministic.  Returns (nums, dens, pivot_columns).
+    """
+    rn = list(an)
+    rd = list(ad)
+    pivots = []
+    rank = 0
     for col in range(cols):
         pivot = -1
         for r in range(rank, rows):
@@ -137,28 +137,24 @@ def rref(list an, list ad, Py_ssize_t rows, Py_ssize_t cols):
         if pivot < 0:
             continue
         if pivot != rank:
-            a = pivot * cols
-            b = rank * cols
+            a, b = pivot * cols, rank * cols
             for j in range(cols):
                 rn[a + j], rn[b + j] = rn[b + j], rn[a + j]
                 rd[a + j], rd[b + j] = rd[b + j], rd[a + j]
         base = rank * cols
-        pn = rn[base + col]
-        pd = rd[base + col]
-        if pn != pd:
+        pn, pd = rn[base + col], rd[base + col]
+        if pn != pd:  # scale pivot row to a leading 1
             for j in range(col, cols):
                 if rn[base + j] != 0:
                     tn, td = _mul(rn[base + j], rd[base + j], pd, pn)
                     if td < 0:
                         tn, td = -tn, -td
-                    rn[base + j] = tn
-                    rd[base + j] = td
+                    rn[base + j], rd[base + j] = tn, td
         for r in range(rows):
             if r == rank:
                 continue
             off = r * cols
-            fn = rn[off + col]
-            fd = rd[off + col]
+            fn, fd = rn[off + col], rd[off + col]
             if fn == 0:
                 continue
             for j in range(col, cols):

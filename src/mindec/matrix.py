@@ -5,7 +5,8 @@ integer input entries are normalized to Fraction.  Everything is exact:
 elimination pivots on the first nonzero entry of each column, so all
 results are deterministic.
 
-Purely rational matrices are routed through the packed kernels in
+Purely rational matrices are packed into (numerator, denominator) int
+pairs and multiplied and row-reduced by the pure-Python kernel in
 :mod:`mindec._kernel`; other entry fields use the generic code paths.
 """
 
@@ -325,16 +326,13 @@ def minimal_polynomial(M: DenseMatrix) -> Polynomial:
     For each standard basis vector the least linear dependence among
     v, Mv, M^2 v, ... is found by ordered elimination that carries the
     combination coefficients; the lcm of the per-vector annihilators is
-    the minimal polynomial.  Stops early once the accumulated lcm
-    annihilates M.
+    the minimal polynomial.
     """
     n = M.n
     one = one_like(M.rows[0][0])
     zero = one * 0
     mp = Polynomial((one,))
     for j in range(n):
-        if mp.degree >= 1 and horner_eval(mp, M).is_zero:
-            break
         vec = [zero] * n
         vec[j] = one
         reduced = []  # (pivot_col, vector, tracker) with pivot scaled to 1

@@ -9,7 +9,8 @@ exact field arithmetic through the usual operators.
 
 The degree of the zero polynomial is the sentinel -1.
 
-Purely rational operands are routed through the packed kernels in
+Purely rational operands are packed into (numerator, denominator) int
+pairs and multiplied and divided by the pure-Python kernel in
 :mod:`mindec._kernel`; everything else takes the generic path, which is
 semantically identical.
 """
@@ -22,6 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 from mindec import _kernel
 from mindec.errors import BothZero, FieldMismatch, MixedModuli, ZeroPolynomial
+from mindec.scalar import one_like
 
 ZERO_DEGREE = -1
 
@@ -218,8 +220,7 @@ class Polynomial:
 
     def _one_coeff(self):
         if self.coeffs:
-            c = self.coeffs[-1]
-            return c / c
+            return one_like(self.coeffs[-1])
         return Fraction(1)
 
     def __repr__(self):

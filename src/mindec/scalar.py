@@ -41,12 +41,15 @@ RationalLike = Union[int, Fraction]
 
 def rational_from_string(text: str) -> Fraction:
     """Parse "p" or "p/q".  Stricter than the Fraction constructor: no
-    decimals, exponents, or embedded whitespace."""
+    decimals, exponents, or embedded whitespace, and a zero denominator
+    is a PolyParseError rather than a ZeroDivisionError."""
     s = text.strip()
     body = s[1:] if s[:1] in "+-" else s
     num, sep, den = body.partition("/")
     if not num.isdigit() or (sep and not den.isdigit()):
         raise PolyParseError(f"not a rational: {text!r}")
+    if sep and set(den) == {"0"}:
+        raise PolyParseError(f"zero denominator: {text!r}")
     return Fraction(s)
 
 

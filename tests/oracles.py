@@ -2,9 +2,9 @@
 
 Nothing here goes through the library's arithmetic paths: interval
 sign determination, Cramer solves of hand-built multiplication
-matrices, and plain-Fraction Gaussian elimination.  Tests freeze
-expected values by computing them through these instead of trusting
-the code under test.
+matrices, plain-Fraction Gaussian elimination, schoolbook polynomial
+products and long division.  Tests freeze expected values by
+computing them through these instead of trusting the code under test.
 """
 
 from fractions import Fraction
@@ -59,12 +59,14 @@ def invert_a_plus_b_sqrt2(a: Fraction, b: Fraction):
     return cramer2(a, 2 * b, b, a, Fraction(1), Fraction(0))
 
 
-def fraction_rank(rows) -> int:
-    """Rank of a matrix of Fractions by straightforward elimination."""
+def fraction_rref(rows):
+    """Reduced row echelon form of a matrix of Fractions by
+    straightforward Gauss-Jordan elimination.  Returns (rows, pivots)."""
     rows = [[Fraction(x) for x in row] for row in rows]
     if not rows:
-        return 0
+        return rows, []
     cols = len(rows[0])
+    pivots = []
     rank = 0
     for col in range(cols):
         pivot = None
@@ -81,8 +83,14 @@ def fraction_rank(rows) -> int:
             if r != rank and rows[r][col]:
                 factor = rows[r][col]
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        pivots.append(col)
         rank += 1
-    return rank
+    return rows, pivots
+
+
+def fraction_rank(rows) -> int:
+    """Rank of a matrix of Fractions by straightforward elimination."""
+    return len(fraction_rref(rows)[1])
 
 
 def frac_matmul(a, b):
@@ -92,3 +100,36 @@ def frac_matmul(a, b):
         [sum((Fraction(a[i][t]) * Fraction(b[t][j]) for t in range(k)), Fraction(0)) for j in range(m)]
         for i in range(n)
     ]
+
+
+def _strip(coeffs):
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def frac_poly_mul(a, b):
+    """Schoolbook product of Fraction coefficient lists (low degree first)."""
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += Fraction(x) * Fraction(y)
+    return _strip(out)
+
+
+def frac_poly_divmod(a, b):
+    """Long division of Fraction coefficient lists; b must have a nonzero
+    leading coefficient.  Returns (quotient, remainder)."""
+    rem = [Fraction(x) for x in a]
+    lb = len(b)
+    if len(rem) < lb:
+        return [], _strip(rem)
+    quot = [Fraction(0)] * (len(rem) - lb + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + lb - 1] / Fraction(b[-1])
+        quot[k] = c
+        for i in range(lb):
+            rem[k + i] -= c * Fraction(b[i])
+    return _strip(quot), _strip(rem[: lb - 1])

@@ -36,6 +36,19 @@ class TestExitCodes:
         assert code == 2
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize("entry", ['"1/0"', '"-3/00"', '{"2": "1/0"}'])
+    def test_zero_denominator_entry_is_two(self, entry):
+        code, out, err = run_cli(["sn"], input_text='{"entries": [[%s]]}' % entry)
+        assert code == 2
+        assert out == ""
+        assert "error" in json.loads(err)
+
+    def test_zero_denominator_poly_is_two(self):
+        code, out, err = run_cli(["apply", "--poly=1/0,1"], input_text=IDENTITY_2)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "PolyParseError"
+
     def test_precondition_failure_is_three(self):
         code, _, err = run_cli(["mjc"], input_text=SINGULAR_2)
         assert code == 3
