@@ -4,8 +4,9 @@ Matrices travel as JSON documents (see the serialize module) on
 standard input or via --input; results are JSON on standard output.
 With --check each command appends a verification report of exact
 identities and exits with status 4 if any check fails.  Exit codes:
-0 success, 2 malformed input, 3 violated precondition (singular
-matrix, irrational singular values, ...), 4 failed verification.
+0 success, 2 malformed input or arguments, or an unusable
+MINDEC_DEGREE_CAP, 3 violated precondition (singular matrix,
+irrational singular values, ...), 4 failed verification.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from mindec.decompose import (
     verify_unbreakable,
 )
 from mindec.covariant import materialize_projectors, verify_system
-from mindec.errors import FormatError, MindecError
+from mindec.errors import ConfigError, FormatError, MindecError, UsageError
 from mindec.generator import (
     GeneratedMatrix,
     blocks_matrix,
@@ -243,8 +244,17 @@ def _cmd_selftest(args) -> int:
     return 0 if payload["pass"] else 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError on a bad argument instead of printing usage
+    text and exiting, so that main reports it as one JSON object.
+    Subcommand parsers inherit this class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mindec",
         description="Exact matrix decompositions through minimal-polynomial covariants.",
     )
@@ -309,11 +319,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except UsageError as exc:
+        return _fail(exc, 2)
+    except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 2
     try:
         return args.handler(args)
-    except FormatError as exc:
+    except (FormatError, ConfigError) as exc:
         return _fail(exc, 2)
     except MindecError as exc:
         return _fail(exc, 3)

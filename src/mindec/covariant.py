@@ -136,11 +136,20 @@ def materialize_projectors(system: CovariantSystem, M: DenseMatrix) -> List[Dens
 
     M must be annihilated by the system's minimal polynomial
     (SystemMatrixMismatch otherwise); the results are then idempotents
-    summing to the identity, pairwise annihilating.
+    summing to the identity, pairwise annihilating.  When the system is
+    the one kept in M's analysis, the projectors are evaluated once and
+    kept there too.
     """
+    analysis = M.analysis
+    own = system is analysis.system
+    if own and analysis.projectors is not None:
+        return list(analysis.projectors)
     if not horner_eval(system.min_poly, M).is_zero:
         raise SystemMatrixMismatch("matrix is not annihilated by the system's polynomial")
-    return [horner_eval(e, M) for e in system.e_polys]
+    projectors = [horner_eval(e, M) for e in system.e_polys]
+    if own:
+        analysis.projectors = tuple(projectors)
+    return projectors
 
 
 def verify_system(system: CovariantSystem, M: DenseMatrix) -> VerificationReport:

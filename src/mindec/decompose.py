@@ -86,25 +86,43 @@ def _require_rational(M: DenseMatrix):
         raise FieldMismatch("expected a matrix with rational entries")
 
 
+def _min_poly_of(M: DenseMatrix) -> Polynomial:
+    # computed once per matrix and kept in its analysis
+    analysis = M.analysis
+    if analysis.min_poly is None:
+        analysis.min_poly = minimal_polynomial(M)
+    return analysis.min_poly
+
+
 def system_of(M: DenseMatrix) -> CovariantSystem:
-    """Covariant system of the minimal polynomial of M."""
+    """Covariant system of the minimal polynomial of M, built once per
+    matrix and kept in its analysis."""
     _require_rational(M)
-    return build_covariant_system(factor_rational(minimal_polynomial(M)))
+    analysis = M.analysis
+    if analysis.system is None:
+        analysis.system = build_covariant_system(factor_rational(_min_poly_of(M)))
+    return analysis.system
 
 
 def sn_decompose(M: DenseMatrix) -> SNDecomposition:
     """Additive decomposition M = S + N.
 
     Total on square rational matrices; the zero matrix yields S = N = 0
-    through the single factor X of its minimal polynomial.
+    through the single factor X of its minimal polynomial.  S, N and
+    the witness polynomial are computed once per matrix and kept in its
+    analysis.
     """
     system = system_of(M)
-    s_poly = Polynomial()
-    for s in system.s_polys:
-        s_poly = s_poly + s
-    s_poly = s_poly % system.min_poly if s_poly.degree >= system.min_poly.degree else s_poly
-    S = horner_eval(s_poly, M)
-    N = M - S
+    analysis = M.analysis
+    if analysis.sn_parts is None:
+        s_poly = Polynomial()
+        for s in system.s_polys:
+            s_poly = s_poly + s
+        if s_poly.degree >= system.min_poly.degree:
+            s_poly = s_poly % system.min_poly
+        S = horner_eval(s_poly, M)
+        analysis.sn_parts = (S, M - S, s_poly)
+    S, N, s_poly = analysis.sn_parts
     return SNDecomposition(
         matrix=M,
         semisimple=S,
@@ -121,11 +139,12 @@ def sn_newton_oracle(M: DenseMatrix, max_rounds: int = 40) -> DenseMatrix:
     Newton iteration Z <- Z - g(Z) * g'(Z)^-1 on the squarefree part g
     of the minimal polynomial, starting at M.  Quadratic convergence in
     the nilpotency order; the limit is the unique semisimple S with
-    M - S nilpotent, commuting with M.  Shares no code with the
-    covariant construction beyond basic polynomial arithmetic.
+    M - S nilpotent, commuting with M.  Shares nothing with the
+    covariant construction but basic polynomial arithmetic and the
+    minimal polynomial of M, which it reads from M's analysis.
     """
     _require_rational(M)
-    g, _ = squarefree_part(minimal_polynomial(M))
+    g, _ = squarefree_part(_min_poly_of(M))
     dg = g.derivative()
     Z = M
     for _ in range(max_rounds):

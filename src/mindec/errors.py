@@ -35,6 +35,11 @@ class DegreeCapExceeded(MindecError):
     """Factorization input exceeds the configured degree cap."""
 
 
+class ConfigError(MindecError):
+    """An environment setting (MINDEC_DEGREE_CAP) holds an unusable
+    value; the input itself may be fine."""
+
+
 class MixedModuli(MindecError):
     """Number field elements with different moduli were combined."""
 
@@ -87,3 +92,7 @@ class FormatError(MindecError, ValueError):
 
 class PolyParseError(FormatError):
     """Malformed polynomial expression or serialized form."""
+
+
+class UsageError(FormatError):
+    """Command line arguments that mindec cannot parse."""

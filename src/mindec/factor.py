@@ -22,7 +22,7 @@ from itertools import combinations
 from math import gcd, isqrt
 from typing import List, Optional, Tuple
 
-from mindec.errors import DegreeCapExceeded, ZeroPolynomial
+from mindec.errors import ConfigError, DegreeCapExceeded, ZeroPolynomial
 from mindec.poly import Polynomial, X, squarefree_part
 
 DEFAULT_DEGREE_CAP = 16
@@ -33,7 +33,15 @@ def _degree_cap(cap: Optional[int]) -> int:
     if cap is not None:
         return cap
     env = os.environ.get("MINDEC_DEGREE_CAP")
-    return int(env) if env else DEFAULT_DEGREE_CAP
+    if not env:
+        return DEFAULT_DEGREE_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ConfigError(f"MINDEC_DEGREE_CAP must be a positive integer, got {env!r}")
+    return cap
 
 
 # -- arithmetic in GF(p)[X]: dense int lists, index = degree ----------

@@ -25,8 +25,32 @@ def _norm_entry(e):
     return Fraction(e) if isinstance(e, int) else e
 
 
+class MatrixAnalysis:
+    """Results computed from one matrix, each at most once.
+
+    The fields are filled on first use by the functions that compute
+    them: the minimal polynomial and the covariant system by
+    :func:`mindec.decompose.system_of` (the minimal polynomial also by
+    :func:`mindec.decompose.sn_newton_oracle`), the additive parts
+    (S, N, s_poly) by :func:`mindec.decompose.sn_decompose`, and the
+    projectors E_i(M) of that system by
+    :func:`mindec.covariant.materialize_projectors`.  A DenseMatrix is
+    immutable, so each value stays valid for the matrix's lifetime.
+    No field refers back to the matrix, so dropping the matrix frees
+    its analysis without waiting for the cycle collector.
+    """
+
+    __slots__ = ("min_poly", "system", "sn_parts", "projectors")
+
+    def __init__(self):
+        self.min_poly = None
+        self.system = None
+        self.sn_parts = None
+        self.projectors = None
+
+
 class DenseMatrix:
-    __slots__ = ("n", "rows", "_rat")
+    __slots__ = ("n", "rows", "_rat", "_analysis")
 
     def __init__(self, rows: Sequence[Sequence]):
         rs = tuple(tuple(_norm_entry(e) for e in row) for row in rows)
@@ -54,6 +78,16 @@ class DenseMatrix:
     @property
     def is_rational(self) -> bool:
         return self._rat
+
+    @property
+    def analysis(self) -> MatrixAnalysis:
+        """This matrix's :class:`MatrixAnalysis`, created on first access
+        so that building a matrix costs nothing extra."""
+        try:
+            return self._analysis
+        except AttributeError:
+            self._analysis = MatrixAnalysis()
+            return self._analysis
 
     @property
     def is_zero(self) -> bool:
@@ -316,8 +350,16 @@ def horner_eval(f: Polynomial, M: DenseMatrix) -> DenseMatrix:
     for c in reversed(f.coeffs[:-1]):
         acc = acc @ M
         if c:
-            acc = acc + DenseMatrix.scaled_identity(n, c)
+            acc = _plus_diagonal(acc, c)
     return acc
+
+
+def _plus_diagonal(A: DenseMatrix, c) -> DenseMatrix:
+    # A + c*I with n additions; the off-diagonal entries are shared
+    rows = [list(r) for r in A.rows]
+    for i in range(A.n):
+        rows[i][i] = rows[i][i] + c
+    return DenseMatrix(rows)
 
 
 def minimal_polynomial(M: DenseMatrix) -> Polynomial:

@@ -39,14 +39,21 @@ from mindec.errors import (
 RationalLike = Union[int, Fraction]
 
 
+def _ascii_digits(s: str) -> bool:
+    # str.isdigit alone also accepts digits of other scripts and
+    # superscripts, which the Fraction constructor reads or rejects
+    return s.isascii() and s.isdigit()
+
+
 def rational_from_string(text: str) -> Fraction:
-    """Parse "p" or "p/q".  Stricter than the Fraction constructor: no
-    decimals, exponents, or embedded whitespace, and a zero denominator
-    is a PolyParseError rather than a ZeroDivisionError."""
+    """Parse "p" or "p/q" with ASCII digits.  Stricter than the Fraction
+    constructor: no decimals, exponents, embedded whitespace or
+    non-ASCII digits, and a zero denominator is a PolyParseError rather
+    than a ZeroDivisionError."""
     s = text.strip()
     body = s[1:] if s[:1] in "+-" else s
     num, sep, den = body.partition("/")
-    if not num.isdigit() or (sep and not den.isdigit()):
+    if not _ascii_digits(num) or (sep and not _ascii_digits(den)):
         raise PolyParseError(f"not a rational: {text!r}")
     if sep and set(den) == {"0"}:
         raise PolyParseError(f"zero denominator: {text!r}")

@@ -133,3 +133,23 @@ def frac_poly_divmod(a, b):
         for i in range(lb):
             rem[k + i] -= c * Fraction(b[i])
     return _strip(quot), _strip(rem[: lb - 1])
+
+
+def plain_poly_at(coeffs, rows):
+    """sum_k coeffs[k] * A^k for a square matrix given as nested lists,
+    through explicit powers, schoolbook products and a full identity
+    matrix, in the entries' own arithmetic: plain Fractions for a
+    rational matrix; for MultiQuad and number field entries the
+    library's scalar arithmetic, so only the matrix-level evaluation is
+    independent.  coeffs run from the constant term up."""
+    n = len(rows)
+    zero = rows[0][0] * 0
+    power = [[zero + (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    total = [[zero] * n for _ in range(n)]
+    for c in coeffs:
+        total = [[t + c * p for t, p in zip(tr, pr)] for tr, pr in zip(total, power)]
+        power = [
+            [sum((power[i][t] * rows[t][j] for t in range(n)), zero) for j in range(n)]
+            for i in range(n)
+        ]
+    return total

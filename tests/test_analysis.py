@@ -1,0 +1,137 @@
+"""Per-matrix analysis reuse: each request computes the minimal
+polynomial, covariant system, S + N and projectors of its matrix once,
+and every verifier still checks the decomposition it is handed."""
+
+import json
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+
+import mindec.covariant as covariant_mod
+import mindec.decompose as decompose_mod
+from mindec.covariant import materialize_projectors, verify_system
+from mindec.decompose import (
+    FineDecomposition,
+    fine_decompose,
+    sn_decompose,
+    system_of,
+    verify_fine,
+    verify_sn,
+)
+from mindec.errors import SystemMatrixMismatch
+from mindec.generator import matrix_from_min_poly
+from mindec.matfun import schwerdtfeger_eval, verify_matfun
+from mindec.matrix import DenseMatrix, companion
+from mindec.poly import Polynomial, X
+from mindec.selftest import run_cli
+from mindec.serialize import matrix_to_json
+
+ONE = Polynomial((1,))
+# not semisimple, so S differs from M and the minimal polynomial of S
+# computed by verify_sn is not a call on M
+MIN_POLY = ((X - ONE) ** 2 * (X * X - Polynomial((2,)))).monic()
+
+
+def _matrix():
+    return matrix_from_min_poly(MIN_POLY, "analysis").matrix
+
+
+def _document(M):
+    return json.dumps(matrix_to_json(M))
+
+
+def _record_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+class TestWorkPerRequest:
+    def test_sn_check_computes_the_minimal_polynomial_once(self, monkeypatch):
+        M = _matrix()
+        calls = _record_calls(monkeypatch, decompose_mod, "minimal_polynomial")
+        code, out, err = run_cli(["sn", "--check"], input_text=_document(M))
+        assert code == 0, err
+        assert json.loads(out)["report"]["pass"] is True
+        assert sum(1 for (A,) in calls if A == M) == 1
+
+    def test_apply_check_builds_two_covariant_systems(self, monkeypatch):
+        M = _matrix()
+        calls = _record_calls(monkeypatch, decompose_mod, "build_covariant_system")
+        code, out, err = run_cli(
+            ["apply", "--poly", "X^2-X", "--check"], input_text=_document(M)
+        )
+        assert code == 0, err
+        assert json.loads(out)["report"]["pass"] is True
+        # one for M, one for f(M) in verify_matfun
+        assert len(calls) == 2
+
+    def test_covariants_check_evaluates_each_projector_once(self, monkeypatch):
+        M = _matrix()
+        system = system_of(_matrix())
+        calls = _record_calls(monkeypatch, covariant_mod, "horner_eval")
+        code, out, err = run_cli(["covariants", "--check"], input_text=_document(M))
+        assert code == 0, err
+        assert json.loads(out)["report"]["pass"] is True
+        at_m = Counter(f.coeffs for f, A in calls if A == M)
+        for e in system.e_polys:
+            assert at_m[e.coeffs] == 1
+        assert at_m[system.min_poly.coeffs] == 1
+
+
+class TestChecksAfterCaching:
+    """Corruptions made after M's analysis is cached are still caught."""
+
+    def test_verify_sn_rejects_shifted_parts(self):
+        M = _matrix()
+        sn = sn_decompose(M)
+        assert verify_sn(M, sn).passed
+        ident = DenseMatrix.identity(M.n)
+        bad = replace(sn, semisimple=sn.semisimple + ident, nilpotent=sn.nilpotent - ident)
+        report = verify_sn(M, bad)
+        assert not report.passed
+        assert "newton-agreement" in {c.name for c in report.failed_checks()}
+        report = verify_sn(M, replace(sn, nilpotent=sn.nilpotent + ident))
+        assert "reassembly" in {c.name for c in report.failed_checks()}
+        assert sn_decompose(M).semisimple == sn.semisimple
+
+    def test_verify_fine_rejects_swapped_nilpotents(self):
+        M = companion(((X - ONE) ** 2 * (X + ONE) ** 2).monic())
+        sn_decompose(M)
+        fd = fine_decompose(M)
+        assert verify_fine(M, fd).passed
+        c0, c1 = fd.components
+        swapped = FineDecomposition(
+            (replace(c0, nilpotent=c1.nilpotent), replace(c1, nilpotent=c0.nilpotent)),
+            fd.zero_index,
+        )
+        assert not verify_fine(M, swapped).passed
+
+    def test_verify_matfun_rejects_transplanted_parts(self):
+        M = _matrix()
+        f = X * X - X
+        result = schwerdtfeger_eval(f, M)
+        sn_decompose(M)
+        assert verify_matfun(f, M, result).passed
+        ident = DenseMatrix.identity(M.n)
+        bad = replace(
+            result,
+            semisimple_part=result.semisimple_part + ident,
+            nilpotent_part=result.nilpotent_part - ident,
+        )
+        assert not verify_matfun(f, M, bad).passed
+        assert not verify_matfun(f, M, replace(result, value=result.value + ident)).passed
+
+    def test_foreign_system_is_not_served_from_the_cache(self):
+        M = _matrix()
+        materialize_projectors(system_of(M), M)
+        other = system_of(companion((X - ONE) ** 2))
+        with pytest.raises(SystemMatrixMismatch):
+            verify_system(other, M)

@@ -59,9 +59,44 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(err)["error"] == "SingularValuesNotRational"
 
+    @pytest.mark.parametrize("entry", ['"\u0661"', '"\u00b2"', '"1/\u0663"', '{"2": "\u0661"}'])
+    def test_non_ascii_digit_entry_is_two(self, entry):
+        # Arabic-Indic and superscript digits are not rationals
+        code, out, err = run_cli(["sn"], input_text='{"entries": [[%s]]}' % entry)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] in ("FormatError", "PolyParseError")
+
+    def test_non_ascii_digit_poly_is_two(self):
+        code, out, err = run_cli(["apply", "--poly=\u0661,1"], input_text=IDENTITY_2)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "PolyParseError"
+
     def test_unknown_flag_is_two(self):
         code, _, _ = run_cli(["sn", "--frobnicate"], input_text=IDENTITY_2)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["apply", "--poly", "-1,2"], ["apply"], ["gen", "--seed", "s", "--size", "x"]],
+    )
+    def test_argument_error_is_one_json_object(self, argv):
+        code, out, err = run_cli(argv, input_text=IDENTITY_2)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "UsageError"
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+    def test_bad_degree_cap_is_a_configuration_error(self, monkeypatch, value):
+        monkeypatch.setenv("MINDEC_DEGREE_CAP", value)
+        code, out, err = run_cli(["sn"], input_text=IDENTITY_2)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "ConfigError"
+        assert "MINDEC_DEGREE_CAP" in error["message"]
+        assert repr(value) in error["message"]
 
     def test_help_is_zero(self):
         code, out, _ = run_cli(["--help"])

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import frac_matmul, fraction_rank
+from oracles import frac_matmul, fraction_rank, plain_poly_at
 
 from mindec.errors import SingularMatrix
 from mindec.matrix import (
@@ -19,7 +19,7 @@ from mindec.matrix import (
     rank,
 )
 from mindec.poly import Polynomial, X
-from mindec.scalar import MultiQuad
+from mindec.scalar import MultiQuad, NumberField
 
 
 def rand_matrix(rng, n):
@@ -168,3 +168,58 @@ class TestHornerEval:
 
     def test_empty_polynomial_gives_zero(self):
         assert horner_eval(Polynomial(), DenseMatrix.identity(3)).is_zero
+
+
+class TestHornerDiagonal:
+    """horner_eval adds each constant on the diagonal only; the oracle
+    adds full identity multiples to explicit powers."""
+
+    @staticmethod
+    def _polys(rng, coeff):
+        # the zero polynomial, a constant, then random degrees up to 5
+        yield Polynomial()
+        yield Polynomial((coeff(),))
+        for _ in range(6):
+            yield Polynomial(tuple(coeff() for _ in range(rng.randint(2, 6))))
+
+    def _check(self, M, polys):
+        for f in polys:
+            assert horner_eval(f, M).rows == tuple(
+                tuple(r) for r in plain_poly_at(f.coeffs, M.rows)
+            ), f
+
+    def test_rational(self):
+        rng = random.Random("horner-diagonal-q")
+        for _ in range(6):
+            M = rand_matrix(rng, rng.randint(1, 5))
+            self._check(
+                M, self._polys(rng, lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+            )
+
+    def test_multiquad(self):
+        rng = random.Random("horner-diagonal-mq")
+
+        def mq():
+            return MultiQuad(
+                {1: Fraction(rng.randint(-3, 3)), 2: Fraction(rng.randint(-3, 3), 2),
+                 -3: Fraction(rng.randint(-2, 2))}
+            )
+
+        for _ in range(4):
+            n = rng.randint(1, 4)
+            M = DenseMatrix([[mq() for _ in range(n)] for _ in range(n)])
+            self._check(M, self._polys(rng, mq))
+            self._check(M, self._polys(rng, lambda: Fraction(rng.randint(-4, 4))))
+
+    def test_number_field(self):
+        rng = random.Random("horner-diagonal-nf")
+        field = NumberField((Fraction(-2), Fraction(-1), Fraction(0), Fraction(1)))
+
+        def nf():
+            return field.element([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)])
+
+        for _ in range(4):
+            n = rng.randint(1, 4)
+            M = DenseMatrix([[nf() for _ in range(n)] for _ in range(n)])
+            self._check(M, self._polys(rng, nf))
+            self._check(M, self._polys(rng, lambda: Fraction(rng.randint(-4, 4))))
