@@ -1,14 +1,19 @@
-"""Exact rational kernels: the hot loops of rational polynomial and
-matrix arithmetic.
+"""Exact kernels: the hot loops of rational polynomial and matrix
+arithmetic.
 
-A rational is a pair of Python ints (numerator, denominator) with
-denominator > 0 and gcd(numerator, denominator) = 1.  Sequences of
-rationals travel as two parallel flat lists, numerators and
-denominators; matrices are row-major, polynomials are coefficient
-lists with index = degree and no trailing zeros.
+Polynomials: a rational is a pair of Python ints (numerator,
+denominator) with denominator > 0 and gcd(numerator, denominator) = 1.
+A coefficient sequence travels as two parallel flat lists, numerators
+and denominators, with index = degree and no trailing zeros.
+
+Matrices: sequences of integer rows.  A rational matrix is stored as
+integer rows over one common denominator (see :mod:`mindec.matrix`), so
+products and elimination run on Python ints alone, with no gcd per
+entry.
 """
 
 from math import gcd
+from operator import mul
 
 BACKEND = "python"
 
@@ -96,74 +101,71 @@ def poly_divmod(an, ad, bn, bd):
     return qn, qd, rn, rd
 
 
-def mat_mul(an, ad, bn, bd, n, k, m):
-    """Product of an n*k and a k*m rational matrix, both row-major."""
-    cn = [0] * (n * m)
-    cd = [1] * (n * m)
-    for i in range(n):
-        arow = i * k
-        crow = i * m
-        for t in range(k):
-            atn = an[arow + t]
-            if atn == 0:
-                continue
-            atd = ad[arow + t]
-            brow = t * m
-            for j in range(m):
-                btn = bn[brow + j]
-                if btn == 0:
-                    continue
-                pn, pd = _mul(atn, atd, btn, bd[brow + j])
-                cn[crow + j], cd[crow + j] = _add(cn[crow + j], cd[crow + j], pn, pd)
-    return cn, cd
+def mat_mul(a, b):
+    """Product of an n*k and a k*m integer matrix, as a tuple of row
+    tuples.
 
-
-def rref(an, ad, rows, cols):
-    """Reduced row echelon form by Gauss-Jordan elimination.
-
-    Pivots on the first nonzero entry of each column, top down, so the
-    result is deterministic.  Returns (nums, dens, pivot_columns).
+    A row of a with at least k/2 nonzero entries takes k-term dot
+    products with the columns of b; a sparser row is the sum of its
+    nonzero multiples of rows of b, which skips the zeros.
     """
-    rn = list(an)
-    rd = list(ad)
+    cols = tuple(zip(*b))
+    zero = (0,) * len(cols)
+    out = []
+    for row in a:
+        terms = [(x, brow) for x, brow in zip(row, b) if x]
+        if 2 * len(terms) >= len(row):
+            out.append(tuple([sum(map(mul, row, col)) for col in cols]))
+        elif terms:
+            x, brow = terms[0]
+            acc = [x * y for y in brow]
+            for x, brow in terms[1:]:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+            out.append(tuple(acc))
+        else:
+            out.append(zero)
+    return tuple(out)
+
+
+def rref(rows):
+    """Reduced row echelon form of an integer matrix by fraction-free
+    Gauss-Jordan elimination (Bareiss, Math. Comp. 1968).
+
+    Pivots on the first nonzero entry of each column, top down.  Each
+    step replaces every other row r by (p*r - r[col]*pivot_row) / prev,
+    p the new pivot and prev the one before; the division is exact
+    because every entry stays a minor of the input.  All pivots of the
+    result equal the last one, den, so the reduced echelon form is
+    rows / den.  Returns (rows, den, pivot_columns), den != 0 (1 when
+    there is no pivot).
+    """
+    rs = [list(r) for r in rows]
+    nrows = len(rs)
+    ncols = len(rs[0]) if nrows else 0
     pivots = []
+    prev = 1
     rank = 0
-    for col in range(cols):
-        pivot = -1
-        for r in range(rank, rows):
-            if rn[r * cols + col] != 0:
-                pivot = r
+    for col in range(ncols):
+        for r in range(rank, nrows):
+            if rs[r][col]:
                 break
-        if pivot < 0:
+        else:
             continue
-        if pivot != rank:
-            a, b = pivot * cols, rank * cols
-            for j in range(cols):
-                rn[a + j], rn[b + j] = rn[b + j], rn[a + j]
-                rd[a + j], rd[b + j] = rd[b + j], rd[a + j]
-        base = rank * cols
-        pn, pd = rn[base + col], rd[base + col]
-        if pn != pd:  # scale pivot row to a leading 1
-            for j in range(col, cols):
-                if rn[base + j] != 0:
-                    tn, td = _mul(rn[base + j], rd[base + j], pd, pn)
-                    if td < 0:
-                        tn, td = -tn, -td
-                    rn[base + j], rd[base + j] = tn, td
-        for r in range(rows):
-            if r == rank:
+        rs[rank], rs[r] = rs[r], rs[rank]
+        prow = rs[rank]
+        p = prow[col]
+        for i in range(nrows):
+            if i == rank:
                 continue
-            off = r * cols
-            fn, fd = rn[off + col], rd[off + col]
-            if fn == 0:
-                continue
-            for j in range(col, cols):
-                if rn[base + j] == 0:
-                    continue
-                tn, td = _mul(fn, fd, rn[base + j], rd[base + j])
-                rn[off + j], rd[off + j] = _add(rn[off + j], rd[off + j], -tn, td)
+            row = rs[i]
+            f = row[col]
+            if f:
+                rs[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+            elif p != prev:
+                rs[i] = [p * x // prev for x in row]
+        prev = p
         pivots.append(col)
         rank += 1
-        if rank == rows:
+        if rank == nrows:
             break
-    return rn, rd, pivots
+    return rs, prev, pivots

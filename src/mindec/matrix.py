@@ -5,14 +5,21 @@ integer input entries are normalized to Fraction.  Everything is exact:
 elimination pivots on the first nonzero entry of each column, so all
 results are deterministic.
 
-Purely rational matrices are packed into (numerator, denominator) int
-pairs and multiplied and row-reduced by the pure-Python kernel in
-:mod:`mindec._kernel`; other entry fields use the generic code paths.
+A purely rational matrix is stored as integer rows over one positive
+common denominator, with no factor common to the denominator and every
+entry; that form is unique, so equality compares integers.  Products,
+sums, Horner steps, the Krylov minimal polynomial and elimination
+(fraction-free, in :mod:`mindec._kernel`) run on those integers.
+Fraction entries are built only when ``rows`` or ``entry`` is read, and
+kept.  Other entry fields use the generic code paths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Callable, List, Sequence, Tuple
 
 from mindec import _kernel
@@ -50,7 +57,15 @@ class MatrixAnalysis:
 
 
 class DenseMatrix:
-    __slots__ = ("n", "rows", "_rat", "_analysis")
+    """A square matrix; immutable.
+
+    A rational matrix holds ``_num`` (integer rows) over ``_den`` and
+    builds ``_rows`` (Fractions) on demand; a matrix built from Fraction
+    rows computes its integer form on first arithmetic use instead.
+    Other matrices hold ``_rows`` only.
+    """
+
+    __slots__ = ("n", "_rows", "_num", "_den", "_rat", "_analysis")
 
     def __init__(self, rows: Sequence[Sequence]):
         rs = tuple(tuple(_norm_entry(e) for e in row) for row in rows)
@@ -58,22 +73,60 @@ class DenseMatrix:
         if n == 0 or any(len(r) != n for r in rs):
             raise ValueError("matrix must be square and nonempty")
         self.n = n
-        self.rows = rs
+        self._rows = rs
+        self._num = None
         self._rat = all(type(e) is Fraction for r in rs for e in r)
 
     @classmethod
+    def _of_ints(cls, num, den: int) -> "DenseMatrix":
+        # num / den, already reduced with den > 0; num is a tuple of tuples
+        m = object.__new__(cls)
+        m.n = len(num)
+        m._rows = None
+        m._num = num
+        m._den = den
+        m._rat = True
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "DenseMatrix":
-        return cls(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        )
+        return cls._of_ints(_int_identity(n, 1), 1)
 
     @classmethod
     def zeros(cls, n: int) -> "DenseMatrix":
-        return cls([[Fraction(0)] * n for _ in range(n)])
+        return cls._of_ints(((0,) * n,) * n, 1)
 
     @classmethod
     def scaled_identity(cls, n: int, c) -> "DenseMatrix":
+        if isinstance(c, (int, Fraction)):
+            return cls._of_ints(_int_identity(n, c.numerator), c.denominator)
         return cls([[c if i == j else Fraction(0) for j in range(n)] for i in range(n)])
+
+    @property
+    def rows(self) -> Tuple[tuple, ...]:
+        """The entries as a tuple of row tuples; for a rational matrix,
+        reduced Fractions built on first access and kept."""
+        rows = self._rows
+        if rows is None:
+            d = self._den
+            if d == 1:
+                rows = tuple(tuple(map(Fraction, r)) for r in self._num)
+            else:
+                rows = tuple(tuple(Fraction(x, d) for x in r) for r in self._num)
+            self._rows = rows
+        return rows
+
+    def _ints(self):
+        """(integer rows, denominator) of a rational matrix."""
+        num = self._num
+        if num is None:
+            rows = self._rows
+            d = lcm(*(e.denominator for r in rows for e in r))
+            num = self._num = tuple(
+                tuple(e.numerator * (d // e.denominator) for e in r) for r in rows
+            )
+            self._den = d
+        return num, self._den
 
     @property
     def is_rational(self) -> bool:
@@ -91,18 +144,27 @@ class DenseMatrix:
 
     @property
     def is_zero(self) -> bool:
+        if self._rat:
+            return not any(map(any, self._ints()[0]))
         return all(not e for r in self.rows for e in r)
 
     def map_entries(self, fn: Callable) -> "DenseMatrix":
         return DenseMatrix([[fn(e) for e in row] for row in self.rows])
 
     def transpose(self) -> "DenseMatrix":
+        if self._rat:
+            num, den = self._ints()
+            return DenseMatrix._of_ints(tuple(zip(*num)), den)
         return DenseMatrix(list(zip(*self.rows)))
 
     def trace(self):
-        acc = self.rows[0][0]
+        if self._rat:
+            num, den = self._ints()
+            return Fraction(sum(num[i][i] for i in range(self.n)), den)
+        rows = self.rows
+        acc = rows[0][0]
         for i in range(1, self.n):
-            acc = acc + self.rows[i][i]
+            acc = acc + rows[i][i]
         return acc
 
     def entry(self, i: int, j: int):
@@ -111,6 +173,8 @@ class DenseMatrix:
     def __add__(self, other):
         if not isinstance(other, DenseMatrix):
             return NotImplemented
+        if self._rat and other._rat:
+            return _rational_combine(self, other, add)
         return DenseMatrix(
             [
                 [a + b for a, b in zip(ra, rb)]
@@ -121,6 +185,8 @@ class DenseMatrix:
     def __sub__(self, other):
         if not isinstance(other, DenseMatrix):
             return NotImplemented
+        if self._rat and other._rat:
+            return _rational_combine(self, other, sub)
         return DenseMatrix(
             [
                 [a - b for a, b in zip(ra, rb)]
@@ -129,16 +195,27 @@ class DenseMatrix:
         )
 
     def __neg__(self):
+        if self._rat:
+            num, den = self._ints()
+            return DenseMatrix._of_ints(tuple(tuple(-x for x in r) for r in num), den)
         return self.map_entries(lambda e: -e)
 
     def __mul__(self, scalar):
         if isinstance(scalar, DenseMatrix):
             return NotImplemented
+        if self._rat and isinstance(scalar, (int, Fraction)):
+            num, den = self._ints()
+            p = scalar.numerator
+            return _reduced(
+                tuple(tuple(p * x for x in r) for r in num), den * scalar.denominator
+            )
         return self.map_entries(lambda e: e * scalar)
 
     def __rmul__(self, scalar):
         if isinstance(scalar, DenseMatrix):
             return NotImplemented
+        if self._rat and isinstance(scalar, (int, Fraction)):
+            return self * scalar
         return self.map_entries(lambda e: scalar * e)
 
     def __matmul__(self, other):
@@ -146,12 +223,11 @@ class DenseMatrix:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("order mismatch")
-        n = self.n
         if self._rat and other._rat:
-            an, ad = _pack_rows(self.rows)
-            bn, bd = _pack_rows(other.rows)
-            cn, cd = _kernel.mat_mul(an, ad, bn, bd, n, n, n)
-            return _unpack_matrix(cn, cd, n)
+            an, ad = self._ints()
+            bn, bd = other._ints()
+            return _reduced(_kernel.mat_mul(an, bn), ad * bd)
+        n = self.n
         brows = other.rows
         out = []
         for ra in self.rows:
@@ -184,6 +260,9 @@ class DenseMatrix:
             return NotImplemented
         if self.n != other.n:
             return False
+        if self._rat and other._rat:
+            # the reduced integer form is unique
+            return self._ints() == other._ints()
         return all(
             a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
         )
@@ -192,19 +271,38 @@ class DenseMatrix:
         return f"DenseMatrix({[[str(e) for e in row] for row in self.rows]})"
 
 
-def _pack_rows(rows):
-    nums = []
-    dens = []
-    for row in rows:
-        for e in row:
-            nums.append(e.numerator)
-            dens.append(e.denominator)
-    return nums, dens
+def _int_identity(n: int, c: int) -> Tuple[tuple, ...]:
+    zero = (0,) * n
+    return tuple(zero[:i] + (c,) + zero[i + 1 :] for i in range(n))
 
 
-def _unpack_matrix(nums, dens, n) -> DenseMatrix:
-    it = iter(zip(nums, dens))
-    return DenseMatrix([[Fraction(*next(it)) for _ in range(n)] for _ in range(n)])
+def _reduced(num, den: int) -> DenseMatrix:
+    """The rational matrix num / den (den != 0), with the content common
+    to den and the entries divided out and den made positive."""
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(num))
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = tuple(tuple(x // g for x in r) for r in num)
+            den //= g
+    return DenseMatrix._of_ints(num, den)
+
+
+def _rational_combine(A: DenseMatrix, B: DenseMatrix, op) -> DenseMatrix:
+    # A op B for op in (add, sub), over the lcm of the two denominators
+    an, ad = A._ints()
+    bn, bd = B._ints()
+    if ad == bd:
+        return _reduced(tuple(tuple(map(op, ra, rb)) for ra, rb in zip(an, bn)), ad)
+    den = ad // gcd(ad, bd) * bd
+    fa, fb = den // ad, den // bd
+    return _reduced(
+        tuple(
+            tuple(op(fa * x, fb * y) for x, y in zip(ra, rb)) for ra, rb in zip(an, bn)
+        ),
+        den,
+    )
 
 
 def _generic_rref(rows: List[list]) -> Tuple[List[list], List[int]]:
@@ -245,24 +343,36 @@ def rref_rows(rows: Sequence[Sequence]) -> Tuple[List[list], List[int]]:
     """Reduced row echelon form of a rectangular array of field
     elements; returns (rows, pivot_columns)."""
     rows = [[_norm_entry(e) for e in r] for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
     if all(type(e) is Fraction for r in rows for e in r):
-        nums = [e.numerator for r in rows for e in r]
-        dens = [e.denominator for r in rows for e in r]
-        rn, rd, pivots = _kernel.rref(nums, dens, nrows, ncols)
-        it = iter(zip(rn, rd))
-        return [[Fraction(*next(it)) for _ in range(ncols)] for _ in range(nrows)], pivots
+        red, den, pivots = _kernel.rref([_cleared(r) for r in rows])
+        return [[Fraction(x, den) for x in r] for r in red], pivots
     return _generic_rref(rows)
 
 
+def _cleared(row: Sequence[Fraction]) -> List[int]:
+    # the row times the lcm of its denominators: same row space
+    d = lcm(*(e.denominator for e in row))
+    return [e.numerator * (d // e.denominator) for e in row]
+
+
 def rank(M: DenseMatrix) -> int:
+    if M._rat:
+        return len(_kernel.rref(M._ints()[0])[2])
     return len(rref_rows(M.rows)[1])
 
 
 def inverse(M: DenseMatrix) -> DenseMatrix:
-    """Exact inverse via elimination on [M | I]."""
+    """Exact inverse via elimination on [M | I]; for a rational M = A/d
+    the integer [A | I] reduces to [den*I | R], and M^-1 = d*R/den."""
     n = M.n
+    if M._rat:
+        num, d = M._ints()
+        red, den, pivots = _kernel.rref(
+            [list(r) + list(e) for r, e in zip(num, _int_identity(n, 1))]
+        )
+        if pivots[:n] != list(range(n)):
+            raise SingularMatrix("matrix has no inverse")
+        return _reduced(tuple(tuple(d * x for x in r[n:]) for r in red), den)
     one = one_like(M.rows[0][0])
     aug = [
         list(row) + [one if i == j else one * 0 for j in range(n)]
@@ -278,10 +388,15 @@ def kernel_basis(M: DenseMatrix) -> List[Tuple]:
     """Basis of the right null space, one vector per free column of the
     reduced echelon form, in column order."""
     n = M.n
-    red, pivots = rref_rows(M.rows)
+    if M._rat:
+        red, den, pivots = _kernel.rref(M._ints()[0])
+        zero, one = Fraction(0), Fraction(1)
+    else:
+        red, pivots = rref_rows(M.rows)
+        den = None
+        zero = M.rows[0][0] * 0
+        one = one_like(M.rows[0][0])
     pivot_set = set(pivots)
-    zero = M.rows[0][0] * 0
-    one = one_like(M.rows[0][0])
     basis = []
     for free in range(n):
         if free in pivot_set:
@@ -289,7 +404,8 @@ def kernel_basis(M: DenseMatrix) -> List[Tuple]:
         vec = [zero] * n
         vec[free] = one
         for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][free]
+            x = red[r][free]
+            vec[pc] = -x if den is None else Fraction(-x, den)
         basis.append(tuple(vec))
     return basis
 
@@ -327,7 +443,9 @@ def horner_eval(f: Polynomial, M: DenseMatrix) -> DenseMatrix:
     The coefficient field must embed into the entry field of M:
     rationals embed everywhere, MultiQuad coefficients need MultiQuad
     entries, number field coefficients need entries over the same
-    modulus.
+    modulus.  When M and f are both rational every step is an integer
+    product and n integer additions on the diagonal; no Fraction is
+    built.
     """
     kind, field = _entry_kind(M)
     for c in f.coeffs:
@@ -355,7 +473,16 @@ def horner_eval(f: Polynomial, M: DenseMatrix) -> DenseMatrix:
 
 
 def _plus_diagonal(A: DenseMatrix, c) -> DenseMatrix:
-    # A + c*I with n additions; the off-diagonal entries are shared
+    # A + c*I with n additions on the diagonal
+    if A._rat and isinstance(c, Fraction):
+        num, d = A._ints()
+        q = c.denominator
+        den = d // gcd(d, q) * q
+        fa, p = den // d, c.numerator * (den // q)
+        rows = [list(r) for r in num] if fa == 1 else [[fa * x for x in r] for r in num]
+        for i in range(A.n):
+            rows[i][i] += p
+        return _reduced(tuple(map(tuple, rows)), den)
     rows = [list(r) for r in A.rows]
     for i in range(A.n):
         rows[i][i] = rows[i][i] + c
@@ -368,8 +495,10 @@ def minimal_polynomial(M: DenseMatrix) -> Polynomial:
     For each standard basis vector the least linear dependence among
     v, Mv, M^2 v, ... is found by ordered elimination that carries the
     combination coefficients; the lcm of the per-vector annihilators is
-    the minimal polynomial.
+    the minimal polynomial.  The loop stops once the lcm has degree n.
     """
+    if M._rat:
+        return _rational_minimal_polynomial(M)
     n = M.n
     one = one_like(M.rows[0][0])
     zero = one * 0
@@ -408,6 +537,51 @@ def minimal_polynomial(M: DenseMatrix) -> Polynomial:
         if mp.degree == n:
             break
     return mp
+
+
+def _rational_minimal_polynomial(M: DenseMatrix) -> Polynomial:
+    """The Krylov loop of :func:`minimal_polynomial` on the integer
+    matrix A = d*M, fraction-free: a vector is reduced by
+    w <- p*w - w[pc]*v against each kept (pc, v) with pivot p, its
+    tracker alongside, and the pair is divided by its content.  Pivots
+    and stopping rule are those of the rational loop, so the same
+    vectors are used; then m_M(X) = d^-k * m_A(d*X)."""
+    A, d = M._ints()
+    n = M.n
+    mp = Polynomial((Fraction(1),))
+    for j in range(n):
+        cur = [0] * n
+        cur[j] = 1
+        reduced = []  # (pivot_col, vector, tracker), integers
+        for k in range(n + 1):
+            w = cur
+            t = [0] * k + [1]
+            for pc, pv, pt in reduced:
+                f = w[pc]
+                if f:
+                    p = pv[pc]
+                    w = [p * x - f * y for x, y in zip(w, pv)]
+                    t = [p * x for x in t]
+                    for i, y in enumerate(pt):
+                        if y:
+                            t[i] -= f * y
+            if not any(w):
+                lead = t[-1]
+                mp = poly_lcm(mp, Polynomial([Fraction(x, lead) for x in t]))
+                break
+            g = gcd(*w, *t)
+            if g != 1:
+                w = [x // g for x in w]
+                t = [x // g for x in t]
+            pc = next(i for i in range(n) if w[i])
+            reduced.append((pc, w, t))
+            cur = [sum(map(mul, row, cur)) for row in A]
+        if mp.degree == n:
+            break
+    if d == 1:
+        return mp
+    k = mp.degree
+    return Polynomial([c / d ** (k - i) for i, c in enumerate(mp.coeffs)])
 
 
 def companion(p: Polynomial) -> DenseMatrix:

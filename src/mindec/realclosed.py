@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from mindec.covariant import split_covariants_over_extension
-from mindec.decompose import sn_decompose, system_of
+from mindec.decompose import _min_poly_of, sn_decompose, system_of
 from mindec.errors import (
     FactorDegreeTooHigh,
     SingularMatrix,
@@ -367,7 +367,7 @@ def symmetric_spectral_check(A: DenseMatrix) -> VerificationReport:
             "skipped",
         )
         return report
-    mp = minimal_polynomial(A)
+    mp = _min_poly_of(A)  # kept in A's analysis for system_of below
     sf = poly_gcd(mp, mp.derivative()).degree == 0
     report.add("squarefree", f"{shape} matrix has squarefree minimal polynomial", sf)
     if sf:

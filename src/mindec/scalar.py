@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
 from mindec import _kernel
@@ -295,26 +295,23 @@ class MultiQuad:
         index = {lbl: i for i, lbl in enumerate(basis)}
         n = len(basis)
         # augmented system [T | e_1]: column j of T is self * sqrt(basis[j])
-        nums = [0] * (n * (n + 1))
-        dens = [1] * (n * (n + 1))
+        aug = [[Fraction(0)] * (n + 1) for _ in range(n)]
         for j, bj in enumerate(basis):
             for l, c in self._coords.items():
                 coef, lbl = _label_mul(l, bj)
-                i = index[lbl]
-                v = c * coef
-                k = i * (n + 1) + j
-                cur = Fraction(nums[k], dens[k]) + v
-                nums[k], dens[k] = cur.numerator, cur.denominator
-        one_row = index[1] * (n + 1) + n
-        nums[one_row] = 1
-        rn, rd, pivots = _kernel.rref(nums, dens, n, n + 1)
+                aug[index[lbl]][j] += c * coef
+        aug[index[1]][n] = Fraction(1)
+        int_rows = []
+        for row in aug:  # clear each row's denominators: same row space
+            den = lcm(*(e.denominator for e in row))
+            int_rows.append([e.numerator * (den // e.denominator) for e in row])
+        red, den, pivots = _kernel.rref(int_rows)
         if pivots != list(range(n)):
             raise NotInvertible(f"{self} is not invertible")
         out: Dict[int, Fraction] = {}
-        for i, lbl in enumerate(basis):
-            c = Fraction(rn[i * (n + 1) + n], rd[i * (n + 1) + n])
-            if c:
-                out[lbl] = c
+        for lbl, row in zip(basis, red):
+            if row[n]:
+                out[lbl] = Fraction(row[n], den)
         return MultiQuad._raw(out)
 
     def conjugate(self) -> "MultiQuad":

@@ -52,7 +52,10 @@ def scalar_from_json(obj) -> Scalar:
                 raise FormatError(f"bad radicand label: {label!r}") from None
             if not isinstance(coeff, str):
                 raise FormatError(f"coordinate for {label!r} must be a string")
-            coords[key] = rational_from_string(coeff)
+            try:
+                coords[key] = rational_from_string(coeff)
+            except PolyParseError:
+                raise FormatError(f"coordinate for {label!r} is not a rational: {coeff!r}") from None
         try:
             return MultiQuad(coords)
         except ValueError as exc:

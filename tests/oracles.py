@@ -2,8 +2,9 @@
 
 Nothing here goes through the library's arithmetic paths: interval
 sign determination, Cramer solves of hand-built multiplication
-matrices, plain-Fraction Gaussian elimination, schoolbook polynomial
-products and long division.  Tests freeze expected values by
+matrices, plain-Fraction Gaussian elimination, inverses, null spaces
+and Krylov minimal polynomials, schoolbook polynomial products, long
+division and Euclidean gcds.  Tests freeze expected values by
 computing them through these instead of trusting the code under test.
 """
 
@@ -153,3 +154,73 @@ def plain_poly_at(coeffs, rows):
             for i in range(n)
         ]
     return total
+
+
+def frac_poly_monic_gcd(a, b):
+    """Monic gcd of Fraction coefficient lists by the Euclidean
+    algorithm on long division."""
+    a, b = _strip([Fraction(x) for x in a]), _strip([Fraction(x) for x in b])
+    while b:
+        a, b = b, frac_poly_divmod(a, b)[1]
+    return [x / a[-1] for x in a] if a else []
+
+
+def frac_poly_monic_lcm(a, b):
+    """Monic lcm of two nonzero Fraction coefficient lists."""
+    quot, rem = frac_poly_divmod(frac_poly_mul(a, b), frac_poly_monic_gcd(a, b))
+    assert not rem
+    return [x / quot[-1] for x in quot]
+
+
+def fraction_minimal_polynomial(rows):
+    """Monic minimal polynomial (coefficients, constant term first) of a
+    square matrix of Fractions: the lcm of the Krylov annihilators of
+    the standard basis vectors, each found by elimination on plain
+    Fractions that carries the combination coefficients."""
+    n = len(rows)
+    rows = [[Fraction(x) for x in r] for r in rows]
+    mp = [Fraction(1)]
+    for j in range(n):
+        cur = [Fraction(int(i == j)) for i in range(n)]
+        reduced = []  # (pivot column, vector, tracker), pivot scaled to 1
+        for k in range(n + 1):
+            w = list(cur)
+            t = [Fraction(0)] * k + [Fraction(1)]
+            for pc, pv, pt in reduced:
+                fac = w[pc]
+                w = [x - fac * y for x, y in zip(w, pv)]
+                t = [x - fac * (pt[i] if i < len(pt) else 0) for i, x in enumerate(t)]
+            if not any(w):
+                mp = frac_poly_monic_lcm(mp, t)
+                break
+            pc = next(i for i in range(n) if w[i])
+            inv = 1 / w[pc]
+            reduced.append((pc, [x * inv for x in w], [x * inv for x in t]))
+            cur = [sum((a * b for a, b in zip(r, cur)), Fraction(0)) for r in rows]
+    return mp
+
+
+def fraction_inverse(rows):
+    """Inverse of a square matrix of Fractions from the reduced echelon
+    form of [A | I], or None when A is singular."""
+    n = len(rows)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    red, pivots = fraction_rref(aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [r[n:] for r in red]
+
+
+def fraction_null_space(rows):
+    """Right null space basis of a square matrix of Fractions, one
+    vector per free column of the reduced echelon form, in column
+    order."""
+    n = len(rows)
+    red, pivots = fraction_rref(rows)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(int(i == free)) for i in range(n)]
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][free]
+        basis.append(vec)
+    return basis

@@ -10,6 +10,7 @@ import pytest
 
 import mindec.covariant as covariant_mod
 import mindec.decompose as decompose_mod
+import mindec.realclosed as realclosed_mod
 from mindec.covariant import materialize_projectors, verify_system
 from mindec.decompose import (
     FineDecomposition,
@@ -24,6 +25,7 @@ from mindec.generator import matrix_from_min_poly
 from mindec.matfun import schwerdtfeger_eval, verify_matfun
 from mindec.matrix import DenseMatrix, companion
 from mindec.poly import Polynomial, X
+from mindec.realclosed import symmetric_spectral_check
 from mindec.selftest import run_cli
 from mindec.serialize import matrix_to_json
 
@@ -84,6 +86,16 @@ class TestWorkPerRequest:
         for e in system.e_polys:
             assert at_m[e.coeffs] == 1
         assert at_m[system.min_poly.coeffs] == 1
+
+
+    def test_spectral_check_computes_the_minimal_polynomial_once(self, monkeypatch):
+        A = DenseMatrix([[2, 1, 0], [1, 2, 0], [0, 0, 3]])
+        in_decompose = _record_calls(monkeypatch, decompose_mod, "minimal_polynomial")
+        in_realclosed = _record_calls(monkeypatch, realclosed_mod, "minimal_polynomial")
+        report = symmetric_spectral_check(A)
+        assert report.passed
+        assert "projectors-symmetric" in {c.name for c in report.checks}
+        assert sum(1 for (B,) in in_decompose + in_realclosed if B is A) == 1
 
 
 class TestChecksAfterCaching:

@@ -67,6 +67,14 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"] in ("FormatError", "PolyParseError")
 
+    @pytest.mark.parametrize("entry", ['"\u0661"', '{"2": "\u0661"}', '{"1": "1/x"}'])
+    def test_bad_rational_entry_is_a_format_error(self, entry):
+        # a plain entry and a MultiQuad coordinate report the same class
+        code, out, err = run_cli(["sn"], input_text='{"entries": [[%s]]}' % entry)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "FormatError"
+
     def test_non_ascii_digit_poly_is_two(self):
         code, out, err = run_cli(["apply", "--poly=\u0661,1"], input_text=IDENTITY_2)
         assert code == 2

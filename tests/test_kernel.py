@@ -1,15 +1,17 @@
-"""The rational kernel against plain-Fraction oracles.
+"""The exact kernel against plain-Fraction oracles.
 
 Every primitive in mindec._kernel is run on seeded random inputs and
 compared with the same computation done directly on Fractions in
-tests/oracles.py; every returned (numerator, denominator) pair must be
-in lowest terms with a positive denominator.
+tests/oracles.py.  The polynomial kernels must return every
+(numerator, denominator) pair in lowest terms with a positive
+denominator; the matrix kernels take and return integer rows.
 """
 
 import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from oracles import frac_matmul, frac_poly_divmod, frac_poly_mul, fraction_rref
 
 from mindec import _kernel
@@ -69,36 +71,90 @@ def test_poly_divmod_matches_long_division():
         assert len(rem) < len(b)
 
 
+def random_ints(rng, count, zero_rate=0.25):
+    return [
+        0 if rng.random() < zero_rate else rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(1, 15))
+        for _ in range(count)
+    ]
+
+
+def random_int_rows(rng, rows, cols, zero_rate=0.25):
+    return [random_ints(rng, cols, zero_rate) for _ in range(rows)]
+
+
+def check_rref(rows):
+    """_kernel.rref of integer rows against plain-Fraction elimination:
+    same pivots, rows / den equal to the reduced echelon form, and every
+    pivot of the returned rows equal to den."""
+    red, den, pivots = _kernel.rref(rows)
+    want_rows, want_pivots = fraction_rref(rows)
+    assert pivots == want_pivots
+    assert den != 0
+    assert [[Fraction(x, den) for x in r] for r in red] == want_rows
+    assert [red[r][c] for r, c in enumerate(pivots)] == [den] * len(pivots)
+    assert all(x == 0 for r in red[len(pivots):] for x in r)
+    return pivots
+
+
 def test_mat_mul_matches_triple_loop():
     rng = random.Random("kernel-mat")
-    for _ in range(50):
-        n, k, m = (rng.randint(1, 6) for _ in range(3))
-        a, b = random_fracs(rng, n * k), random_fracs(rng, k * m)
-        got = unpack(*_kernel.mat_mul(*pack(a), *pack(b), n, k, m))
-        want = frac_matmul(
-            [a[i * k : (i + 1) * k] for i in range(n)],
-            [b[t * m : (t + 1) * m] for t in range(k)],
-        )
-        assert got == [x for row in want for x in row]
+    for _ in range(80):
+        n, k, m = (rng.randint(1, 8) for _ in range(3))
+        # dense, half-empty and mostly zero rows take both product paths
+        a = random_int_rows(rng, n, k, zero_rate=rng.choice([0.0, 0.5, 0.9]))
+        b = random_int_rows(rng, k, m)
+        got = _kernel.mat_mul(a, b)
+        assert [list(r) for r in got] == frac_matmul(a, b)
+        assert all(type(x) is int for r in got for x in r)
 
 
 def test_rref_matches_gaussian_elimination():
     rng = random.Random("kernel-rref")
     deficient = set()
     for _ in range(60):
-        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
-        flat = random_fracs(rng, rows * cols, zero_rate=rng.choice([0.0, 0.3, 0.8, 1.0]))
-        if rows >= 3 and rng.random() < 0.5:
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        rows = random_int_rows(rng, nrows, ncols, zero_rate=rng.choice([0.0, 0.3, 0.8, 1.0]))
+        if nrows >= 3 and rng.random() < 0.5:
             # a combination of the first two rows, so ranks vary
-            c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-            for j in range(cols):
-                flat[(rows - 1) * cols + j] = flat[j] + c * flat[cols + j]
-        nums, dens, pivots = _kernel.rref(*pack(flat), rows, cols)
-        want_rows, want_pivots = fraction_rref(
-            [flat[r * cols : (r + 1) * cols] for r in range(rows)]
-        )
-        assert pivots == want_pivots
-        assert unpack(nums, dens) == [x for row in want_rows for x in row]
-        deficient.add(len(pivots) < min(rows, cols))
+            c = rng.randint(-5, 5)
+            rows[-1] = [x + c * y for x, y in zip(rows[0], rows[1])]
+        pivots = check_rref(rows)
+        deficient.add(len(pivots) < min(nrows, ncols))
     assert deficient == {True, False}
 
+
+def test_rref_leaves_its_input_alone():
+    rows = [[0, 2, 4], [3, 1, 1], [6, 2, 2]]
+    copy = [list(r) for r in rows]
+    _kernel.rref(rows)
+    assert rows == copy
+
+
+def test_rref_of_no_pivot():
+    assert _kernel.rref([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], 1, [])
+
+
+def test_property_mat_mul_and_rref():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entry = st.integers(-(10**12), 10**12) | st.sampled_from([0, 0, 1, -1])
+
+    @st.composite
+    def matrices(draw, rows=None, cols=None):
+        r = rows if rows is not None else draw(st.integers(1, 6))
+        c = cols if cols is not None else draw(st.integers(1, 6))
+        return [draw(st.lists(entry, min_size=c, max_size=c)) for _ in range(r)]
+
+    @st.composite
+    def products(draw):
+        n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
+        return draw(matrices(n, k)), draw(matrices(k, m))
+
+    @hypothesis.settings(max_examples=80, derandomize=True, deadline=None)
+    @hypothesis.given(products(), matrices())
+    def check(ab, rows):
+        a, b = ab
+        assert [list(r) for r in _kernel.mat_mul(a, b)] == frac_matmul(a, b)
+        check_rref(rows)
+
+    check()

@@ -2,9 +2,19 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from oracles import frac_matmul, fraction_rank, plain_poly_at
+from oracles import (
+    frac_matmul,
+    fraction_inverse,
+    fraction_minimal_polynomial,
+    fraction_null_space,
+    fraction_rank,
+    fraction_rref,
+    invert_a_plus_b_sqrt2,
+    plain_poly_at,
+)
 
 from mindec.errors import SingularMatrix
 from mindec.matrix import (
@@ -17,6 +27,7 @@ from mindec.matrix import (
     mat_vec,
     minimal_polynomial,
     rank,
+    rref_rows,
 )
 from mindec.poly import Polynomial, X
 from mindec.scalar import MultiQuad, NumberField
@@ -223,3 +234,211 @@ class TestHornerDiagonal:
             M = DenseMatrix([[nf() for _ in range(n)] for _ in range(n)])
             self._check(M, self._polys(rng, nf))
             self._check(M, self._polys(rng, lambda: Fraction(rng.randint(-4, 4))))
+
+
+# -- the integer representation of rational matrices ---------------------
+
+#: large pairwise coprime denominators
+PRIMES = (1000003, 999983, 1000033, 65537, 7, 1)
+
+
+def as_lists(M):
+    return [list(r) for r in M.rows]
+
+
+def big_entry(rng):
+    if rng.random() < 0.3:
+        return Fraction(0)
+    num = rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(1, 9))
+    return Fraction(num, rng.choice(PRIMES) * rng.choice((1, 1, 2, 9)))
+
+
+def conjugated_blocks(rng, blocks):
+    """P * diag(blocks) * P^-1 for a unimodular-ish random P: a rational
+    matrix with prescribed (possibly derogatory) block structure."""
+    n = sum(len(b) for b in blocks)
+    D = [[Fraction(0)] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, r in enumerate(b):
+            for j, x in enumerate(r):
+                D[at + i][at + j] = Fraction(x)
+        at += len(b)
+    while True:
+        P = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)] for _ in range(n)]
+        Pinv = fraction_inverse(P)
+        if Pinv is not None:
+            return DenseMatrix(frac_matmul(frac_matmul(P, D), Pinv))
+
+
+def representation_cases(rng):
+    """Matrices the seeded generator never makes: large coprime
+    denominators, negative and zero entries, 1x1, derogatory, zero,
+    integer and sparse."""
+    yield DenseMatrix([[Fraction(-7, 1000003)]])
+    yield DenseMatrix([[0]])
+    yield DenseMatrix.zeros(3)
+    yield DenseMatrix.identity(4) * Fraction(-5, 999983)
+    yield DenseMatrix([[0, 0, Fraction(1, 65537)], [0, 0, 0], [Fraction(-3, 7), 0, 0]])
+    # derogatory: repeated eigenvalue blocks
+    yield conjugated_blocks(rng, [[[2, 1], [0, 2]], [[2]], [[2, 1], [0, 2]]])
+    yield conjugated_blocks(rng, [[[0, 1], [0, 0]], [[0]], [[-1, 0], [0, -1]]])
+    for n in (1, 2, 3, 4, 5, 6):
+        yield DenseMatrix([[big_entry(rng) for _ in range(n)] for _ in range(n)])
+        yield rand_matrix(rng, n)
+
+
+def assert_canonical(M):
+    """rows are reduced Fractions with positive denominators, and the
+    integer form is the unique one: den > 0 with no factor common to den
+    and every entry."""
+    assert M.is_rational
+    for r in M.rows:
+        for e in r:
+            assert type(e) is Fraction
+            assert e.denominator > 0 and gcd(e.numerator, e.denominator) == 1
+    num, den = M._ints()
+    assert den > 0 and gcd(den, *(x for r in num for x in r)) == 1
+    assert DenseMatrix(M.rows)._ints() == (num, den)
+
+
+class TestIntegerRepresentation:
+    def test_results_are_canonical(self):
+        rng = random.Random("repr-canonical")
+        cases = list(representation_cases(rng))
+        for A in cases:
+            B = cases[rng.randrange(len(cases))]
+            if B.n != A.n:
+                B = DenseMatrix([[big_entry(rng) for _ in range(A.n)] for _ in range(A.n)])
+            f = Polynomial((Fraction(1, 3), Fraction(-2, 1000003), Fraction(5, 7)))
+            for M in (A, A @ B, A + B, A - B, -A, A * Fraction(-6, 65537), A.transpose(), horner_eval(f, A)):
+                assert_canonical(M)
+
+    def test_arithmetic_matches_fraction_oracle(self):
+        rng = random.Random("repr-arith")
+        for A in representation_cases(rng):
+            n = A.n
+            a = as_lists(A)
+            B = DenseMatrix([[big_entry(rng) for _ in range(n)] for _ in range(n)])
+            b = as_lists(B)
+            assert as_lists(A @ B) == frac_matmul(a, b)
+            assert as_lists(B @ A) == frac_matmul(b, a)
+            assert as_lists(A + B) == [[x + y for x, y in zip(p, q)] for p, q in zip(a, b)]
+            assert as_lists(A - B) == [[x - y for x, y in zip(p, q)] for p, q in zip(a, b)]
+            assert as_lists(-A) == [[-x for x in p] for p in a]
+            for c in (Fraction(-3, 1000033), 7, -1, 0, Fraction(1, 2)):
+                assert as_lists(A * c) == [[x * c for x in p] for p in a]
+                assert as_lists(c * A) == [[c * x for x in p] for p in a]
+            assert as_lists(A.transpose()) == [list(r) for r in zip(*a)]
+            assert A.trace() == sum((a[i][i] for i in range(n)), Fraction(0))
+            assert A.is_zero == all(x == 0 for p in a for x in p)
+            assert (A == DenseMatrix(a)) and not (A == A + DenseMatrix.identity(n))
+            # same integers over another denominator
+            assert (A == DenseMatrix([[x / 3 for x in p] for p in a])) == A.is_zero
+            assert (A @ B == B @ A) == (frac_matmul(a, b) == frac_matmul(b, a))
+
+    def test_horner_matches_plain_powers(self):
+        rng = random.Random("repr-horner")
+        for A in representation_cases(rng):
+            for _ in range(3):
+                coeffs = [big_entry(rng) for _ in range(rng.randint(0, 5))]
+                f = Polynomial(coeffs)
+                assert as_lists(horner_eval(f, A)) == plain_poly_at(f.coeffs, A.rows)
+
+    def test_minimal_polynomial_matches_krylov_oracle(self):
+        rng = random.Random("repr-minpoly")
+        for A in representation_cases(rng):
+            m = minimal_polynomial(A)
+            assert list(m.coeffs) == fraction_minimal_polynomial(as_lists(A))
+            assert horner_eval(m, A).is_zero
+
+    def test_derogatory_minimal_polynomial(self):
+        rng = random.Random("repr-derogatory")
+        A = conjugated_blocks(rng, [[[2, 1], [0, 2]], [[2]], [[3]], [[2, 1], [0, 2]]])
+        assert minimal_polynomial(A) == ((X - Polynomial((2,))) ** 2 * (X - Polynomial((3,)))).monic()
+
+    def test_elimination_matches_oracle(self):
+        rng = random.Random("repr-elim")
+        for A in representation_cases(rng):
+            a = as_lists(A)
+            assert rank(A) == fraction_rank(a)
+            assert [list(v) for v in kernel_basis(A)] == fraction_null_space(a)
+            want = fraction_inverse(a)
+            if want is None:
+                with pytest.raises(SingularMatrix):
+                    inverse(A)
+            else:
+                assert as_lists(inverse(A)) == want
+                assert_canonical(inverse(A))
+            # rectangular arrays, rows with their own denominators
+            wide = [r + [big_entry(rng)] for r in a]
+            assert rref_rows(wide) == fraction_rref(wide)
+            assert rref_rows(a[:-1] or a) == fraction_rref(a[:-1] or a)
+
+    def test_multiquad_inverse(self):
+        rng = random.Random("repr-mq-inverse")
+        one = MultiQuad(1)
+        for _ in range(30):
+            coords = {
+                lbl: big_entry(rng)
+                for lbl in rng.sample((1, 2, 3, 5, 6, -1, -2), rng.randint(1, 4))
+            }
+            x = MultiQuad(coords)
+            if x == 0:
+                continue
+            # the inverse in a field is unique, so x * y = 1 pins it down
+            assert x * x.inverse() == one
+        for _ in range(20):
+            a, b = big_entry(rng), big_entry(rng)
+            if a == 0 and b == 0:
+                continue
+            c, d = invert_a_plus_b_sqrt2(a, b)
+            assert MultiQuad({1: a, 2: b}).inverse() == MultiQuad({1: c, 2: d})
+
+    def test_multiquad_entries_stay_generic(self):
+        rng = random.Random("repr-generic")
+        for n in (1, 3, 4):
+            A = rand_matrix(rng, n)
+            B = rand_matrix(rng, n)
+            Aq, Bq = A.map_entries(MultiQuad), B.map_entries(MultiQuad)
+            assert not Aq.is_rational and not (Aq @ Bq).is_rational
+            assert (Aq @ Bq).rows == (A @ B).map_entries(MultiQuad).rows
+            assert (Aq + Bq) == (A + B) and (Aq - Bq) == (A - B)
+            assert A @ Bq == A @ B
+            f = Polynomial((Fraction(1, 2), Fraction(-3), Fraction(2, 5)))
+            assert horner_eval(f, Aq) == horner_eval(f, A)
+            assert rank(Aq) == rank(A)
+
+    def test_property_against_oracles(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        entry = st.fractions(max_denominator=10**6).filter(lambda q: abs(q.numerator) < 10**9) | st.just(
+            Fraction(0)
+        )
+
+        @st.composite
+        def square(draw, n=None):
+            n = n or draw(st.integers(1, 5))
+            return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+
+        @st.composite
+        def pairs(draw):
+            a = draw(square())
+            return a, draw(square(len(a)))
+
+        @hypothesis.settings(max_examples=60, derandomize=True, deadline=None)
+        @hypothesis.given(pairs(), st.lists(entry, max_size=5))
+        def check(ab, coeffs):
+            a, b = ab
+            A, B = DenseMatrix(a), DenseMatrix(b)
+            assert as_lists(A @ B) == frac_matmul(a, b)
+            assert as_lists(A - B) == [[x - y for x, y in zip(p, q)] for p, q in zip(a, b)]
+            assert as_lists(horner_eval(Polynomial(coeffs), A)) == plain_poly_at(Polynomial(coeffs).coeffs, a)
+            assert list(minimal_polynomial(A).coeffs) == fraction_minimal_polynomial(a)
+            assert rank(A) == fraction_rank(a)
+            want = fraction_inverse(a)
+            if want is not None:
+                assert as_lists(inverse(A)) == want
+            assert_canonical(A @ B)
+
+        check()
