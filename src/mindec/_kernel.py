@@ -13,7 +13,6 @@ entry.
 """
 
 from math import gcd
-from operator import mul
 
 BACKEND = "python"
 
@@ -103,20 +102,13 @@ def poly_divmod(an, ad, bn, bd):
 
 def mat_mul(a, b):
     """Product of an n*k and a k*m integer matrix, as a tuple of row
-    tuples.
-
-    A row of a with at least k/2 nonzero entries takes k-term dot
-    products with the columns of b; a sparser row is the sum of its
-    nonzero multiples of rows of b, which skips the zeros.
-    """
-    cols = tuple(zip(*b))
-    zero = (0,) * len(cols)
+    tuples.  Each row is the sum of its nonzero multiples of rows of b,
+    which skips the zeros of a."""
+    zero = (0,) * (len(b[0]) if b else 0)
     out = []
     for row in a:
         terms = [(x, brow) for x, brow in zip(row, b) if x]
-        if 2 * len(terms) >= len(row):
-            out.append(tuple([sum(map(mul, row, col)) for col in cols]))
-        elif terms:
+        if terms:
             x, brow = terms[0]
             acc = [x * y for y in brow]
             for x, brow in terms[1:]:

@@ -25,7 +25,7 @@ from typing import Callable, List, Sequence, Tuple
 from mindec import _kernel
 from mindec.errors import FieldMismatch, SingularMatrix
 from mindec.poly import Polynomial, poly_lcm
-from mindec.scalar import MultiQuad, NumberFieldElement, one_like
+from mindec.scalar import MultiQuad, NumberFieldElement, cleared_row, one_like
 
 
 def _norm_entry(e):
@@ -122,9 +122,7 @@ class DenseMatrix:
         if num is None:
             rows = self._rows
             d = lcm(*(e.denominator for r in rows for e in r))
-            num = self._num = tuple(
-                tuple(e.numerator * (d // e.denominator) for e in r) for r in rows
-            )
+            num = self._num = tuple(tuple(cleared_row(r, d)) for r in rows)
             self._den = d
         return num, self._den
 
@@ -344,15 +342,9 @@ def rref_rows(rows: Sequence[Sequence]) -> Tuple[List[list], List[int]]:
     elements; returns (rows, pivot_columns)."""
     rows = [[_norm_entry(e) for e in r] for r in rows]
     if all(type(e) is Fraction for r in rows for e in r):
-        red, den, pivots = _kernel.rref([_cleared(r) for r in rows])
+        red, den, pivots = _kernel.rref([cleared_row(r) for r in rows])
         return [[Fraction(x, den) for x in r] for r in red], pivots
     return _generic_rref(rows)
-
-
-def _cleared(row: Sequence[Fraction]) -> List[int]:
-    # the row times the lcm of its denominators: same row space
-    d = lcm(*(e.denominator for e in row))
-    return [e.numerator * (d // e.denominator) for e in row]
 
 
 def rank(M: DenseMatrix) -> int:

@@ -65,6 +65,15 @@ def rational_to_string(q: RationalLike) -> str:
     return str(q)  # "p/q", or "p" when the denominator is 1
 
 
+def cleared_row(row: Sequence[Fraction], den: int = 0) -> list:
+    """The rationals of row times den, as ints.  den must be a multiple
+    of every denominator; it defaults to their lcm.  Clearing each row of
+    a matrix this way keeps its row space."""
+    if not den:
+        den = lcm(*(e.denominator for e in row))
+    return [e.numerator * (den // e.denominator) for e in row]
+
+
 def square_split(n: int) -> Tuple[int, int]:
     """Write n = s^2 * d with d squarefree (d carries the sign of n)."""
     if n == 0:
@@ -301,11 +310,7 @@ class MultiQuad:
                 coef, lbl = _label_mul(l, bj)
                 aug[index[lbl]][j] += c * coef
         aug[index[1]][n] = Fraction(1)
-        int_rows = []
-        for row in aug:  # clear each row's denominators: same row space
-            den = lcm(*(e.denominator for e in row))
-            int_rows.append([e.numerator * (den // e.denominator) for e in row])
-        red, den, pivots = _kernel.rref(int_rows)
+        red, den, pivots = _kernel.rref([cleared_row(r) for r in aug])
         if pivots != list(range(n)):
             raise NotInvertible(f"{self} is not invertible")
         out: Dict[int, Fraction] = {}

@@ -100,7 +100,7 @@ def test_mat_mul_matches_triple_loop():
     rng = random.Random("kernel-mat")
     for _ in range(80):
         n, k, m = (rng.randint(1, 8) for _ in range(3))
-        # dense, half-empty and mostly zero rows take both product paths
+        # dense, half-empty and mostly zero rows, some of them all zero
         a = random_int_rows(rng, n, k, zero_rate=rng.choice([0.0, 0.5, 0.9]))
         b = random_int_rows(rng, k, m)
         got = _kernel.mat_mul(a, b)
