@@ -11,7 +11,9 @@ no floating point anywhere.  The main entry points:
   matrix through its covariant system.
 - svd: exact singular value decomposition in outer-product form, for
   matrices whose squared singular values are rational.
-- verify_*: independent exact checkers returning itemized reports.
+- verify_*: independent exact checkers returning itemized reports;
+  svd, multiplicative_jc and complete_mjc run theirs once and keep the
+  report on the result as ``report``.
 
 Pure Python throughout.  A rational matrix is stored as integer rows
 over one common denominator; its products and its fraction-free

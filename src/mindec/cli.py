@@ -23,7 +23,6 @@ from mindec.decompose import (
     system_of,
     unbreakable_components,
     verify_fine,
-    verify_mjc,
     verify_sn,
     verify_unbreakable,
 )
@@ -40,7 +39,7 @@ from mindec.generator import (
 )
 from mindec.matfun import schwerdtfeger_eval, verify_matfun
 from mindec.poly import Polynomial
-from mindec.realclosed import complete_mjc, svd, verify_cmjc, verify_svd_system
+from mindec.realclosed import complete_mjc, svd
 from mindec.scalar import rational_from_string
 from mindec.serialize import (
     MatrixDocument,
@@ -150,7 +149,7 @@ def _cmd_mjc(args) -> int:
         "semisimple": matrix_to_json(jc.semisimple),
         "unipotent": matrix_to_json(jc.unipotent),
     }
-    return _finish(payload, verify_mjc(M, jc) if args.check else None)
+    return _finish(payload, jc.report if args.check else None)
 
 
 def _cmd_cmjc(args) -> int:
@@ -162,7 +161,7 @@ def _cmd_cmjc(args) -> int:
         "unipotent": matrix_to_json(dsu.unipotent),
         "radicands": list(dsu.radicands),
     }
-    return _finish(payload, verify_cmjc(M, dsu) if args.check else None)
+    return _finish(payload, dsu.report if args.check else None)
 
 
 def _cmd_svd(args) -> int:
@@ -175,7 +174,7 @@ def _cmd_svd(args) -> int:
         ],
         "radicands": list(result.radicands),
     }
-    return _finish(payload, verify_svd_system(A, result) if args.check else None)
+    return _finish(payload, result.report if args.check else None)
 
 
 def _cmd_apply(args) -> int:

@@ -14,7 +14,7 @@ S_i = 0 and ordered last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from mindec.covariant import CovariantSystem, build_covariant_system
@@ -36,7 +36,7 @@ from mindec.matrix import (
     rank,
 )
 from mindec.poly import Polynomial, X, poly_gcd, squarefree_part
-from mindec.report import VerificationReport
+from mindec.report import VerificationReport, attach_report
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,11 @@ class FineDecomposition:
 class MultiplicativeJC:
     semisimple: DenseMatrix
     unipotent: DenseMatrix
+    #: verify_mjc's report, set by multiplicative_jc; None on a copy
+    #: made with dataclasses.replace and on a hand-built candidate
+    report: Optional[VerificationReport] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
 
 def _require_rational(M: DenseMatrix):
@@ -318,16 +323,17 @@ def multiplicative_jc(M: DenseMatrix) -> MultiplicativeJC:
     """Multiplicative decomposition M = S * U = U * S.
 
     S is the semisimple part, U = I + S^-1 N is unipotent; M must be
-    nonsingular (SingularMatrix otherwise).
+    nonsingular (SingularMatrix otherwise).  verify_mjc runs once on
+    the result, which carries the report as ``report``; a failed check
+    raises RuntimeError.
     """
     sn = sn_decompose(M)
     if sn.system.factored.zero_index is not None:
         raise SingularMatrix("matrix is singular; no multiplicative decomposition")
     S = sn.semisimple
     U = DenseMatrix.identity(M.n) + inverse(S) @ sn.nilpotent
-    if S @ U != M or U @ S != M:
-        raise RuntimeError("multiplicative reassembly failed")
-    return MultiplicativeJC(semisimple=S, unipotent=U)
+    jc = MultiplicativeJC(semisimple=S, unipotent=U)
+    return attach_report(jc, verify_mjc(M, jc))
 
 
 def verify_unbreakable(M: DenseMatrix, components: Sequence[DenseMatrix]) -> VerificationReport:

@@ -8,8 +8,11 @@ a Mignotte-style coefficient bound, and recombination of modular
 factor subsets by trial division.
 
 Inputs are desk scale: the total degree is capped (default 16,
-override with MINDEC_DEGREE_CAP) and recombination tries subsets of at
-most 8 modular factors, which is exhaustive for 16 or fewer.
+override with MINDEC_DEGREE_CAP).  Recombination tries every subset of
+up to half the remaining modular factors, which is exhaustive at any
+cap: of a true factor and its cofactor, one is built from at most half
+of them.  The number of subsets grows like 2^(r-1) in the number r of
+modular factors.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from mindec.errors import ConfigError, DegreeCapExceeded, ZeroPolynomial
 from mindec.poly import Polynomial, X, squarefree_part
 
 DEFAULT_DEGREE_CAP = 16
-RECOMBINATION_WIDTH = 8
 
 
 def _degree_cap(cap: Optional[int]) -> int:
@@ -44,7 +46,10 @@ def _degree_cap(cap: Optional[int]) -> int:
     return cap
 
 
-# -- arithmetic in GF(p)[X]: dense int lists, index = degree ----------
+# -- arithmetic in Z/m[X]: dense int lists, index = degree -----------
+#
+# Division and gcd invert mod m, so they need a prime m or, for the
+# Hensel lifting below, a monic divisor.
 
 
 def _gf_trim(a):
@@ -69,6 +74,17 @@ def _gf_sub(a, b, p):
     for i, bi in enumerate(b):
         out[i] = (out[i] - bi) % p
     return _gf_trim(out)
+
+
+def _gf_add(a, b, m):
+    la, lb = len(a), len(b)
+    if la < lb:
+        a = list(a) + [0] * (lb - la)
+        b = list(b)
+    else:
+        a = list(a)
+        b = list(b) + [0] * (la - lb)
+    return _gf_trim([(x + y) % m for x, y in zip(a, b)])
 
 
 def _gf_monic(a, p):
@@ -183,52 +199,6 @@ def _factor_mod_p(f, p):
 # -- lifting in Z/m[X] ------------------------------------------------
 
 
-def _zp_mul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % m
-    return _gf_trim(out)
-
-
-def _zp_sub(a, b, m):
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, bi in enumerate(b):
-        out[i] = (out[i] - bi) % m
-    return _gf_trim(out)
-
-
-def _zp_divmod_monic(a, b, m):
-    # division by a monic polynomial needs no inverses
-    a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    if da < db:
-        return [], _gf_trim(a)
-    q = [0] * (da - db + 1)
-    for k in range(da - db, -1, -1):
-        c = a[k + db] % m
-        if c:
-            q[k] = c
-            for i, bi in enumerate(b):
-                if bi:
-                    a[k + i] = (a[k + i] - c * bi) % m
-    return _gf_trim(q), _gf_trim(a[:db])
-
-
-def _zp_add(a, b, m):
-    la, lb = len(a), len(b)
-    if la < lb:
-        a = list(a) + [0] * (lb - la)
-        b = list(b)
-    else:
-        a = list(a)
-        b = list(b) + [0] * (la - lb)
-    return _gf_trim([(x + y) % m for x, y in zip(a, b)])
-
-
 def _hensel_pair(f, g, h, s, t, p, target):
     """Lift f = g*h from mod p to mod target = p^(2^k).
 
@@ -238,16 +208,16 @@ def _hensel_pair(f, g, h, s, t, p, target):
     m = p
     while m < target:
         m2 = m * m
-        e = _zp_sub([c % m2 for c in f], _zp_mul(g, h, m2), m2)
-        q, r = _zp_divmod_monic(_zp_mul(t, e, m2), g, m2)
-        g1 = _zp_add(g, r, m2)
-        h1 = _zp_add(h, _zp_add(_zp_mul(s, e, m2), _zp_mul(q, h, m2), m2), m2)
+        e = _gf_sub([c % m2 for c in f], _gf_mul(g, h, m2), m2)
+        q, r = _gf_divmod(_gf_mul(t, e, m2), g, m2)
+        g1 = _gf_add(g, r, m2)
+        h1 = _gf_add(h, _gf_add(_gf_mul(s, e, m2), _gf_mul(q, h, m2), m2), m2)
         if m2 >= target:
             return g1, h1
-        b = _zp_sub(_zp_add(_zp_mul(s, g1, m2), _zp_mul(t, h1, m2), m2), [1], m2)
-        c, d = _zp_divmod_monic(_zp_mul(t, b, m2), g1, m2)
-        t = _zp_sub(t, d, m2)
-        s = _zp_sub(_zp_sub(s, _zp_mul(s, b, m2), m2), _zp_mul(c, h1, m2), m2)
+        b = _gf_sub(_gf_add(_gf_mul(s, g1, m2), _gf_mul(t, h1, m2), m2), [1], m2)
+        c, d = _gf_divmod(_gf_mul(t, b, m2), g1, m2)
+        t = _gf_sub(t, d, m2)
+        s = _gf_sub(_gf_sub(s, _gf_mul(s, b, m2), m2), _gf_mul(c, h1, m2), m2)
         g, h = g1, h1
         m = m2
     return [c % target for c in g], [c % target for c in h]
@@ -326,12 +296,12 @@ def _factor_squarefree(w: List[int]) -> List[Polynomial]:
     remaining = list(F)
     pool = lifted
     width = 1
-    while 2 * width <= len(pool) and width <= RECOMBINATION_WIDTH:
+    while 2 * width <= len(pool):
         hit = False
         for subset in combinations(range(len(pool)), width):
             prod = [1]
             for i in subset:
-                prod = _zp_mul(prod, pool[i], target)
+                prod = _gf_mul(prod, pool[i], target)
             cand = [_centered(c, target) for c in prod]
             q, ok = _exact_div(remaining, cand)
             if ok:

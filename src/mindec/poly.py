@@ -158,12 +158,14 @@ class Polynomial:
         dlen = len(other.coeffs)
         qlen = len(rem) - dlen + 1
         quo = [None] * qlen
-        lead = other.coeffs[-1]
+        # one inversion per division: over a number field each one is
+        # a full extended gcd
+        inv = other._one_coeff() / other.coeffs[-1]
         for k in range(qlen - 1, -1, -1):
             top = rem[k + dlen - 1]
             if not top:
                 continue
-            c = top / lead
+            c = top * inv
             quo[k] = c
             for i, d in enumerate(other.coeffs):
                 if d:
@@ -201,7 +203,8 @@ class Polynomial:
                 return self
         except TypeError:
             pass
-        return Polynomial(tuple(c / lead for c in self.coeffs))
+        inv = self._one_coeff() / lead
+        return Polynomial(tuple(c * inv for c in self.coeffs))
 
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
@@ -310,9 +313,9 @@ def ext_gcd(a: Polynomial, b: Polynomial):
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
-    lead = r0.lc
-    g = r0.monic()
-    s = s0.map_coefficients(lambda c: c / lead)
+    inv = one / r0.lc  # makes g monic and scales s to match
+    g = r0.map_coefficients(lambda c: c * inv)
+    s = s0.map_coefficients(lambda c: c * inv)
     cofactor = b // g
     if cofactor.degree > 0:
         s = s % cofactor

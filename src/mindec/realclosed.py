@@ -22,9 +22,9 @@ matrix A^T A is rational; sigma_i are the square roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from mindec.covariant import split_covariants_over_extension
 from mindec.decompose import _min_poly_of, sn_decompose, system_of
@@ -44,7 +44,7 @@ from mindec.matrix import (
     rank,
 )
 from mindec.poly import Polynomial, poly_gcd
-from mindec.report import VerificationReport
+from mindec.report import VerificationReport, attach_report
 from mindec.scalar import MultiQuad, mq_sqrt_rational, square_split
 
 
@@ -63,16 +63,21 @@ class DeltaSigmaU:
     delta_spectrum: Tuple[MultiQuad, ...]  # distinct eigenvalues of delta
     sigma_linear: Tuple[MultiQuad, ...]  # distinct rational eigenvalues of sigma
     sigma_quadratics: Tuple[Polynomial, ...]  # norm-1 quadratic factors of sigma
+    #: verify_cmjc's report, set by complete_mjc; None on a copy made
+    #: with dataclasses.replace and on a hand-built candidate
+    report: Optional[VerificationReport] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
 
 def complete_mjc(M: DenseMatrix) -> DeltaSigmaU:
     """Split M into Delta * Sigma * U, all commuting.
 
     Preconditions: M nonsingular (SingularMatrix) and every factor of
-    its minimal polynomial of degree <= 2 (FactorDegreeTooHigh).  The
-    reassembly, commutation, and unipotence identities are verified
-    before returning; Sigma is computed as S * Delta^-1 and checked
-    against the per-class formula.
+    its minimal polynomial of degree <= 2 (FactorDegreeTooHigh).  Delta
+    and Sigma are assembled class by class.  verify_cmjc runs once on
+    the result, which carries the report as ``report``; a failed check
+    raises RuntimeError.
     """
     sn = sn_decompose(M)
     system = sn.system
@@ -85,7 +90,7 @@ def complete_mjc(M: DenseMatrix) -> DeltaSigmaU:
             )
     n = M.n
     delta = DenseMatrix.zeros(n).map_entries(MultiQuad)
-    sigma_formula = DenseMatrix.zeros(n).map_entries(MultiQuad)
+    sigma = DenseMatrix.zeros(n).map_entries(MultiQuad)
     radicands = set()
     delta_eigen: List[MultiQuad] = []
     sigma_lin: List[MultiQuad] = []
@@ -96,7 +101,7 @@ def complete_mjc(M: DenseMatrix) -> DeltaSigmaU:
             gamma = -factor.coefficient(0)
             sgn = 1 if gamma > 0 else -1
             delta = delta + _mq(E_i * abs(gamma))
-            sigma_formula = sigma_formula + _mq(E_i * sgn)
+            sigma = sigma + _mq(E_i * sgn)
             _record(delta_eigen, MultiQuad(abs(gamma)))
             _record(sigma_lin, MultiQuad(sgn))
             continue
@@ -108,7 +113,7 @@ def complete_mjc(M: DenseMatrix) -> DeltaSigmaU:
             radicands.update(norm.radicands)
             S_i = horner_eval(system.s_polys[i], M)
             delta = delta + _mq(E_i) * norm
-            sigma_formula = sigma_formula + _mq(S_i) * norm.inverse()
+            sigma = sigma + _mq(S_i) * norm.inverse()
             _record(delta_eigen, norm)
             quad = Polynomial((MultiQuad(1), MultiQuad(p) * norm.inverse(), MultiQuad(1)))
             if quad not in sigma_quad:
@@ -121,26 +126,14 @@ def complete_mjc(M: DenseMatrix) -> DeltaSigmaU:
                 proj = horner_eval(cov, M_mq)
                 sgn = root.sign()
                 delta = delta + proj * (root * sgn)
-                sigma_formula = sigma_formula + proj * sgn
+                sigma = sigma + proj * sgn
                 _record(delta_eigen, root * sgn)
                 _record(sigma_lin, MultiQuad(sgn))
-    S_mq = _mq(sn.semisimple)
-    sigma = S_mq @ inverse(delta)
-    if sigma != sigma_formula:
-        raise RuntimeError("norm split disagrees with the per-class formula")
     U = DenseMatrix.identity(n) + inverse(sn.semisimple) @ sn.nilpotent
-    U_mq = _mq(U)
-    if delta @ sigma @ U_mq != _mq(M):
-        raise RuntimeError("Delta Sigma U reassembly failed")
-    for A, B in ((delta, sigma), (delta, U_mq), (sigma, U_mq)):
-        if A @ B != B @ A:
-            raise RuntimeError("Delta Sigma U factors do not commute")
-    if not ((U - DenseMatrix.identity(n)) ** n).is_zero:
-        raise RuntimeError("U is not unipotent")
-    return DeltaSigmaU(
+    dsu = DeltaSigmaU(
         delta=delta,
         sigma=sigma,
-        unipotent=U_mq,
+        unipotent=_mq(U),
         radicands=tuple(sorted(radicands)),
         # class listings run from the largest absolute eigenvalue down,
         # ties broken with the positive sign first
@@ -148,6 +141,7 @@ def complete_mjc(M: DenseMatrix) -> DeltaSigmaU:
         sigma_linear=tuple(sorted(sigma_lin, reverse=True)),
         sigma_quadratics=tuple(sigma_quad),
     )
+    return attach_report(dsu, verify_cmjc(M, dsu))
 
 
 def _record(values: List[MultiQuad], v: MultiQuad):
@@ -219,6 +213,11 @@ class SVDTerm:
 class SVDResult:
     terms: Tuple[SVDTerm, ...]
     radicands: Tuple[int, ...]
+    #: verify_svd_system's report, set by svd; None on a copy made with
+    #: dataclasses.replace and on a hand-built candidate
+    report: Optional[VerificationReport] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def singular_values(self) -> Tuple[MultiQuad, ...]:
@@ -236,8 +235,9 @@ def svd(A: DenseMatrix) -> SVDResult:
 
     Requires every nonzero eigenvalue of A^T A to be rational
     (SingularValuesNotRational otherwise).  The A_i are A P_i / sigma_i
-    for the Gram projectors P_i; the defining identities are verified
-    before returning.
+    for the Gram projectors P_i.  verify_svd_system runs once on the
+    result, which carries the report as ``report``; a failed axiom
+    raises RuntimeError.
     """
     if A.is_zero:
         raise ZeroMatrix("the zero matrix has no singular value system")
@@ -262,8 +262,6 @@ def svd(A: DenseMatrix) -> SVDResult:
     if not eigen:
         # A nonzero with A^T A = 0 cannot happen over the rationals
         raise RuntimeError("nonzero matrix with zero Gram spectrum")
-    if rank(gram) != rank(A):
-        raise RuntimeError("Gram kernel differs from the matrix kernel")
     A_mq = _mq(A)
     terms = []
     radicands = set()
@@ -273,10 +271,7 @@ def svd(A: DenseMatrix) -> SVDResult:
         P_i = horner_eval(system.e_polys[i], gram)
         terms.append(SVDTerm(sigma=sigma_i, matrix=A_mq @ _mq(P_i) * sigma_i.inverse()))
     result = SVDResult(terms=tuple(terms), radicands=tuple(sorted(radicands)))
-    report = verify_svd_system(A, result)
-    if not report.passed:
-        raise RuntimeError(f"singular value system failed verification:\n{report}")
-    return result
+    return attach_report(result, verify_svd_system(A, result))
 
 
 def _as_terms(candidate) -> List[Tuple[MultiQuad, DenseMatrix]]:

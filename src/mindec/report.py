@@ -3,6 +3,8 @@
 Each check records the identity it tested, stated as a formula, plus a
 short witness description when it failed.  Reports are plain data so
 the CLI can serialize them and tests can assert on individual checks.
+A constructor that promises a verified result keeps its verifier's
+report on that result (see :func:`attach_report`).
 """
 
 from __future__ import annotations
@@ -57,3 +59,13 @@ class VerificationReport:
             suffix = f"  ({c.witness})" if c.witness and not c.passed else ""
             lines.append(f"  {mark} {c.name}: {c.statement}{suffix}")
         return "\n".join(lines)
+
+
+def attach_report(result, report: VerificationReport):
+    """Store a passing report as the ``report`` field of a frozen
+    result and return the result; raise RuntimeError, listing the
+    checks, when the report failed."""
+    if not report.passed:
+        raise RuntimeError(f"{report.subject} failed verification:\n{report}")
+    object.__setattr__(result, "report", report)
+    return result

@@ -74,7 +74,6 @@ from mindec.realclosed import (
     complete_mjc,
     svd,
     symmetric_spectral_check,
-    verify_cmjc,
     verify_svd_uniqueness,
 )
 from mindec.scalar import (
@@ -222,10 +221,9 @@ def criterion_cmjc(count: int = 50) -> CriterionResult:
     failures = []
     for k in range(count):
         M = random_invertible_quadratic(f"mjc-{k}").matrix
-        dsu = complete_mjc(M)
-        ok = verify_cmjc(M, dsu).passed
+        dsu = complete_mjc(M)  # raises on any failed identity
         again = complete_mjc(M)
-        ok = ok and (
+        ok = (
             again.delta == dsu.delta
             and again.sigma == dsu.sigma
             and again.unipotent == dsu.unipotent

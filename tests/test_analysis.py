@@ -1,6 +1,8 @@
 """Per-matrix analysis reuse: each request computes the minimal
 polynomial, covariant system, S + N and projectors of its matrix once,
-and every verifier still checks the decomposition it is handed."""
+and every verifier still checks the decomposition it is handed.  The
+constructors that promise a verified result run their verifier once
+and carry its report."""
 
 import json
 from collections import Counter
@@ -8,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+import mindec.cli as cli_mod
 import mindec.covariant as covariant_mod
 import mindec.decompose as decompose_mod
 import mindec.realclosed as realclosed_mod
@@ -15,6 +18,7 @@ from mindec.covariant import materialize_projectors, verify_system
 from mindec.decompose import (
     FineDecomposition,
     fine_decompose,
+    multiplicative_jc,
     sn_decompose,
     system_of,
     verify_fine,
@@ -25,7 +29,8 @@ from mindec.generator import matrix_from_min_poly
 from mindec.matfun import schwerdtfeger_eval, verify_matfun
 from mindec.matrix import DenseMatrix, companion
 from mindec.poly import Polynomial, X
-from mindec.realclosed import symmetric_spectral_check
+from mindec.realclosed import complete_mjc, svd, symmetric_spectral_check
+from mindec.report import VerificationReport
 from mindec.selftest import run_cli
 from mindec.serialize import matrix_to_json
 
@@ -147,3 +152,90 @@ class TestChecksAfterCaching:
         other = system_of(companion((X - ONE) ** 2))
         with pytest.raises(SystemMatrixMismatch):
             verify_system(other, M)
+
+
+# (command, module of the verifier, verifier, constructor, input matrix)
+VERIFIED_CONSTRUCTORS = (
+    ("svd", realclosed_mod, "verify_svd_system", svd, DenseMatrix([[1, 2], [2, 4]])),
+    (
+        "cmjc",
+        realclosed_mod,
+        "verify_cmjc",
+        complete_mjc,
+        companion(((X * X + ONE) * (X - 2 * ONE)).monic()),
+    ),
+    ("mjc", decompose_mod, "verify_mjc", multiplicative_jc, DenseMatrix([[2, 2], [0, 2]])),
+)
+
+
+@pytest.mark.parametrize(
+    "command, module, verifier, construct, M",
+    VERIFIED_CONSTRUCTORS,
+    ids=[case[0] for case in VERIFIED_CONSTRUCTORS],
+)
+class TestVerifiedOnce:
+    def test_check_runs_the_verifier_once(
+        self, monkeypatch, command, module, verifier, construct, M
+    ):
+        calls = _record_calls(monkeypatch, module, verifier)
+        # also count a call the CLI would make through its own binding
+        monkeypatch.setattr(cli_mod, verifier, getattr(module, verifier), raising=False)
+        code, out, err = run_cli([command, "--check"], input_text=_document(M))
+        assert code == 0, err
+        assert json.loads(out)["report"]["pass"] is True
+        assert len(calls) == 1
+
+    def test_result_carries_the_report(self, command, module, verifier, construct, M):
+        result = construct(M)
+        assert result.report.passed
+        expected = getattr(module, verifier)(M, result)
+        assert result.report.to_json() == expected.to_json()
+        copy = replace(result)
+        assert copy == result
+        assert copy.report is None
+
+    def test_failed_verification_raises(
+        self, monkeypatch, command, module, verifier, construct, M
+    ):
+        def failing(matrix, candidate):
+            report = VerificationReport("planted")
+            report.add("planted", "always fails", False)
+            return report
+
+        monkeypatch.setattr(module, verifier, failing)
+        with pytest.raises(RuntimeError, match="planted"):
+            construct(M)
+        for argv in ([command], [command, "--check"]):
+            code, out, err = run_cli(argv, input_text=_document(M))
+            assert code == 4
+            assert out == ""
+            assert err.count("\n") == 1
+            assert json.loads(err)["error"] == "RuntimeError"
+
+
+@pytest.mark.parametrize(
+    "command, construct, M, products",
+    [
+        ("cmjc", complete_mjc, companion(((X - 2 * ONE) ** 2 * (X * X + ONE)).monic()), 1),
+        ("mjc", multiplicative_jc, DenseMatrix([[2, 2], [0, 2]]), 2),
+    ],
+    ids=["cmjc", "mjc"],
+)
+def test_only_the_verifier_reassembles(monkeypatch, command, construct, M, products):
+    # the factors are multiplied back to M by the verifier alone:
+    # (Delta Sigma) U once for cmjc, S U and U S for mjc
+    result = construct(M)
+    last_factors = [result.unipotent] + ([result.semisimple] if command == "mjc" else [])
+    real = DenseMatrix.__matmul__
+    reassembled = []
+
+    def recording(A, B):
+        out = real(A, B)
+        if out == M and any(B == F for F in last_factors):
+            reassembled.append((A, B))
+        return out
+
+    monkeypatch.setattr(DenseMatrix, "__matmul__", recording)
+    code, out, err = run_cli([command, "--check"], input_text=_document(M))
+    assert code == 0, err
+    assert len(reassembled) == products

@@ -112,6 +112,30 @@ class TestHardSplits:
             assert rebuilt == product.monic()
 
 
+def _eisenstein_at_3(roots_mod_19):
+    """Monic degree-9 integer polynomial congruent to prod(X - a) mod 19,
+    with every lower coefficient divisible by 3*5*7*11*13*17 and a
+    constant term not divisible by 9: irreducible (Eisenstein at 3) and
+    congruent to X^9 modulo every odd prime below 19."""
+    mod19 = poly_from_roots(roots_mod_19)
+    K = 3 * 5 * 7 * 11 * 13 * 17
+    coeffs = [K * (int(c) * pow(K, -1, 19) % 19) for c in mod19.coeffs[:-1]]
+    if coeffs[0] % 9 == 0:
+        coeffs[0] += 19 * K
+    return Polynomial(coeffs + [1])
+
+
+class TestExhaustiveRecombination:
+    def test_two_factors_of_nine_modular_factors_each(self):
+        # the first usable prime is 19, where A*B splits into 18 linear
+        # factors and each true factor takes 9 of them: more than the
+        # 8 a width-limited search tries, so such a search returns A*B
+        # as one "irreducible" factor
+        A = _eisenstein_at_3(range(0, 9))
+        B = _eisenstein_at_3(range(9, 18))
+        assert dict(factor_rational(A * B, cap=18).factors) == {A: 1, B: 1}
+
+
 class TestDegreeCap:
     def test_cap_enforced(self):
         p = X**5 - Polynomial((1,))

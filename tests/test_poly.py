@@ -1,6 +1,7 @@
 """Polynomial arithmetic over the rationals and over number fields."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from mindec.poly import (
     squarefree_part,
     trace_coeffwise,
 )
-from mindec.scalar import NumberField
+from mindec.scalar import NumberField, NumberFieldElement
 
 
 def rand_poly(rng, max_degree=6):
@@ -92,6 +93,58 @@ class TestExtGcd:
         b = (X - Polynomial((1,))) ** 2
         g, s, t = ext_gcd(a, b)
         assert g == (X - Polynomial((1,))) ** 2
+        assert s * a + t * b == g
+
+
+class TestLeadingCoefficientInversions:
+    """Over a number field every inversion is a full extended gcd, so
+    each site inverts a leading coefficient once, not once per
+    coefficient it divides."""
+
+    @staticmethod
+    def _count_inversions(monkeypatch):
+        calls = Counter()
+        real = NumberFieldElement.inverse
+
+        def counting(self):
+            calls[self.coeffs] += 1
+            return real(self)
+
+        monkeypatch.setattr(NumberFieldElement, "inverse", counting)
+        return calls
+
+    @staticmethod
+    def _pair():
+        field = NumberField((-2, 0, 0, 1))
+        y, one = field.gen(), field.one()
+        lead = y + one
+        a = Polynomial((y, one, y * y, one, lead))
+        b = Polynomial((one, y, lead))
+        return a, b, lead
+
+    def test_division_inverts_once(self, monkeypatch):
+        a, b, lead = self._pair()
+        calls = self._count_inversions(monkeypatch)
+        q, r = divmod(a, b)
+        assert q.degree == 2
+        assert calls == Counter({lead.coeffs: 1})
+        assert q * b + r == a
+
+    def test_monic_inverts_once(self, monkeypatch):
+        a, _, lead = self._pair()
+        calls = self._count_inversions(monkeypatch)
+        assert a.monic().lc == lead.field.one()
+        assert calls == Counter({lead.coeffs: 1})
+
+    def test_ext_gcd_scales_the_cofactor_with_one_inversion(self, monkeypatch):
+        a, b, _ = self._pair()
+        calls = self._count_inversions(monkeypatch)
+        g, s, t = ext_gcd(a, b)
+        # each division inverts its divisor's leading coefficient once,
+        # and the last nonzero remainder (a constant here) is inverted
+        # once more to scale g and s: no element more than twice
+        assert g.degree == 0
+        assert max(calls.values()) == 2
         assert s * a + t * b == g
 
 
