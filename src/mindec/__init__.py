@@ -38,6 +38,7 @@ from mindec.errors import (
     NotTotallyReal,
     PartitionOfUnityFailure,
     PolyParseError,
+    RadicandTooLarge,
     SingularMatrix,
     SingularValuesNotRational,
     SystemMatrixMismatch,
@@ -170,6 +171,7 @@ __all__ = [
     "NumberFieldElement",
     "PartitionOfUnityFailure",
     "PolyParseError",
+    "RadicandTooLarge",
     "Polynomial",
     "SNDecomposition",
     "SVDResult",

@@ -12,6 +12,7 @@ irrational singular values, ...), 4 failed verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -252,7 +253,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and then reused:
+    parsing leaves it unchanged, and --help finds sys.stdout only when
+    it prints."""
     parser = _Parser(
         prog="mindec",
         description="Exact matrix decompositions through minimal-polynomial covariants.",

@@ -1,36 +1,55 @@
 """Frobenius covariants from a factored minimal polynomial.
 
-The construction never names an eigenvalue.  For each irreducible
-factor m_i of multiplicity mu_i it works in R_i = Q[Y]/(m_i) with the
-generic root Y and builds
+The rational witnesses are built in Q[X] alone.  With the minimal
+polynomial m = prod m_j^mu_j, let q_i = m_i^mu_i and G_i = m / q_i.
+Then
+
+    u_i = G_i^-1 mod q_i                     (one extended gcd over Q),
+    E_i = u_i * G_i,
+
+the Chinese-remainder idempotent: E_i = 1 mod q_i, E_i = 0 mod q_j for
+j != i and deg E_i < deg m, so sum(E_i) = 1.  Newton's iteration on
+the squarefree factor m_i in Q[X]/(q_i), started at X,
+
+    z <- z - m_i(z) * m_i'(z)^-1 mod q_i     (z_i = X when mu_i = 1),
+
+lifts the root class of X to the unique z_i with m_i(z_i) = 0 mod q_i
+and z_i = X mod m_i (Couty, Esterle and Zarouf, "Decomposition
+effective de Jordan-Chevalley", 2011).  Hence
+
+    S_i = E_i * z_i mod m,   N_i = X * E_i - S_i,
+
+and s = sum(S_i) is the semisimple witness.  Evaluated at a matrix
+annihilated by m, the E_i(M) are the spectral projectors, s(M) the
+semisimple part and sum(N_i(M)) restricted to each block the
+nilpotent part.
+
+The generic-root construction never names an eigenvalue either.  It
+works in R_i = Q[Y]/(m_i) with the generic root Y and builds
 
     h_i = m_i / (X - Y)                      (synthetic division),
     G_i = h_i^mu_i * prod_{j != i} m_j^mu_j,
     B_i * G_i + L_i * (X - Y)^mu_i = 1       (extended gcd in R_i[X]),
     C_i = B_i * G_i,
 
-so C_i is the generic covariant attached to the factor: substituting a
-concrete root for Y gives the classical Frobenius covariant of that
-root.  Summing over all conjugate roots is a coefficient-wise field
-trace, which yields rational witness polynomials
-
-    E_i = Tr(C_i),   S_i = Tr(Y * C_i),   N_i = X * E_i - S_i,
-
-with sum(E_i) = 1; evaluated at a matrix annihilated by the product,
-the E_i(M) are the spectral projectors, sum(S_i(M)) the semisimple
-part and sum(N_i(M)) restricted to each block the nilpotent part.
+so C_i is the generic covariant of the factor: substituting a concrete
+root for Y gives the classical Frobenius covariant of that root, and
+the coefficient-wise field traces Tr(C_i) and Tr(Y * C_i) are E_i and
+S_i again.  It is built lazily, one factor at a time, for what needs
+the root itself (splitting a quadratic factor over Q(sqrt(d))) and as
+an independent oracle for the rational witnesses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from mindec.errors import DoesNotSplit, PartitionOfUnityFailure, SystemMatrixMismatch
 from mindec.factor import FactoredMinPoly
 from mindec.matrix import DenseMatrix, horner_eval, rank
-from mindec.poly import Polynomial, X, ext_gcd, trace_coeffwise
+from mindec.poly import ONE, Polynomial, X, compose_mod, ext_gcd, trace_coeffwise
 from mindec.report import VerificationReport
 from mindec.scalar import MultiQuad, NumberField, square_split
 
@@ -52,82 +71,136 @@ class GenericCovariant:
 
 @dataclass(frozen=True)
 class CovariantSystem:
-    """Covariant data for a full factored minimal polynomial."""
+    """Covariant data for a full factored minimal polynomial.
+
+    The rational witnesses are computed at construction; the generic
+    covariant of a factor is built on first use and kept.
+    """
 
     factored: FactoredMinPoly
-    generics: Tuple[GenericCovariant, ...]
+    min_poly: Polynomial  # the product of the factored powers
     e_polys: Tuple[Polynomial, ...]  # rational: partition of unity
     s_polys: Tuple[Polynomial, ...]  # rational: semisimple witnesses
     n_polys: Tuple[Polynomial, ...]  # rational: nilpotent witnesses
-
-    @property
-    def min_poly(self) -> Polynomial:
-        return self.factored.product()
+    _generics: Dict[int, GenericCovariant] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def r(self) -> int:
-        return len(self.generics)
+        return len(self.factored.factors)
+
+    def generic(self, index: int) -> GenericCovariant:
+        """Generic covariant of one factor, built on first use."""
+        gen = self._generics.get(index)
+        if gen is None:
+            gen = self._generics[index] = build_generic_covariant(self.factored, index)
+        return gen
+
+    @property
+    def generics(self) -> Tuple[GenericCovariant, ...]:
+        """Generic covariants of every factor, in factor order."""
+        return tuple(self.generic(i) for i in range(self.r))
 
 
 def build_covariant_system(factored: FactoredMinPoly) -> CovariantSystem:
-    """Construct generic covariants and their rational traces.
+    """Construct the rational witnesses E_i, S_i, N_i in Q[X].
 
-    Raises PartitionOfUnityFailure if the E_i do not sum to 1, which
-    would mean the factorization was not into distinct irreducibles.
+    Raises PartitionOfUnityFailure if a factor shares a root with its
+    complement or the E_i do not sum to 1, which would mean the
+    factorization was not into distinct irreducibles.
     """
     factors = factored.factors
     if not factors:
         raise ValueError("empty factorization")
-    generics: List[GenericCovariant] = []
+    m = factored.product()
     e_polys: List[Polynomial] = []
     s_polys: List[Polynomial] = []
     n_polys: List[Polynomial] = []
     for i, (m_i, mu_i) in enumerate(factors):
-        ring = NumberField(m_i.coeffs)
-        y = ring.gen()
-        one = ring.one()
-        lift = lambda q: q.map_coefficients(ring.embed)  # noqa: E731
-        x_minus_y = Polynomial((-y, one))
-        h_i, rem = divmod(lift(m_i), x_minus_y)
-        if not rem.is_zero:
-            raise PartitionOfUnityFailure("generic root does not satisfy its modulus")
-        complement = h_i**mu_i
-        for j, (m_j, mu_j) in enumerate(factors):
-            if j != i:
-                complement = complement * lift(m_j) ** mu_j
-        g, bez, other = ext_gcd(complement, x_minus_y**mu_i)
-        if g != Polynomial((one,)):
+        q_i = m_i**mu_i
+        complement = m // q_i
+        g, cofactor, _ = ext_gcd(complement, q_i)
+        if g != ONE:
             raise PartitionOfUnityFailure(
                 f"factor {i} shares a root with its complement"
             )
-        cov = bez * complement
-        generics.append(
-            GenericCovariant(
-                index=i,
-                modulus=m_i,
-                multiplicity=mu_i,
-                ring=ring,
-                cofactor=h_i,
-                complement=complement,
-                bezout=bez,
-                bezout_other=other,
-                covariant=cov,
-            )
-        )
-        e_polys.append(trace_coeffwise(cov))
-        s_polys.append(trace_coeffwise(y * cov))
-        n_polys.append(X * e_polys[-1] - s_polys[-1])
+        e_i = cofactor * complement
+        s_i = (e_i * root_lift(m_i, mu_i)) % m
+        e_polys.append(e_i)
+        s_polys.append(s_i)
+        n_polys.append(X * e_i - s_i)
     total = Polynomial()
     for e in e_polys:
         total = total + e
-    if total != Polynomial((1,)):
-        raise PartitionOfUnityFailure(f"sum of trace covariants is {total}")
+    if total != ONE:
+        raise PartitionOfUnityFailure(f"sum of covariants is {total}")
     return CovariantSystem(
         factored=factored,
-        generics=tuple(generics),
+        min_poly=m,
         e_polys=tuple(e_polys),
         s_polys=tuple(s_polys),
         n_polys=tuple(n_polys),
+    )
+
+
+def root_lift(m_i: Polynomial, mu_i: int) -> Polynomial:
+    """The z in Q[X]/(m_i^mu_i) with m_i(z) = 0 and z = X mod m_i.
+
+    Newton's iteration from X; each step doubles the power of m_i that
+    divides m_i(z), so ceil(log2 mu_i) steps suffice.  m_i must be
+    squarefree (PartitionOfUnityFailure otherwise).
+    """
+    z = X
+    if mu_i == 1:
+        return z
+    q_i = m_i**mu_i
+    dm = m_i.derivative()
+    for _ in range((mu_i - 1).bit_length()):
+        g, inv, _ = ext_gcd(compose_mod(dm, z, q_i), q_i)
+        if g != ONE:
+            raise PartitionOfUnityFailure(f"factor {m_i} is not squarefree")
+        z = (z - compose_mod(m_i, z, q_i) * inv) % q_i
+    return z
+
+
+def build_generic_covariant(factored: FactoredMinPoly, index: int) -> GenericCovariant:
+    """Generic covariant C_i of one factor over R_i = Q[Y]/(m_i)."""
+    factors = factored.factors
+    m_i, mu_i = factors[index]
+    ring = NumberField(m_i.coeffs)
+    y = ring.gen()
+    one = ring.one()
+    lift = lambda q: q.map_coefficients(ring.embed)  # noqa: E731
+    x_minus_y = Polynomial((-y, one))
+    h_i, rem = divmod(lift(m_i), x_minus_y)
+    if not rem.is_zero:
+        raise PartitionOfUnityFailure("generic root does not satisfy its modulus")
+    complement = h_i**mu_i
+    for j, (m_j, mu_j) in enumerate(factors):
+        if j != index:
+            complement = complement * lift(m_j) ** mu_j
+    g, bez, other = ext_gcd(complement, x_minus_y**mu_i)
+    if g != Polynomial((one,)):
+        raise PartitionOfUnityFailure(f"factor {index} shares a root with its complement")
+    return GenericCovariant(
+        index=index,
+        modulus=m_i,
+        multiplicity=mu_i,
+        ring=ring,
+        cofactor=h_i,
+        complement=complement,
+        bezout=bez,
+        bezout_other=other,
+        covariant=bez * complement,
+    )
+
+
+def trace_witnesses(gen: GenericCovariant) -> Tuple[Polynomial, Polynomial]:
+    """(Tr(C_i), Tr(Y * C_i)): E_i and S_i by the generic-root route."""
+    return (
+        trace_coeffwise(gen.covariant),
+        trace_coeffwise(gen.ring.gen() * gen.covariant),
     )
 
 
@@ -190,7 +263,7 @@ def split_covariants_over_extension(
     E_i.  Raises DoesNotSplit if the factor's roots are not in
     Q(sqrt(d)).
     """
-    gen = system.generics[index]
+    gen = system.generic(index)
     if gen.modulus.degree != 2:
         raise DoesNotSplit(
             f"factor of degree {gen.modulus.degree}; only quadratics split here"

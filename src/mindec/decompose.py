@@ -121,10 +121,8 @@ def sn_decompose(M: DenseMatrix) -> SNDecomposition:
     analysis = M.analysis
     if analysis.sn_parts is None:
         s_poly = Polynomial()
-        for s in system.s_polys:
+        for s in system.s_polys:  # each reduced mod m, and so the sum
             s_poly = s_poly + s
-        if s_poly.degree >= system.min_poly.degree:
-            s_poly = s_poly % system.min_poly
         S = horner_eval(s_poly, M)
         analysis.sn_parts = (S, M - S, s_poly)
     S, N, s_poly = analysis.sn_parts

@@ -23,6 +23,11 @@ class NonPositiveRadicand(MindecError):
     """Square root requested for a rational that is not positive."""
 
 
+class RadicandTooLarge(MindecError):
+    """The square part of a radicand cannot be certified within the
+    factoring bounds of square_split."""
+
+
 class BothZero(MindecError):
     """Extended gcd of the pair (0, 0) is undefined."""
 

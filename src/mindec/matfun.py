@@ -1,26 +1,27 @@
 """Polynomial functions of a matrix through its covariant system.
 
 The value of f at M is assembled per irreducible factor from the
-generic covariants: with Phi_k the k-th Hasse derivative of f and C_i
-the generic covariant of factor m_i (multiplicity mu_i),
+rational witnesses of the covariant system: with E_i the partition of
+unity and s = sum(S_i) the semisimple witness, both modulo the minimal
+polynomial m,
 
-    f(M) = sum_i Tr( sum_{k < mu_i} Phi_k(Y) (X - Y)^k C_i(X) ) at M.
+    f(M) = sum_i (E_i * f(s) + E_i * (f - f(s)))  at M.
 
-The k = 0 slice is the semisimple part of f(M) and simultaneously the
-image of the semisimple part of M under f; the k >= 1 slices are the
-nilpotent part.  Dropping the k >= 1 slices (legitimate exactly when
-the minimal polynomial is squarefree) is the classical interpolation
-formula on eigenvalues.
+The f(s) slices are the semisimple part of f(M) and simultaneously the
+image of the semisimple part of M under f; the f - f(s) slices are the
+nilpotent part, and vanish on factors of multiplicity one, where only
+the classical interpolation formula on eigenvalues remains.  f(s) mod m
+is found by Horner's rule with reduction, so no number field is built.
 
-Factors whose generic roots map to conjugate values under f merge in
-the image; the equivalence classes are computed from the minimal
-polynomial of the multiplication-by-f(Y) operator on each R_i.
+Factors whose roots map to conjugate values under f merge in the
+image; the equivalence classes are computed from the minimal
+polynomial of the multiplication-by-f(Y) operator on each
+Q[Y]/(m_i), written out as a rational matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Tuple
 
 from mindec.covariant import CovariantSystem
@@ -28,7 +29,7 @@ from mindec.decompose import FineComponent, FineDecomposition, sn_decompose, sys
 from mindec.errors import NotSemisimple, SingularMatrix
 from mindec.factor import FactoredMinPoly
 from mindec.matrix import DenseMatrix, horner_eval, minimal_polynomial
-from mindec.poly import Polynomial, X, hasse_derivative, trace_coeffwise
+from mindec.poly import ONE, Polynomial, X, compose_mod, ext_gcd
 from mindec.report import VerificationReport
 
 
@@ -51,26 +52,25 @@ class MatFunResult:
     classes: Tuple[EquivalenceClass, ...]
 
 
+def _semisimple_witness(system: CovariantSystem) -> Polynomial:
+    s = Polynomial()
+    for s_i in system.s_polys:
+        s = s + s_i
+    return s
+
+
 def _factor_slices(system: CovariantSystem, f: Polynomial):
     """Per-factor rational witness polynomials (semisimple slice,
-    nilpotent slice) of f through the covariants."""
+    nilpotent slice) of f through the covariants, each reduced mod m,
+    so sums of slices are reduced too."""
+    m = system.min_poly
+    f_m = f % m
+    f_s = compose_mod(f_m, _semisimple_witness(system), m)
     sems = []
     nils = []
-    for gen in system.generics:
-        y = gen.ring.gen()
-        prod = f(y) * gen.covariant
-        sems.append(trace_coeffwise(prod) if not prod.is_zero else Polynomial())
-        if gen.multiplicity > 1:
-            x_minus_y = Polynomial((-y, gen.ring.one()))
-            acc = Polynomial()
-            step = x_minus_y
-            for k in range(1, gen.multiplicity):
-                phi = hasse_derivative(f, k)
-                acc = acc + phi(y) * step * gen.covariant
-                step = step * x_minus_y
-            nils.append(trace_coeffwise(acc) if not acc.is_zero else Polynomial())
-        else:
-            nils.append(Polynomial())
+    for e_i, (_, mu_i) in zip(system.e_polys, system.factored.factors):
+        sems.append((e_i * f_s) % m)
+        nils.append((e_i * (f_m - f_s)) % m if mu_i > 1 else Polynomial())
     return sems, nils
 
 
@@ -83,7 +83,6 @@ def schwerdtfeger_eval(f: Polynomial, M: DenseMatrix) -> MatFunResult:
     additive decomposition of the value.
     """
     system = system_of(M)
-    m = system.min_poly
     sems, nils = _factor_slices(system, f)
     sem_poly = Polynomial()
     for p in sems:
@@ -91,8 +90,6 @@ def schwerdtfeger_eval(f: Polynomial, M: DenseMatrix) -> MatFunResult:
     nil_poly = Polynomial()
     for p in nils:
         nil_poly = nil_poly + p
-    sem_poly = sem_poly % m
-    nil_poly = nil_poly % m
     sem = horner_eval(sem_poly, M)
     nil = horner_eval(nil_poly, M)
     return MatFunResult(
@@ -118,23 +115,19 @@ def sylvester_eval(f: Polynomial, M: DenseMatrix) -> DenseMatrix:
     total = Polynomial()
     for p in sems:
         total = total + p
-    return horner_eval(total % system.min_poly, M)
+    return horner_eval(total, M)
 
 
 def _image_min_poly(f: Polynomial, factor: Polynomial) -> Polynomial:
     """Minimal polynomial over Q of f(Y) in Q[Y]/(factor): the minimal
-    polynomial of the multiplication-by-f(Y) operator."""
-    from mindec.scalar import NumberField
-
-    ring = NumberField(factor.coeffs)
-    d = ring.degree
-    fy = f(ring.gen())
+    polynomial of the multiplication-by-f(Y) operator, whose column j
+    holds the coefficients of f(Y) * Y^j reduced mod factor."""
+    d = factor.degree
+    prod = f % factor
     cols = []
-    for j in range(d):
-        yj = ring.element([0] * j + [1])
-        prod = fy * yj
-        coeffs = list(prod.coeffs) + [Fraction(0)] * (d - len(prod.coeffs))
-        cols.append(coeffs)
+    for _ in range(d):
+        cols.append([prod.coefficient(i) for i in range(d)])
+        prod = (prod * X) % factor
     op = DenseMatrix([[cols[j][i] for j in range(d)] for i in range(d)])
     return minimal_polynomial(op)
 
@@ -166,7 +159,6 @@ def fine_of_image(f: Polynomial, M: DenseMatrix) -> FineDecomposition:
     polynomial of f(M).
     """
     system = system_of(M)
-    m = system.min_poly
     sems, nils = _factor_slices(system, f)
     classes = f_equivalence_classes(f, system.factored)
     components = []
@@ -177,8 +169,8 @@ def fine_of_image(f: Polynomial, M: DenseMatrix) -> FineDecomposition:
         for i in cls.indices:
             s_poly = s_poly + sems[i]
             n_poly = n_poly + nils[i]
-        S_c = horner_eval(s_poly % m, M)
-        N_c = horner_eval(n_poly % m, M)
+        S_c = horner_eval(s_poly, M)
+        N_c = horner_eval(n_poly, M)
         mult = 1
         power = N_c
         while not power.is_zero:
@@ -227,14 +219,22 @@ def verify_matfun(f: Polynomial, M: DenseMatrix, result: MatFunResult) -> Verifi
 
 def covariant_power(M: DenseMatrix, h: int) -> DenseMatrix:
     """Integer powers of a semisimple matrix through its covariants:
-    sum of Tr(Y^h C_i) at M.  Negative h needs a nonsingular M."""
+    s^h mod m at M, with s the semisimple witness, inverted mod m when
+    h < 0.  Negative h needs a nonsingular M."""
     system = system_of(M)
     if not system.factored.is_squarefree:
         raise NotSemisimple("powers through covariants need a semisimple matrix")
     if h < 0 and system.factored.zero_index is not None:
         raise SingularMatrix("negative power of a singular matrix")
-    total = Polynomial()
-    for gen in system.generics:
-        y = gen.ring.gen()
-        total = total + trace_coeffwise(y**h * gen.covariant)
-    return horner_eval(total % system.min_poly, M)
+    m = system.min_poly
+    base = _semisimple_witness(system)
+    if h < 0:
+        _, base, _ = ext_gcd(base, m)
+        h = -h
+    total = ONE
+    while h:
+        if h & 1:
+            total = (total * base) % m
+        base = (base * base) % m
+        h >>= 1
+    return horner_eval(total, M)

@@ -325,6 +325,14 @@ def ext_gcd(a: Polynomial, b: Polynomial):
     return g, s, t
 
 
+def compose_mod(f: Polynomial, g: Polynomial, m: Polynomial) -> Polynomial:
+    """f(g) mod m by Horner's rule, reducing after every step."""
+    acc = Polynomial()
+    for c in reversed(f.coeffs):
+        acc = (acc * g + c) % m
+    return acc
+
+
 def squarefree_part(p: Polynomial):
     """Radical of p together with its multiplicity profile.
 

@@ -34,6 +34,7 @@ from mindec.errors import (
     NotInvertible,
     NotTotallyReal,
     PolyParseError,
+    RadicandTooLarge,
 )
 
 RationalLike = Union[int, Fraction]
@@ -74,26 +75,146 @@ def cleared_row(row: Sequence[Fraction], den: int = 0) -> list:
     return [e.numerator * (den // e.denominator) for e in row]
 
 
+#: trial division bound B of square_split
+TRIAL_BOUND = 10**6
+#: Miller-Rabin with the first 13 prime bases is deterministic below this
+MR_LIMIT = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: iterations Brent's rho may spend on one radicand
+RHO_BUDGET = 1 << 17
+
+
 def square_split(n: int) -> Tuple[int, int]:
-    """Write n = s^2 * d with d squarefree (d carries the sign of n)."""
+    """Write n = s^2 * d with d squarefree (d carries the sign of n).
+
+    Trial division up to B = TRIAL_BOUND leaves a cofactor c whose
+    prime factors are all >= B.  A square c is s'^2; a nonsquare
+    c < B^3 has at most two prime factors, so it is squarefree.  Above
+    B^3, c is factored by deterministic Miller-Rabin (c < MR_LIMIT) and
+    Brent's rho within RHO_BUDGET iterations; a cofactor beyond both
+    raises RadicandTooLarge naming n.
+    """
     if n == 0:
         raise ValueError("square_split(0)")
     sign = -1 if n < 0 else 1
     n = abs(n)
+    r = isqrt(n)
+    if r * r == n:
+        return r, sign
     s = 1
     d = 1
+    c = n
     p = 2
-    while p * p <= n:
-        if n % p == 0:
+    while p * p <= c and p < TRIAL_BOUND:
+        if c % p == 0:
             e = 0
-            while n % p == 0:
-                n //= p
+            while c % p == 0:
+                c //= p
                 e += 1
             s *= p ** (e // 2)
             if e & 1:
                 d *= p
         p += 1 if p == 2 else 2
-    return s, sign * d * n
+    if c >= TRIAL_BOUND**3:  # so the loop stopped at B, not at sqrt(c)
+        exponents: Dict[int, int] = {}
+        for q in _large_prime_factors(c, n):
+            exponents[q] = exponents.get(q, 0) + 1
+        for q, e in exponents.items():
+            s *= q ** (e // 2)
+            if e & 1:
+                d *= q
+        return s, sign * d
+    r = isqrt(c)
+    if r * r == c:
+        return s * r, sign * d
+    return s, sign * d * c
+
+
+def _large_prime_factors(c: int, n: int) -> list:
+    """Prime factors, with multiplicity, of c >= B^3 whose prime
+    factors are all >= B (B = TRIAL_BOUND)."""
+    budget = RHO_BUDGET
+    primes = []
+    pending = [c]
+    while pending:
+        x = pending.pop()
+        if x == 1:
+            continue
+        if x < TRIAL_BOUND**2:  # no two factors >= B fit
+            primes.append(x)
+            continue
+        r = isqrt(x)
+        if r * r == x:
+            pending += [r, r]
+            continue
+        if x >= MR_LIMIT:
+            raise RadicandTooLarge(
+                f"cannot certify the square part of {n}: cofactor {x} is beyond "
+                "deterministic primality testing"
+            )
+        if _is_prime(x):
+            primes.append(x)
+            continue
+        f, budget = _brent_rho(x, budget)
+        if f is None:
+            raise RadicandTooLarge(
+                f"cannot certify the square part of {n}: cofactor {x} resisted "
+                f"{RHO_BUDGET} rho iterations"
+            )
+        pending += [f, x // f]
+    return primes
+
+
+def _is_prime(x: int) -> bool:
+    """Miller-Rabin with the first 13 prime bases; exact for odd
+    x < MR_LIMIT with no factor below 42."""
+    d = x - 1
+    k = 0
+    while not d & 1:
+        d >>= 1
+        k += 1
+    for a in _MR_BASES:
+        y = pow(a, d, x)
+        if y == 1 or y == x - 1:
+            continue
+        for _ in range(k - 1):
+            y = y * y % x
+            if y == x - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _brent_rho(x: int, budget: int):
+    """A nontrivial factor of the odd composite x by Brent's variant of
+    Pollard's rho, and the budget left; (None, 0) when it runs out."""
+    c = 1
+    while budget > 0:
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1 and budget > 0:
+            z = y
+            for _ in range(r):
+                y = (y * y + c) % x
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % x
+                    q = q * abs(z - y) % x
+                g = gcd(q, x)
+                k += 128
+            budget -= 2 * r
+            r *= 2
+        if g == x:  # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % x
+                g = gcd(abs(z - ys), x)
+        if 1 < g < x:
+            return g, budget
+        c += 1
+    return None, 0
 
 
 def _label_mul(a: int, b: int) -> Tuple[int, int]:
@@ -166,10 +287,6 @@ class MultiQuad:
     @property
     def is_rational(self) -> bool:
         return all(k == 1 for k in self._coords)
-
-    @property
-    def is_totally_real(self) -> bool:
-        return all(k > 0 for k in self._coords)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
@@ -693,8 +810,3 @@ def one_like(x):
         return x.field.one()
     raise TypeError(f"no known field for {type(x).__name__}")
 
-
-def zero_like(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(0)
-    return x * 0

@@ -1,7 +1,8 @@
 """Self-contained verification suite.
 
 Eight criteria cover the whole stack: additive decompositions against
-the independent Newton construction, projector axioms, fine
+the independent Newton construction, projector axioms together with
+agreement of the rational witnesses with the generic-root traces, fine
 decompositions plus corruption detection, matrix functions, the
 Delta Sigma U split, singular value systems, a table of small
 worked examples with frozen expected values, and randomized scalar
@@ -24,6 +25,7 @@ from mindec.covariant import (
     build_covariant_system,
     materialize_projectors,
     split_covariants_over_extension,
+    trace_witnesses,
     verify_system,
 )
 from mindec.decompose import (
@@ -127,7 +129,16 @@ def criterion_sn(count: int = 200, budget: float = 60.0) -> CriterionResult:
     )
 
 
-# -- criterion 2: projector axioms ------------------------------------
+# -- criterion 2: projector axioms and the generic-root oracle --------
+
+
+def generic_root_agreement(system) -> bool:
+    """The rational E_i and S_i equal the traces Tr(C_i), Tr(Y C_i) of
+    the generic covariants, built here for the comparison."""
+    return all(
+        trace_witnesses(system.generic(i)) == (system.e_polys[i], system.s_polys[i])
+        for i in range(system.r)
+    )
 
 
 def criterion_covariants(count: int = 200) -> CriterionResult:
@@ -135,9 +146,18 @@ def criterion_covariants(count: int = 200) -> CriterionResult:
     failures = []
     for k in range(count):
         M = random_matrix(f"sn-{k}").matrix
-        if not verify_system(system_of(M), M).passed:
+        system = system_of(M)
+        if not verify_system(system, M).passed:
             failures.append(f"sn-{k}")
-    return _result(2, "covariant projector axioms", t0, failures, f"{count} systems")
+        elif not generic_root_agreement(system):
+            failures.append(f"sn-{k} (generic root)")
+    return _result(
+        2,
+        "covariant projector axioms; rational witnesses equal generic-root traces",
+        t0,
+        failures,
+        f"{count} systems",
+    )
 
 
 # -- criterion 3: fine decomposition + corruption detection -----------

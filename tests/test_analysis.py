@@ -103,6 +103,32 @@ class TestWorkPerRequest:
         assert sum(1 for (B,) in in_decompose + in_realclosed if B is A) == 1
 
 
+class TestGenericCovariantsOffTheHotPath:
+    """The rational witnesses serve every request; a generic covariant
+    is built only for a quadratic factor that cmjc splits."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sn"], ["fine"], ["covariants"], ["apply", "--poly", "X^3-2*X+1"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_none_built(self, monkeypatch, argv):
+        calls = _record_calls(monkeypatch, covariant_mod, "build_generic_covariant")
+        code, out, err = run_cli(argv + ["--check"], input_text=_document(_matrix()))
+        assert code == 0, err
+        assert json.loads(out)["report"]["pass"] is True
+        assert calls == []
+
+    def test_cmjc_builds_one_for_the_split_factor(self, monkeypatch):
+        # factors X - 2, X^2 - 2 (real roots, split) and X^2 + 1 (not split)
+        M = companion(((X - 2 * ONE) * (X * X - 2 * ONE) * (X * X + ONE)).monic())
+        calls = _record_calls(monkeypatch, covariant_mod, "build_generic_covariant")
+        code, out, err = run_cli(["cmjc", "--check"], input_text=_document(M))
+        assert code == 0, err
+        assert json.loads(out)["report"]["pass"] is True
+        assert [index for _, index in calls] == [1]
+
+
 class TestChecksAfterCaching:
     """Corruptions made after M's analysis is cached are still caught."""
 

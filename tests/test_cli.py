@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from mindec import cli
 from mindec.selftest import run_cli
 
 IDENTITY_2 = json.dumps({"n": 2, "entries": [["1", "0"], ["0", "1"]]})
@@ -110,6 +111,43 @@ class TestExitCodes:
         code, out, _ = run_cli(["--help"])
         assert code == 0
         assert "selftest" in out
+
+    def test_main_calls_share_one_parser_and_help_follows_the_redirect(self):
+        cli._build_parser.cache_clear()
+        first = run_cli(["--help"])
+        second = run_cli(["sn", "--help"])
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert first[0] == second[0] == 0
+        assert "selftest" in first[1]
+        assert "--check" in second[1]
+        assert first[2] == second[2] == ""
+
+
+# radicands whose square part took unbounded trial division: each
+# request ends in time, with a result or one JSON error object
+LARGE_RADICANDS = [
+    # parsed now; sn then rejects the irrational entry
+    (["sn"], [[{"1000000000000000003": "1"}]], "FieldMismatch"),
+    (["svd"], [["100000000000000003", "0"], ["0", "1"]], None),
+    # the discriminant's cofactor 399999999999639999999999689 is prime
+    # but beyond deterministic primality testing
+    (["cmjc"], [["9999999999999/7", "-1"], ["1/2", "1/2"]], "RadicandTooLarge"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, entries, error", LARGE_RADICANDS, ids=[case[0][0] for case in LARGE_RADICANDS]
+)
+def test_large_radicand_is_bounded(argv, entries, error):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(argv, input_text=json.dumps({"entries": entries}))
+    assert time.perf_counter() - t0 < 2.0
+    if error is None:
+        assert code == 0, err
+        return
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == error
 
 
 class TestGen:

@@ -1,4 +1,5 @@
-"""Generic covariants, their rational traces, and concrete projectors."""
+"""Rational covariant witnesses, the generic covariants they agree
+with, and concrete projectors."""
 
 from fractions import Fraction
 
@@ -10,16 +11,20 @@ from mindec.covariant import (
     build_covariant_system,
     materialize_projectors,
     split_covariants_over_extension,
+    trace_witnesses,
     verify_system,
 )
+from mindec.decompose import sn_decompose, verify_sn
 from mindec.errors import (
     DoesNotSplit,
     PartitionOfUnityFailure,
     SystemMatrixMismatch,
 )
 from mindec.factor import factor_rational
+from mindec.generator import IRREDUCIBLE_POOL, blocks_matrix
+from mindec.matfun import _factor_slices
 from mindec.matrix import DenseMatrix, companion, horner_eval
-from mindec.poly import Polynomial, X
+from mindec.poly import Polynomial, X, hasse_derivative, trace_coeffwise
 from mindec.scalar import MultiQuad, mq_conjugate
 
 
@@ -135,14 +140,106 @@ class TestSplitCovariants:
 
 
 class TestSabotage:
-    def test_corrupted_trace_fails_partition_of_unity(self, monkeypatch):
-        # wrong traces must be caught at build time by the sum check
-        from mindec.poly import trace_coeffwise as honest
+    def test_corrupted_crt_cofactor_fails_partition_of_unity(self, monkeypatch):
+        # a wrong inverse of G_i mod q_i must be caught at build time by
+        # the sum check
+        honest = covariant_mod.ext_gcd
 
-        def dishonest(p):
-            out = honest(p)
-            return out + Polynomial((1,))
+        def dishonest(a, b):
+            g, s, t = honest(a, b)
+            return g, s + Polynomial((1,)), t
 
-        monkeypatch.setattr(covariant_mod, "trace_coeffwise", dishonest)
+        monkeypatch.setattr(covariant_mod, "ext_gcd", dishonest)
         with pytest.raises(PartitionOfUnityFailure):
             build_covariant_system(factor_rational(Polynomial((-2, 0, 1))))
+
+    def test_corrupted_root_lift_fails_verify_sn(self, monkeypatch):
+        # z_i still agrees with X mod m_i, so the E_i sum to 1 and the
+        # build passes; the Newton oracle on the matrix catches S
+        honest = covariant_mod.root_lift
+
+        def dishonest(m_i, mu_i):
+            z = honest(m_i, mu_i)
+            return z + m_i if mu_i > 1 else z
+
+        monkeypatch.setattr(covariant_mod, "root_lift", dishonest)
+        one = Polynomial((1,))
+        # derogatory: (X-1)^2 and X-1 share the eigenvalue 1
+        M = blocks_matrix([(X - one) ** 2, X - one, X * X - 2 * one], "sabotage").matrix
+        report = verify_sn(M, sn_decompose(M))
+        assert not report.passed
+        assert "newton-agreement" in {c.name for c in report.failed_checks()}
+
+
+def _generic_root_slices(system, f):
+    """Semisimple and nilpotent slices of f through the generic
+    covariants: Tr(f(Y) C_i) and Tr(sum_{0 < k < mu_i} Phi_k(Y)
+    (X - Y)^k C_i), Phi_k the k-th Hasse derivative, reduced mod m."""
+    m = system.min_poly
+    sems, nils = [], []
+    for gen in system.generics:
+        y = gen.ring.gen()
+        prod = f(y) * gen.covariant
+        sems.append(trace_coeffwise(prod) % m if prod else Polynomial())
+        x_minus_y = Polynomial((-y, gen.ring.one()))
+        acc = Polynomial()
+        step = x_minus_y
+        for k in range(1, gen.multiplicity):
+            acc = acc + hasse_derivative(f, k)(y) * step * gen.covariant
+            step = step * x_minus_y
+        nils.append(trace_coeffwise(acc) % m if acc else Polynomial())
+    return sems, nils
+
+
+class TestGenericRootOracle:
+    """The rational construction against the generic-root one it
+    replaced on the hot path."""
+
+    def test_rational_witnesses_and_slices_equal_generic_traces(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        small_rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+        @st.composite
+        def factorizations(draw):
+            picks = draw(
+                st.lists(
+                    st.sampled_from(IRREDUCIBLE_POOL + (X,)),
+                    min_size=1,
+                    max_size=3,
+                    unique=True,
+                )
+            )
+            m = Polynomial((1,))
+            for p in picks:
+                m = m * p ** draw(st.integers(1, 3))
+            return factor_rational(m)
+
+        @hypothesis.settings(max_examples=40, derandomize=True, deadline=None)
+        @hypothesis.given(factorizations(), st.lists(small_rational, max_size=6))
+        def check(factored, coeffs):
+            system = build_covariant_system(factored)
+            assert system._generics == {}  # nothing generic built yet
+            for i in range(system.r):
+                e_i, s_i = trace_witnesses(system.generic(i))
+                assert (system.e_polys[i], system.s_polys[i]) == (e_i, s_i)
+                assert system.n_polys[i] == X * e_i - s_i
+            f = Polynomial(coeffs)
+            assert _factor_slices(system, f) == _generic_root_slices(system, f)
+
+        check()
+
+    def test_generics_are_built_once_per_factor(self, monkeypatch):
+        system = build_covariant_system(factor_rational(X * (X * X - Polynomial((2,)))))
+        calls = []
+        honest = covariant_mod.build_generic_covariant
+
+        def counting(factored, index):
+            calls.append(index)
+            return honest(factored, index)
+
+        monkeypatch.setattr(covariant_mod, "build_generic_covariant", counting)
+        assert system.generic(1) is system.generic(1)
+        assert calls == [1]
+        assert [g.index for g in system.generics] == [0, 1]
+        assert calls == [1, 0]

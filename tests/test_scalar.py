@@ -10,6 +10,7 @@ from mindec.errors import (
     MixedModuli,
     NonPositiveRadicand,
     NotTotallyReal,
+    RadicandTooLarge,
 )
 from mindec.scalar import (
     MultiQuad,
@@ -87,6 +88,27 @@ class TestSquareSplit:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             square_split(0)
+
+    @pytest.mark.parametrize(
+        "n, s, d",
+        [
+            # cofactors left by trial division, all prime factors > 10^6
+            (1000003**2, 1000003, 1),
+            (-(1000003**2) * 1000033, 1000003, -1000033),
+            (36 * (10**18 + 3), 6, 10**18 + 3),  # prime above B^3
+            (1000003**3, 1000003, 1000003),  # cube: Brent's rho splits it
+            (1000003**2 * 1000033 * 1000037, 1000003, 1000033 * 1000037),
+        ],
+    )
+    def test_large_cofactors(self, n, s, d):
+        assert square_split(n) == (s, d)
+        assert s * s * d == n
+
+    def test_uncertifiable_cofactor_is_a_precondition_error(self):
+        # a prime above the deterministic Miller-Rabin range
+        p = 399999999999639999999999689
+        with pytest.raises(RadicandTooLarge, match=str(p)):
+            square_split(4 * p)
 
 
 class TestSqrtRational:
