@@ -106,7 +106,6 @@ from mindec.decompose import (
 from mindec.matfun import (
     EquivalenceClass,
     MatFunResult,
-    covariant_power,
     f_equivalence_classes,
     fine_of_image,
     schwerdtfeger_eval,
@@ -187,7 +186,6 @@ __all__ = [
     "build_covariant_system",
     "companion",
     "complete_mjc",
-    "covariant_power",
     "document_from_json",
     "document_to_json",
     "ext_gcd",

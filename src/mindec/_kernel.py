@@ -1,15 +1,12 @@
 """Exact kernels: the hot loops of rational polynomial and matrix
-arithmetic.
+arithmetic, on Python ints alone.
 
-Polynomials: a rational is a pair of Python ints (numerator,
-denominator) with denominator > 0 and gcd(numerator, denominator) = 1.
-A coefficient sequence travels as two parallel flat lists, numerators
-and denominators, with index = degree and no trailing zeros.
-
-Matrices: sequences of integer rows.  A rational matrix is stored as
-integer rows over one common denominator (see :mod:`mindec.matrix`), so
-products and elimination run on Python ints alone, with no gcd per
-entry.
+A rational polynomial or matrix is stored as integers over one positive
+common denominator (see :mod:`mindec.poly` and :mod:`mindec.matrix`),
+so these kernels take and return integers and need no gcd per entry;
+the caller divides out the content common to a result and its
+denominator once.  A polynomial is a coefficient sequence with
+index = degree and no trailing zeros; a matrix is a sequence of rows.
 """
 
 from math import gcd
@@ -17,87 +14,55 @@ from math import gcd
 BACKEND = "python"
 
 
-def _add(an, ad, bn, bd):
-    # Knuth's scheme: reduce by gcd of denominators before the cross sum.
-    g = gcd(ad, bd)
-    if g == 1:
-        return an * bd + bn * ad, ad * bd
-    t = an * (bd // g) + bn * (ad // g)
-    g2 = gcd(t, g)
-    return t // g2, (ad // g) * (bd // g2)
+def poly_mul(a, b):
+    """Product of two integer polynomials, as a list."""
+    if not a or not b:
+        return []
+    lb = len(b)
+    out = [0] * (len(a) + lb - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i : i + lb] = [s + x * y for s, y in zip(out[i : i + lb], b)]
+    return out
 
 
-def _mul(an, ad, bn, bd):
-    if an == 0 or bn == 0:
-        return 0, 1
-    g1 = gcd(an, bd)
-    g2 = gcd(bn, ad)
-    return (an // g1) * (bn // g2), (ad // g2) * (bd // g1)
+def poly_divmod(a, b):
+    """Pseudo-division of integer polynomials, b nonzero.
 
-
-def poly_mul(an, ad, bn, bd):
-    """Product of two dense rational polynomials."""
-    la, lb = len(an), len(bn)
-    if la == 0 or lb == 0:
-        return [], []
-    out = la + lb - 1
-    cn = [0] * out
-    cd = [1] * out
-    for i in range(la):
-        ani = an[i]
-        if ani == 0:
-            continue
-        adi = ad[i]
-        for j in range(lb):
-            bnj = bn[j]
-            if bnj == 0:
-                continue
-            tn, td = _mul(ani, adi, bnj, bd[j])
-            k = i + j
-            cn[k], cd[k] = _add(cn[k], cd[k], tn, td)
-    while cn and cn[-1] == 0:
-        cn.pop()
-        cd.pop()
-    return cn, cd
-
-
-def poly_divmod(an, ad, bn, bd):
-    """Quotient and remainder of dense rational polynomials.
-
-    The divisor must be nonzero; the caller checks.
+    Returns (q, r, scale) with scale * a = q * b + r, deg r < deg b and
+    scale > 0.  Each step eliminates the remainder's leading term t
+    after multiplying the remainder and q by |lc(b)| / gcd(t, lc(b))
+    only, so a divisor whose leading coefficient divides every t costs
+    no growth; scale is the product of those factors (Geddes, Czapor &
+    Labahn, Algorithms for Computer Algebra, 1992, ch. 2).
     """
-    la, lb = len(an), len(bn)
-    if la < lb:
-        return [], [], list(an), list(ad)
-    rn = list(an)
-    rd = list(ad)
-    qlen = la - lb + 1
-    qn = [0] * qlen
-    qd = [1] * qlen
-    ln, ld = bn[-1], bd[-1]
+    lb = len(b)
+    rem = list(a)
+    qlen = len(rem) - lb + 1
+    if qlen <= 0:
+        return [], rem, 1
+    lead = b[-1]
+    quot = [0] * qlen
+    scale = 1
     for k in range(qlen - 1, -1, -1):
-        top = k + lb - 1
-        if rn[top] == 0:
+        top = rem[k + lb - 1]
+        if not top:
             continue
-        # leading coefficient of remainder divided by that of divisor
-        cn, cd = _mul(rn[top], rd[top], ld, ln)
-        if cd < 0:
-            cn, cd = -cn, -cd
-        qn[k], qd[k] = cn, cd
-        for i in range(lb):
-            if bn[i] == 0:
-                continue
-            tn, td = _mul(cn, cd, bn[i], bd[i])
-            rn[k + i], rd[k + i] = _add(rn[k + i], rd[k + i], -tn, td)
-    while qn and qn[-1] == 0:
-        qn.pop()
-        qd.pop()
-    del rn[lb - 1 :]
-    del rd[lb - 1 :]
-    while rn and rn[-1] == 0:
-        rn.pop()
-        rd.pop()
-    return qn, qd, rn, rd
+        g = gcd(top, lead)
+        if lead < 0:
+            g = -g
+        m = lead // g  # top * m == c * lead, m > 0
+        c = top // g
+        if m != 1:
+            rem = [m * x for x in rem]
+            quot = [m * x for x in quot]
+            scale *= m
+        quot[k] = c
+        rem[k : k + lb] = [x - c * y for x, y in zip(rem[k : k + lb], b)]
+    del rem[lb - 1 :]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem, scale
 
 
 def mat_mul(a, b):

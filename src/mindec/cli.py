@@ -194,8 +194,14 @@ def _cmd_apply(args) -> int:
     return _finish(payload, verify_matfun(f, M, result) if args.check else None)
 
 
+#: largest matrix size that gen --size accepts; the smallest is 2
+MAX_GEN_SIZE = 64
+
+
 def _cmd_gen(args) -> int:
     seed = args.seed
+    if args.size is not None and not 2 <= args.size <= MAX_GEN_SIZE:
+        raise UsageError(f"--size must be between 2 and {MAX_GEN_SIZE}, got {args.size}")
     if args.minpoly:
         gm = matrix_from_min_poly(parse_poly_expression(args.minpoly), seed)
     elif args.blocks:

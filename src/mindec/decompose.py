@@ -305,13 +305,12 @@ def unbreakable_components(S: DenseMatrix) -> List[DenseMatrix]:
     _require_rational(S)
     if S.is_zero:
         raise ZeroMatrix("the zero matrix has no unbreakable components")
-    factored = factor_rational(minimal_polynomial(S))
-    if not factored.is_squarefree:
+    system = system_of(S)
+    if not system.factored.is_squarefree:
         raise NotSemisimple("matrix is not semisimple")
-    system = build_covariant_system(factored)
     out = []
     for i in range(system.r):
-        if i == factored.zero_index:
+        if i == system.factored.zero_index:
             continue
         out.append(horner_eval(system.s_polys[i], S))
     return out

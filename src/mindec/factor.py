@@ -250,19 +250,13 @@ def _centered(c, m):
 
 
 def _int_poly(p: Polynomial) -> List[int]:
-    """Scale a rational polynomial to a primitive integer coefficient
-    list with positive leading coefficient."""
-    denom = 1
-    for c in p.coeffs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in p.coeffs]
-    content = 0
-    for c in ints:
-        content = gcd(content, c)
-    ints = [c // content for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    """Scale a nonzero rational polynomial to a primitive integer
+    coefficient list with positive leading coefficient."""
+    num = p._num
+    content = gcd(*num)
+    if num[-1] < 0:
+        content = -content
+    return [c // content for c in num]
 
 
 def _factor_squarefree(w: List[int]) -> List[Polynomial]:

@@ -26,10 +26,10 @@ from typing import List, Tuple
 
 from mindec.covariant import CovariantSystem
 from mindec.decompose import FineComponent, FineDecomposition, sn_decompose, system_of
-from mindec.errors import NotSemisimple, SingularMatrix
+from mindec.errors import NotSemisimple
 from mindec.factor import FactoredMinPoly
 from mindec.matrix import DenseMatrix, horner_eval, minimal_polynomial
-from mindec.poly import ONE, Polynomial, X, compose_mod, ext_gcd
+from mindec.poly import Polynomial, X, compose_mod
 from mindec.report import VerificationReport
 
 
@@ -215,26 +215,3 @@ def verify_matfun(f: Polynomial, M: DenseMatrix, result: MatFunResult) -> Verifi
         result.semisimple_part == horner_eval(f, sn_source.semisimple),
     )
     return report
-
-
-def covariant_power(M: DenseMatrix, h: int) -> DenseMatrix:
-    """Integer powers of a semisimple matrix through its covariants:
-    s^h mod m at M, with s the semisimple witness, inverted mod m when
-    h < 0.  Negative h needs a nonsingular M."""
-    system = system_of(M)
-    if not system.factored.is_squarefree:
-        raise NotSemisimple("powers through covariants need a semisimple matrix")
-    if h < 0 and system.factored.zero_index is not None:
-        raise SingularMatrix("negative power of a singular matrix")
-    m = system.min_poly
-    base = _semisimple_witness(system)
-    if h < 0:
-        _, base, _ = ext_gcd(base, m)
-        h = -h
-    total = ONE
-    while h:
-        if h & 1:
-            total = (total * base) % m
-        base = (base * base) % m
-        h >>= 1
-    return horner_eval(total, M)

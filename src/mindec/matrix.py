@@ -24,7 +24,7 @@ from typing import Callable, List, Sequence, Tuple
 
 from mindec import _kernel
 from mindec.errors import FieldMismatch, SingularMatrix
-from mindec.poly import Polynomial, poly_lcm
+from mindec.poly import ONE, Polynomial, poly_lcm
 from mindec.scalar import MultiQuad, NumberFieldElement, cleared_row, one_like
 
 
@@ -540,7 +540,7 @@ def _rational_minimal_polynomial(M: DenseMatrix) -> Polynomial:
     vectors are used; then m_M(X) = d^-k * m_A(d*X)."""
     A, d = M._ints()
     n = M.n
-    mp = Polynomial((Fraction(1),))
+    mp = ONE
     for j in range(n):
         cur = [0] * n
         cur[j] = 1
@@ -558,8 +558,7 @@ def _rational_minimal_polynomial(M: DenseMatrix) -> Polynomial:
                         if y:
                             t[i] -= f * y
             if not any(w):
-                lead = t[-1]
-                mp = poly_lcm(mp, Polynomial([Fraction(x, lead) for x in t]))
+                mp = poly_lcm(mp, Polynomial._of_ints(t, t[-1]))
                 break
             g = gcd(*w, *t)
             if g != 1:
@@ -573,7 +572,7 @@ def _rational_minimal_polynomial(M: DenseMatrix) -> Polynomial:
     if d == 1:
         return mp
     k = mp.degree
-    return Polynomial([c / d ** (k - i) for i, c in enumerate(mp.coeffs)])
+    return Polynomial._of_ints([x * d**i for i, x in enumerate(mp._num)], mp._den * d**k)
 
 
 def companion(p: Polynomial) -> DenseMatrix:

@@ -1,6 +1,6 @@
 """Dense univariate polynomials over an exact field.
 
-Coefficients are stored low degree first with trailing zeros stripped,
+Coefficients are read low degree first with trailing zeros stripped,
 so the tuple index is the degree and the zero polynomial is the empty
 tuple.  Integer coefficients are normalized to :class:`~fractions.Fraction`
 at construction; any other coefficient type (multi-quadratic scalars,
@@ -9,21 +9,27 @@ exact field arithmetic through the usual operators.
 
 The degree of the zero polynomial is the sentinel -1.
 
-Purely rational operands are packed into (numerator, denominator) int
-pairs and multiplied and divided by the pure-Python kernel in
-:mod:`mindec._kernel`; everything else takes the generic path, which is
-semantically identical.
+A rational polynomial (every coefficient a Fraction, the zero
+polynomial included) is stored as integer coefficients over one
+positive denominator, with no factor common to the denominator and
+every coefficient; that form is unique, so equality compares integers.
+Sums, products, division (integer pseudo-division in
+:mod:`mindec._kernel`) and ``monic`` run on those integers, and the
+Fraction coefficients are built only when ``coeffs`` is read, and kept.
+Other polynomials take the generic path, which is semantically
+identical.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from typing import Callable, Iterable, Sequence
+from itertools import zip_longest
+from math import comb, gcd, lcm
+from operator import add, sub
+from typing import Callable, Iterable
 
 from mindec import _kernel
 from mindec.errors import BothZero, FieldMismatch, MixedModuli, ZeroPolynomial
-from mindec.scalar import one_like
 
 ZERO_DEGREE = -1
 
@@ -33,37 +39,83 @@ def _norm_coeff(c):
 
 
 class Polynomial:
-    __slots__ = ("coeffs", "_rat")
+    """A polynomial; immutable.
+
+    A rational polynomial holds ``_num`` (a tuple of ints) over ``_den``
+    and builds ``_coeffs`` on demand; other polynomials hold
+    ``_coeffs`` only, with ``_num`` None.
+    """
+
+    __slots__ = ("_coeffs", "_num", "_den")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_norm_coeff(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
-        self._rat = all(type(c) is Fraction for c in cs)
+        self._coeffs = tuple(cs)
+        if all(type(c) is Fraction for c in cs):
+            den = lcm(*(c.denominator for c in cs))
+            # reduced Fractions over their lcm share no factor with it
+            self._num = tuple(c.numerator * (den // c.denominator) for c in cs)
+            self._den = den
+        else:
+            self._num = None
+
+    @classmethod
+    def _of_ints(cls, num, den: int) -> "Polynomial":
+        """The rational polynomial num / den, for integers num without
+        trailing zeros and den != 0: the content common to den and num
+        is divided out and den made positive."""
+        if den != 1:
+            g = gcd(den, *num)
+            if den < 0:
+                g = -g
+            if g != 1:
+                num = [x // g for x in num]
+                den //= g
+        p = object.__new__(cls)
+        p._coeffs = None
+        p._num = tuple(num)
+        p._den = den
+        return p
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
         return cls((c,))
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients, low degree first; for a rational
+        polynomial, reduced Fractions built on first access and kept."""
+        cs = self._coeffs
+        if cs is None:
+            d = self._den
+            if d == 1:
+                cs = tuple(map(Fraction, self._num))
+            else:
+                cs = tuple(Fraction(x, d) for x in self._num)
+            self._coeffs = cs
+        return cs
+
+    @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else ZERO_DEGREE
+        n = self._num
+        return len(self._coeffs if n is None else n) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.degree == ZERO_DEGREE
 
     @property
     def lc(self):
-        if not self.coeffs:
+        if self.is_zero:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     @property
     def is_rational(self) -> bool:
-        return self._rat
+        return self._num is not None
 
     def coefficient(self, k: int):
         if 0 <= k < len(self.coeffs):
@@ -76,6 +128,8 @@ class Polynomial:
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        if self._num is not None and other._num is not None:
+            return _rational_combine(self, other, add)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -90,13 +144,15 @@ class Polynomial:
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        if self._num is not None and other._num is not None:
+            return _rational_combine(self, other, sub)
         return self + (-other)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __neg__(self):
         return Polynomial(tuple(-c for c in self.coeffs))
@@ -107,11 +163,10 @@ class Polynomial:
             if coerced is None:
                 return NotImplemented
             other = coerced
-        if self._rat and other._rat:
-            an, ad = _pack(self.coeffs)
-            bn, bd = _pack(other.coeffs)
-            cn, cd = _kernel.poly_mul(an, ad, bn, bd)
-            return _unpack_poly(cn, cd)
+        if self._num is not None and other._num is not None:
+            return Polynomial._of_ints(
+                _kernel.poly_mul(self._num, other._num), self._den * other._den
+            )
         if self.is_zero or other.is_zero:
             return Polynomial()
         a, b = self.coeffs, other.coeffs
@@ -147,13 +202,18 @@ class Polynomial:
             return NotImplemented
         if other.is_zero:
             raise ZeroPolynomial("polynomial division by zero")
-        if self._rat and other._rat:
-            an, ad = _pack(self.coeffs)
-            bn, bd = _pack(other.coeffs)
-            qn, qd, rn, rd = _kernel.poly_divmod(an, ad, bn, bd)
-            return _unpack_poly(qn, qd), _unpack_poly(rn, rd)
         if self.degree < other.degree:
             return Polynomial(), self
+        if self._num is not None and other._num is not None:
+            # scale * a_num = q * b_num + r with a = a_num / a_den and
+            # b = b_num / b_den, so a = (q * b_den / d) * b + r / d for
+            # d = scale * a_den
+            q, r, scale = _kernel.poly_divmod(self._num, other._num)
+            d = scale * self._den
+            bd = other._den
+            if bd != 1:
+                q = [bd * x for x in q]
+            return Polynomial._of_ints(q, d), Polynomial._of_ints(r, d)
         rem = list(self.coeffs)
         dlen = len(other.coeffs)
         qlen = len(rem) - dlen + 1
@@ -181,22 +241,28 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        coerced = _coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return self.coeffs == coerced.coeffs
+        if not isinstance(other, Polynomial):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        if self._num is not None and other._num is not None:
+            # the reduced integer form is unique
+            return self._num == other._num and self._den == other._den
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return not self.is_zero
 
     # -- structure ----------------------------------------------------
 
     def monic(self) -> "Polynomial":
+        num = self._num
+        if num:
+            # num / lc(num), which divides out the content of num
+            return self if num[-1] == self._den else Polynomial._of_ints(num, num[-1])
         lead = self.lc
         try:
             if lead == 1:
@@ -214,23 +280,25 @@ class Polynomial:
 
     def __call__(self, x):
         """Horner evaluation; coefficients promote into the ring of x."""
-        if not self.coeffs:
+        if self.is_zero:
             return x * 0
-        acc = self.coeffs[-1] * (x * 0 + 1) if len(self.coeffs) == 1 else self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
+        cs = self.coeffs
+        acc = cs[-1] * (x * 0 + 1) if len(cs) == 1 else cs[-1]
+        for c in reversed(cs[:-1]):
             acc = acc * x + c
         return acc
 
     def _one_coeff(self):
-        if self.coeffs:
-            return one_like(self.coeffs[-1])
-        return Fraction(1)
+        if self._num is not None:
+            return Fraction(1)
+        # c ** 0 is the one of the field c belongs to
+        return self._coeffs[-1] ** 0
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
 
     def __str__(self):
-        if not self.coeffs:
+        if self.is_zero:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -260,15 +328,20 @@ def _coerce(value):
     return None
 
 
-def _pack(coeffs: Sequence[Fraction]):
-    return [c.numerator for c in coeffs], [c.denominator for c in coeffs]
-
-
-def _unpack_poly(nums, dens) -> Polynomial:
-    p = Polynomial.__new__(Polynomial)
-    p.coeffs = tuple(Fraction(n, d) for n, d in zip(nums, dens))
-    p._rat = True
-    return p
+def _rational_combine(a: Polynomial, b: Polynomial, op) -> Polynomial:
+    # a op b for op in (add, sub), over the lcm of the two denominators
+    an, ad = a._num, a._den
+    bn, bd = b._num, b._den
+    den = ad
+    if ad != bd:
+        den = ad // gcd(ad, bd) * bd
+        fa, fb = den // ad, den // bd
+        an = [fa * x for x in an]
+        bn = [fb * x for x in bn]
+    out = [op(x, y) for x, y in zip_longest(an, bn, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return Polynomial._of_ints(out, den)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -314,8 +387,8 @@ def ext_gcd(a: Polynomial, b: Polynomial):
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
     inv = one / r0.lc  # makes g monic and scales s to match
-    g = r0.map_coefficients(lambda c: c * inv)
-    s = s0.map_coefficients(lambda c: c * inv)
+    g = r0 * inv
+    s = s0 * inv
     cofactor = b // g
     if cofactor.degree > 0:
         s = s % cofactor

@@ -223,12 +223,6 @@ class SVDResult:
     def singular_values(self) -> Tuple[MultiQuad, ...]:
         return tuple(t.sigma for t in self.terms)
 
-    def reassemble(self, n: int) -> DenseMatrix:
-        acc = DenseMatrix.zeros(n).map_entries(MultiQuad)
-        for t in self.terms:
-            acc = acc + t.matrix * t.sigma
-        return acc
-
 
 def svd(A: DenseMatrix) -> SVDResult:
     """Exact singular value system of a nonzero square rational matrix.

@@ -13,7 +13,9 @@ Three coefficient domains are used throughout the library:
 
 * :class:`NumberFieldElement`, residues modulo one fixed irreducible
   monic polynomial, used for computing with a generic root of an
-  irreducible factor without naming any particular root.
+  irreducible factor without naming any particular root.  A residue is
+  a rational :class:`~mindec.poly.Polynomial`, so it is held in the one
+  rational format of the library: integers over one denominator.
 
 Multiplication of basis square roots follows the principal-branch
 convention sqrt(a)*sqrt(b) = sqrt(-1)^[a<0]+[b<0] * sqrt(|ab|), e.g.
@@ -36,6 +38,7 @@ from mindec.errors import (
     PolyParseError,
     RadicandTooLarge,
 )
+from mindec.poly import ONE, Polynomial, ext_gcd
 
 RationalLike = Union[int, Fraction]
 
@@ -62,8 +65,29 @@ def rational_from_string(text: str) -> Fraction:
 
 
 def rational_to_string(q: RationalLike) -> str:
-    q = Fraction(q)
-    return str(q)  # "p/q", or "p" when the denominator is 1
+    """The decimal form "p/q", or "p" when the denominator is 1, for
+    integers of any length."""
+    num, den = q.numerator, q.denominator
+    if den == 1:
+        return _int_to_string(num)
+    return f"{_int_to_string(num)}/{_int_to_string(den)}"
+
+
+#: bit length below which str() converts an int at once: under 3,613
+#: digits, inside CPython's default limit of 4,300 per conversion
+_STR_BITS = 12000
+
+
+def _int_to_string(n: int) -> str:
+    # str() refuses ints past the interpreter's digit limit, so a long
+    # one is split at a power of ten near half its digits
+    if n < 0:
+        return "-" + _int_to_string(-n)
+    if n.bit_length() < _STR_BITS:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # log10(2) / 2 is about 0.15
+    high, low = divmod(n, 10**k)
+    return _int_to_string(high) + _int_to_string(low).zfill(k)
 
 
 def cleared_row(row: Sequence[Fraction], den: int = 0) -> list:
@@ -533,18 +557,6 @@ def mq_sqrt_rational(q: RationalLike) -> MultiQuad:
     return MultiQuad({d: Fraction(s, q.denominator)})
 
 
-def mq_norm(x: MultiQuad) -> MultiQuad:
-    """Field norm down the complex embedding: the positive square root
-    of x * conjugate(x), defined for x with (x * conj x) rational."""
-    prod = x * x.conjugate()
-    if not prod.is_rational:
-        raise NotTotallyReal(f"norm of {x} is not the root of a rational")
-    value = prod.as_fraction()
-    if value == 0:
-        return MultiQuad(0)
-    return mq_sqrt_rational(value)
-
-
 # -- number fields ----------------------------------------------------
 
 
@@ -558,15 +570,14 @@ class NumberField:
     Newton's identities and cached for trace computations.
     """
 
-    __slots__ = ("modulus", "_mn", "_md", "_psums")
+    __slots__ = ("modulus", "_m", "_psums")
 
     def __init__(self, modulus: Sequence[RationalLike]):
         coeffs = tuple(Fraction(c) for c in modulus)
         if len(coeffs) < 2 or coeffs[-1] != 1:
             raise ValueError("modulus must be monic of degree >= 1")
         self.modulus = coeffs
-        self._mn = [c.numerator for c in coeffs]
-        self._md = [c.denominator for c in coeffs]
+        self._m = Polynomial(coeffs)
         self._psums = None
 
     @property
@@ -591,37 +602,21 @@ class NumberField:
             self._psums = tuple(p)
         return self._psums
 
-    def _reduce(self, nums, dens):
-        if len(nums) >= len(self._mn):
-            _, _, nums, dens = _kernel.poly_divmod(nums, dens, self._mn, self._md)
-        return nums, dens
-
     def element(self, coeffs: Sequence[RationalLike]) -> "NumberFieldElement":
-        nums = []
-        dens = []
-        for c in coeffs:
-            f = Fraction(c)
-            nums.append(f.numerator)
-            dens.append(f.denominator)
-        while nums and nums[-1] == 0:
-            nums.pop()
-            dens.pop()
-        nums, dens = self._reduce(nums, dens)
-        return NumberFieldElement(self, tuple(Fraction(n, d) for n, d in zip(nums, dens)))
+        return NumberFieldElement(self, Polynomial(map(Fraction, coeffs)) % self._m)
 
     def embed(self, q: RationalLike) -> "NumberFieldElement":
-        q = Fraction(q)
-        return NumberFieldElement(self, (q,) if q else ())
+        return NumberFieldElement(self, Polynomial((Fraction(q),)))
 
     def gen(self) -> "NumberFieldElement":
         """The generic root Y of the modulus."""
         return self.element((0, 1))
 
     def zero(self) -> "NumberFieldElement":
-        return NumberFieldElement(self, ())
+        return NumberFieldElement(self, Polynomial())
 
     def one(self) -> "NumberFieldElement":
-        return NumberFieldElement(self, (Fraction(1),))
+        return NumberFieldElement(self, ONE)
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.modulus == other.modulus
@@ -634,28 +629,27 @@ class NumberField:
 
 
 class NumberFieldElement:
-    """Residue in Q[Y]/(m), stored as a trimmed coefficient tuple."""
+    """Residue in Q[Y]/(m), stored as a rational Polynomial of degree
+    below deg m; sums, products and inverses are computed on it."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "residue")
 
-    def __init__(self, field: NumberField, coeffs: Tuple[Fraction, ...]):
+    def __init__(self, field: NumberField, residue: Polynomial):
         self.field = field
-        self.coeffs = coeffs
+        self.residue = residue
 
     @property
-    def residue(self):
-        from mindec.poly import Polynomial
-
-        return Polynomial(self.coeffs)
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        return self.residue.coeffs
 
     @property
     def is_rational(self) -> bool:
-        return len(self.coeffs) <= 1
+        return self.residue.degree <= 0
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.residue.coefficient(0)
 
     def _check(self, other) -> "NumberFieldElement":
         if isinstance(other, (int, Fraction)):
@@ -670,15 +664,7 @@ class NumberFieldElement:
         other = self._check(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        while out and not out[-1]:
-            out.pop()
-        return NumberFieldElement(self.field, tuple(out))
+        return NumberFieldElement(self.field, self.residue + other.residue)
 
     __radd__ = __add__
 
@@ -686,31 +672,23 @@ class NumberFieldElement:
         other = self._check(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return NumberFieldElement(self.field, self.residue - other.residue)
 
     def __rsub__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __neg__(self):
-        return NumberFieldElement(self.field, tuple(-c for c in self.coeffs))
+        return NumberFieldElement(self.field, -self.residue)
 
     def __mul__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return NumberFieldElement(self.field, ())
-        an = [c.numerator for c in self.coeffs]
-        ad = [c.denominator for c in self.coeffs]
-        bn = [c.numerator for c in other.coeffs]
-        bd = [c.denominator for c in other.coeffs]
-        cn, cd = _kernel.poly_mul(an, ad, bn, bd)
-        cn, cd = self.field._reduce(cn, cd)
         return NumberFieldElement(
-            self.field, tuple(Fraction(n, d) for n, d in zip(cn, cd))
+            self.field, (self.residue * other.residue) % self.field._m
         )
 
     __rmul__ = __mul__
@@ -741,7 +719,7 @@ class NumberFieldElement:
         return result
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.residue)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -750,24 +728,23 @@ class NumberFieldElement:
             return NotImplemented
         if other.field.modulus != self.field.modulus:
             return False
-        return self.coeffs == other.coeffs
+        return self.residue == other.residue
 
     def __hash__(self):
         if self.is_rational:
             return hash(self.as_fraction())
-        return hash((self.field.modulus, self.coeffs))
+        return hash((self.field.modulus, self.residue))
 
     def inverse(self) -> "NumberFieldElement":
-        """Extended Euclid against the modulus: s*x + t*m = 1."""
-        if not self.coeffs:
+        """Extended Euclid against the modulus: s*x + t*m = 1, with
+        deg s < deg m."""
+        if not self.residue:
             raise NotInvertible("zero has no inverse")
-        from mindec.poly import Polynomial, ext_gcd
-
-        g, s, _ = ext_gcd(Polynomial(self.coeffs), Polynomial(self.field.modulus))
+        g, s, _ = ext_gcd(self.residue, self.field._m)
         if g.degree != 0:
             # cannot happen over an irreducible modulus
             raise NotInvertible(f"{self} shares a factor with the modulus")
-        return self.field.element(s.coeffs)
+        return NumberFieldElement(self.field, s)
 
     def trace(self) -> Fraction:
         """Trace to Q: sum of the element over all embeddings, via the
@@ -782,7 +759,7 @@ class NumberFieldElement:
         return f"<{self} mod {[str(c) for c in self.field.modulus]}>"
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.residue:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):

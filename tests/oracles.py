@@ -120,6 +120,14 @@ def frac_poly_mul(a, b):
     return _strip(out)
 
 
+def frac_poly_add(a, b, sign=1):
+    """a + sign * b on Fraction coefficient lists (low degree first)."""
+    n = max(len(a), len(b))
+    a = [Fraction(x) for x in a] + [Fraction(0)] * (n - len(a))
+    b = [Fraction(x) for x in b] + [Fraction(0)] * (n - len(b))
+    return _strip([x + sign * y for x, y in zip(a, b)])
+
+
 def frac_poly_divmod(a, b):
     """Long division of Fraction coefficient lists; b must have a nonzero
     leading coefficient.  Returns (quotient, remainder)."""
@@ -163,6 +171,15 @@ def frac_poly_monic_gcd(a, b):
     while b:
         a, b = b, frac_poly_divmod(a, b)[1]
     return [x / a[-1] for x in a] if a else []
+
+
+def frac_poly_compose_mod(f, g, m):
+    """f(g) mod m on Fraction coefficient lists, by Horner's rule with
+    long division after every step."""
+    acc = []
+    for c in reversed(f):
+        acc = frac_poly_divmod(frac_poly_add(frac_poly_mul(acc, g), [c]), m)[1]
+    return acc
 
 
 def frac_poly_monic_lcm(a, b):

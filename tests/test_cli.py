@@ -150,7 +150,54 @@ def test_large_radicand_is_bounded(argv, entries, error):
     assert json.loads(err)["error"] == error
 
 
+UPPER_2 = json.dumps({"entries": [["1", "1"], ["0", "2"]]})
+DEEP = "(" * 5000 + "X" + ")" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply", "--poly", DEEP],
+        ["gen", "--seed", "s", "--minpoly", DEEP],
+        ["apply", "--poly", "X^200000"],
+        ["apply", "--poly", "(X^2+1)^600"],
+        ["gen", "--seed", "s", "--blocks", "X-1;(X^600)(X^401)"],
+    ],
+    ids=["apply-deep", "gen-deep", "apply-power", "apply-power-degree", "gen-product"],
+)
+def test_polynomial_argument_is_bounded(argv):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(argv, input_text=UPPER_2)
+    assert time.perf_counter() - t0 < 2.0
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "PolyParseError"
+
+
+def test_result_past_the_str_digit_limit_is_written_in_full():
+    entries = [["10000000000", "0"], ["0", "1"]]
+    code, out, err = run_cli(
+        ["apply", "--poly", "X^500"], input_text=json.dumps({"entries": entries})
+    )
+    assert code == 0, err
+    value = json.loads(out)["value"]["entries"]
+    assert value == [["1" + "0" * 5000, "0"], ["0", "1"]]
+
+
 class TestGen:
+    @pytest.mark.parametrize("size", ["0", "-3", "1", str(cli.MAX_GEN_SIZE + 1)])
+    @pytest.mark.parametrize("family", ["general", "gram"])
+    def test_size_out_of_range_is_a_usage_error(self, size, family):
+        code, out, err = run_cli(["gen", "--seed", "s", "--family", family, "--size", size])
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "UsageError"
+        assert f"between 2 and {cli.MAX_GEN_SIZE}" in error["message"]
+
+    @pytest.mark.parametrize("size", [2, cli.MAX_GEN_SIZE])
+    def test_size_bounds_are_accepted(self, size):
+        doc = json.loads(gen("edge", "--size", str(size)))
+        assert 1 <= doc["n"] <= size
+
     def test_same_seed_same_document(self):
         assert gen("alpha") == gen("alpha")
         assert gen("alpha") != gen("beta")

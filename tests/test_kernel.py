@@ -2,14 +2,14 @@
 
 Every primitive in mindec._kernel is run on seeded random inputs and
 compared with the same computation done directly on Fractions in
-tests/oracles.py.  The polynomial kernels must return every
-(numerator, denominator) pair in lowest terms with a positive
-denominator; the matrix kernels take and return integer rows.
+tests/oracles.py.  The kernels take and return integers: a rational
+polynomial or matrix enters as integers over one common denominator,
+and the result is read back over the denominator the caller would use.
 """
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import pytest
 from oracles import frac_matmul, frac_poly_divmod, frac_poly_mul, fraction_rref
@@ -36,16 +36,10 @@ def random_poly(rng, max_len):
     return coeffs
 
 
-def pack(fracs):
-    return [q.numerator for q in fracs], [q.denominator for q in fracs]
-
-
-def unpack(nums, dens):
-    assert len(nums) == len(dens)
-    for num, den in zip(nums, dens):
-        assert den > 0
-        assert gcd(num, den) == 1
-    return [Fraction(num, den) for num, den in zip(nums, dens)]
+def int_form(fracs):
+    """Integer coefficients over the lcm of the denominators."""
+    den = lcm(*(q.denominator for q in fracs))
+    return [q.numerator * (den // q.denominator) for q in fracs], den
 
 
 def test_backend_label():
@@ -56,8 +50,10 @@ def test_poly_mul_matches_schoolbook():
     rng = random.Random("kernel-mul")
     for _ in range(80):
         a, b = random_poly(rng, 9), random_poly(rng, 9)
-        got = unpack(*_kernel.poly_mul(*pack(a), *pack(b)))
-        assert got == frac_poly_mul(a, b)
+        (an, ad), (bn, bd) = int_form(a), int_form(b)
+        got = _kernel.poly_mul(an, bn)
+        assert all(type(x) is int for x in got)
+        assert [Fraction(x, ad * bd) for x in got] == frac_poly_mul(a, b)
 
 
 def test_poly_divmod_matches_long_division():
@@ -65,8 +61,13 @@ def test_poly_divmod_matches_long_division():
     for _ in range(80):
         a = random_poly(rng, 11)
         b = random_poly(rng, 6) or [Fraction(rng.randint(1, 9))]
-        qn, qd, rn, rd = _kernel.poly_divmod(*pack(a), *pack(b))
-        quot, rem = unpack(qn, qd), unpack(rn, rd)
+        (an, ad), (bn, bd) = int_form(a), int_form(b)
+        q, r, scale = _kernel.poly_divmod(an, bn)
+        assert scale > 0
+        assert all(type(x) is int for x in q + r)
+        # scale * an = q * bn + r, so a = (q * bd / d) * b + r / d
+        d = scale * ad
+        quot, rem = [Fraction(x * bd, d) for x in q], [Fraction(x, d) for x in r]
         assert (quot, rem) == frac_poly_divmod(a, b)
         assert len(rem) < len(b)
 

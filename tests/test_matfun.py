@@ -9,7 +9,6 @@ from mindec.errors import NotSemisimple
 from mindec.factor import factor_rational
 from mindec.generator import random_function_poly, random_matrix
 from mindec.matfun import (
-    covariant_power,
     f_equivalence_classes,
     fine_of_image,
     schwerdtfeger_eval,
@@ -127,38 +126,3 @@ class TestFineOfImage:
         fd = fine_of_image(X * X, DenseMatrix([[1, 0], [0, -1]]))
         assert len(fd.components) == 1
         assert fd.components[0].semisimple == DenseMatrix.identity(2)
-
-
-class TestCovariantPower:
-    def test_matches_repeated_multiplication_on_semisimple(self):
-        done = 0
-        k = 0
-        while done < 10:
-            S = sn_decompose(random_matrix(f"pow-{k}", max_size=5).matrix).semisimple
-            k += 1
-            if S.is_zero:
-                continue
-            expected = DenseMatrix.identity(S.n)
-            for h in range(4):
-                assert covariant_power(S, h) == expected
-                expected = expected @ S
-            done += 1
-
-    def test_negative_powers_of_nonsingular_semisimple(self):
-        from mindec.matrix import inverse
-
-        M = companion((Polynomial((-2, 0, 1)) * (X - Polynomial((3,)))).monic())
-        inv = inverse(M)
-        acc = DenseMatrix.identity(3)
-        for h in range(1, 4):
-            acc = acc @ inv
-            assert covariant_power(M, -h) == acc
-
-    def test_defective_rejected(self):
-        with pytest.raises(NotSemisimple):
-            covariant_power(DenseMatrix([[1, 1], [0, 1]]), 2)
-
-    def test_power_respects_minimal_polynomial_reduction(self):
-        M = companion(Polynomial((-2, 0, 1)))
-        assert covariant_power(M, 2) == DenseMatrix.scaled_identity(2, Fraction(2))
-        assert covariant_power(M, 4) == DenseMatrix.scaled_identity(2, Fraction(4))

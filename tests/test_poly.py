@@ -3,13 +3,22 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from oracles import (
+    frac_poly_add,
+    frac_poly_compose_mod,
+    frac_poly_divmod,
+    frac_poly_monic_gcd,
+    frac_poly_mul,
+)
 
 from mindec.errors import BothZero, FieldMismatch, ZeroPolynomial
 from mindec.poly import (
     Polynomial,
     X,
+    compose_mod,
     ext_gcd,
     hasse_derivative,
     poly_gcd,
@@ -17,7 +26,7 @@ from mindec.poly import (
     squarefree_part,
     trace_coeffwise,
 )
-from mindec.scalar import NumberField, NumberFieldElement
+from mindec.scalar import MultiQuad, NumberField, NumberFieldElement
 
 
 def rand_poly(rng, max_degree=6):
@@ -235,3 +244,188 @@ class TestTraceCoeffwise:
         y = field.gen()
         p = Polynomial((y, y * y, field.embed(1)))
         assert trace_coeffwise(p) == Polynomial((0, 0, 3))
+
+
+#: denominators of the integer-form cases: large, pairwise coprime
+#: primes mixed with small and highly composite ones
+DENOMINATORS = (1, 2, 3, 12, 10**9 + 7, 10**12 + 39, 2**61 - 1, 6**20)
+
+
+def big_frac_list(rng, max_degree=6):
+    """Fraction coefficients, low degree first, without trailing zeros:
+    large numerators and denominators, zeros mixed in, and a leading
+    coefficient of either sign; sometimes empty (the zero polynomial)."""
+    coeffs = []
+    for _ in range(rng.randint(0, max_degree + 1)):
+        if rng.random() < 0.2:
+            coeffs.append(Fraction(0))
+        else:
+            num = rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(1, 20))
+            coeffs.append(Fraction(num, rng.choice(DENOMINATORS)))
+    if coeffs and not coeffs[-1]:
+        coeffs[-1] = Fraction(rng.choice([-1, 1]) * 7, 10**12 + 39)
+    return coeffs
+
+
+#: fixed cases: zero, constants, a negative leading coefficient, and
+#: divisors whose integer leading coefficient is not +-1 (6, -4, 2)
+EDGE_LISTS = (
+    [],
+    [Fraction(5, 3)],
+    [Fraction(-1, 10**12 + 39)],
+    [Fraction(1), Fraction(0), Fraction(6, 5)],
+    [Fraction(3, 2), Fraction(-2)],
+    [Fraction(3), Fraction(2)],
+    [Fraction(1, 3), Fraction(-1, 2), Fraction(0), Fraction(-7, 9)],
+)
+
+
+def integer_form_pairs(count=150):
+    rng = random.Random("integer-form")
+    pairs = [(a, b) for a in EDGE_LISTS for b in EDGE_LISTS]
+    pairs += [(big_frac_list(rng), big_frac_list(rng, 4)) for _ in range(count)]
+    return pairs
+
+
+def assert_canonical(p):
+    """Integers over one positive denominator, no common factor, no
+    trailing zero, and coeffs the reduced Fractions of that form."""
+    num, den = p._num, p._den
+    assert type(num) is tuple and all(type(x) is int for x in num)
+    assert den > 0 and gcd(den, *num) == 1
+    assert not num or num[-1] != 0
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert all(c.denominator > 0 and gcd(c.numerator, c.denominator) == 1 for c in p.coeffs)
+    assert list(p.coeffs) == [Fraction(x, den) for x in num]
+
+
+def frac_monic(a):
+    return [x / a[-1] for x in a]
+
+
+class TestIntegerRepresentation:
+    """Rational polynomials stored as integers over one denominator,
+    against the plain-Fraction oracles."""
+
+    def test_sums_products_and_division_match_oracles(self):
+        for a, b in integer_form_pairs():
+            pa, pb = Polynomial(a), Polynomial(b)
+            for got, want in (
+                (pa + pb, frac_poly_add(a, b)),
+                (pa - pb, frac_poly_add(a, b, -1)),
+                (pb - pa, frac_poly_add(b, a, -1)),
+                (pa * pb, frac_poly_mul(a, b)),
+            ):
+                assert list(got.coeffs) == want
+                assert_canonical(got)
+            if b:
+                q, r = divmod(pa, pb)
+                assert (list(q.coeffs), list(r.coeffs)) == frac_poly_divmod(a, b)
+                assert_canonical(q)
+                assert_canonical(r)
+
+    def test_equality_compares_values(self):
+        third = Polynomial((Fraction(3, 7),))
+        for a, b in integer_form_pairs(60):
+            pa = Polynomial(a)
+            assert (pa == Polynomial(b)) == (a == b)
+            # the same value reached through products has the same form
+            round_trip = pa * third * Polynomial((Fraction(7, 3),))
+            assert round_trip == pa and pa == round_trip
+            assert (round_trip._num, round_trip._den) == (pa._num, pa._den)
+            assert hash(round_trip) == hash(pa)
+
+    def test_monic_matches_oracle(self):
+        for a, _ in integer_form_pairs(60):
+            if a:
+                m = Polynomial(a).monic()
+                assert list(m.coeffs) == frac_monic(a)
+                assert_canonical(m)
+        with pytest.raises(ZeroPolynomial):
+            Polynomial().monic()
+
+    def test_ext_gcd_matches_euclid(self):
+        for a, b in integer_form_pairs(80):
+            if not a and not b:
+                continue
+            pa, pb = Polynomial(a), Polynomial(b)
+            g, s, t = ext_gcd(pa, pb)
+            want = frac_poly_monic_gcd(a, b)
+            assert list(g.coeffs) == want
+            combo = frac_poly_add(
+                frac_poly_mul(list(s.coeffs), a), frac_poly_mul(list(t.coeffs), b)
+            )
+            assert combo == want
+            if pa.degree > 0 and pb.degree > 0 and g.degree < min(pa.degree, pb.degree):
+                assert s.degree < pb.degree - g.degree
+                assert t.degree < pa.degree - g.degree
+            for p in (g, s, t):
+                assert_canonical(p)
+
+    def test_compose_mod_matches_horner_oracle(self):
+        rng = random.Random("integer-compose")
+        for _ in range(40):
+            f, g = big_frac_list(rng, 5), big_frac_list(rng, 3)
+            m = big_frac_list(rng, 4) or EDGE_LISTS[3]
+            got = compose_mod(Polynomial(f), Polynomial(g), Polynomial(m))
+            assert list(got.coeffs) == frac_poly_compose_mod(f, g, m)
+            assert_canonical(got)
+
+    def test_squarefree_part_matches_oracle(self):
+        rng = random.Random("integer-squarefree")
+        for _ in range(25):
+            p = [Fraction(rng.choice(DENOMINATORS), 5)]
+            for k in range(1, rng.randint(2, 4)):
+                base = big_frac_list(rng, 2) or EDGE_LISTS[4]
+                for _ in range(k):
+                    p = frac_poly_mul(p, base)
+            radical, profile = squarefree_part(Polynomial(p))
+            dp = [i * c for i, c in enumerate(p)][1:]
+            want = frac_poly_divmod(p, frac_poly_monic_gcd(p, dp))[0]
+            assert list(radical.coeffs) == frac_monic(want)
+            rebuilt = [Fraction(1)]
+            for h, k in profile:
+                assert_canonical(h)
+                for _ in range(k):
+                    rebuilt = frac_poly_mul(rebuilt, list(h.coeffs))
+            assert rebuilt == frac_monic(p)
+
+    def test_hash_agrees_with_equality_across_coefficient_fields(self):
+        for a, _ in integer_form_pairs(40):
+            p = Polynomial(a)
+            lifted = p.map_coefficients(MultiQuad)
+            assert not lifted.is_rational or not a
+            assert lifted == p and p == lifted
+            assert hash(lifted) == hash(p)
+            if a:
+                assert p != p + Polynomial((Fraction(1, 10**9 + 7),))
+                assert lifted != p * Polynomial((Fraction(2),))
+
+    def test_property_arithmetic_matches_oracles(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coeff = st.builds(
+            Fraction,
+            st.integers(-(10**30), 10**30),
+            st.sampled_from(DENOMINATORS) | st.integers(1, 10**15),
+        )
+        polys = st.lists(coeff, max_size=7).map(
+            lambda cs: cs[: max((i + 1 for i, c in enumerate(cs) if c), default=0)]
+        )
+
+        @hypothesis.settings(max_examples=150, derandomize=True, deadline=None)
+        @hypothesis.given(polys, polys)
+        def check(a, b):
+            pa, pb = Polynomial(a), Polynomial(b)
+            assert list((pa + pb).coeffs) == frac_poly_add(a, b)
+            assert list((pa - pb).coeffs) == frac_poly_add(a, b, -1)
+            assert list((pa * pb).coeffs) == frac_poly_mul(a, b)
+            assert (pa == pb) == (a == b)
+            if b:
+                q, r = divmod(pa, pb)
+                assert (list(q.coeffs), list(r.coeffs)) == frac_poly_divmod(a, b)
+                assert_canonical(q)
+                assert_canonical(r)
+                assert_canonical(pb.monic())
+
+        check()

@@ -17,7 +17,6 @@ from mindec.scalar import (
     NumberField,
     mq_conjugate,
     mq_invert,
-    mq_norm,
     mq_sign,
     mq_sqrt_rational,
     nf_invert,
@@ -123,14 +122,6 @@ class TestSqrtRational:
             root = mq_sqrt_rational(q)
             assert root * root == MultiQuad(q)
             assert mq_sign(root) == 1
-
-
-class TestNorm:
-    def test_norm_of_complex_surd(self):
-        assert mq_norm(MultiQuad({1: 1, -1: 1})) == mq_sqrt_rational(2)
-
-    def test_norm_of_negative_rational(self):
-        assert mq_norm(MultiQuad(-3)) == MultiQuad(3)
 
 
 class TestNumberField:

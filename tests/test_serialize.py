@@ -1,7 +1,10 @@
 """JSON round trips and the polynomial text grammar."""
 
 import json
+import sys
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -11,6 +14,8 @@ from mindec.matrix import DenseMatrix
 from mindec.poly import Polynomial, X
 from mindec.scalar import MultiQuad
 from mindec.serialize import (
+    MAX_POLY_DEGREE,
+    MAX_POLY_NESTING,
     MatrixDocument,
     document_from_json,
     document_to_json,
@@ -32,6 +37,16 @@ class TestScalarJson:
         assert scalar_to_json(Fraction(-5, 2)) == "-5/2"
         assert scalar_to_json(3) == "3"
         assert scalar_from_json("-5/2") == Fraction(-5, 2)
+
+    def test_integers_past_the_str_digit_limit(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        big = 10**5000 + 1
+        assert scalar_to_json(Fraction(-big, 10**4500)) == "-1" + "0" * 4999 + "1/1" + "0" * 4500
+        for k in (3610, 3615, 4299, 4300, 4301, 9000):
+            assert scalar_to_json(10**k - 1) == "9" * k
+            assert scalar_to_json(Fraction(1, 10**k)) == "1/1" + "0" * k
+        assert scalar_to_json(MultiQuad({2: -big})) == {"2": "-1" + "0" * 4999 + "1"}
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
     def test_rational_multiquad_collapses_to_string(self):
         assert scalar_to_json(MultiQuad(Fraction(7, 3))) == "7/3"
@@ -207,3 +222,37 @@ class TestPolyGrammar:
             parse_poly_expression("X-1)")
         with pytest.raises(PolyParseError, match="at 2"):
             parse_poly_expression("X µ 1")
+
+    def test_degree_bound_is_inclusive_and_fast(self):
+        t0 = time.perf_counter()
+        p = parse_poly_expression(f"(X+1)^{MAX_POLY_DEGREE}")
+        assert time.perf_counter() - t0 < 2.0
+        assert p.degree == MAX_POLY_DEGREE
+        half = MAX_POLY_DEGREE // 2
+        assert p.coefficient(half) == comb(MAX_POLY_DEGREE, half)
+        product = parse_poly_expression(f"(X^{half})(X^{MAX_POLY_DEGREE - half})")
+        assert product.degree == MAX_POLY_DEGREE
+        depth = MAX_POLY_NESTING
+        assert parse_poly_expression("(" * depth + "X" + ")" * depth) == X
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (f"(X+1)^{MAX_POLY_DEGREE + 1}", "exponent"),
+            ("X^200000", "exponent"),
+            ("2^100000000000", "exponent"),
+            (f"(X^2+1)^{MAX_POLY_DEGREE // 2 + 1}", "power degree"),
+            (f"(X^{MAX_POLY_DEGREE})(X+1)", "product degree"),
+            (f"X^{MAX_POLY_DEGREE} * X", "product degree"),
+            ("(" * (MAX_POLY_NESTING + 1) + "X" + ")" * (MAX_POLY_NESTING + 1), "nested"),
+            ("(" * 5000 + "X" + ")" * 5000, "nested"),
+            ("-(" * 5000 + "X" + ")" * 5000, "nested"),
+        ],
+        ids=["exp-bound", "exp-large", "exp-constant", "power", "product", "product-star",
+             "nesting-bound", "nesting-5000", "nesting-signed"],
+    )
+    def test_bounds_are_checked_before_expanding(self, text, message):
+        t0 = time.perf_counter()
+        with pytest.raises(PolyParseError, match=message):
+            parse_poly_expression(text)
+        assert time.perf_counter() - t0 < 2.0
