@@ -4,9 +4,13 @@ Matrices travel as JSON documents (see the serialize module) on
 standard input or via --input; results are JSON on standard output.
 With --check each command appends a verification report of exact
 identities and exits with status 4 if any check fails.  Exit codes:
-0 success, 2 malformed input or arguments, or an unusable
-MINDEC_DEGREE_CAP, 3 violated precondition (singular matrix,
-irrational singular values, ...), 4 failed verification.
+0 success, 2 malformed input or arguments (JSON nested too deeply
+included), or an unusable MINDEC_DEGREE_CAP, 3 violated precondition
+(singular matrix, irrational singular values, ...), 4 failed
+verification, a failed internal invariant (RuntimeError) or any other
+unexpected exception.  Every error is one JSON object on standard
+error, {"error": <exception class>, "message": <text>}, never a
+traceback.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ def _load_matrix(args):
         text = sys.stdin.read()
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"input is not valid JSON: {exc}") from None
     return document_from_json(data).matrix
 
@@ -341,7 +345,7 @@ def main(argv=None) -> int:
         return _fail(exc, 3)
     except (ValueError, OSError) as exc:
         return _fail(exc, 2)
-    except RuntimeError as exc:
+    except Exception as exc:  # RuntimeError from an internal invariant, or a bug
         return _fail(exc, 4)
 
 

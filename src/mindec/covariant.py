@@ -35,9 +35,10 @@ works in R_i = Q[Y]/(m_i) with the generic root Y and builds
 so C_i is the generic covariant of the factor: substituting a concrete
 root for Y gives the classical Frobenius covariant of that root, and
 the coefficient-wise field traces Tr(C_i) and Tr(Y * C_i) are E_i and
-S_i again.  It is built lazily, one factor at a time, for what needs
-the root itself (splitting a quadratic factor over Q(sqrt(d))) and as
-an independent oracle for the rational witnesses.
+S_i again.  It is built lazily, one factor at a time, and serves only
+as an independent oracle: its traces for the rational witnesses, and
+its split over Q(sqrt(d)) for the real-pair projectors that
+complete_mjc forms from the rational E_i and S_i.  No command builds it.
 """
 
 from __future__ import annotations
@@ -261,36 +262,29 @@ def split_covariants_over_extension(
     (eigenvalue, covariant polynomial) pairs with MultiQuad
     coefficients, the +sqrt(d) branch first; their covariants sum to
     E_i.  Raises DoesNotSplit if the factor's roots are not in
-    Q(sqrt(d)).
+    Q(sqrt(d)).  This is the generic-root oracle for
+    :func:`mindec.realclosed.split_real_pair`, which complete_mjc uses.
     """
     gen = system.generic(index)
     if gen.modulus.degree != 2:
         raise DoesNotSplit(
             f"factor of degree {gen.modulus.degree}; only quadratics split here"
         )
-    p = gen.modulus.coefficient(1)
-    q = gen.modulus.coefficient(0)
-    disc = p * p - 4 * q
-    s0, d0 = square_split(disc.numerator * disc.denominator)
+    d0, lam_plus, lam_minus = quadratic_roots(gen.modulus)
     if d0 != d:
-        raise DoesNotSplit(f"discriminant {disc} needs sqrt({d0}), not sqrt({d})")
-    t = MultiQuad({d: Fraction(s0, disc.denominator)})
-    half = Fraction(1, 2)
-    lam_plus = MultiQuad(-p * half) + t * half
-    lam_minus = MultiQuad(-p * half) - t * half
-    out = []
-    for lam in (lam_plus, lam_minus):
-        cov = gen.covariant.map_coefficients(
-            lambda c: _eval_residue(c, lam)
-        )
-        out.append((lam, cov))
-    return out
+        raise DoesNotSplit(f"roots of {gen.modulus} need sqrt({d0}), not sqrt({d})")
+    return [
+        (lam, gen.covariant.map_coefficients(lambda c: c.residue(lam)))
+        for lam in (lam_plus, lam_minus)
+    ]
 
 
-def _eval_residue(c, lam: MultiQuad) -> MultiQuad:
-    # substitute a concrete root for the generic one
-    if isinstance(c, MultiQuad):
-        return c
-    if hasattr(c, "residue"):
-        return c.residue(lam)
-    return MultiQuad(c)
+def quadratic_roots(m: Polynomial) -> Tuple[int, MultiQuad, MultiQuad]:
+    """(d, lambda+, lambda-) for a monic rational X^2 + pX + q whose
+    discriminant is not a square: lambda+- = (-p +- s sqrt(d)) / 2 with
+    d squarefree and s > 0 rational."""
+    p = m.coefficient(1)
+    disc = p * p - 4 * m.coefficient(0)
+    s, d = square_split(disc.numerator * disc.denominator)
+    centre, half_t = MultiQuad(-p / 2), MultiQuad({d: Fraction(s, 2 * disc.denominator)})
+    return d, centre + half_t, centre - half_t

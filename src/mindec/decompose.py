@@ -18,12 +18,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from mindec.covariant import CovariantSystem, build_covariant_system
-from mindec.errors import (
-    FieldMismatch,
-    NotSemisimple,
-    SingularMatrix,
-    ZeroMatrix,
-)
+from mindec.errors import NotSemisimple, SingularMatrix, ZeroMatrix
 from mindec.factor import factor_rational
 from mindec.matrix import (
     DenseMatrix,
@@ -86,11 +81,6 @@ class MultiplicativeJC:
     )
 
 
-def _require_rational(M: DenseMatrix):
-    if not M.is_rational:
-        raise FieldMismatch("expected a matrix with rational entries")
-
-
 def _min_poly_of(M: DenseMatrix) -> Polynomial:
     # computed once per matrix and kept in its analysis
     analysis = M.analysis
@@ -101,8 +91,8 @@ def _min_poly_of(M: DenseMatrix) -> Polynomial:
 
 def system_of(M: DenseMatrix) -> CovariantSystem:
     """Covariant system of the minimal polynomial of M, built once per
-    matrix and kept in its analysis."""
-    _require_rational(M)
+    matrix and kept in its analysis; FieldMismatch for a matrix that is
+    not rational."""
     analysis = M.analysis
     if analysis.system is None:
         analysis.system = build_covariant_system(factor_rational(_min_poly_of(M)))
@@ -146,7 +136,6 @@ def sn_newton_oracle(M: DenseMatrix, max_rounds: int = 40) -> DenseMatrix:
     covariant construction but basic polynomial arithmetic and the
     minimal polynomial of M, which it reads from M's analysis.
     """
-    _require_rational(M)
     g, _ = squarefree_part(_min_poly_of(M))
     dg = g.derivative()
     Z = M
@@ -302,10 +291,9 @@ def unbreakable_components(S: DenseMatrix) -> List[DenseMatrix]:
     the same one-factor structure.  Raises NotSemisimple when the
     minimal polynomial is not squarefree and ZeroMatrix for S = 0.
     """
-    _require_rational(S)
+    system = system_of(S)
     if S.is_zero:
         raise ZeroMatrix("the zero matrix has no unbreakable components")
-    system = system_of(S)
     if not system.factored.is_squarefree:
         raise NotSemisimple("matrix is not semisimple")
     out = []

@@ -11,7 +11,9 @@ entry; that form is unique, so equality compares integers.  Products,
 sums, Horner steps, the Krylov minimal polynomial and elimination
 (fraction-free, in :mod:`mindec._kernel`) run on those integers.
 Fraction entries are built only when ``rows`` or ``entry`` is read, and
-kept.  Other entry fields use the generic code paths.
+kept.  Other entry fields use the generic code paths, except the
+minimal polynomial: it is computed for rational matrices only (the
+real-closed verifiers certify theirs by evaluation instead).
 """
 
 from __future__ import annotations
@@ -482,62 +484,20 @@ def _plus_diagonal(A: DenseMatrix, c) -> DenseMatrix:
 
 
 def minimal_polynomial(M: DenseMatrix) -> Polynomial:
-    """Monic minimal polynomial, by per-vector Krylov annihilators.
+    """Monic minimal polynomial of a rational matrix, by per-vector
+    Krylov annihilators.
 
     For each standard basis vector the least linear dependence among
-    v, Mv, M^2 v, ... is found by ordered elimination that carries the
-    combination coefficients; the lcm of the per-vector annihilators is
-    the minimal polynomial.  The loop stops once the lcm has degree n.
+    v, Av, A^2 v, ... of the integer matrix A = d*M is found by ordered
+    fraction-free elimination that carries the combination
+    coefficients: a vector is reduced by w <- p*w - w[pc]*v against each
+    kept (pc, v) with pivot p, its tracker alongside, and the pair is
+    divided by its content.  The lcm of the per-vector annihilators is
+    m_A, and the loop stops once it has degree n; then
+    m_M(X) = d^-k * m_A(d*X).  Other entry fields raise FieldMismatch.
     """
-    if M._rat:
-        return _rational_minimal_polynomial(M)
-    n = M.n
-    one = one_like(M.rows[0][0])
-    zero = one * 0
-    mp = Polynomial((one,))
-    for j in range(n):
-        vec = [zero] * n
-        vec[j] = one
-        reduced = []  # (pivot_col, vector, tracker) with pivot scaled to 1
-        tracker = [one]
-        cur = vec
-        for _ in range(n + 1):
-            w = list(cur)
-            t = list(tracker)
-            for pc, pv, pt in reduced:
-                fac = w[pc]
-                if fac:
-                    for i in range(n):
-                        if pv[i]:
-                            w[i] = w[i] - fac * pv[i]
-                    for i in range(len(pt)):
-                        if pt[i]:
-                            while len(t) <= i:
-                                t.append(zero)
-                            t[i] = t[i] - fac * pt[i]
-            if not any(w):
-                ann = Polynomial(t)
-                mp = poly_lcm(mp, ann)
-                break
-            pc = next(i for i in range(n) if w[i])
-            inv = one / w[pc]
-            w = [e * inv for e in w]
-            t = [e * inv for e in t]
-            reduced.append((pc, w, t))
-            cur = mat_vec(M, cur)
-            tracker = [zero] + tracker
-        if mp.degree == n:
-            break
-    return mp
-
-
-def _rational_minimal_polynomial(M: DenseMatrix) -> Polynomial:
-    """The Krylov loop of :func:`minimal_polynomial` on the integer
-    matrix A = d*M, fraction-free: a vector is reduced by
-    w <- p*w - w[pc]*v against each kept (pc, v) with pivot p, its
-    tracker alongside, and the pair is divided by its content.  Pivots
-    and stopping rule are those of the rational loop, so the same
-    vectors are used; then m_M(X) = d^-k * m_A(d*X)."""
+    if not M._rat:
+        raise FieldMismatch("expected a matrix with rational entries")
     A, d = M._ints()
     n = M.n
     mp = ONE

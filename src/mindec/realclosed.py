@@ -11,8 +11,23 @@ factors commuting.  Per eigenvalue class:
 * complex pair (X^2 + pX + q, negative discriminant): the norm is
   sqrt(q), so the class adds sqrt(q) * E_i to Delta and S_i / sqrt(q)
   to Sigma, no root splitting needed;
-* real pair (positive discriminant): the factor splits over Q(sqrt(d))
-  and each root contributes |root|, sign(root) on its own covariant.
+* real pair (X^2 + pX + q, discriminant t^2 > 0): the roots are
+  lambda+- = (-p +- t)/2 in Q(sqrt(d)), and each contributes |root|,
+  sign(root) on its own spectral projector.  On the range of E_i the
+  rational S_i(M) has the squarefree minimal polynomial X^2 + pX + q,
+  so Lagrange interpolation at the two roots gives the projectors
+
+      P+ = (S_i(M) - lambda- E_i(M)) / t,   P- = (lambda+ E_i(M) - S_i(M)) / t,
+
+  which are unique; no number field is built.
+
+verify_cmjc certifies the spectra of Delta and Sigma by evaluation:
+for p = prod r_j with every r_j irreducible over a field holding the
+entries and the coefficients, the minimal polynomial is p exactly when
+p(A) = 0 and (p / r_j)(A) != 0 for each j.  Linear factors are always
+irreducible; a quadratic factor of Sigma is irreducible when Sigma's
+entries and the coefficients are totally real (no negative radicand)
+and its discriminant is negative.
 
 The exact SVD writes a nonzero rational A as sum(sigma_i * A_i) with
 strictly decreasing positive sigma_i and an orthogonal system of
@@ -24,9 +39,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import List, Optional, Tuple
 
-from mindec.covariant import split_covariants_over_extension
+from mindec.covariant import quadratic_roots
 from mindec.decompose import _min_poly_of, sn_decompose, system_of
 from mindec.errors import (
     FactorDegreeTooHigh,
@@ -40,12 +56,11 @@ from mindec.matrix import (
     inverse,
     is_normal,
     is_symmetric,
-    minimal_polynomial,
     rank,
 )
 from mindec.poly import Polynomial, poly_gcd
 from mindec.report import VerificationReport, attach_report
-from mindec.scalar import MultiQuad, mq_sqrt_rational, square_split
+from mindec.scalar import MultiQuad, mq_sign, mq_sqrt_rational
 
 
 def _mq(M: DenseMatrix) -> DenseMatrix:
@@ -97,18 +112,13 @@ def complete_mjc(M: DenseMatrix) -> DeltaSigmaU:
     sigma_quad: List[Polynomial] = []
     for i, (factor, _) in enumerate(system.factored.factors):
         E_i = horner_eval(system.e_polys[i], M)
+        p, q = factor.coefficient(1), factor.coefficient(0)
         if factor.degree == 1:
-            gamma = -factor.coefficient(0)
-            sgn = 1 if gamma > 0 else -1
-            delta = delta + _mq(E_i * abs(gamma))
-            sigma = sigma + _mq(E_i * sgn)
-            _record(delta_eigen, MultiQuad(abs(gamma)))
-            _record(sigma_lin, MultiQuad(sgn))
-            continue
-        p = factor.coefficient(1)
-        q = factor.coefficient(0)
-        disc = p * p - 4 * q
-        if disc < 0:
+            pairs = ((MultiQuad(-q), _mq(E_i)),)
+        elif p * p > 4 * q:
+            d, pairs = split_real_pair(factor, E_i, horner_eval(system.s_polys[i], M))
+            radicands.add(d)
+        else:
             norm = mq_sqrt_rational(q)  # q = root * conjugate root > 0
             radicands.update(norm.radicands)
             S_i = horner_eval(system.s_polys[i], M)
@@ -118,17 +128,14 @@ def complete_mjc(M: DenseMatrix) -> DeltaSigmaU:
             quad = Polynomial((MultiQuad(1), MultiQuad(p) * norm.inverse(), MultiQuad(1)))
             if quad not in sigma_quad:
                 sigma_quad.append(quad)
-        else:
-            _, d = square_split(disc.numerator * disc.denominator)
-            radicands.add(d)
-            M_mq = _mq(M)
-            for root, cov in split_covariants_over_extension(system, i, d):
-                proj = horner_eval(cov, M_mq)
-                sgn = root.sign()
-                delta = delta + proj * (root * sgn)
-                sigma = sigma + proj * sgn
-                _record(delta_eigen, root * sgn)
-                _record(sigma_lin, MultiQuad(sgn))
+            continue
+        # a real eigenvalue adds |root| to Delta and sign(root) to Sigma
+        for root, proj in pairs:
+            sgn = root.sign()
+            delta = delta + proj * (root * sgn)
+            sigma = sigma + proj * sgn
+            _record(delta_eigen, root * sgn)
+            _record(sigma_lin, MultiQuad(sgn))
     U = DenseMatrix.identity(n) + inverse(sn.semisimple) @ sn.nilpotent
     dsu = DeltaSigmaU(
         delta=delta,
@@ -144,9 +151,70 @@ def complete_mjc(M: DenseMatrix) -> DeltaSigmaU:
     return attach_report(dsu, verify_cmjc(M, dsu))
 
 
+def split_real_pair(
+    factor: Polynomial, E: DenseMatrix, S: DenseMatrix
+) -> Tuple[int, Tuple[Tuple[MultiQuad, DenseMatrix], ...]]:
+    """Spectral projectors of a real pair from its rational E_i(M), S_i(M).
+
+    ``factor`` is X^2 + pX + q with a positive nonsquare discriminant,
+    and E, S are its class projector and semisimple witness at M.
+    Returns the squarefree d of :func:`mindec.covariant.quadratic_roots`
+    and the pairs (lambda+, P+), (lambda-, P-), the +sqrt(d) branch first.
+    """
+    d, lam_plus, lam_minus = quadratic_roots(factor)
+    inv_t = (lam_plus - lam_minus).inverse()
+    E, S = _mq(E), _mq(S)
+    return d, (
+        (lam_plus, (S - E * lam_minus) * inv_t),
+        (lam_minus, (E * lam_plus - S) * inv_t),
+    )
+
+
 def _record(values: List[MultiQuad], v: MultiQuad):
     if v not in values:
         values.append(v)
+
+
+def _linear(v) -> Polynomial:
+    return Polynomial((-v, MultiQuad(1)))
+
+
+def _is_real(x) -> bool:
+    return all(label > 0 for label in MultiQuad(x).radicands)
+
+
+def _is_real_irreducible_quadratic(quad: Polynomial) -> bool:
+    c = quad.coeffs
+    return (
+        len(c) == 3
+        and all(map(_is_real, c))
+        and mq_sign(MultiQuad(c[1] * c[1] - 4 * c[2] * c[0])) == -1
+    )
+
+
+def _is_minimal_polynomial(A: DenseMatrix, factors: List[Polynomial]) -> bool:
+    """Whether the product p of ``factors`` is the minimal polynomial of
+    A, each factor r being irreducible over a field that holds A's
+    entries and the coefficients: p(A) = 0 and (p / r)(A) != 0 for every
+    listed r.  The r(A) commute, so each (p / r)(A) is a prefix times a
+    suffix product."""
+    at = [horner_eval(r, A) for r in factors]
+    k = len(at)
+    # before[j] = r_0(A)...r_{j-1}(A), after[j] = r_{j+1}(A)...r_{k-1}(A);
+    # None stands for the empty product
+    before, after = [None] * k, [None] * k
+    for j in range(1, k):
+        before[j] = _times(before[j - 1], at[j - 1])
+        after[-1 - j] = _times(at[-j], after[-j])
+    return (
+        k > 0
+        and _times(before[-1], at[-1]).is_zero
+        and all(c is None or not c.is_zero for c in map(_times, before, after))
+    )
+
+
+def _times(A: Optional[DenseMatrix], B: Optional[DenseMatrix]) -> Optional[DenseMatrix]:
+    return B if A is None else A if B is None else A @ B
 
 
 def verify_cmjc(M: DenseMatrix, dsu: DeltaSigmaU) -> VerificationReport:
@@ -166,29 +234,30 @@ def verify_cmjc(M: DenseMatrix, dsu: DeltaSigmaU) -> VerificationReport:
     )
     ident = DenseMatrix.identity(n)
     report.add("unipotence", "(U - I)^n = 0", ((U - ident) ** n).is_zero)
-    expected_delta = Polynomial((MultiQuad(1),))
-    for v in dsu.delta_spectrum:
-        expected_delta = expected_delta * Polynomial((-v, MultiQuad(1)))
     report.add(
         "delta-spectrum",
         "minimal polynomial of Delta is the product of (X - v) over the "
         "distinct class norms v",
-        minimal_polynomial(delta) == expected_delta,
+        _is_minimal_polynomial(_mq(delta), [_linear(v) for v in dsu.delta_spectrum]),
     )
     report.add(
         "delta-positive",
         "every eigenvalue of Delta has sign +1",
         all(v.sign() == 1 for v in dsu.delta_spectrum),
     )
-    expected_sigma = Polynomial((MultiQuad(1),))
-    for v in dsu.sigma_linear:
-        expected_sigma = expected_sigma * Polynomial((-v, MultiQuad(1)))
-    for quad in dsu.sigma_quadratics:
-        expected_sigma = expected_sigma * quad
+    # real entries and coefficients, and a negative discriminant for each
+    # quadratic, make every listed factor irreducible over the entry field
+    sigma = _mq(sigma)
+    irreducible = all(map(_is_real, chain(*sigma.rows, dsu.sigma_linear))) and all(
+        map(_is_real_irreducible_quadratic, dsu.sigma_quadratics)
+    )
     report.add(
         "sigma-spectrum",
         "minimal polynomial of Sigma is the product of its norm-1 factors",
-        minimal_polynomial(sigma) == expected_sigma,
+        irreducible
+        and _is_minimal_polynomial(
+            sigma, [_linear(v) for v in dsu.sigma_linear] + list(dsu.sigma_quadratics)
+        ),
     )
     report.add(
         "sigma-norm-one",
@@ -256,14 +325,13 @@ def svd(A: DenseMatrix) -> SVDResult:
     if not eigen:
         # A nonzero with A^T A = 0 cannot happen over the rationals
         raise RuntimeError("nonzero matrix with zero Gram spectrum")
-    A_mq = _mq(A)
     terms = []
     radicands = set()
     for value, i in eigen:
         sigma_i = mq_sqrt_rational(value)
         radicands.update(sigma_i.radicands)
         P_i = horner_eval(system.e_polys[i], gram)
-        terms.append(SVDTerm(sigma=sigma_i, matrix=A_mq @ _mq(P_i) * sigma_i.inverse()))
+        terms.append(SVDTerm(sigma=sigma_i, matrix=_mq(A @ P_i) * sigma_i.inverse()))
     result = SVDResult(terms=tuple(terms), radicands=tuple(sorted(radicands)))
     return attach_report(result, verify_svd_system(A, result))
 

@@ -74,6 +74,7 @@ from mindec.poly import (
 )
 from mindec.realclosed import (
     complete_mjc,
+    split_real_pair,
     svd,
     symmetric_spectral_check,
     verify_svd_uniqueness,
@@ -236,9 +237,24 @@ def criterion_matfun(count: int = 100) -> CriterionResult:
 # -- criterion 5: Delta Sigma U ---------------------------------------
 
 
+def real_pair_splits(M: DenseMatrix):
+    """For every real-pair class of M, the projectors of split_real_pair
+    and the generic-root split of the class evaluated at M."""
+    system = system_of(M)
+    M_mq = M.map_entries(MultiQuad)
+    for i, (factor, _) in enumerate(system.factored.factors):
+        p, q = factor.coefficient(1), factor.coefficient(0)
+        if factor.degree == 2 and p * p > 4 * q:
+            E_i = horner_eval(system.e_polys[i], M)
+            d, pairs = split_real_pair(factor, E_i, horner_eval(system.s_polys[i], M))
+            split = split_covariants_over_extension(system, i, d)
+            yield pairs, tuple((lam, horner_eval(cov, M_mq)) for lam, cov in split)
+
+
 def criterion_cmjc(count: int = 50) -> CriterionResult:
     t0 = perf_counter()
     failures = []
+    pairs = 0
     for k in range(count):
         M = random_invertible_quadratic(f"mjc-{k}").matrix
         dsu = complete_mjc(M)  # raises on any failed identity
@@ -250,7 +266,17 @@ def criterion_cmjc(count: int = 50) -> CriterionResult:
         )
         if not ok:
             failures.append(f"mjc-{k}")
-    return _result(5, "complete multiplicative decomposition", t0, failures, f"{count} matrices")
+        for ours, oracle in real_pair_splits(M):
+            pairs += 1
+            if ours != oracle:
+                failures.append(f"mjc-{k} real pair (generic split)")
+    return _result(
+        5,
+        "complete multiplicative decomposition",
+        t0,
+        failures,
+        f"{count} matrices, {pairs} real pairs against the generic split",
+    )
 
 
 # -- criterion 6: singular value systems ------------------------------

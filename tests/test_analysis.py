@@ -95,17 +95,18 @@ class TestWorkPerRequest:
 
     def test_spectral_check_computes_the_minimal_polynomial_once(self, monkeypatch):
         A = DenseMatrix([[2, 1, 0], [1, 2, 0], [0, 0, 3]])
-        in_decompose = _record_calls(monkeypatch, decompose_mod, "minimal_polynomial")
-        in_realclosed = _record_calls(monkeypatch, realclosed_mod, "minimal_polynomial")
+        calls = _record_calls(monkeypatch, decompose_mod, "minimal_polynomial")
         report = symmetric_spectral_check(A)
         assert report.passed
         assert "projectors-symmetric" in {c.name for c in report.checks}
-        assert sum(1 for (B,) in in_decompose + in_realclosed if B is A) == 1
+        # realclosed computes no minimal polynomial of its own
+        assert not hasattr(realclosed_mod, "minimal_polynomial")
+        assert sum(1 for (B,) in calls if B is A) == 1
 
 
 class TestGenericCovariantsOffTheHotPath:
-    """The rational witnesses serve every request; a generic covariant
-    is built only for a quadratic factor that cmjc splits."""
+    """The rational witnesses serve every request; no command builds a
+    generic covariant, not even cmjc for a real quadratic pair."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -119,14 +120,15 @@ class TestGenericCovariantsOffTheHotPath:
         assert json.loads(out)["report"]["pass"] is True
         assert calls == []
 
-    def test_cmjc_builds_one_for_the_split_factor(self, monkeypatch):
+    def test_cmjc_builds_none(self, monkeypatch):
         # factors X - 2, X^2 - 2 (real roots, split) and X^2 + 1 (not split)
         M = companion(((X - 2 * ONE) * (X * X - 2 * ONE) * (X * X + ONE)).monic())
         calls = _record_calls(monkeypatch, covariant_mod, "build_generic_covariant")
         code, out, err = run_cli(["cmjc", "--check"], input_text=_document(M))
         assert code == 0, err
         assert json.loads(out)["report"]["pass"] is True
-        assert [index for _, index in calls] == [1]
+        assert json.loads(out)["radicands"] == [2]
+        assert calls == []
 
 
 class TestChecksAfterCaching:

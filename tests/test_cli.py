@@ -32,6 +32,27 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err)["error"] == "FormatError"
 
+    @pytest.mark.parametrize(
+        "text", ["[" * 200_000, '{"entries": [[' + '{"2": ' * 5000], ids=["arrays", "objects"]
+    )
+    def test_deeply_nested_json_is_a_format_error(self, text):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(["sn"], input_text=text)
+        assert time.perf_counter() - t0 < 2.0
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "FormatError"
+
+    def test_unexpected_exception_is_one_json_object(self, monkeypatch):
+        def broken(M):
+            raise KeyError("planted")
+
+        monkeypatch.setattr(cli, "sn_decompose", broken)
+        code, out, err = run_cli(["sn"], input_text=IDENTITY_2)
+        assert (code, out) == (4, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "KeyError", "message": "'planted'"}
+
     def test_malformed_document_is_two(self):
         code, _, err = run_cli(["fine"], input_text='{"entries": [["1","2"],["3"]]}')
         assert code == 2
@@ -162,8 +183,10 @@ DEEP = "(" * 5000 + "X" + ")" * 5000
         ["apply", "--poly", "X^200000"],
         ["apply", "--poly", "(X^2+1)^600"],
         ["gen", "--seed", "s", "--blocks", "X-1;(X^600)(X^401)"],
+        ["apply", "--poly", "(X+2^1000)^200"],
     ],
-    ids=["apply-deep", "gen-deep", "apply-power", "apply-power-degree", "gen-product"],
+    ids=["apply-deep", "gen-deep", "apply-power", "apply-power-degree", "gen-product",
+         "apply-power-bits"],
 )
 def test_polynomial_argument_is_bounded(argv):
     t0 = time.perf_counter()

@@ -16,7 +16,7 @@ from oracles import (
     plain_poly_at,
 )
 
-from mindec.errors import SingularMatrix
+from mindec.errors import FieldMismatch, SingularMatrix
 from mindec.matrix import (
     DenseMatrix,
     commute,
@@ -145,6 +145,15 @@ class TestMinimalPolynomial:
     def test_companion_realizes_its_polynomial(self):
         p = (Polynomial((-2, 0, 1)) * Polynomial((1, 1)) ** 2).monic()
         assert minimal_polynomial(companion(p)) == p
+
+    def test_other_entry_fields_are_refused(self):
+        sqrt2 = MultiQuad({2: 1})
+        A = DenseMatrix([[sqrt2, MultiQuad(1)], [MultiQuad(0), sqrt2]])
+        with pytest.raises(FieldMismatch):
+            minimal_polynomial(A)
+        # a MultiQuad matrix with rational values is still not rational
+        with pytest.raises(FieldMismatch):
+            minimal_polynomial(DenseMatrix.identity(2).map_entries(MultiQuad))
 
 
 class TestCompanion:

@@ -1,5 +1,6 @@
 """Positive/norm-one/unipotent splits and exact singular value systems."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from mindec.errors import (
     SingularValuesNotRational,
     ZeroMatrix,
 )
-from mindec.generator import random_gram_friendly, random_invertible_quadratic
+from mindec.generator import blocks_matrix, random_gram_friendly, random_invertible_quadratic
 from mindec.matrix import DenseMatrix, companion, minimal_polynomial, rank
 from mindec.poly import Polynomial, X
 from mindec.realclosed import (
@@ -26,6 +27,7 @@ from mindec.scalar import MultiQuad, mq_sign
 
 
 SQRT2 = MultiQuad({2: 1})
+ONE = Polynomial((1,))
 
 
 def mqm(M):
@@ -97,6 +99,116 @@ class TestCompleteMjc:
 
         bad = dataclasses.replace(dsu, delta=dsu.delta * MultiQuad(2))
         assert not verify_cmjc(M, bad).passed
+
+
+I_SQRT = MultiQuad({-1: 1})
+
+
+def _spectrum_failures(M, dsu):
+    failed = {c.name for c in verify_cmjc(M, dsu).failed_checks()}
+    return failed & {"delta-spectrum", "sigma-spectrum"}
+
+
+class TestSpectrumCertificate:
+    """verify_cmjc certifies minpoly(Delta) and minpoly(Sigma) by
+    evaluation: p(A) = 0, (p / r)(A) != 0 for each listed factor r, and
+    for Sigma real entries and coefficients with negative quadratic
+    discriminants, so that every r is irreducible over the entries."""
+
+    # X - 2, X^2 - 2 (real pair) and X^2 + 1 (complex pair): Delta has
+    # eigenvalues 2, sqrt(2), 1 and Sigma has 1, -1 and X^2 + 1
+    M = companion(((X - 2 * ONE) * (X * X - 2 * ONE) * (X * X + ONE)).monic())
+
+    def _dsu(self):
+        dsu = complete_mjc(self.M)
+        assert len(dsu.delta_spectrum) == 3
+        assert dsu.sigma_linear == (MultiQuad(1), MultiQuad(-1))
+        assert dsu.sigma_quadratics == (Polynomial((MultiQuad(1), MultiQuad(0), MultiQuad(1))),)
+        return dsu
+
+    def test_honest_result_passes(self):
+        assert _spectrum_failures(self.M, self._dsu()) == set()
+
+    @pytest.mark.parametrize("field", ["delta_spectrum", "sigma_linear"])
+    def test_dropped_value_fails(self, field):
+        dsu = self._dsu()
+        bad = replace(dsu, **{field: getattr(dsu, field)[1:]})
+        assert _spectrum_failures(self.M, bad) == {field.split("_")[0] + "-spectrum"}
+
+    @pytest.mark.parametrize("field", ["delta_spectrum", "sigma_linear"])
+    def test_extra_value_fails(self, field):
+        dsu = self._dsu()
+        bad = replace(dsu, **{field: getattr(dsu, field) + (MultiQuad(7),)})
+        assert _spectrum_failures(self.M, bad) == {field.split("_")[0] + "-spectrum"}
+
+    @pytest.mark.parametrize("field", ["delta_spectrum", "sigma_linear"])
+    def test_duplicated_value_fails(self, field):
+        dsu = self._dsu()
+        values = getattr(dsu, field)
+        bad = replace(dsu, **{field: values + values[:1]})
+        assert _spectrum_failures(self.M, bad) == {field.split("_")[0] + "-spectrum"}
+
+    def test_extra_quadratic_fails(self):
+        dsu = self._dsu()
+        quad = Polynomial((MultiQuad(1), MultiQuad(1), MultiQuad(1)))
+        bad = replace(dsu, sigma_quadratics=dsu.sigma_quadratics + (quad,))
+        assert _spectrum_failures(self.M, bad) == {"sigma-spectrum"}
+
+    def test_quadratic_with_positive_discriminant_fails(self):
+        # (X - 1)(X + 1) listed as one factor: p(Sigma) = 0 and each
+        # cofactor is nonzero, but the factor is reducible, so the
+        # evaluation alone would not prove minpoly = p
+        dsu = self._dsu()
+        one = MultiQuad(1)
+        reducible = Polynomial((MultiQuad(-1), MultiQuad(0), one))
+        bad = replace(dsu, sigma_linear=(), sigma_quadratics=dsu.sigma_quadratics + (reducible,))
+        assert _spectrum_failures(self.M, bad) == {"sigma-spectrum"}
+        # the same, with (X + 1)(X - 5): p(Sigma) = 0 and no cofactor
+        # vanishes, yet the minimal polynomial has no root 5
+        spurious = Polynomial((MultiQuad(-5), MultiQuad(-4), one))
+        bad = replace(dsu, sigma_linear=(one,), sigma_quadratics=dsu.sigma_quadratics + (spurious,))
+        assert _spectrum_failures(self.M, bad) == {"sigma-spectrum"}
+
+    def test_non_real_sigma_entry_fails(self):
+        # Sigma = i I has minimal polynomial X - i, yet X^2 + 1 vanishes
+        # at it and has no proper cofactor: only the realness test
+        # rejects the listing
+        M = companion(X * X + ONE)
+        dsu = complete_mjc(M)
+        assert (dsu.sigma_linear, len(dsu.sigma_quadratics)) == ((), 1)
+        bad = replace(dsu, sigma=DenseMatrix.scaled_identity(2, I_SQRT))
+        assert "sigma-spectrum" in _spectrum_failures(M, bad)
+
+    def test_non_real_coefficient_fails(self):
+        # Sigma = I and the listing (X - 1)(X - i) = X^2 - (1 + i) X + i:
+        # it vanishes at I with no proper cofactor, but its coefficients
+        # are not real, so it is not irreducible over the entries
+        M = DenseMatrix([[2, 0], [0, 3]])
+        dsu = complete_mjc(M)
+        assert dsu.sigma_linear == (MultiQuad(1),)
+        quad = Polynomial((I_SQRT, -MultiQuad(1) - I_SQRT, MultiQuad(1)))
+        bad = replace(dsu, sigma_linear=(), sigma_quadratics=(quad,))
+        assert _spectrum_failures(M, bad) == {"sigma-spectrum"}
+
+    @pytest.mark.parametrize(
+        "listing",
+        [(1, 2, -3), (1, 1, 2, -3), (1, 2), (1, 1, 1, 2, -3), (1, 2, -3, 5), (2, -3)],
+    )
+    def test_agrees_with_the_krylov_minimal_polynomial(self, listing):
+        # a Delta slot holding a rational, non-semisimple matrix with
+        # minimal polynomial (X - 1)^2 (X - 2)(X + 3): the certificate
+        # holds exactly when the listed product is that polynomial
+        blocks = [(X - ONE) ** 2, X - ONE, X - 2 * ONE, X + 3 * ONE]
+        A = blocks_matrix(blocks, "cert").matrix
+        dsu = self._dsu()
+        values = tuple(MultiQuad(v) for v in listing)
+        expected = ONE
+        for v in listing:
+            expected = expected * (X - v * ONE)
+        candidate = replace(dsu, delta=A.map_entries(MultiQuad), delta_spectrum=values)
+        certified = "delta-spectrum" not in _spectrum_failures(A, candidate)
+        assert certified == (minimal_polynomial(A) == expected)
+        assert certified == (listing == (1, 1, 2, -3))
 
 
 class TestSvd:

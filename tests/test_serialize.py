@@ -14,6 +14,7 @@ from mindec.matrix import DenseMatrix
 from mindec.poly import Polynomial, X
 from mindec.scalar import MultiQuad
 from mindec.serialize import (
+    MAX_POLY_BITS,
     MAX_POLY_DEGREE,
     MAX_POLY_NESTING,
     MatrixDocument,
@@ -235,6 +236,18 @@ class TestPolyGrammar:
         depth = MAX_POLY_NESTING
         assert parse_poly_expression("(" * depth + "X" + ")" * depth) == X
 
+    def test_bit_bound_is_inclusive(self):
+        # 2^k counts k bits, and a power or product adds the bounds up
+        half = MAX_POLY_BITS // 2
+        p = parse_poly_expression(f"(2^1000*2^{half - 1000})^2")
+        assert p == Polynomial((2**MAX_POLY_BITS,))
+        with pytest.raises(PolyParseError, match="bits"):
+            parse_poly_expression(f"(2^1000*2^{half - 999})^2")
+        t0 = time.perf_counter()
+        p = parse_poly_expression(f"(X+2^1000*2^{half - 1001})^2")
+        assert time.perf_counter() - t0 < 2.0
+        assert p.coefficient(0) == 2 ** (MAX_POLY_BITS - 2)
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -247,9 +260,13 @@ class TestPolyGrammar:
             ("(" * (MAX_POLY_NESTING + 1) + "X" + ")" * (MAX_POLY_NESTING + 1), "nested"),
             ("(" * 5000 + "X" + ")" * 5000, "nested"),
             ("-(" * 5000 + "X" + ")" * 5000, "nested"),
+            ("(X+2^1000)^200", "bits"),
+            ("((2^1000)^1000)^1000", "bits"),
+            ("(2^1000)(2^1000)(2^1000)", "bits"),
         ],
         ids=["exp-bound", "exp-large", "exp-constant", "power", "product", "product-star",
-             "nesting-bound", "nesting-5000", "nesting-signed"],
+             "nesting-bound", "nesting-5000", "nesting-signed", "bits-power",
+             "bits-nested-power", "bits-product"],
     )
     def test_bounds_are_checked_before_expanding(self, text, message):
         t0 = time.perf_counter()
