@@ -30,6 +30,7 @@ from mindec.errors import (
     FactorDegreeTooHigh,
     FieldMismatch,
     FormatError,
+    InvariantViolation,
     MindecError,
     MixedModuli,
     NonPositiveRadicand,
@@ -156,6 +157,7 @@ __all__ = [
     "FineDecomposition",
     "FormatError",
     "GenericCovariant",
+    "InvariantViolation",
     "MatFunResult",
     "MatrixDocument",
     "MindecError",

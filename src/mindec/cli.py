@@ -7,8 +7,10 @@ identities and exits with status 4 if any check fails.  Exit codes:
 0 success, 2 malformed input or arguments (JSON nested too deeply
 included), or an unusable MINDEC_DEGREE_CAP, 3 violated precondition
 (singular matrix, irrational singular values, ...), 4 failed
-verification, a failed internal invariant (RuntimeError) or any other
-unexpected exception.  Every error is one JSON object on standard
+verification, a failed internal invariant (InvariantViolation, a
+RuntimeError: a constructor's own result failed its verifier, or an
+iteration or spectrum broke a property every valid input has) or any
+other unexpected exception.  Every error is one JSON object on standard
 error, {"error": <exception class>, "message": <text>}, never a
 traceback.
 """
@@ -64,7 +66,9 @@ def _load_matrix(args):
         text = sys.stdin.read()
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and a number literal longer
+        # than the interpreter converts
         raise FormatError(f"input is not valid JSON: {exc}") from None
     return document_from_json(data).matrix
 
@@ -345,7 +349,7 @@ def main(argv=None) -> int:
         return _fail(exc, 3)
     except (ValueError, OSError) as exc:
         return _fail(exc, 2)
-    except Exception as exc:  # RuntimeError from an internal invariant, or a bug
+    except Exception as exc:  # InvariantViolation, or a bug
         return _fail(exc, 4)
 
 

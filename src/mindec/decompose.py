@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from mindec.covariant import CovariantSystem, build_covariant_system
-from mindec.errors import NotSemisimple, SingularMatrix, ZeroMatrix
+from mindec.errors import InvariantViolation, NotSemisimple, SingularMatrix, ZeroMatrix
 from mindec.factor import factor_rational
 from mindec.matrix import (
     DenseMatrix,
@@ -144,7 +144,7 @@ def sn_newton_oracle(M: DenseMatrix, max_rounds: int = 40) -> DenseMatrix:
         if value.is_zero:
             return Z
         Z = Z - value @ inverse(horner_eval(dg, Z))
-    raise RuntimeError("Newton iteration did not stabilize")
+    raise InvariantViolation("Newton iteration did not stabilize")
 
 
 def verify_sn(M: DenseMatrix, sn: SNDecomposition) -> VerificationReport:
@@ -310,7 +310,7 @@ def multiplicative_jc(M: DenseMatrix) -> MultiplicativeJC:
     S is the semisimple part, U = I + S^-1 N is unipotent; M must be
     nonsingular (SingularMatrix otherwise).  verify_mjc runs once on
     the result, which carries the report as ``report``; a failed check
-    raises RuntimeError.
+    raises InvariantViolation.
     """
     sn = sn_decompose(M)
     if sn.system.factored.zero_index is not None:

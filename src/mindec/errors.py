@@ -3,7 +3,9 @@
 Every error raised on a violated precondition derives from
 :class:`MindecError`, so callers (the command line driver in particular)
 can distinguish "the input does not satisfy the contract" from a plain
-bug.
+bug.  A failed internal invariant raises :class:`InvariantViolation`,
+which is a RuntimeError and deliberately not a MindecError: the input
+met the contract, so the fault is the library's.
 """
 
 
@@ -101,3 +103,10 @@ class PolyParseError(FormatError):
 
 class UsageError(FormatError):
     """Command line arguments that mindec cannot parse."""
+
+
+class InvariantViolation(RuntimeError):
+    """A result the library built fails a property that holds for every
+    valid input: a failed verification of a constructor's own result, a
+    Newton iteration that does not stabilize, a Gram matrix that is not
+    semisimple or not positive semidefinite."""

@@ -26,7 +26,7 @@ from typing import List, Tuple
 
 from mindec.covariant import CovariantSystem
 from mindec.decompose import FineComponent, FineDecomposition, sn_decompose, system_of
-from mindec.errors import NotSemisimple
+from mindec.errors import InvariantViolation, NotSemisimple
 from mindec.factor import FactoredMinPoly
 from mindec.matrix import DenseMatrix, horner_eval, minimal_polynomial
 from mindec.poly import Polynomial, X, compose_mod
@@ -176,7 +176,7 @@ def fine_of_image(f: Polynomial, M: DenseMatrix) -> FineDecomposition:
         while not power.is_zero:
             mult += 1
             if mult > M.n:
-                raise RuntimeError("class nilpotent is not nilpotent")
+                raise InvariantViolation("class nilpotent is not nilpotent")
             power = power @ N_c
         if cls.image == X:
             zero_index = pos

@@ -10,9 +10,20 @@ common denominator, with no factor common to the denominator and every
 entry; that form is unique, so equality compares integers.  Products,
 sums, Horner steps, the Krylov minimal polynomial and elimination
 (fraction-free, in :mod:`mindec._kernel`) run on those integers.
-Fraction entries are built only when ``rows`` or ``entry`` is read, and
-kept.  Other entry fields use the generic code paths, except the
-minimal polynomial: it is computed for rational matrices only (the
+
+A matrix over Q(sqrt(d1), ...) (MultiQuad entries, possibly mixed with
+Fractions) is stored the same way, as sum(sqrt(label) * A_label) over
+one positive denominator: integer parts A_label keyed by squarefree
+label, all-zero parts dropped and no factor common to the denominator
+and every part.  The rational form is its label-1 case.  A product is
+one integer ``mat_mul`` per pair of labels, combined through
+sqrt(a) * sqrt(b) = coef * sqrt(label); sums, scalar multiples,
+transposes, equality and Horner steps run on the parts too.
+
+Fraction or MultiQuad entries are built only when ``rows`` or ``entry``
+is read, and kept.  Number field entries use the generic entrywise
+code paths, as do elimination and rank over MultiQuad entries.  The
+minimal polynomial is computed for rational matrices only (the
 real-closed verifiers certify theirs by evaluation instead).
 """
 
@@ -22,12 +33,21 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from mindec import _kernel
 from mindec.errors import FieldMismatch, SingularMatrix
 from mindec.poly import ONE, Polynomial, poly_lcm
-from mindec.scalar import MultiQuad, NumberFieldElement, cleared_row, one_like
+from mindec.scalar import (
+    MultiQuad,
+    NumberFieldElement,
+    _label_mul,
+    cleared_row,
+    one_like,
+)
+
+#: a matrix over Q(sqrt(d1), ...): ({label: integer rows}, denominator)
+Parts = Tuple[Dict[int, tuple], int]
 
 
 def _norm_entry(e):
@@ -63,11 +83,14 @@ class DenseMatrix:
 
     A rational matrix holds ``_num`` (integer rows) over ``_den`` and
     builds ``_rows`` (Fractions) on demand; a matrix built from Fraction
-    rows computes its integer form on first arithmetic use instead.
-    Other matrices hold ``_rows`` only.
+    rows computes its integer form on first arithmetic use instead.  A
+    MultiQuad matrix holds ``_parts`` ({label: integer rows}) over
+    ``_den`` and builds ``_rows`` (MultiQuads) on demand; one built from
+    rows computes its parts at construction.  Other matrices hold
+    ``_rows`` only.
     """
 
-    __slots__ = ("n", "_rows", "_num", "_den", "_rat", "_analysis")
+    __slots__ = ("n", "_rows", "_num", "_den", "_parts", "_rat", "_analysis")
 
     def __init__(self, rows: Sequence[Sequence]):
         rs = tuple(tuple(_norm_entry(e) for e in row) for row in rows)
@@ -77,7 +100,11 @@ class DenseMatrix:
         self.n = n
         self._rows = rs
         self._num = None
-        self._rat = all(type(e) is Fraction for r in rs for e in r)
+        self._parts = None
+        kinds = {type(e) for r in rs for e in r}
+        self._rat = kinds == {Fraction}
+        if MultiQuad in kinds and kinds <= {Fraction, MultiQuad}:
+            self._parts, self._den = _parts_of_rows(rs)
 
     @classmethod
     def _of_ints(cls, num, den: int) -> "DenseMatrix":
@@ -87,7 +114,20 @@ class DenseMatrix:
         m._rows = None
         m._num = num
         m._den = den
+        m._parts = None
         m._rat = True
+        return m
+
+    @classmethod
+    def _of_parts(cls, n: int, parts: Dict[int, tuple], den: int) -> "DenseMatrix":
+        # sum(sqrt(label) * part) / den, already canonical (see _mq_reduced)
+        m = object.__new__(cls)
+        m.n = n
+        m._rows = None
+        m._num = None
+        m._den = den
+        m._parts = parts
+        m._rat = False
         return m
 
     @classmethod
@@ -102,16 +142,21 @@ class DenseMatrix:
     def scaled_identity(cls, n: int, c) -> "DenseMatrix":
         if isinstance(c, (int, Fraction)):
             return cls._of_ints(_int_identity(n, c.numerator), c.denominator)
+        if isinstance(c, MultiQuad):
+            return cls.identity(n) * c
         return cls([[c if i == j else Fraction(0) for j in range(n)] for i in range(n)])
 
     @property
     def rows(self) -> Tuple[tuple, ...]:
-        """The entries as a tuple of row tuples; for a rational matrix,
-        reduced Fractions built on first access and kept."""
+        """The entries as a tuple of row tuples; for a rational matrix
+        reduced Fractions, for a MultiQuad matrix MultiQuads, built on
+        first access and kept."""
         rows = self._rows
         if rows is None:
             d = self._den
-            if d == 1:
+            if self._parts is not None:
+                rows = _rows_of_parts(self.n, self._parts, d)
+            elif d == 1:
                 rows = tuple(tuple(map(Fraction, r)) for r in self._num)
             else:
                 rows = tuple(tuple(Fraction(x, d) for x in r) for r in self._num)
@@ -128,9 +173,36 @@ class DenseMatrix:
             self._den = d
         return num, self._den
 
+    def _labelled(self) -> Optional[Parts]:
+        """(parts, denominator) of a rational or MultiQuad matrix, a
+        rational one being its label-1 part; None for other entries."""
+        if self._rat:
+            num, den = self._ints()
+            return ({1: num} if any(map(any, num)) else {}), den
+        if self._parts is not None:
+            return self._parts, self._den
+        return None
+
     @property
     def is_rational(self) -> bool:
         return self._rat
+
+    @property
+    def labels(self) -> Tuple[int, ...]:
+        """Sorted squarefree labels of the nonzero parts of a rational or
+        MultiQuad matrix; a rational matrix has (1,) or, if zero, ()."""
+        form = self._labelled()
+        if form is None:
+            raise FieldMismatch("labels need rational or MultiQuad entries")
+        return tuple(sorted(form[0]))
+
+    def as_multiquad(self) -> "DenseMatrix":
+        """This rational or MultiQuad matrix with MultiQuad entries: the
+        same parts, so a rational matrix becomes its label-1 form."""
+        form = self._labelled()
+        if form is None:
+            raise FieldMismatch("expected rational or MultiQuad entries")
+        return DenseMatrix._of_parts(self.n, *form)
 
     @property
     def analysis(self) -> MatrixAnalysis:
@@ -146,6 +218,8 @@ class DenseMatrix:
     def is_zero(self) -> bool:
         if self._rat:
             return not any(map(any, self._ints()[0]))
+        if self._parts is not None:
+            return not self._parts
         return all(not e for r in self.rows for e in r)
 
     def map_entries(self, fn: Callable) -> "DenseMatrix":
@@ -155,6 +229,10 @@ class DenseMatrix:
         if self._rat:
             num, den = self._ints()
             return DenseMatrix._of_ints(tuple(zip(*num)), den)
+        if self._parts is not None:
+            return DenseMatrix._of_parts(
+                self.n, {l: tuple(zip(*p)) for l, p in self._parts.items()}, self._den
+            )
         return DenseMatrix(list(zip(*self.rows)))
 
     def trace(self):
@@ -175,29 +253,23 @@ class DenseMatrix:
             return NotImplemented
         if self._rat and other._rat:
             return _rational_combine(self, other, add)
-        return DenseMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        return _combine(self, other, add)
 
     def __sub__(self, other):
         if not isinstance(other, DenseMatrix):
             return NotImplemented
         if self._rat and other._rat:
             return _rational_combine(self, other, sub)
-        return DenseMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        return _combine(self, other, sub)
 
     def __neg__(self):
         if self._rat:
             num, den = self._ints()
             return DenseMatrix._of_ints(tuple(tuple(-x for x in r) for r in num), den)
+        parts = self._parts
+        if parts is not None:
+            neg = {l: tuple(tuple(-x for x in r) for r in p) for l, p in parts.items()}
+            return DenseMatrix._of_parts(self.n, neg, self._den)
         return self.map_entries(lambda e: -e)
 
     def __mul__(self, scalar):
@@ -209,12 +281,16 @@ class DenseMatrix:
             return _reduced(
                 tuple(tuple(p * x for x in r) for r in num), den * scalar.denominator
             )
+        if isinstance(scalar, (int, Fraction, MultiQuad)):
+            form = self._labelled()
+            if form is not None:
+                return _mq_scaled(self.n, form, _scalar_parts(scalar))
         return self.map_entries(lambda e: e * scalar)
 
     def __rmul__(self, scalar):
         if isinstance(scalar, DenseMatrix):
             return NotImplemented
-        if self._rat and isinstance(scalar, (int, Fraction)):
+        if isinstance(scalar, (int, Fraction, MultiQuad)):
             return self * scalar
         return self.map_entries(lambda e: scalar * e)
 
@@ -227,20 +303,18 @@ class DenseMatrix:
             an, ad = self._ints()
             bn, bd = other._ints()
             return _reduced(_kernel.mat_mul(an, bn), ad * bd)
-        n = self.n
-        brows = other.rows
-        out = []
-        for ra in self.rows:
-            row = []
-            for j in range(n):
-                acc = ra[0] * brows[0][j]
-                for t in range(1, n):
-                    a = ra[t]
-                    if a:
-                        acc = acc + a * brows[t][j]
-                row.append(acc)
-            out.append(row)
-        return DenseMatrix(out)
+        a, b = self._labelled(), other._labelled()
+        if a is None or b is None:
+            return _entrywise_matmul(self, other)
+        (ap, ad), (bp, bd) = a, b
+        terms: Dict[int, list] = {}
+        for la, A in ap.items():
+            for lb, B in bp.items():
+                coef, lbl = _label_mul(la, lb)
+                terms.setdefault(lbl, []).append((coef, _kernel.mat_mul(A, B)))
+        return _mq_reduced(
+            self.n, {lbl: _lincomb(t) for lbl, t in terms.items()}, ad * bd
+        )
 
     def __pow__(self, k: int) -> "DenseMatrix":
         if k < 0:
@@ -263,8 +337,12 @@ class DenseMatrix:
         if self._rat and other._rat:
             # the reduced integer form is unique
             return self._ints() == other._ints()
+        a, b = self._labelled(), other._labelled()
+        if a is not None and b is not None:
+            # so is the reduced form over labels
+            return a == b
         return all(
-            a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
+            x == y for ra, rb in zip(self.rows, other.rows) for x, y in zip(ra, rb)
         )
 
     def __repr__(self):
@@ -303,6 +381,130 @@ def _rational_combine(A: DenseMatrix, B: DenseMatrix, op) -> DenseMatrix:
         ),
         den,
     )
+
+
+# -- the MultiQuad form ---------------------------------------------------
+
+
+def _coords(e) -> Dict[int, Fraction]:
+    # {label: coefficient} of a Fraction or MultiQuad entry
+    if type(e) is MultiQuad:
+        return e._coords
+    return {1: e} if e else {}
+
+
+def _parts_of_rows(rows) -> Tuple[Dict[int, tuple], int]:
+    """(parts, den) of rows of Fraction and MultiQuad entries.  den is
+    the lcm of the reduced coordinate denominators, so no factor is
+    common to den and every part, and only nonzero parts arise."""
+    n = len(rows)
+    coords = [[_coords(e) for e in r] for r in rows]
+    den = lcm(*(c.denominator for r in coords for e in r for c in e.values()))
+    parts: Dict[int, list] = {}
+    for i, r in enumerate(coords):
+        for j, e in enumerate(r):
+            for lbl, c in e.items():
+                part = parts.get(lbl)
+                if part is None:
+                    part = parts[lbl] = [[0] * n for _ in range(n)]
+                part[i][j] = c.numerator * (den // c.denominator)
+    return {lbl: tuple(map(tuple, p)) for lbl, p in sorted(parts.items())}, den
+
+
+def _rows_of_parts(n: int, parts: Dict[int, tuple], den: int) -> Tuple[tuple, ...]:
+    # entry (i, j) is the MultiQuad sum(sqrt(label) * part[i][j]) / den
+    items = sorted(parts.items())
+    return tuple(
+        tuple(
+            MultiQuad._raw({l: Fraction(p[i][j], den) for l, p in items if p[i][j]})
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def _mq_reduced(n: int, parts: Dict[int, tuple], den: int) -> DenseMatrix:
+    """The MultiQuad matrix sum(sqrt(label) * part) / den (den != 0),
+    canonical: all-zero parts dropped, the content common to den and
+    every part divided out and den made positive."""
+    parts = {l: p for l, p in parts.items() if any(map(any, p))}
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(chain.from_iterable(parts.values())))
+        if den < 0:
+            g = -g
+        if g != 1:
+            parts = {
+                l: tuple(tuple(x // g for x in r) for r in p) for l, p in parts.items()
+            }
+            den //= g
+    return DenseMatrix._of_parts(n, parts, den)
+
+
+def _lincomb(terms) -> tuple:
+    """sum(coef * P) over the (coef, P) in terms, P integer matrices."""
+    (coef, P), *rest = terms
+    if not rest:
+        return P if coef == 1 else tuple(tuple(coef * x for x in r) for r in P)
+    coefs = [c for c, _ in terms]
+    return tuple(
+        tuple(sum(map(mul, coefs, xs)) for xs in zip(*rs))
+        for rs in zip(*(P for _, P in terms))
+    )
+
+
+def _scalar_parts(c) -> Tuple[Dict[int, int], int]:
+    # ({label: integer}, den) of a Fraction or MultiQuad scalar
+    coords = _coords(c if isinstance(c, MultiQuad) else Fraction(c))
+    den = lcm(*(x.denominator for x in coords.values()))
+    return {l: x.numerator * (den // x.denominator) for l, x in coords.items()}, den
+
+
+def _mq_scaled(n: int, form: Parts, scalar: Tuple[Dict[int, int], int]) -> DenseMatrix:
+    # the matrix (parts, den) times the scalar ({label: integer}, den)
+    (parts, den), (cs, cd) = form, scalar
+    terms: Dict[int, list] = {}
+    for la, A in parts.items():
+        for lc, x in cs.items():
+            coef, lbl = _label_mul(la, lc)
+            terms.setdefault(lbl, []).append((coef * x, A))
+    return _mq_reduced(n, {lbl: _lincomb(t) for lbl, t in terms.items()}, den * cd)
+
+
+def _combine(A: DenseMatrix, B: DenseMatrix, op) -> DenseMatrix:
+    """A op B for op in (add, sub): over the parts when both matrices
+    are rational or MultiQuad, entry by entry otherwise."""
+    a, b = A._labelled(), B._labelled()
+    if a is None or b is None:
+        return DenseMatrix([list(map(op, ra, rb)) for ra, rb in zip(A.rows, B.rows)])
+    (ap, ad), (bp, bd) = a, b
+    den = ad // gcd(ad, bd) * bd
+    fa, fb = den // ad, den // bd
+    zero = ((0,) * A.n,) * A.n
+    parts = {}
+    for lbl in chain(ap, (l for l in bp if l not in ap)):
+        P, Q = ap.get(lbl, zero), bp.get(lbl, zero)
+        parts[lbl] = tuple(
+            tuple(op(fa * x, fb * y) for x, y in zip(rp, rq)) for rp, rq in zip(P, Q)
+        )
+    return _mq_reduced(A.n, parts, den)
+
+
+def _entrywise_matmul(A: DenseMatrix, B: DenseMatrix) -> DenseMatrix:
+    """A @ B entry by entry, for number field entries."""
+    n = A.n
+    brows = B.rows
+    out = []
+    for ra in A.rows:
+        row = []
+        for j in range(n):
+            acc = ra[0] * brows[0][j]
+            for t in range(1, n):
+                a = ra[t]
+                if a:
+                    acc = acc + a * brows[t][j]
+            row.append(acc)
+        out.append(row)
+    return DenseMatrix(out)
 
 
 def _generic_rref(rows: List[list]) -> Tuple[List[list], List[int]]:
@@ -418,6 +620,8 @@ def mat_vec(M: DenseMatrix, vec: Sequence) -> list:
 def _entry_kind(M: DenseMatrix):
     if M._rat:
         return "rational", None
+    if M._parts is not None:
+        return "multiquad", None
     field = None
     has_mq = False
     for row in M.rows:
@@ -428,7 +632,7 @@ def _entry_kind(M: DenseMatrix):
                 field = e.field
     if has_mq and field is not None:
         raise FieldMismatch("matrix mixes MultiQuad and number field entries")
-    return ("multiquad", None) if has_mq else ("numberfield", field)
+    return "numberfield", field
 
 
 def horner_eval(f: Polynomial, M: DenseMatrix) -> DenseMatrix:
@@ -439,7 +643,7 @@ def horner_eval(f: Polynomial, M: DenseMatrix) -> DenseMatrix:
     entries, number field coefficients need entries over the same
     modulus.  When M and f are both rational every step is an integer
     product and n integer additions on the diagonal; no Fraction is
-    built.
+    built.  Over MultiQuad entries each step is the same on the parts.
     """
     kind, field = _entry_kind(M)
     for c in f.coeffs:
@@ -467,7 +671,7 @@ def horner_eval(f: Polynomial, M: DenseMatrix) -> DenseMatrix:
 
 
 def _plus_diagonal(A: DenseMatrix, c) -> DenseMatrix:
-    # A + c*I with n additions on the diagonal
+    # A + c*I, with n additions on the diagonal of a rational A
     if A._rat and isinstance(c, Fraction):
         num, d = A._ints()
         q = c.denominator
@@ -477,6 +681,8 @@ def _plus_diagonal(A: DenseMatrix, c) -> DenseMatrix:
         for i in range(A.n):
             rows[i][i] += p
         return _reduced(tuple(map(tuple, rows)), den)
+    if A._parts is not None and isinstance(c, (Fraction, MultiQuad)):
+        return _combine(A, DenseMatrix.scaled_identity(A.n, c), add)
     rows = [list(r) for r in A.rows]
     for i in range(A.n):
         rows[i][i] = rows[i][i] + c

@@ -33,19 +33,26 @@ The exact SVD writes a nonzero rational A as sum(sigma_i * A_i) with
 strictly decreasing positive sigma_i and an orthogonal system of
 partial isometries A_i, provided every nonzero eigenvalue of the Gram
 matrix A^T A is rational; sigma_i are the square roots.
+
+Delta, Sigma, U, the A_i and every product the verifiers form are
+matrices over Q(sqrt(d1), ...) in the integer form of
+:mod:`mindec.matrix`, sum(sqrt(label) * A_label) over one denominator;
+a rational matrix enters as its label-1 part, so no product here runs
+entry by entry.  Sigma's entries are real exactly when no nonzero part
+of Sigma has a negative label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import List, Optional, Tuple
 
 from mindec.covariant import quadratic_roots
 from mindec.decompose import _min_poly_of, sn_decompose, system_of
 from mindec.errors import (
     FactorDegreeTooHigh,
+    InvariantViolation,
     SingularMatrix,
     SingularValuesNotRational,
     ZeroMatrix,
@@ -64,9 +71,7 @@ from mindec.scalar import MultiQuad, mq_sign, mq_sqrt_rational
 
 
 def _mq(M: DenseMatrix) -> DenseMatrix:
-    if not M.is_rational:
-        return M
-    return M.map_entries(MultiQuad)
+    return M.as_multiquad() if M.is_rational else M
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,7 @@ def complete_mjc(M: DenseMatrix) -> DeltaSigmaU:
     its minimal polynomial of degree <= 2 (FactorDegreeTooHigh).  Delta
     and Sigma are assembled class by class.  verify_cmjc runs once on
     the result, which carries the report as ``report``; a failed check
-    raises RuntimeError.
+    raises InvariantViolation.
     """
     sn = sn_decompose(M)
     system = sn.system
@@ -104,8 +109,7 @@ def complete_mjc(M: DenseMatrix) -> DeltaSigmaU:
                 f"factor of degree {factor.degree}; eigenvalues leave quadratic extensions"
             )
     n = M.n
-    delta = DenseMatrix.zeros(n).map_entries(MultiQuad)
-    sigma = DenseMatrix.zeros(n).map_entries(MultiQuad)
+    delta = sigma = _mq(DenseMatrix.zeros(n))
     radicands = set()
     delta_eigen: List[MultiQuad] = []
     sigma_lin: List[MultiQuad] = []
@@ -246,10 +250,13 @@ def verify_cmjc(M: DenseMatrix, dsu: DeltaSigmaU) -> VerificationReport:
         all(v.sign() == 1 for v in dsu.delta_spectrum),
     )
     # real entries and coefficients, and a negative discriminant for each
-    # quadratic, make every listed factor irreducible over the entry field
+    # quadratic, make every listed factor irreducible over the entry field;
+    # the entries are real when no nonzero part of Sigma has a negative label
     sigma = _mq(sigma)
-    irreducible = all(map(_is_real, chain(*sigma.rows, dsu.sigma_linear))) and all(
-        map(_is_real_irreducible_quadratic, dsu.sigma_quadratics)
+    irreducible = (
+        all(label > 0 for label in sigma.labels)
+        and all(map(_is_real, dsu.sigma_linear))
+        and all(map(_is_real_irreducible_quadratic, dsu.sigma_quadratics))
     )
     report.add(
         "sigma-spectrum",
@@ -300,8 +307,14 @@ def svd(A: DenseMatrix) -> SVDResult:
     (SingularValuesNotRational otherwise).  The A_i are A P_i / sigma_i
     for the Gram projectors P_i.  verify_svd_system runs once on the
     result, which carries the report as ``report``; a failed axiom
-    raises RuntimeError.
+    raises InvariantViolation.
     """
+    result = _svd_terms(A)
+    return attach_report(result, verify_svd_system(A, result))
+
+
+def _svd_terms(A: DenseMatrix) -> SVDResult:
+    # the system of svd(A), not yet verified
     if A.is_zero:
         raise ZeroMatrix("the zero matrix has no singular value system")
     if not A.is_rational:
@@ -315,16 +328,18 @@ def svd(A: DenseMatrix) -> SVDResult:
                 f"Gram matrix has irrational eigenvalues (factor {factor})"
             )
         if mult != 1:
-            raise RuntimeError("Gram matrix of a rational matrix must be semisimple")
+            raise InvariantViolation(
+                "Gram matrix of a rational matrix must be semisimple"
+            )
         value = -factor.coefficient(0)
         if value < 0:
-            raise RuntimeError("Gram matrix must be positive semidefinite")
+            raise InvariantViolation("Gram matrix must be positive semidefinite")
         if value > 0:
             eigen.append((value, i))
     eigen.sort(key=lambda t: -t[0])
     if not eigen:
         # A nonzero with A^T A = 0 cannot happen over the rationals
-        raise RuntimeError("nonzero matrix with zero Gram spectrum")
+        raise InvariantViolation("nonzero matrix with zero Gram spectrum")
     terms = []
     radicands = set()
     for value, i in eigen:
@@ -332,8 +347,7 @@ def svd(A: DenseMatrix) -> SVDResult:
         radicands.update(sigma_i.radicands)
         P_i = horner_eval(system.e_polys[i], gram)
         terms.append(SVDTerm(sigma=sigma_i, matrix=_mq(A @ P_i) * sigma_i.inverse()))
-    result = SVDResult(terms=tuple(terms), radicands=tuple(sorted(radicands)))
-    return attach_report(result, verify_svd_system(A, result))
+    return SVDResult(terms=tuple(terms), radicands=tuple(sorted(radicands)))
 
 
 def _as_terms(candidate) -> List[Tuple[MultiQuad, DenseMatrix]]:
@@ -374,7 +388,7 @@ def verify_svd_system(A: DenseMatrix, candidate) -> VerificationReport:
     )
     isometry_ok = all(B @ B.transpose() @ B == B for _, B in terms)
     report.add("partial-isometry", "A_i A_i^T A_i = A_i", isometry_ok)
-    acc = DenseMatrix.zeros(n).map_entries(MultiQuad)
+    acc = _mq(DenseMatrix.zeros(n))
     for t, B in terms:
         acc = acc + B * t
     report.add("reassembly", "sum(sigma_i A_i) = A", acc == A_mq)
@@ -390,11 +404,14 @@ def verify_svd_uniqueness(A: DenseMatrix, candidate) -> VerificationReport:
     """Axioms plus exact comparison against the canonical system.
 
     Any candidate satisfying the axioms must coincide with svd(A) term
-    by term; the comparison is part of the report.
+    by term; the comparison is part of the report.  The canonical terms
+    are built as svd builds them, without verifying them a second time:
+    the candidate's axioms are checked here, and equality with the
+    canonical terms is exact.
     """
     report = verify_svd_system(A, candidate)
     terms = _as_terms(candidate)
-    canonical = svd(A)
+    canonical = _svd_terms(A)
     same = len(terms) == len(canonical.terms) and all(
         t == ct.sigma and B == ct.matrix
         for (t, B), ct in zip(terms, canonical.terms)

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
+from mindec.errors import InvariantViolation
+
 
 @dataclass(frozen=True)
 class Check:
@@ -63,9 +65,9 @@ class VerificationReport:
 
 def attach_report(result, report: VerificationReport):
     """Store a passing report as the ``report`` field of a frozen
-    result and return the result; raise RuntimeError, listing the
+    result and return the result; raise InvariantViolation, listing the
     checks, when the report failed."""
     if not report.passed:
-        raise RuntimeError(f"{report.subject} failed verification:\n{report}")
+        raise InvariantViolation(f"{report.subject} failed verification:\n{report}")
     object.__setattr__(result, "report", report)
     return result

@@ -49,11 +49,24 @@ def _ascii_digits(s: str) -> bool:
     return s.isascii() and s.isdigit()
 
 
+def int_from_digits(digits: str) -> int:
+    """int(digits) for a string of ASCII digits.  A literal longer than
+    the interpreter converts (see sys.set_int_max_str_digits) is a
+    PolyParseError rather than a ValueError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PolyParseError(
+            f"integer literal of {len(digits)} digits is longer than this "
+            "interpreter converts"
+        ) from None
+
+
 def rational_from_string(text: str) -> Fraction:
     """Parse "p" or "p/q" with ASCII digits.  Stricter than the Fraction
     constructor: no decimals, exponents, embedded whitespace or
-    non-ASCII digits, and a zero denominator is a PolyParseError rather
-    than a ZeroDivisionError."""
+    non-ASCII digits, and a zero denominator or an overlong integer is
+    a PolyParseError rather than a ZeroDivisionError or ValueError."""
     s = text.strip()
     body = s[1:] if s[:1] in "+-" else s
     num, sep, den = body.partition("/")
@@ -61,7 +74,8 @@ def rational_from_string(text: str) -> Fraction:
         raise PolyParseError(f"not a rational: {text!r}")
     if sep and set(den) == {"0"}:
         raise PolyParseError(f"zero denominator: {text!r}")
-    return Fraction(s)
+    p = int_from_digits(num)
+    return Fraction(-p if s[0] == "-" else p, int_from_digits(den) if sep else 1)
 
 
 def rational_to_string(q: RationalLike) -> str:

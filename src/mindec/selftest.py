@@ -241,7 +241,7 @@ def real_pair_splits(M: DenseMatrix):
     """For every real-pair class of M, the projectors of split_real_pair
     and the generic-root split of the class evaluated at M."""
     system = system_of(M)
-    M_mq = M.map_entries(MultiQuad)
+    M_mq = M.as_multiquad()
     for i, (factor, _) in enumerate(system.factored.factors):
         p, q = factor.coefficient(1), factor.coefficient(0)
         if factor.degree == 2 and p * p > 4 * q:
@@ -461,7 +461,7 @@ _HALF = Fraction(1, 2)
 
 
 def _mqm(M: DenseMatrix) -> DenseMatrix:
-    return M.map_entries(MultiQuad)
+    return M.as_multiquad()
 
 
 @_case("invert-rational")

@@ -19,7 +19,12 @@ from typing import Any, Dict, List, Optional, Union
 from mindec.errors import FormatError, PolyParseError
 from mindec.matrix import DenseMatrix
 from mindec.poly import Polynomial, X
-from mindec.scalar import MultiQuad, rational_from_string, rational_to_string
+from mindec.scalar import (
+    MultiQuad,
+    int_from_digits,
+    rational_from_string,
+    rational_to_string,
+)
 
 Scalar = Union[Fraction, MultiQuad]
 
@@ -41,8 +46,8 @@ def scalar_from_json(obj) -> Scalar:
     if isinstance(obj, str):
         try:
             return rational_from_string(obj)
-        except PolyParseError:
-            raise FormatError(f"not a rational: {obj!r}") from None
+        except PolyParseError as exc:
+            raise FormatError(str(exc)) from None
     if isinstance(obj, dict):
         coords = {}
         for label, coeff in obj.items():
@@ -54,8 +59,8 @@ def scalar_from_json(obj) -> Scalar:
                 raise FormatError(f"coordinate for {label!r} must be a string")
             try:
                 coords[key] = rational_from_string(coeff)
-            except PolyParseError:
-                raise FormatError(f"coordinate for {label!r} is not a rational: {coeff!r}") from None
+            except PolyParseError as exc:
+                raise FormatError(f"coordinate for {label!r}: {exc}") from None
         try:
             return MultiQuad(coords)
         except ValueError as exc:
@@ -117,8 +122,8 @@ def document_from_json(data) -> MatrixDocument:
         M = DenseMatrix(rows)
     except (ValueError, TypeError) as exc:
         raise FormatError(str(exc)) from None
-    if any(isinstance(e, MultiQuad) for row in M.rows for e in row):
-        M = M.map_entries(MultiQuad)
+    if not M.is_rational:
+        M = M.as_multiquad()
     n = data.get("n", M.n)
     if n != M.n:
         raise FormatError(f'"n" is {n} but the entries form a {M.n}x{M.n} matrix')
@@ -261,7 +266,7 @@ class _PolyParser:
         base = self.atom()
         if self.peek() == "^":
             pos = self.take()[2]
-            exponent = int(self.take("int")[1])
+            exponent = int_from_digits(self.take("int")[1])
             _check_degree(exponent, "exponent", pos)
             _check_degree(base.degree * exponent, "power degree", pos)
             _check_bits(_bits(base) * exponent, "power", pos)
@@ -271,10 +276,10 @@ class _PolyParser:
     def atom(self) -> Polynomial:
         kind, value, pos = self.take()
         if kind == "int":
-            num = int(value)
+            num = int_from_digits(value)
             if self.peek() == "/":
                 self.take()
-                den = int(self.take("int")[1])
+                den = int_from_digits(self.take("int")[1])
                 if den == 0:
                     raise PolyParseError(f"zero denominator at position {pos}")
                 return Polynomial((Fraction(num, den),))

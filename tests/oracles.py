@@ -241,3 +241,15 @@ def fraction_null_space(rows):
             vec[pc] = -red[r][free]
         basis.append(vec)
     return basis
+
+
+def entrywise_matmul(a, b):
+    """Product of square matrices given as nested lists, entry by entry
+    in the entries' own scalar arithmetic (MultiQuad, Fraction or a mix
+    of both): the schoolbook sum over t of a[i][t] * b[t][j]."""
+    n = len(a)
+    zero = a[0][0] * 0
+    return [
+        [sum((a[i][t] * b[t][j] for t in range(n)), zero) for j in range(n)]
+        for i in range(n)
+    ]

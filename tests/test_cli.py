@@ -1,6 +1,7 @@
 """End-to-end command line checks, run in-process via selftest.run_cli."""
 
 import json
+import sys
 import time
 
 import pytest
@@ -52,6 +53,26 @@ class TestExitCodes:
         assert (code, out) == (4, "")
         assert err.count("\n") == 1
         assert json.loads(err) == {"error": "KeyError", "message": "'planted'"}
+
+    def test_internal_invariant_exits_four(self, monkeypatch):
+        # a Gram matrix that is not semisimple breaks svd's invariant
+        import mindec.realclosed as realclosed_mod
+        from mindec.decompose import system_of
+        from mindec.errors import InvariantViolation, MindecError
+        from mindec.matrix import DenseMatrix
+
+        monkeypatch.setattr(
+            realclosed_mod, "system_of", lambda gram: system_of(DenseMatrix([[1, 1], [0, 1]]))
+        )
+        code, out, err = run_cli(["svd"], input_text=IDENTITY_2)
+        assert (code, out) == (4, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "InvariantViolation",
+            "message": "Gram matrix of a rational matrix must be semisimple",
+        }
+        assert issubclass(InvariantViolation, RuntimeError)
+        assert not issubclass(InvariantViolation, MindecError)
 
     def test_malformed_document_is_two(self):
         code, _, err = run_cli(["fine"], input_text='{"entries": [["1","2"],["3"]]}')
@@ -194,6 +215,32 @@ def test_polynomial_argument_is_bounded(argv):
     assert time.perf_counter() - t0 < 2.0
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "PolyParseError"
+
+
+#: the interpreter's limit on integer string conversion (0: none)
+STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG_LITERAL = "1" * (STR_DIGITS + 700)
+
+
+@pytest.mark.skipif(not STR_DIGITS, reason="this interpreter converts integers of any length")
+@pytest.mark.parametrize(
+    "argv, text, error",
+    [
+        (["sn"], json.dumps({"entries": [[LONG_LITERAL]]}), "FormatError"),
+        (["sn"], json.dumps({"entries": [[{"2": LONG_LITERAL}]]}), "FormatError"),
+        (["sn"], '{"entries": [[%s]]}' % LONG_LITERAL, "FormatError"),
+        (["apply", "--poly", f"(X+{LONG_LITERAL})"], UPPER_2, "PolyParseError"),
+        (["apply", "--poly", f"{LONG_LITERAL},1"], UPPER_2, "PolyParseError"),
+    ],
+    ids=["entry", "coordinate", "json-number", "poly-expression", "poly-coefficients"],
+)
+def test_integer_literal_past_the_str_digit_limit_is_two(argv, text, error):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(argv, input_text=text)
+    assert time.perf_counter() - t0 < 2.0
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == error
 
 
 def test_result_past_the_str_digit_limit_is_written_in_full():

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 from oracles import (
+    entrywise_matmul,
     frac_matmul,
     fraction_inverse,
     fraction_minimal_polynomial,
@@ -449,5 +450,171 @@ class TestIntegerRepresentation:
             if want is not None:
                 assert as_lists(inverse(A)) == want
             assert_canonical(A @ B)
+
+        check()
+
+
+# -- the MultiQuad form: sum(sqrt(label) * A_label) over one denominator --
+
+#: squarefree labels, negative ones included, closed enough under
+#: products to make labels cancel and combine
+LABELS = (1, 2, 3, 6, -1, -2, -3, 5)
+
+
+def mq_entry(rng):
+    """A Fraction or MultiQuad entry on up to three labels."""
+    if rng.random() < 0.25:
+        return big_entry(rng)
+    return MultiQuad({lbl: big_entry(rng) for lbl in rng.sample(LABELS, rng.randint(0, 3))})
+
+
+def mq_matrix(rng, n):
+    return DenseMatrix([[mq_entry(rng) for _ in range(n)] for _ in range(n)])
+
+
+def mq_cases(rng):
+    """MultiQuad matrices: 1x1, zero, a single label, mixed Fraction
+    entries, rational values in MultiQuad entries, random up to 5x5."""
+    yield DenseMatrix([[MultiQuad({-1: 1})]])
+    yield DenseMatrix.zeros(3).as_multiquad()
+    yield DenseMatrix([[MultiQuad({2: Fraction(3, 7)}), 0], [0, MultiQuad({2: -1})]])
+    yield DenseMatrix([[Fraction(1, 3), MultiQuad({6: 2})], [MultiQuad(5), Fraction(-2, 9)]])
+    yield rand_matrix(rng, 3).as_multiquad()
+    for n in (1, 2, 3, 4, 5):
+        yield mq_matrix(rng, n)
+
+
+def assert_mq_canonical(M):
+    """No all-zero part, den > 0 with no factor common to den and every
+    part, rows of MultiQuads read from the parts, and the form read
+    back from the rows is the same."""
+    assert not M.is_rational
+    parts, den = M._labelled()
+    assert den > 0
+    assert all(any(map(any, p)) for p in parts.values())
+    assert gcd(den, *(x for p in parts.values() for r in p for x in r)) == 1
+    rows = M.as_multiquad().rows
+    assert all(type(e) is MultiQuad for r in rows for e in r)
+    assert DenseMatrix(rows)._labelled() == (parts, den)
+    assert M.labels == tuple(sorted(parts))
+
+
+class TestMultiQuadRepresentation:
+    """MultiQuad matrices on their integer parts, against the entrywise
+    MultiQuad oracle and hand-computed label products."""
+
+    def test_label_products_carry_their_coefficients(self):
+        i = DenseMatrix([[MultiQuad({-1: 1})]])
+        assert i @ i == DenseMatrix([[-1]])
+        assert (i @ i).rows[0][0].coordinates == {1: Fraction(-1)}
+        assert i @ i @ i == i * -1 and (i @ i @ i).labels == (-1,)
+        assert i * MultiQuad({-1: 1}) == DenseMatrix([[-1]])
+        A = DenseMatrix([[MultiQuad({2: 1}), 0], [MultiQuad({6: 1}), MultiQuad({-2: 1})]])
+        B = DenseMatrix([[MultiQuad({2: 1}), MultiQuad({3: 1})], [0, MultiQuad({-3: 1})]])
+        # sqrt2 sqrt2 = 2, sqrt2 sqrt3 = sqrt6, sqrt6 sqrt2 = 2 sqrt3,
+        # sqrt6 sqrt3 + sqrt-2 sqrt-3 = 3 sqrt2 - sqrt6
+        assert A @ B == DenseMatrix(
+            [
+                [2, MultiQuad({6: 1})],
+                [MultiQuad({3: 2}), MultiQuad({2: 3, 6: -1})],
+            ]
+        )
+        assert (A @ B).labels == (1, 2, 3, 6)
+        assert A * MultiQuad({2: 1}) == DenseMatrix(
+            [[2, 0], [MultiQuad({3: 2}), MultiQuad({-1: 2})]]
+        )
+
+    def test_arithmetic_matches_entrywise_oracle(self):
+        rng = random.Random("mq-arith")
+        for A in mq_cases(rng):
+            n = A.n
+            a = as_lists(A)
+            for B in (mq_matrix(rng, n), rand_matrix(rng, n)):
+                b = as_lists(B)
+                assert as_lists(A @ B) == entrywise_matmul(a, b)
+                assert as_lists(B @ A) == entrywise_matmul(b, a)
+                assert as_lists(A + B) == [[x + y for x, y in zip(p, q)] for p, q in zip(a, b)]
+                assert as_lists(A - B) == [[x - y for x, y in zip(p, q)] for p, q in zip(a, b)]
+                assert as_lists(B - A) == [[y - x for x, y in zip(p, q)] for p, q in zip(a, b)]
+                assert (A @ B == B @ A) == (entrywise_matmul(a, b) == entrywise_matmul(b, a))
+            assert as_lists(-A) == [[-x for x in p] for p in a]
+            for c in (Fraction(-3, 1000033), 7, 0, MultiQuad({-1: 2, 3: Fraction(1, 5)}), MultiQuad({6: 1})):
+                assert as_lists(A * c) == [[x * c for x in p] for p in a]
+                assert as_lists(c * A) == [[c * x for x in p] for p in a]
+            assert as_lists(A.transpose()) == [list(r) for r in zip(*a)]
+            assert A.trace() == sum((a[i][i] for i in range(n)), MultiQuad(0))
+            assert A.is_zero == all(not x for p in a for x in p)
+            power = [[MultiQuad(int(i == j)) for j in range(n)] for i in range(n)]
+            for k in range(4):
+                assert as_lists(A**k) == power
+                power = entrywise_matmul(power, a)
+
+    def test_results_are_canonical(self):
+        rng = random.Random("mq-canonical")
+        f = Polynomial((MultiQuad({2: Fraction(1, 3)}), Fraction(-2, 1000003), MultiQuad({-1: 5, 1: 1})))
+        for A in mq_cases(rng):
+            B = mq_matrix(rng, A.n)
+            for M in (A, A @ B, A + B, A - B, -A, A * Fraction(-6, 65537), A * MultiQuad({3: Fraction(2, 9)}),
+                      A.transpose(), horner_eval(f, A), A - A, (A * 6) * Fraction(1, 6)):
+                assert_mq_canonical(M)
+            # the same values reached two ways compare equal
+            assert (A * 6) * Fraction(1, 6) == A
+            assert (A + B) - B == A
+            assert (A - A).is_zero and A - A == DenseMatrix.zeros(A.n)
+
+    def test_rational_values_and_the_zero_matrix(self):
+        rng = random.Random("mq-rational")
+        for n in (1, 2, 4):
+            Z = DenseMatrix.zeros(n).as_multiquad()
+            assert Z.is_zero and not Z.is_rational and Z.labels == ()
+            assert Z == DenseMatrix.zeros(n) and Z.rows == ((MultiQuad(0),) * n,) * n
+            A, B = rand_matrix(rng, n), rand_matrix(rng, n)
+            Aq = A.as_multiquad()
+            assert (Aq @ Z).is_zero and (Z @ A).is_zero and not (Z @ A).is_rational
+            assert Aq.labels == ((1,) if not A.is_zero else ())
+            # rational @ MultiQuad stays a MultiQuad matrix with the rational values
+            assert A @ Aq == A @ A and not (A @ Aq).is_rational
+            assert (A @ Aq).rows == (A @ A).as_multiquad().rows
+            assert A + B.as_multiquad() == A + B
+            assert A * MultiQuad(3) == A * 3 and not (A * MultiQuad(3)).is_rational
+
+    def test_horner_with_multiquad_coefficients(self):
+        rng = random.Random("mq-horner")
+        for A in mq_cases(rng):
+            for _ in range(3):
+                coeffs = [mq_entry(rng) for _ in range(rng.randint(0, 5))]
+                f = Polynomial(coeffs)
+                assert as_lists(horner_eval(f, A)) == plain_poly_at(f.coeffs, A.rows)
+            assert horner_eval(Polynomial((MultiQuad({2: 1}),)), A) == DenseMatrix.scaled_identity(
+                A.n, MultiQuad({2: 1})
+            )
+        with pytest.raises(FieldMismatch):
+            horner_eval(Polynomial((MultiQuad({2: 1}), 1)), rand_matrix(rng, 2))
+
+    def test_property_against_oracles(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coeff = st.builds(Fraction, st.integers(-999, 999), st.integers(1, 100))
+        entry = coeff | st.dictionaries(st.sampled_from(LABELS), coeff, max_size=3).map(MultiQuad)
+
+        @st.composite
+        def triples(draw):
+            n = draw(st.integers(1, 4))
+            square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+            return draw(square), draw(square), draw(st.lists(entry, max_size=4))
+
+        @hypothesis.settings(max_examples=60, derandomize=True, deadline=None)
+        @hypothesis.given(triples())
+        def check(abf):
+            a, b, coeffs = abf
+            A, B = DenseMatrix(a), DenseMatrix(b)
+            assert as_lists(A @ B) == entrywise_matmul(a, b)
+            assert as_lists(A - B) == [[x - y for x, y in zip(p, q)] for p, q in zip(a, b)]
+            f = Polynomial(coeffs)
+            if A.is_rational and not f.is_rational:
+                return
+            assert as_lists(horner_eval(f, A)) == plain_poly_at(f.coeffs, a)
+            if not (A @ B).is_rational:
+                assert_mq_canonical(A @ B)
 
         check()

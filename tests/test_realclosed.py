@@ -273,6 +273,25 @@ class TestSvdUniqueness:
         A = DenseMatrix([[3, 0], [0, -2]])
         assert verify_svd_uniqueness(A, svd(A)).passed
 
+    def test_candidate_is_verified_once(self, monkeypatch):
+        # the canonical terms are rebuilt unverified: the only axiom
+        # check is the candidate's, and the comparison is exact
+        import mindec.realclosed as realclosed_mod
+
+        A = random_gram_friendly("uniqueness", 5).matrix
+        result = svd(A)
+        real = realclosed_mod.verify_svd_system
+        checked = []
+
+        def recording(matrix, candidate):
+            checked.append(candidate)
+            return real(matrix, candidate)
+
+        monkeypatch.setattr(realclosed_mod, "verify_svd_system", recording)
+        report = verify_svd_uniqueness(A, result)
+        assert report.passed and checked == [result]
+        assert report.checks[-1].name == "canonical-equality"
+
     def test_swap_fails_ordering(self):
         A = DenseMatrix([[3, 0], [0, -2]])
         result = svd(A)

@@ -12,7 +12,7 @@ from mindec.errors import FormatError, PolyParseError
 from mindec.generator import random_matrix
 from mindec.matrix import DenseMatrix
 from mindec.poly import Polynomial, X
-from mindec.scalar import MultiQuad
+from mindec.scalar import MultiQuad, rational_from_string
 from mindec.serialize import (
     MAX_POLY_BITS,
     MAX_POLY_DEGREE,
@@ -48,6 +48,27 @@ class TestScalarJson:
             assert scalar_to_json(Fraction(1, 10**k)) == "1/1" + "0" * k
         assert scalar_to_json(MultiQuad({2: -big})) == {"2": "-1" + "0" * 4999 + "1"}
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter converts integers of any length",
+    )
+    def test_literals_past_the_str_digit_limit_are_format_errors(self):
+        long = "7" * (sys.get_int_max_str_digits() + 1)
+        t0 = time.perf_counter()
+        for text in (long, f"-{long}", f"1/{long}", f"{long}/3"):
+            with pytest.raises(PolyParseError, match="digits"):
+                rational_from_string(text)
+            with pytest.raises(FormatError, match="digits"):
+                scalar_from_json(text)
+            with pytest.raises(FormatError, match="digits"):
+                scalar_from_json({"3": text})
+        for text in (long, f"X + {long}", f"X^{long}", f"{long}/2*X", f"1/{long}"):
+            with pytest.raises(PolyParseError, match="digits"):
+                parse_poly_expression(text)
+        assert time.perf_counter() - t0 < 2.0
+        # one digit fewer is still a number
+        assert rational_from_string(long[1:]) == int(long[1:])
 
     def test_rational_multiquad_collapses_to_string(self):
         assert scalar_to_json(MultiQuad(Fraction(7, 3))) == "7/3"

@@ -1,0 +1,94 @@
+"""Differential checks against sympy, an independent computer algebra
+system: factorization, minimal polynomials and MultiQuad matrix
+products.  Skipped when sympy is not installed."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from mindec.factor import factor_rational  # noqa: E402
+from mindec.generator import blocks_matrix, random_matrix  # noqa: E402
+from mindec.matrix import DenseMatrix, minimal_polynomial  # noqa: E402
+from mindec.scalar import MultiQuad  # noqa: E402
+from mindec.serialize import parse_poly_expression  # noqa: E402
+
+x = sympy.Symbol("x")
+
+
+def to_sympy_poly(p):
+    return sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x
+    )
+
+
+def monic_key(f):
+    """A sympy polynomial as its monic coefficients, lowest degree first."""
+    return tuple(
+        Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(f, x).monic().all_coeffs())
+    )
+
+
+def sympy_factors(f):
+    """{monic irreducible factor: multiplicity} of a sympy polynomial."""
+    _, pairs = sympy.factor_list(f.as_expr(), x)
+    return {monic_key(g): mult for g, mult in pairs}
+
+
+def seeded_cases():
+    for k in range(12):
+        yield random_matrix(f"sympy-{k}", 6).matrix
+    for blocks in ("(X^2-2)^2;X^3-2;X-3", "(X^2+X+1)^2;(X-1)^2;X^4-10*X^2+1"):
+        yield blocks_matrix([parse_poly_expression(b) for b in blocks.split(";")], "s").matrix
+
+
+def test_factorization_matches_sympy():
+    for M in seeded_cases():
+        p = minimal_polynomial(M)
+        ours = {tuple(f.coeffs): mult for f, mult in factor_rational(p).factors}
+        assert ours == sympy_factors(to_sympy_poly(p)), p
+
+
+def test_minimal_polynomial_divides_the_characteristic_polynomial():
+    for M in seeded_cases():
+        S = sympy.Matrix(
+            [[sympy.Rational(e.numerator, e.denominator) for e in r] for r in M.rows]
+        )
+        charpoly = sympy.Poly(S.charpoly(x).as_expr(), x)
+        m = to_sympy_poly(minimal_polynomial(M))
+        assert m.LC() == 1
+        assert sympy.div(charpoly, m)[1].is_zero
+        # the same distinct irreducible factors
+        assert set(sympy_factors(m)) == set(sympy_factors(charpoly))
+
+
+LABELS = (1, 2, 3, 6, -1, -2, 5)
+
+
+def mq_to_sympy(e):
+    coords = e.coordinates if isinstance(e, MultiQuad) else {1: Fraction(e)}
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * sympy.sqrt(l) for l, c in coords.items()),
+        sympy.Integer(0),
+    )
+
+
+def test_multiquad_products_match_sympy():
+    rng = random.Random("sympy-mq")
+
+    def entry():
+        return MultiQuad(
+            {l: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for l in rng.sample(LABELS, 2)}
+        )
+
+    for n in (1, 2, 3):
+        for _ in range(3):
+            A = DenseMatrix([[entry() for _ in range(n)] for _ in range(n)])
+            B = DenseMatrix([[entry() for _ in range(n)] for _ in range(n)])
+            want = sympy.Matrix([[mq_to_sympy(e) for e in r] for r in A.rows]) * sympy.Matrix(
+                [[mq_to_sympy(e) for e in r] for r in B.rows]
+            )
+            got = sympy.Matrix([[mq_to_sympy(e) for e in r] for r in (A @ B).rows])
+            assert (want - got).expand() == sympy.zeros(n, n)
