@@ -52,7 +52,9 @@ class MixedModuli(MindecError):
 
 
 class FieldMismatch(MindecError):
-    """Coefficients do not embed into the entry field of the matrix."""
+    """An operand lies outside the field an operation accepts, such as
+    number-field matrix entries, MultiQuad coefficients at a rational
+    matrix, or a MultiQuad matrix where rational entries are needed."""
 
 
 class SingularMatrix(MindecError):

@@ -52,6 +52,7 @@ from mindec.covariant import quadratic_roots
 from mindec.decompose import _min_poly_of, sn_decompose, system_of
 from mindec.errors import (
     FactorDegreeTooHigh,
+    FieldMismatch,
     InvariantViolation,
     SingularMatrix,
     SingularValuesNotRational,
@@ -318,7 +319,7 @@ def _svd_terms(A: DenseMatrix) -> SVDResult:
     if A.is_zero:
         raise ZeroMatrix("the zero matrix has no singular value system")
     if not A.is_rational:
-        raise ValueError("svd expects rational entries")
+        raise FieldMismatch("svd expects rational entries")
     gram = A.transpose() @ A
     system = system_of(gram)
     eigen: List[Tuple[Fraction, int]] = []

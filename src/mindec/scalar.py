@@ -789,15 +789,3 @@ def nf_invert(x: NumberFieldElement) -> NumberFieldElement:
 
 def nf_trace(x: NumberFieldElement) -> Fraction:
     return x.trace()
-
-
-def one_like(x):
-    """Multiplicative identity of the field x belongs to."""
-    if isinstance(x, (int, Fraction)):
-        return Fraction(1)
-    if isinstance(x, MultiQuad):
-        return MultiQuad(1)
-    if isinstance(x, NumberFieldElement):
-        return x.field.one()
-    raise TypeError(f"no known field for {type(x).__name__}")
-

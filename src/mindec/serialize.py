@@ -82,16 +82,7 @@ class MatrixDocument:
 
 
 def matrix_to_json(M: DenseMatrix) -> Dict[str, Any]:
-    irrational = not M.is_rational
-    rows = []
-    for row in M.rows:
-        out = []
-        for entry in row:
-            if irrational and not isinstance(entry, MultiQuad):
-                entry = MultiQuad(entry)
-            out.append(scalar_to_json(entry))
-        rows.append(out)
-    return {"n": M.n, "entries": rows}
+    return {"n": M.n, "entries": [[scalar_to_json(e) for e in row] for row in M.rows]}
 
 
 def document_to_json(doc: MatrixDocument) -> Dict[str, Any]:
@@ -122,8 +113,6 @@ def document_from_json(data) -> MatrixDocument:
         M = DenseMatrix(rows)
     except (ValueError, TypeError) as exc:
         raise FormatError(str(exc)) from None
-    if not M.is_rational:
-        M = M.as_multiquad()
     n = data.get("n", M.n)
     if n != M.n:
         raise FormatError(f'"n" is {n} but the entries form a {M.n}x{M.n} matrix')

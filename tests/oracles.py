@@ -148,9 +148,10 @@ def plain_poly_at(coeffs, rows):
     """sum_k coeffs[k] * A^k for a square matrix given as nested lists,
     through explicit powers, schoolbook products and a full identity
     matrix, in the entries' own arithmetic: plain Fractions for a
-    rational matrix; for MultiQuad and number field entries the
-    library's scalar arithmetic, so only the matrix-level evaluation is
-    independent.  coeffs run from the constant term up."""
+    rational matrix; for MultiQuad entries (the only other kind a
+    DenseMatrix holds) the library's scalar arithmetic, so only the
+    matrix-level evaluation is independent.  coeffs run from the
+    constant term up."""
     n = len(rows)
     zero = rows[0][0] * 0
     power = [[zero + (1 if i == j else 0) for j in range(n)] for i in range(n)]

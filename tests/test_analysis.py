@@ -13,7 +13,6 @@ import pytest
 import mindec.cli as cli_mod
 import mindec.covariant as covariant_mod
 import mindec.decompose as decompose_mod
-import mindec.matrix as matrix_mod
 import mindec.realclosed as realclosed_mod
 from mindec.covariant import materialize_projectors, verify_system
 from mindec.decompose import (
@@ -26,11 +25,7 @@ from mindec.decompose import (
     verify_sn,
 )
 from mindec.errors import SystemMatrixMismatch
-from mindec.generator import (
-    matrix_from_min_poly,
-    random_gram_friendly,
-    random_invertible_quadratic,
-)
+from mindec.generator import matrix_from_min_poly
 from mindec.matfun import schwerdtfeger_eval, verify_matfun
 from mindec.matrix import DenseMatrix, companion
 from mindec.poly import Polynomial, X
@@ -133,25 +128,6 @@ class TestGenericCovariantsOffTheHotPath:
         assert code == 0, err
         assert json.loads(out)["report"]["pass"] is True
         assert json.loads(out)["radicands"] == [2]
-        assert calls == []
-
-    @pytest.mark.parametrize(
-        "argv, M",
-        [
-            (["cmjc"], companion(((X - 2 * ONE) * (X * X - 2 * ONE) * (X * X + ONE)).monic())),
-            (["cmjc"], random_invertible_quadratic("entrywise", 8).matrix),
-            (["svd"], random_gram_friendly("entrywise", 8).matrix),
-            (["svd"], DenseMatrix([[1, 1, 0], [1, 1, 0], [0, 0, 2]])),
-        ],
-        ids=["cmjc-companion", "cmjc-random", "svd-random", "svd-repeated"],
-    )
-    def test_multiquad_products_stay_on_the_parts(self, monkeypatch, argv, M):
-        # every MultiQuad product of construction and verification runs
-        # on the integer parts; the entrywise loop serves number fields
-        calls = _record_calls(monkeypatch, matrix_mod, "_entrywise_matmul")
-        code, out, err = run_cli(argv + ["--check"], input_text=_document(M))
-        assert code == 0, err
-        assert json.loads(out)["report"]["pass"] is True
         assert calls == []
 
 

@@ -192,6 +192,85 @@ def test_large_radicand_is_bounded(argv, entries, error):
     assert json.loads(err)["error"] == error
 
 
+#: a matrix over Q(sqrt(2), sqrt(3)); the matrix commands work over Q
+SURD_2 = json.dumps({"entries": [[{"2": "1"}, "1"], ["0", {"3": "1"}]]})
+MATRIX_COMMANDS = ("sn", "fine", "covariants", "unbreakable", "mjc", "cmjc", "svd")
+
+
+def test_multiquad_input_is_a_field_mismatch_for_every_command():
+    for command in MATRIX_COMMANDS:
+        code, out, err = run_cli([command, "--check"], input_text=SURD_2)
+        assert (code, out) == (3, ""), command
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "FieldMismatch", command
+
+
+#: atoms the document format refuses: zero denominators, non-strings,
+#: bad labels, non-ASCII digits
+MALFORMED_ATOMS = (
+    "1/0", "x", "", "1.5", "\u0663", None, 3, 1.5, True, [], {}, {"0": "1"}, {"a": "1"},
+    {"2": 1}, {"2": "1/0"},
+)
+#: document kinds, rational ones weighted up so most requests reach a command
+KINDS = ("rational", "multiquad", "bad-atom", "rational", "not-square", "rational", "bad-n")
+POLYS = ("X^2-1", "1,0,-2", "(X-1)^2", "X", "0", "3", "X^3-2X", "X^^2", "1,,2", "")
+
+
+def test_fuzzed_requests_keep_the_cli_contract():
+    # every request ends in time with exit code 0, 2, 3 or 4; a failure
+    # writes nothing to stdout and one JSON error object to stderr
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rational = st.builds(
+        "{}/{}".format, st.integers(-12, 12), st.integers(1, 6)
+    ) | st.integers(-9, 9).map(str)
+    multiquad = st.dictionaries(
+        st.sampled_from(("1", "2", "3", "6", "-1", "-2", "8")), rational, min_size=1, max_size=2
+    )
+
+    @st.composite
+    def requests(draw):
+        n = draw(st.integers(1, 4))
+        kind = draw(st.sampled_from(KINDS))
+        atom = rational | multiquad if kind == "multiquad" else rational
+        entries = [[draw(atom) for _ in range(n)] for _ in range(n)]
+        doc = {"entries": entries}
+        if kind == "bad-atom":
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            entries[i][j] = draw(st.sampled_from(MALFORMED_ATOMS))
+        elif kind == "not-square":
+            entries[draw(st.integers(0, n - 1))].pop()
+        elif kind == "bad-n":
+            doc["n"] = draw(st.sampled_from((0, n + 1, "2", None)))
+        command = draw(st.sampled_from(MATRIX_COMMANDS + ("apply",)))
+        argv = [command]
+        if command == "apply":
+            argv += ["--poly", draw(st.sampled_from(POLYS))]
+        if draw(st.booleans()):
+            argv.append("--check")
+        return argv, json.dumps(doc)
+
+    @hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(requests())
+    def check(request):
+        argv, text = request
+        t0 = time.perf_counter()
+        code, out, err = run_cli(argv, input_text=text)
+        assert time.perf_counter() - t0 < 5.0
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        if code == 0:
+            assert err == ""
+            json.loads(out)
+        else:
+            assert out == ""
+            assert err.count("\n") == 1 and err.endswith("\n")
+            payload = json.loads(err)
+            assert set(payload) == {"error", "message"}
+
+    check()
+
+
 UPPER_2 = json.dumps({"entries": [["1", "1"], ["0", "2"]]})
 DEEP = "(" * 5000 + "X" + ")" * 5000
 

@@ -115,7 +115,7 @@ class TestSplitCovariants:
 
     def test_split_projectors_idempotent_at_matrix(self):
         m = Polynomial((-2, 0, 1))
-        M = companion(m).map_entries(MultiQuad)
+        M = companion(m).as_multiquad()
         system = build_covariant_system(factor_rational(m))
         for lam, cov in split_covariants_over_extension(system, 0, 2):
             P = horner_eval(cov, M)

@@ -95,10 +95,18 @@ class TestRankAndKernel:
                 assert all(x == 0 for x in mat_vec(A, v))
 
     def test_rank_surd_matrix(self):
+        # elimination runs over Q only; no command ranks a MultiQuad matrix
         A = DenseMatrix(
             [[MultiQuad({2: 1}), MultiQuad(2)], [MultiQuad(1), MultiQuad({2: 1})]]
         )
-        assert rank(A) == 1  # second row is first divided by sqrt(2)
+        with pytest.raises(FieldMismatch):
+            rank(A)
+        with pytest.raises(FieldMismatch):
+            kernel_basis(A)
+        with pytest.raises(FieldMismatch):
+            rref_rows(A.rows)
+        with pytest.raises(FieldMismatch):
+            rank(DenseMatrix.identity(2).as_multiquad())
 
 
 class TestInverse:
@@ -122,8 +130,10 @@ class TestInverse:
 
     def test_surd_inverse(self):
         A = DenseMatrix([[MultiQuad({2: 1}), MultiQuad(0)], [MultiQuad(0), MultiQuad(1)]])
-        B = inverse(A)
-        assert A @ B == DenseMatrix.identity(2).map_entries(MultiQuad)
+        with pytest.raises(FieldMismatch):
+            inverse(A)
+        with pytest.raises(FieldMismatch):
+            A ** -1
 
 
 class TestMinimalPolynomial:
@@ -154,7 +164,7 @@ class TestMinimalPolynomial:
             minimal_polynomial(A)
         # a MultiQuad matrix with rational values is still not rational
         with pytest.raises(FieldMismatch):
-            minimal_polynomial(DenseMatrix.identity(2).map_entries(MultiQuad))
+            minimal_polynomial(DenseMatrix.identity(2).as_multiquad())
 
 
 class TestCompanion:
@@ -233,17 +243,19 @@ class TestHornerDiagonal:
             self._check(M, self._polys(rng, lambda: Fraction(rng.randint(-4, 4))))
 
     def test_number_field(self):
-        rng = random.Random("horner-diagonal-nf")
+        # matrices hold rational or MultiQuad entries only
         field = NumberField((Fraction(-2), Fraction(-1), Fraction(0), Fraction(1)))
-
-        def nf():
-            return field.element([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)])
-
-        for _ in range(4):
-            n = rng.randint(1, 4)
-            M = DenseMatrix([[nf() for _ in range(n)] for _ in range(n)])
-            self._check(M, self._polys(rng, nf))
-            self._check(M, self._polys(rng, lambda: Fraction(rng.randint(-4, 4))))
+        y = field.gen()
+        with pytest.raises(FieldMismatch):
+            DenseMatrix([[y]])
+        with pytest.raises(FieldMismatch):
+            DenseMatrix([[Fraction(1), y], [MultiQuad({2: 1}), Fraction(0)]])
+        with pytest.raises(FieldMismatch):
+            horner_eval(Polynomial((field.one(), y)), DenseMatrix.identity(2))
+        with pytest.raises(FieldMismatch):
+            horner_eval(Polynomial((y,)), DenseMatrix.identity(2).as_multiquad())
+        with pytest.raises(FieldMismatch):
+            DenseMatrix.scaled_identity(2, y)
 
 
 # -- the integer representation of rational matrices ---------------------
@@ -307,9 +319,11 @@ def assert_canonical(M):
         for e in r:
             assert type(e) is Fraction
             assert e.denominator > 0 and gcd(e.numerator, e.denominator) == 1
-    num, den = M._ints()
+    assert set(M._parts) <= {1}
+    num, den = M._parts.get(1, ()), M._den
     assert den > 0 and gcd(den, *(x for r in num for x in r)) == 1
-    assert DenseMatrix(M.rows)._ints() == (num, den)
+    assert not num or any(map(any, num))
+    assert (DenseMatrix(M.rows)._parts, DenseMatrix(M.rows)._den) == (M._parts, den)
 
 
 class TestIntegerRepresentation:
@@ -410,14 +424,13 @@ class TestIntegerRepresentation:
         for n in (1, 3, 4):
             A = rand_matrix(rng, n)
             B = rand_matrix(rng, n)
-            Aq, Bq = A.map_entries(MultiQuad), B.map_entries(MultiQuad)
+            Aq, Bq = A.as_multiquad(), B.as_multiquad()
             assert not Aq.is_rational and not (Aq @ Bq).is_rational
-            assert (Aq @ Bq).rows == (A @ B).map_entries(MultiQuad).rows
+            assert (Aq @ Bq).rows == (A @ B).as_multiquad().rows
             assert (Aq + Bq) == (A + B) and (Aq - Bq) == (A - B)
             assert A @ Bq == A @ B
             f = Polynomial((Fraction(1, 2), Fraction(-3), Fraction(2, 5)))
             assert horner_eval(f, Aq) == horner_eval(f, A)
-            assert rank(Aq) == rank(A)
 
     def test_property_against_oracles(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -489,13 +502,13 @@ def assert_mq_canonical(M):
     part, rows of MultiQuads read from the parts, and the form read
     back from the rows is the same."""
     assert not M.is_rational
-    parts, den = M._labelled()
+    parts, den = M._parts, M._den
     assert den > 0
     assert all(any(map(any, p)) for p in parts.values())
     assert gcd(den, *(x for p in parts.values() for r in p for x in r)) == 1
     rows = M.as_multiquad().rows
     assert all(type(e) is MultiQuad for r in rows for e in r)
-    assert DenseMatrix(rows)._labelled() == (parts, den)
+    assert (DenseMatrix(rows)._parts, DenseMatrix(rows)._den) == (parts, den)
     assert M.labels == tuple(sorted(parts))
 
 
@@ -618,3 +631,44 @@ class TestMultiQuadRepresentation:
                 assert_mq_canonical(A @ B)
 
         check()
+
+
+class TestTypeBit:
+    """One storage form: the type bit alone says whether entries read
+    as Fractions or MultiQuads, and a result is rational exactly when
+    its operands and scalar are."""
+
+    @staticmethod
+    def _assert_bit(M, rat):
+        assert M.is_rational == rat
+        assert {type(e) for r in M.rows for e in r} == {Fraction if rat else MultiQuad}
+        assert type(M.trace()) is (Fraction if rat else MultiQuad)
+
+    def test_each_operation_keeps_the_type_bit(self):
+        rng = random.Random("type-bit")
+        sqrt2 = MultiQuad({2: 1})
+        f = Polynomial((Fraction(1, 2), Fraction(-3), Fraction(2, 5)))
+        for n in (1, 2, 3):
+            A, B, Z = rand_matrix(rng, n), rand_matrix(rng, n), DenseMatrix.zeros(n)
+            for X in (A, Z):
+                for Xb in (X, X.as_multiquad()):
+                    rat = Xb.is_rational
+                    for Y in (B, B.as_multiquad(), Z, Z.as_multiquad()):
+                        both = rat and Y.is_rational
+                        for R in (Xb @ Y, Y @ Xb, Xb + Y, Xb - Y, Y - Xb):
+                            self._assert_bit(R, both)
+                    for R in (-Xb, Xb * 3, Fraction(-1, 2) * Xb, Xb * 0, Xb.transpose(),
+                              Xb**0, Xb**3, horner_eval(f, Xb), horner_eval(Polynomial((5,)), Xb)):
+                        self._assert_bit(R, rat)
+                    for R in (Xb * sqrt2, sqrt2 * Xb, Xb * MultiQuad(2), Xb.as_multiquad()):
+                        self._assert_bit(R, False)
+                    if not rat:
+                        self._assert_bit(horner_eval(Polynomial((sqrt2, 1)), Xb), False)
+                    # equality compares values, whatever the bit
+                    assert Xb == X and Xb @ B == X @ B and Xb.is_zero == X.is_zero
+            self._assert_bit(DenseMatrix.scaled_identity(n, Fraction(2, 3)), True)
+            self._assert_bit(DenseMatrix.scaled_identity(n, MultiQuad(2)), False)
+            self._assert_bit(DenseMatrix.scaled_identity(n, sqrt2), False)
+            self._assert_bit(DenseMatrix([[sqrt2 if i == j else 0 for j in range(n)] for i in range(n)]), False)
+            self._assert_bit(inverse(DenseMatrix.identity(n) * 2), True)
+

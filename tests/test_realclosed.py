@@ -31,7 +31,7 @@ ONE = Polynomial((1,))
 
 
 def mqm(M):
-    return M.map_entries(MultiQuad)
+    return M.as_multiquad()
 
 
 class TestCompleteMjc:
@@ -205,7 +205,7 @@ class TestSpectrumCertificate:
         expected = ONE
         for v in listing:
             expected = expected * (X - v * ONE)
-        candidate = replace(dsu, delta=A.map_entries(MultiQuad), delta_spectrum=values)
+        candidate = replace(dsu, delta=A.as_multiquad(), delta_spectrum=values)
         certified = "delta-spectrum" not in _spectrum_failures(A, candidate)
         assert certified == (minimal_polynomial(A) == expected)
         assert certified == (listing == (1, 1, 2, -3))
@@ -246,7 +246,11 @@ class TestSvd:
             for i in range(len(values) - 1):
                 assert mq_sign(values[i] - values[i + 1]) == 1
             gram = A.transpose() @ A
-            assert sum(rank(t.matrix) for t in result.terms) == rank(gram)
+            # sigma_i * A_i = A P_i has rational values; rank needs a rational matrix
+            scaled = [t.matrix * t.sigma for t in result.terms]
+            assert all(S.labels == (1,) for S in scaled)
+            term_ranks = [rank(DenseMatrix([[e.rational_part for e in r] for r in S.rows])) for S in scaled]
+            assert sum(term_ranks) == rank(gram)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ZeroMatrix):
