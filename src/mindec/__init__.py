@@ -23,8 +23,6 @@ in the one interpreter kernel, mindec._kernel.
 
 from mindec.errors import (
     BothZero,
-    ConfigError,
-    DegreeCapExceeded,
     DivisionByZero,
     DoesNotSplit,
     FactorDegreeTooHigh,
@@ -40,6 +38,7 @@ from mindec.errors import (
     PartitionOfUnityFailure,
     PolyParseError,
     RadicandTooLarge,
+    RecombinationBudgetExceeded,
     SingularMatrix,
     SingularValuesNotRational,
     SystemMatrixMismatch,
@@ -142,9 +141,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BothZero",
     "Check",
-    "ConfigError",
     "CovariantSystem",
-    "DegreeCapExceeded",
     "DeltaSigmaU",
     "DenseMatrix",
     "DivisionByZero",
@@ -173,6 +170,7 @@ __all__ = [
     "PartitionOfUnityFailure",
     "PolyParseError",
     "RadicandTooLarge",
+    "RecombinationBudgetExceeded",
     "Polynomial",
     "SNDecomposition",
     "SVDResult",

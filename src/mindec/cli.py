@@ -5,14 +5,14 @@ standard input or via --input; results are JSON on standard output.
 With --check each command appends a verification report of exact
 identities and exits with status 4 if any check fails.  Exit codes:
 0 success, 2 malformed input or arguments (JSON nested too deeply
-included), or an unusable MINDEC_DEGREE_CAP, 3 violated precondition
-(singular matrix, irrational singular values, ...), 4 failed
-verification, a failed internal invariant (InvariantViolation, a
-RuntimeError: a constructor's own result failed its verifier, or an
-iteration or spectrum broke a property every valid input has) or any
-other unexpected exception.  Every error is one JSON object on standard
-error, {"error": <exception class>, "message": <text>}, never a
-traceback.
+included), 3 violated precondition (singular matrix, irrational
+singular values, a minimal polynomial whose factorization needs more
+than the recombination budget, ...), 4 failed verification, a failed
+internal invariant (InvariantViolation, a RuntimeError: a constructor's
+own result failed its verifier, or an iteration or spectrum broke a
+property every valid input has) or any other unexpected exception.
+Every error is one JSON object on standard error,
+{"error": <exception class>, "message": <text>}, never a traceback.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from mindec.decompose import (
     verify_unbreakable,
 )
 from mindec.covariant import materialize_projectors, verify_system
-from mindec.errors import ConfigError, FormatError, MindecError, UsageError
+from mindec.errors import FormatError, MindecError, UsageError
 from mindec.generator import (
     GeneratedMatrix,
     blocks_matrix,
@@ -202,7 +202,8 @@ def _cmd_apply(args) -> int:
     return _finish(payload, verify_matfun(f, M, result) if args.check else None)
 
 
-#: largest matrix size that gen --size accepts; the smallest is 2
+#: largest matrix size that gen --size accepts (the smallest is 2),
+#: and largest degree of gen --minpoly
 MAX_GEN_SIZE = 64
 
 
@@ -211,7 +212,12 @@ def _cmd_gen(args) -> int:
     if args.size is not None and not 2 <= args.size <= MAX_GEN_SIZE:
         raise UsageError(f"--size must be between 2 and {MAX_GEN_SIZE}, got {args.size}")
     if args.minpoly:
-        gm = matrix_from_min_poly(parse_poly_expression(args.minpoly), seed)
+        min_poly = parse_poly_expression(args.minpoly)
+        if min_poly.degree > MAX_GEN_SIZE:
+            raise UsageError(
+                f"--minpoly degree must be at most {MAX_GEN_SIZE}, got {min_poly.degree}"
+            )
+        gm = matrix_from_min_poly(min_poly, seed)
     elif args.blocks:
         polys = [parse_poly_expression(s) for s in args.blocks.split(";") if s.strip()]
         gm = blocks_matrix(polys, seed)
@@ -343,7 +349,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.handler(args)
-    except (FormatError, ConfigError) as exc:
+    except FormatError as exc:
         return _fail(exc, 2)
     except MindecError as exc:
         return _fail(exc, 3)

@@ -38,13 +38,9 @@ class ZeroPolynomial(MindecError):
     """Operation undefined for the zero polynomial."""
 
 
-class DegreeCapExceeded(MindecError):
-    """Factorization input exceeds the configured degree cap."""
-
-
-class ConfigError(MindecError):
-    """An environment setting (MINDEC_DEGREE_CAP) holds an unusable
-    value; the input itself may be fine."""
+class RecombinationBudgetExceeded(MindecError):
+    """Factoring a polynomial over Q needs more subset trials of its
+    modular factors than mindec.factor.RECOMBINATION_BUDGET allows."""
 
 
 class MixedModuli(MindecError):

@@ -3,21 +3,24 @@
 The route is classical Zassenhaus: Yun's squarefree decomposition over
 Q, reduction of each squarefree part to a primitive integer polynomial
 (made monic by the substitution X -> X/lc scaled back at the end),
-factorization modulo a suitable odd prime, quadratic Hensel lifting to
-a Mignotte-style coefficient bound, and recombination of modular
-factor subsets by trial division.
+factorization modulo an odd prime, quadratic Hensel lifting to a
+Mignotte-style coefficient bound, and recombination of modular factor
+subsets by trial division.
 
-Inputs are desk scale: the total degree is capped (default 16,
-override with MINDEC_DEGREE_CAP).  Recombination tries every subset of
-up to half the remaining modular factors, which is exhaustive at any
-cap: of a true factor and its cofactor, one is built from at most half
-of them.  The number of subsets grows like 2^(r-1) in the number r of
-modular factors.
+The cost is the recombination: up to 2^(r-1) subsets of the r modular
+factors, whatever the degree.  So up to _SCAN_PRIMES good primes are
+tried, stopping at the first that leaves at most _FEW_FACTORS factors,
+and the prime leaving the fewest is kept (Musser, J. ACM 22, 1975).
+Subsets are tried by increasing width up to half the remaining
+factors, which is exhaustive: of a true factor and its cofactor, one
+is built from at most half of them (at exactly half, only the subsets
+holding the first factor are tried).  Every subset tried counts
+against RECOMBINATION_BUDGET; a squarefree part that needs more raises
+RecombinationBudgetExceeded.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,25 +28,19 @@ from itertools import combinations
 from math import gcd, isqrt
 from typing import List, Optional, Tuple
 
-from mindec.errors import ConfigError, DegreeCapExceeded, ZeroPolynomial
+from mindec import _kernel
+from mindec.errors import RecombinationBudgetExceeded, ZeroPolynomial
 from mindec.poly import Polynomial, X, squarefree_part
 
-DEFAULT_DEGREE_CAP = 16
+#: Subsets of modular factors one squarefree part may try.  A part left
+#: with r <= 16 modular factors never needs more (an irreducible one
+#: needs 2^(r-1) - 1), so every part of degree <= 16 completes.
+RECOMBINATION_BUDGET = 2**15
 
-
-def _degree_cap(cap: Optional[int]) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get("MINDEC_DEGREE_CAP")
-    if not env:
-        return DEFAULT_DEGREE_CAP
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ConfigError(f"MINDEC_DEGREE_CAP must be a positive integer, got {env!r}")
-    return cap
+# the prime scan stops at the first prime leaving this few modular
+# factors, and after _SCAN_PRIMES good primes in any case
+_FEW_FACTORS = 6
+_SCAN_PRIMES = 5
 
 
 # -- arithmetic in Z/m[X]: dense int lists, index = degree -----------
@@ -59,14 +56,7 @@ def _gf_trim(a):
 
 
 def _gf_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _gf_trim(out)
+    return _gf_trim([c % p for c in _kernel.poly_mul(a, b)])
 
 
 def _gf_sub(a, b, p):
@@ -186,11 +176,12 @@ def _equal_degree(f, d, p, rng):
         return _equal_degree(left, d, p, rng) + _equal_degree(right, d, p, rng)
 
 
-def _factor_mod_p(f, p):
-    """Full factorization of a monic squarefree f in GF(p)[X]."""
+def _factor_mod_p(f, split, p):
+    """Full factorization of a monic squarefree f in GF(p)[X] from its
+    distinct-degree split."""
     rng = random.Random(f"cz:{p}:{f}")
     out = []
-    for product, d in _distinct_degree(f, p):
+    for product, d in split:
         out.extend(_equal_degree(product, d, p, rng))
     out.sort(key=lambda a: (len(a), a))
     return out
@@ -269,68 +260,81 @@ def _factor_squarefree(w: List[int]) -> List[Polynomial]:
     # monicize: F(X) = lead^(n-1) * w(X/lead) is monic with integer
     # coefficients and the same splitting behaviour
     F = [w[i] * lead ** (n - 1 - i) for i in range(n)] + [1]
-    p = 3
-    while True:
-        fp = [c % p for c in F]
-        if len(_gf_trim(list(fp))) == n + 1:
-            d = _gf_deriv(fp, p)
-            if d and len(_gf_gcd(list(fp), d, p)) == 1:
-                break
-        p = _next_prime(p)
-    modular = _factor_mod_p([c % p for c in F], p)
-    if len(modular) == 1:
+    r, p, fp, split = _best_prime(F)
+    if r == 1:
         return [_descale(F, lead)]
+    modular = _factor_mod_p(fp, split, p)
     norm2 = isqrt(sum(c * c for c in F)) + 1
     bound = 2 * (norm2 << n) + 1
     target = p
     while target < bound:
         target *= target
-    lifted = _hensel_tree(F, modular, p, target)
-    found: List[List[int]] = []
-    remaining = list(F)
-    pool = lifted
-    width = 1
-    while 2 * width <= len(pool):
-        hit = False
-        for subset in combinations(range(len(pool)), width):
-            prod = [1]
-            for i in subset:
-                prod = _gf_mul(prod, pool[i], target)
-            cand = [_centered(c, target) for c in prod]
-            q, ok = _exact_div(remaining, cand)
-            if ok:
-                found.append(cand)
-                remaining = q
-                pool = [fac for i, fac in enumerate(pool) if i not in subset]
-                hit = True
-                break
-        if not hit:
-            width += 1
-    if len(remaining) > 1:
-        found.append(remaining)
+    found = _recombine(F, _hensel_tree(F, modular, p, target), target)
     return sorted(
         (_descale(h, lead) for h in found),
         key=lambda q: (q.degree, q.coeffs),
     )
 
 
-def _exact_div(a: List[int], b: List[int]):
-    """Divide integer polynomials; b monic.  Returns (quotient, bool)."""
-    if len(b) > len(a):
-        return a, False
-    rem = list(a)
-    db = len(b) - 1
-    q = [0] * (len(a) - db)
-    for k in range(len(q) - 1, -1, -1):
-        c = rem[k + db]
-        if c:
-            q[k] = c
-            for i, bi in enumerate(b):
-                if bi:
-                    rem[k + i] -= c * bi
-    if any(rem[:db]):
-        return a, False
-    return q, True
+def _best_prime(F: List[int]):
+    """(r, p, F mod p, its distinct-degree split) at the good prime p
+    leaving the fewest factors r among the first _SCAN_PRIMES; the scan
+    stops early at a prime leaving at most _FEW_FACTORS.  F is monic,
+    so a prime is good when F stays squarefree modulo it."""
+    best, p, scanned = None, 3, 0
+    while scanned < _SCAN_PRIMES and (best is None or best[0] > _FEW_FACTORS):
+        fp = [c % p for c in F]
+        if len(_gf_gcd(fp, _gf_deriv(fp, p), p)) == 1:
+            scanned += 1
+            split = _distinct_degree(fp, p)
+            r = sum((len(g) - 1) // d for g, d in split)
+            if best is None or r < best[0]:
+                best = r, p, fp, split
+        p = _next_prime(p)
+    return best
+
+
+def _recombine(F: List[int], pool: List[List[int]], target: int) -> List[List[int]]:
+    """Irreducible factors of monic F over Z from its factors mod
+    target.  A subset whose constant term does not divide that of the
+    remaining cofactor is rejected before its product is formed."""
+    found: List[List[int]] = []
+    remaining, r = F, len(pool)
+    trials = 0
+    width = 1
+    while 2 * width <= len(pool):
+        subsets = combinations(range(len(pool)), width)
+        if 2 * width == len(pool):
+            # each subset of half the factors or its complement holds 0
+            subsets = ((0,) + s for s in combinations(range(1, len(pool)), width - 1))
+        for subset in subsets:
+            trials += 1
+            if trials > RECOMBINATION_BUDGET:
+                raise RecombinationBudgetExceeded(
+                    f"recombining {r} modular factors of a degree-{len(F) - 1} "
+                    f"squarefree part needs more than {RECOMBINATION_BUDGET} subset trials"
+                )
+            const = 1
+            for i in subset:
+                const = const * pool[i][0] % target
+            const = _centered(const, target)
+            if not const or remaining[0] % const:
+                continue
+            prod = [1]
+            for i in subset:
+                prod = _gf_mul(prod, pool[i], target)
+            cand = [_centered(c, target) for c in prod]
+            q, rem, _ = _kernel.poly_divmod(remaining, cand)  # cand is monic
+            if not rem:
+                found.append(cand)
+                remaining = q
+                pool = [fac for i, fac in enumerate(pool) if i not in subset]
+                break
+        else:
+            width += 1
+    if len(remaining) > 1:
+        found.append(remaining)
+    return found
 
 
 def _descale(H: List[int], lead: int) -> Polynomial:
@@ -396,21 +400,19 @@ def _canonical_order(pairs):
     )
 
 
-def factor_rational(p: Polynomial, cap: Optional[int] = None) -> FactoredMinPoly:
+def factor_rational(p: Polynomial) -> FactoredMinPoly:
     """Factor a rational polynomial into monic irreducibles.
 
     The content and leading coefficient are discarded: the result
     represents the monic polynomial p / lc(p).  Raises
-    DegreeCapExceeded above the configured cap and ZeroPolynomial for
+    RecombinationBudgetExceeded when a squarefree part needs more
+    subset trials than RECOMBINATION_BUDGET, and ZeroPolynomial for
     the zero input.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if not p.is_rational:
         raise ValueError("factor_rational expects rational coefficients")
-    cap = _degree_cap(cap)
-    if p.degree > cap:
-        raise DegreeCapExceeded(f"degree {p.degree} exceeds cap {cap}")
     if p.degree == 0:
         return FactoredMinPoly(())
     _, profile = squarefree_part(p)

@@ -114,6 +114,8 @@ def document_from_json(data) -> MatrixDocument:
     except (ValueError, TypeError) as exc:
         raise FormatError(str(exc)) from None
     n = data.get("n", M.n)
+    if type(n) is not int:
+        raise FormatError(f'"n" must be an integer, got {type(n).__name__} {n!r}')
     if n != M.n:
         raise FormatError(f'"n" is {n} but the entries form a {M.n}x{M.n} matrix')
     label = data.get("label", "")

@@ -1,6 +1,7 @@
 """End-to-end command line checks, run in-process via selftest.run_cli."""
 
 import json
+import random
 import sys
 import time
 
@@ -138,16 +139,23 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"] == "UsageError"
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
-    def test_bad_degree_cap_is_a_configuration_error(self, monkeypatch, value):
-        monkeypatch.setenv("MINDEC_DEGREE_CAP", value)
-        code, out, err = run_cli(["sn"], input_text=IDENTITY_2)
-        assert code == 2
-        assert out == ""
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": "2", "entries": [["1","0"],["0","1"]]}',
+            '{"n": true, "entries": [["1"]]}',
+            '{"n": 2.0, "entries": [["1","0"],["0","1"]]}',
+            '{"n": null, "entries": [["1"]]}',
+        ],
+        ids=["string", "bool", "float", "null"],
+    )
+    def test_non_integer_n_is_two(self, text):
+        code, out, err = run_cli(["sn"], input_text=text)
+        assert (code, out) == (2, "")
         error = json.loads(err)
-        assert error["error"] == "ConfigError"
-        assert "MINDEC_DEGREE_CAP" in error["message"]
-        assert repr(value) in error["message"]
+        assert error["error"] == "FormatError"
+        assert error["message"].startswith('"n" must be an integer, got ')
+        assert "entries form" not in error["message"]
 
     def test_help_is_zero(self):
         code, out, _ = run_cli(["--help"])
@@ -361,6 +369,15 @@ class TestGen:
         min_poly = json.loads(cov_out)["min_poly"]
         assert min_poly == ["-2", "4", "-1", "-2", "1"]  # (X^2-2)(X-1)^2 ascending
 
+    def test_minpoly_degree_is_bounded(self):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(["gen", "--seed", "s", "--minpoly", "X^1000+X+1"])
+        assert time.perf_counter() - t0 < 2.0
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "UsageError"
+        assert f"at most {cli.MAX_GEN_SIZE}, got 1000" in error["message"]
+
     def test_blocks_builds_companion_direct_sum(self):
         out = gen("g2", "--blocks", "(X-1)^2;X^2+1")
         doc = json.loads(out)
@@ -373,6 +390,79 @@ class TestGen:
         out = gen(f"fam-{family}", "--family", family, "--size", "4")
         doc = json.loads(out)
         assert len(doc["entries"]) == doc["n"]
+
+
+#: the north-star n = 32 ladder matrix: minimal polynomial of degree 32,
+#: irreducible factors of degree <= 3
+LADDER_32 = "(X^2-2)^3; (X-3)^3; (X^3-X-1)^2; X^2+X+1; (X+2)^4; (X^2+3)^2; (X^3-5)^2; X-7"
+
+#: (irreducible factor, its degree) for derogatory_blocks
+BLOCK_FACTORS = [
+    ("X-1", 1), ("X+2", 1), ("X-3", 1), ("X^2-2", 2), ("X^2+1", 2), ("X^2+X+1", 2),
+    ("X^2-3", 2), ("X^3-2", 3), ("X^3-X-1", 3), ("X^4+1", 4),
+]
+
+
+def derogatory_blocks(seed):
+    """Blocks of order <= 32 whose minimal polynomial has degree >= 17
+    and below the order: the last block repeats a power of a factor.
+    Returns the --blocks text, the degree of the minimal polynomial, the
+    order and the number of distinct irreducible factors."""
+    rng = random.Random(f"derogatory:{seed}")
+    while True:
+        chosen = rng.sample(BLOCK_FACTORS, rng.randint(4, len(BLOCK_FACTORS)))
+        powers = [(f, d, rng.randint(1, 3)) for f, d in chosen]
+        degree = sum(d * e for _, d, e in powers)
+        f, d, e = rng.choice(powers)
+        k = rng.randint(1, e)
+        if 17 <= degree and degree + d * k <= 32:
+            blocks = [f"({g})^{j}" for g, _, j in powers] + [f"({f})^{k}"]
+            return "; ".join(blocks), degree, degree + d * k, len(powers)
+
+
+class TestDefaultSettingsAboveDegree16:
+    @pytest.fixture(scope="class")
+    def ladder(self):
+        return gen("0", "--blocks", LADDER_32)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sn"], ["fine"], ["covariants"], ["apply", "--poly", "X^5+X"], ["mjc"]],
+        ids=["sn", "fine", "covariants", "apply", "mjc"],
+    )
+    def test_ladder_32_passes_check(self, ladder, argv):
+        code, out, err = run_cli([*argv, "--check"], input_text=ladder)
+        assert code == 0, err
+        assert json.loads(out)["report"]["pass"] is True
+
+    def test_ladder_32_cubic_factors_refuse_cmjc(self, ladder):
+        code, out, err = run_cli(["cmjc"], input_text=ladder)
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == "FactorDegreeTooHigh"
+
+    def test_dense_32_sn_check(self):
+        rng = random.Random(1)
+        entries = [[str(rng.randint(-9, 9)) for _ in range(32)] for _ in range(32)]
+        code, out, err = run_cli(["sn", "--check"], input_text=json.dumps({"entries": entries}))
+        assert code == 0, err
+        payload = json.loads(out)
+        assert len(payload["min_poly"]) == 33
+        assert payload["report"]["pass"] is True
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_derogatory_blocks_pass_check(self, seed):
+        blocks, degree, order, factors = derogatory_blocks(seed)
+        doc = gen(f"derogatory-{seed}", "--blocks", blocks)
+        assert json.loads(doc)["n"] == order
+        code, out, err = run_cli(["sn", "--check"], input_text=doc)
+        assert code == 0, err
+        sn = json.loads(out)
+        assert len(sn["min_poly"]) == degree + 1
+        code, out, err = run_cli(["fine", "--check"], input_text=doc)
+        assert code == 0, err
+        fine = json.loads(out)
+        assert len(fine["components"]) == factors
+        assert sn["report"]["pass"] is fine["report"]["pass"] is True
 
 
 class TestPipelines:

@@ -1,11 +1,13 @@
 """Rational factorization driver, including recombination stress cases."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from mindec.errors import DegreeCapExceeded, ZeroPolynomial
+from mindec import factor
+from mindec.errors import RecombinationBudgetExceeded, ZeroPolynomial
 from mindec.factor import FactoredMinPoly, factor_rational
 from mindec.poly import Polynomial, X
 
@@ -14,6 +16,19 @@ def poly_from_roots(roots):
     p = Polynomial((1,))
     for r in roots:
         p = p * (X - Polynomial((Fraction(r),)))
+    return p
+
+
+def swinnerton_dyer(radicands, shift=0):
+    """prod (X + shift - (+-sqrt(a1) +- ... +- sqrt(ak))): irreducible
+    over Q, yet a product of factors of degree <= 2 modulo every prime."""
+    p = X + Polynomial((shift,))
+    for a in radicands:
+        # p(X + s) = A + s*B with s^2 = a, by Horner on (A + s*B)*(X + s)
+        A = B = Polynomial(())
+        for c in reversed(p.coeffs):
+            A, B = A * X + B * a + Polynomial((c,)), B * X + A
+        p = A * A - B * B * a
     return p
 
 
@@ -127,27 +142,60 @@ def _eisenstein_at_3(roots_mod_19):
 
 class TestExhaustiveRecombination:
     def test_two_factors_of_nine_modular_factors_each(self):
-        # the first usable prime is 19, where A*B splits into 18 linear
-        # factors and each true factor takes 9 of them: more than the
-        # 8 a width-limited search tries, so such a search returns A*B
-        # as one "irreducible" factor
+        # at 19, the first usable prime, A*B splits into 18 linear
+        # factors and each true factor takes 9 of them: a width-limited
+        # search returns A*B as one "irreducible" factor, and an
+        # exhaustive one needs over 10^5 subset trials.  The prime scan
+        # moves on to 23, where 5 factors leave at most 15 trials.
         A = _eisenstein_at_3(range(0, 9))
         B = _eisenstein_at_3(range(9, 18))
-        assert dict(factor_rational(A * B, cap=18).factors) == {A: 1, B: 1}
+        t0 = time.perf_counter()
+        assert dict(factor_rational(A * B).factors) == {A: 1, B: 1}
+        assert time.perf_counter() - t0 < 1.0
 
 
-class TestDegreeCap:
-    def test_cap_enforced(self):
-        p = X**5 - Polynomial((1,))
-        with pytest.raises(DegreeCapExceeded):
-            factor_rational(p, cap=4)
+SD16 = swinnerton_dyer([2, 3, 5, 7])
+SD16_SHIFTED = swinnerton_dyer([2, 3, 5, 7], 1)
+SD32 = swinnerton_dyer([2, 3, 5, 7, 11])
 
-    def test_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("MINDEC_DEGREE_CAP", "3")
-        with pytest.raises(DegreeCapExceeded):
-            factor_rational(X**4 - Polynomial((1,)))
 
-    def test_default_cap_admits_moderate_degrees(self):
+class TestRecombinationBudget:
+    def test_swinnerton_dyer_16_is_irreducible(self):
+        assert factor_rational(SD16).factors == ((SD16, 1),)
+
+    def test_budget_counts_subset_trials(self, monkeypatch):
+        # SD16 leaves at least 8 modular factors at every prime, and 8
+        # quadratics at the prime kept: proving it irreducible takes all
+        # 2^7 - 1 subsets up to complements
+        monkeypatch.setattr(factor, "RECOMBINATION_BUDGET", 126)
+        with pytest.raises(RecombinationBudgetExceeded, match="more than 126 subset trials"):
+            factor_rational(SD16)
+        monkeypatch.setattr(factor, "RECOMBINATION_BUDGET", 127)
+        assert factor_rational(SD16).factors == ((SD16, 1),)
+
+    @pytest.mark.parametrize(
+        "factors", [[SD32], [SD16, SD16_SHIFTED]], ids=["SD32", "SD16-times-shift"]
+    )
+    def test_degree_32_factors_or_is_refused_fast(self, factors):
+        p = Polynomial((1,))
+        for f in factors:
+            p = p * f
+        t0 = time.perf_counter()
+        try:
+            assert dict(factor_rational(p).factors) == {f: 1 for f in factors}
+        except RecombinationBudgetExceeded:
+            pass
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_past_the_budget_is_refused_fast(self):
+        # at least 32 modular factors at every prime: 2^31 - 1 subsets
+        p = swinnerton_dyer([2, 3, 5, 7, 11, 13])
+        t0 = time.perf_counter()
+        with pytest.raises(RecombinationBudgetExceeded, match="degree-64"):
+            factor_rational(p)
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_admits_moderate_degrees(self):
         p = poly_from_roots(range(1, 9))
         assert len(factor_rational(p).factors) == 8
 
