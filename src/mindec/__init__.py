@@ -50,12 +50,7 @@ from mindec.scalar import (
     MultiQuad,
     NumberField,
     NumberFieldElement,
-    mq_conjugate,
-    mq_invert,
-    mq_sign,
     mq_sqrt_rational,
-    nf_invert,
-    nf_trace,
     square_split,
 )
 from mindec.poly import (
@@ -201,13 +196,8 @@ __all__ = [
     "matrix_from_json",
     "matrix_to_json",
     "minimal_polynomial",
-    "mq_conjugate",
-    "mq_invert",
-    "mq_sign",
     "mq_sqrt_rational",
     "multiplicative_jc",
-    "nf_invert",
-    "nf_trace",
     "parse_poly_expression",
     "poly_from_json",
     "poly_gcd",

@@ -203,7 +203,8 @@ def _cmd_apply(args) -> int:
 
 
 #: largest matrix size that gen --size accepts (the smallest is 2),
-#: and largest degree of gen --minpoly
+#: largest degree of gen --minpoly and largest total degree of the
+#: gen --blocks polynomials
 MAX_GEN_SIZE = 64
 
 
@@ -220,6 +221,11 @@ def _cmd_gen(args) -> int:
         gm = matrix_from_min_poly(min_poly, seed)
     elif args.blocks:
         polys = [parse_poly_expression(s) for s in args.blocks.split(";") if s.strip()]
+        order = sum(p.degree for p in polys)
+        if order > MAX_GEN_SIZE:
+            raise UsageError(
+                f"--blocks total degree must be at most {MAX_GEN_SIZE}, got {order}"
+            )
         gm = blocks_matrix(polys, seed)
     elif args.family == "invertible-quadratic":
         gm = random_invertible_quadratic(seed, args.size or 5)

@@ -126,20 +126,25 @@ def sn_decompose(M: DenseMatrix) -> SNDecomposition:
     )
 
 
-def sn_newton_oracle(M: DenseMatrix, max_rounds: int = 40) -> DenseMatrix:
+def sn_newton_oracle(M: DenseMatrix) -> DenseMatrix:
     """Independent construction of the semisimple part.
 
     Newton iteration Z <- Z - g(Z) * g'(Z)^-1 on the squarefree part g
     of the minimal polynomial, starting at M.  Quadratic convergence in
-    the nilpotency order; the limit is the unique semisimple S with
-    M - S nilpotent, commuting with M.  Shares nothing with the
-    covariant construction but basic polynomial arithmetic and the
-    minimal polynomial of M, which it reads from M's analysis.
+    the nilpotency order: g(Z_k) lies in g(M)^(2^k) * Q[M], so with mu
+    the largest multiplicity of a factor of the minimal polynomial,
+    g(Z_k) = 0 once 2^k >= mu, and ceil(log2 mu) + 1 evaluations of g
+    suffice; InvariantViolation if they do not.  The limit is the
+    unique semisimple S with M - S nilpotent, commuting with M.  Shares
+    nothing with the covariant construction but basic polynomial
+    arithmetic and the minimal polynomial of M, which it reads from M's
+    analysis.
     """
-    g, _ = squarefree_part(_min_poly_of(M))
+    g, profile = squarefree_part(_min_poly_of(M))
+    mu = max((k for _, k in profile), default=1)
     dg = g.derivative()
     Z = M
-    for _ in range(max_rounds):
+    for _ in range((mu - 1).bit_length() + 1):
         value = horner_eval(g, Z)
         if value.is_zero:
             return Z

@@ -49,8 +49,8 @@ class MixedModuli(MindecError):
 
 class FieldMismatch(MindecError):
     """An operand lies outside the field an operation accepts, such as
-    number-field matrix entries, MultiQuad coefficients at a rational
-    matrix, or a MultiQuad matrix where rational entries are needed."""
+    number-field matrix entries or polynomial coefficients, or a matrix
+    with an irrational entry where rational entries are needed."""
 
 
 class SingularMatrix(MindecError):

@@ -125,11 +125,11 @@ def _assemble(parts: List[Tuple[Polynomial, int]], rng: random.Random) -> Genera
     return GeneratedMatrix(matrix=M, min_poly=min_poly, label=label)
 
 
-def random_matrix(seed: str, max_size: int = 6, allow_singular: bool = True) -> GeneratedMatrix:
+def random_matrix(seed: str, max_size: int = 6) -> GeneratedMatrix:
     """Random rational matrix (size 2..max_size) whose minimal polynomial
-    is a known product of small irreducible powers."""
+    is a known product of small irreducible powers, X among them."""
     rng = random.Random(f"gen:{seed}")
-    pool = IRREDUCIBLE_POOL + ((X,) if allow_singular else ())
+    pool = IRREDUCIBLE_POOL + (X,)
     budget = rng.randint(2, max_size)
     parts: List[Tuple[Polynomial, int]] = []
     used = {}

@@ -4,12 +4,12 @@ Every matrix is stored one way: as sum(sqrt(label) * A_label) over one
 positive denominator, with integer parts A_label keyed by squarefree
 label.  The form is canonical: all-zero parts are dropped and no factor
 is common to the denominator and every part, so equality and
-``is_zero`` compare integers.  A rational matrix is the label-1 case.
+``is_zero`` compare integers.
 
-A type bit, ``is_rational``, says how the entries read: Fractions for a
-rational matrix, MultiQuads for one over Q(sqrt(d1), ...), even when
-its values happen to be rational.  A result is rational exactly when
-its operands (and scalar) are; ``as_multiquad`` flips the bit.
+The labels are the matrix's field: a matrix is rational exactly when
+its only label is 1 (or it is zero), whatever entries it was built
+from, and then its entries and trace read as Fractions; otherwise they
+read as MultiQuads over Q(sqrt(d1), ...).
 
 A product is one integer ``mat_mul`` (in :mod:`mindec._kernel`) per
 pair of labels, combined through sqrt(a) * sqrt(b) = coef * sqrt(label);
@@ -66,14 +66,12 @@ class MatrixAnalysis:
 class DenseMatrix:
     """A square matrix; immutable.
 
-    Holds ``_parts`` ({label: integer rows}) over ``_den`` and the type
-    bit ``_rat``; ``_rows`` caches the entries once read.  Rows of
-    Fraction (or int) entries make a rational matrix; rows with at
-    least one MultiQuad entry, the rest Fractions, make a MultiQuad
-    one.  Other entries raise FieldMismatch.
+    Holds ``_parts`` ({label: integer rows}) over ``_den``; ``_rows``
+    caches the entries once read.  Entries may be Fractions (or ints)
+    and MultiQuads in any mix; other entries raise FieldMismatch.
     """
 
-    __slots__ = ("n", "_parts", "_den", "_rat", "_rows", "_analysis")
+    __slots__ = ("n", "_parts", "_den", "_rows", "_analysis")
 
     def __init__(self, rows: Sequence[Sequence]):
         rs = tuple(tuple(Fraction(e) if isinstance(e, int) else e for e in r) for r in rows)
@@ -85,42 +83,40 @@ class DenseMatrix:
         if bad:
             raise FieldMismatch(f"matrix entries must be rational or MultiQuad, not {bad.pop().__name__}")
         self.n = n
-        self._rat = MultiQuad not in kinds
-        if self._rat:
+        if MultiQuad in kinds:
+            self._parts, self._den = _parts_of_rows(rs)
+            self._rows = None
+        else:
             den = lcm(*(e.denominator for r in rs for e in r))
             num = tuple(tuple(cleared_row(r, den)) for r in rs)
             self._parts = {1: num} if any(map(any, num)) else {}
             self._den = den
             self._rows = rs
-        else:
-            self._parts, self._den = _parts_of_rows(rs)
-            self._rows = None
 
     @classmethod
-    def _of_parts(cls, n: int, parts: Parts, den: int, rat: bool) -> "DenseMatrix":
+    def _of_parts(cls, n: int, parts: Parts, den: int) -> "DenseMatrix":
         # sum(sqrt(label) * part) / den, already canonical (see _reduced)
         m = object.__new__(cls)
         m.n = n
         m._parts = parts
         m._den = den
-        m._rat = rat
         m._rows = None
         return m
 
     @classmethod
     def identity(cls, n: int) -> "DenseMatrix":
-        return cls._of_parts(n, {1: _int_identity(n, 1)}, 1, True)
+        return cls._of_parts(n, {1: _int_identity(n, 1)}, 1)
 
     @classmethod
     def zeros(cls, n: int) -> "DenseMatrix":
-        return cls._of_parts(n, {}, 1, True)
+        return cls._of_parts(n, {}, 1)
 
     @classmethod
     def scaled_identity(cls, n: int, c) -> "DenseMatrix":
-        """c times the identity; rational exactly when c is."""
+        """c times the identity, c rational or MultiQuad."""
         cs, cd = _scalar_parts(c)
         parts = {lbl: _int_identity(n, x) for lbl, x in cs.items()}
-        return cls._of_parts(n, parts, cd, not isinstance(c, MultiQuad))
+        return cls._of_parts(n, parts, cd)
 
     @property
     def rows(self) -> Tuple[tuple, ...]:
@@ -130,7 +126,7 @@ class DenseMatrix:
         rows = self._rows
         if rows is None:
             n, d = self.n, self._den
-            if not self._rat:
+            if not self.is_rational:
                 rows = _rows_of_parts(n, self._parts, d)
             elif not self._parts:
                 rows = ((Fraction(0),) * n,) * n
@@ -143,20 +139,14 @@ class DenseMatrix:
 
     @property
     def is_rational(self) -> bool:
-        return self._rat
+        """Whether every entry is rational: the only label is 1."""
+        return self._parts.keys() <= {1}
 
     @property
     def labels(self) -> Tuple[int, ...]:
         """Sorted squarefree labels of the nonzero parts; a rational
         matrix has (1,) or, if zero, ()."""
         return tuple(sorted(self._parts))
-
-    def as_multiquad(self) -> "DenseMatrix":
-        """This matrix with MultiQuad entries: the same parts, so a
-        rational matrix becomes its label-1 form."""
-        if not self._rat:
-            return self
-        return DenseMatrix._of_parts(self.n, self._parts, self._den, False)
 
     @property
     def analysis(self) -> MatrixAnalysis:
@@ -174,7 +164,7 @@ class DenseMatrix:
 
     def transpose(self) -> "DenseMatrix":
         parts = {lbl: tuple(zip(*p)) for lbl, p in self._parts.items()}
-        return DenseMatrix._of_parts(self.n, parts, self._den, self._rat)
+        return DenseMatrix._of_parts(self.n, parts, self._den)
 
     def trace(self):
         n, d = self.n, self._den
@@ -183,7 +173,7 @@ class DenseMatrix:
             t = sum(p[i][i] for i in range(n))
             if t:
                 coords[lbl] = Fraction(t, d)
-        if self._rat:
+        if self.is_rational:
             return coords.get(1, Fraction(0))
         return MultiQuad._raw(coords)
 
@@ -202,13 +192,13 @@ class DenseMatrix:
 
     def __neg__(self):
         parts = {lbl: _scaled(p, -1) for lbl, p in self._parts.items()}
-        return DenseMatrix._of_parts(self.n, parts, self._den, self._rat)
+        return DenseMatrix._of_parts(self.n, parts, self._den)
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
             p = scalar.numerator
             parts = {lbl: _scaled(P, p) for lbl, P in self._parts.items()}
-            return _reduced(self.n, parts, self._den * scalar.denominator, self._rat)
+            return _reduced(self.n, parts, self._den * scalar.denominator)
         if isinstance(scalar, MultiQuad):
             cs, cd = _scalar_parts(scalar)
             terms: Dict[int, list] = {}
@@ -217,7 +207,7 @@ class DenseMatrix:
                     coef, lbl = _label_mul(la, lc)
                     terms.setdefault(lbl, []).append((coef * x, A))
             parts = {lbl: _lincomb(t) for lbl, t in terms.items()}
-            return _reduced(self.n, parts, self._den * cd, False)
+            return _reduced(self.n, parts, self._den * cd)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -230,25 +220,22 @@ class DenseMatrix:
             raise ValueError("order mismatch")
         ap, bp = self._parts, other._parts
         den = self._den * other._den
-        rat = self._rat and other._rat
         if len(ap) <= 1 and len(bp) <= 1:
             # one integer product, also when a factor is zero
             (la, A), (lb, B) = _sole(ap, n), _sole(bp, n)
             coef, lbl = _label_mul(la, lb)
-            return _reduced(n, {lbl: _scaled(_kernel.mat_mul(A, B), coef)}, den, rat)
+            return _reduced(n, {lbl: _scaled(_kernel.mat_mul(A, B), coef)}, den)
         terms: Dict[int, list] = {}
         for la, A in ap.items():
             for lb, B in bp.items():
                 coef, lbl = _label_mul(la, lb)
                 terms.setdefault(lbl, []).append((coef, _kernel.mat_mul(A, B)))
-        return _reduced(n, {lbl: _lincomb(t) for lbl, t in terms.items()}, den, rat)
+        return _reduced(n, {lbl: _lincomb(t) for lbl, t in terms.items()}, den)
 
     def __pow__(self, k: int) -> "DenseMatrix":
         if k < 0:
             return inverse(self) ** (-k)
         result = DenseMatrix.identity(self.n)
-        if not self._rat:
-            result = result.as_multiquad()
         base = self
         while k:
             if k & 1:
@@ -261,7 +248,7 @@ class DenseMatrix:
     def __eq__(self, other):
         if not isinstance(other, DenseMatrix):
             return NotImplemented
-        # the canonical form is unique, whatever the type bit
+        # the canonical form is unique
         return self.n == other.n and self._den == other._den and self._parts == other._parts
 
     def __repr__(self):
@@ -288,7 +275,7 @@ def _scaled(P: tuple, c: int) -> tuple:
     return P if c == 1 else tuple(tuple(c * x for x in r) for r in P)
 
 
-def _reduced(n: int, parts: Parts, den: int, rat: bool) -> DenseMatrix:
+def _reduced(n: int, parts: Parts, den: int) -> DenseMatrix:
     """The matrix sum(sqrt(label) * part) / den (den != 0), canonical:
     all-zero parts dropped, the content common to den and every part
     divided out and den made positive."""
@@ -301,7 +288,7 @@ def _reduced(n: int, parts: Parts, den: int, rat: bool) -> DenseMatrix:
         if g != 1:
             parts = {lbl: tuple(tuple(x // g for x in r) for r in p) for lbl, p in parts.items()}
             den //= g
-    return DenseMatrix._of_parts(n, parts, den, rat)
+    return DenseMatrix._of_parts(n, parts, den)
 
 
 def _coords(e) -> Dict[int, Fraction]:
@@ -385,13 +372,13 @@ def _combine(A: DenseMatrix, B: DenseMatrix, sign: int) -> DenseMatrix:
             parts[lbl] = tuple(
                 tuple(fa * x + fb * y for x, y in zip(rp, rq)) for rp, rq in zip(P, Q)
             )
-    return _reduced(A.n, parts, den, A._rat and B._rat)
+    return _reduced(A.n, parts, den)
 
 
 def _rational_ints(M: DenseMatrix, what: str) -> Tuple[tuple, int]:
     """(integer rows, denominator) of a rational matrix; FieldMismatch
-    for a MultiQuad one."""
-    if not M._rat:
+    for one with an irrational entry."""
+    if not M.is_rational:
         raise FieldMismatch(f"{what} expects a matrix with rational entries")
     return _sole(M._parts, M.n)[1], M._den
 
@@ -418,7 +405,7 @@ def inverse(M: DenseMatrix) -> DenseMatrix:
     red, den, pivots = _kernel.rref([r + e for r, e in zip(num, _int_identity(n, 1))])
     if pivots[:n] != list(range(n)):
         raise SingularMatrix("matrix has no inverse")
-    return _reduced(n, {1: tuple(tuple(d * x for x in r[n:]) for r in red)}, den, True)
+    return _reduced(n, {1: tuple(tuple(d * x for x in r[n:]) for r in red)}, den)
 
 
 def kernel_basis(M: DenseMatrix) -> List[Tuple]:
@@ -453,17 +440,10 @@ def mat_vec(M: DenseMatrix, vec: Sequence) -> list:
 def horner_eval(f: Polynomial, M: DenseMatrix) -> DenseMatrix:
     """Evaluate a polynomial at a matrix by Horner's rule.
 
-    Rational coefficients go with any matrix, MultiQuad coefficients
-    need a MultiQuad matrix; others raise FieldMismatch.  Each step is
-    one product and additions on the diagonals of the parts; no entry
-    is built.
+    Coefficients are rational or MultiQuad, at any matrix; others raise
+    FieldMismatch.  Each step is one product and additions on the
+    diagonals of the parts; no entry is built.
     """
-    for c in f.coeffs:
-        if isinstance(c, MultiQuad):
-            if M._rat:
-                raise FieldMismatch("MultiQuad coefficients at a rational matrix")
-        elif not isinstance(c, Fraction):
-            raise FieldMismatch(f"unsupported coefficient {type(c).__name__}")
     n = M.n
     if f.is_zero:
         acc = DenseMatrix.zeros(n)
@@ -473,7 +453,7 @@ def horner_eval(f: Polynomial, M: DenseMatrix) -> DenseMatrix:
             acc = acc @ M
             if c:
                 acc = _plus_diagonal(acc, c)
-    return acc if M._rat else acc.as_multiquad()
+    return acc
 
 
 def _plus_diagonal(A: DenseMatrix, c) -> DenseMatrix:
@@ -489,7 +469,7 @@ def _plus_diagonal(A: DenseMatrix, c) -> DenseMatrix:
         for i in range(n):
             rows[i][i] += y
         parts[lbl] = tuple(map(tuple, rows))
-    return _reduced(n, parts, den, A._rat and not isinstance(c, MultiQuad))
+    return _reduced(n, parts, den)
 
 
 def minimal_polynomial(M: DenseMatrix) -> Polynomial:
@@ -503,7 +483,7 @@ def minimal_polynomial(M: DenseMatrix) -> Polynomial:
     kept (pc, v) with pivot p, its tracker alongside, and the pair is
     divided by its content.  The lcm of the per-vector annihilators is
     m_A, and the loop stops once it has degree n; then
-    m_M(X) = d^-k * m_A(d*X).  A MultiQuad matrix raises FieldMismatch.
+    m_M(X) = d^-k * m_A(d*X).  An irrational entry raises FieldMismatch.
     """
     A, d = _rational_ints(M, "minimal_polynomial")
     n = M.n

@@ -37,8 +37,8 @@ matrix A^T A is rational; sigma_i are the square roots.
 Delta, Sigma, U, the A_i and every product the verifiers form are
 matrices over Q(sqrt(d1), ...) in the integer form of
 :mod:`mindec.matrix`, sum(sqrt(label) * A_label) over one denominator;
-a rational matrix enters as its label-1 part, so no product here runs
-entry by entry.  Sigma's entries are real exactly when no nonzero part
+a rational matrix is the label-1 case, so rational and MultiQuad
+operands mix freely and no product here runs entry by entry.  Sigma's entries are real exactly when no nonzero part
 of Sigma has a negative label.
 """
 
@@ -68,11 +68,7 @@ from mindec.matrix import (
 )
 from mindec.poly import Polynomial, poly_gcd
 from mindec.report import VerificationReport, attach_report
-from mindec.scalar import MultiQuad, mq_sign, mq_sqrt_rational
-
-
-def _mq(M: DenseMatrix) -> DenseMatrix:
-    return M.as_multiquad() if M.is_rational else M
+from mindec.scalar import MultiQuad, mq_sqrt_rational
 
 
 @dataclass(frozen=True)
@@ -110,7 +106,7 @@ def complete_mjc(M: DenseMatrix) -> DeltaSigmaU:
                 f"factor of degree {factor.degree}; eigenvalues leave quadratic extensions"
             )
     n = M.n
-    delta = sigma = _mq(DenseMatrix.zeros(n))
+    delta = sigma = DenseMatrix.zeros(n)
     radicands = set()
     delta_eigen: List[MultiQuad] = []
     sigma_lin: List[MultiQuad] = []
@@ -119,7 +115,7 @@ def complete_mjc(M: DenseMatrix) -> DeltaSigmaU:
         E_i = horner_eval(system.e_polys[i], M)
         p, q = factor.coefficient(1), factor.coefficient(0)
         if factor.degree == 1:
-            pairs = ((MultiQuad(-q), _mq(E_i)),)
+            pairs = ((MultiQuad(-q), E_i),)
         elif p * p > 4 * q:
             d, pairs = split_real_pair(factor, E_i, horner_eval(system.s_polys[i], M))
             radicands.add(d)
@@ -127,8 +123,8 @@ def complete_mjc(M: DenseMatrix) -> DeltaSigmaU:
             norm = mq_sqrt_rational(q)  # q = root * conjugate root > 0
             radicands.update(norm.radicands)
             S_i = horner_eval(system.s_polys[i], M)
-            delta = delta + _mq(E_i) * norm
-            sigma = sigma + _mq(S_i) * norm.inverse()
+            delta = delta + E_i * norm
+            sigma = sigma + S_i * norm.inverse()
             _record(delta_eigen, norm)
             quad = Polynomial((MultiQuad(1), MultiQuad(p) * norm.inverse(), MultiQuad(1)))
             if quad not in sigma_quad:
@@ -145,7 +141,7 @@ def complete_mjc(M: DenseMatrix) -> DeltaSigmaU:
     dsu = DeltaSigmaU(
         delta=delta,
         sigma=sigma,
-        unipotent=_mq(U),
+        unipotent=U,
         radicands=tuple(sorted(radicands)),
         # class listings run from the largest absolute eigenvalue down,
         # ties broken with the positive sign first
@@ -168,7 +164,6 @@ def split_real_pair(
     """
     d, lam_plus, lam_minus = quadratic_roots(factor)
     inv_t = (lam_plus - lam_minus).inverse()
-    E, S = _mq(E), _mq(S)
     return d, (
         (lam_plus, (S - E * lam_minus) * inv_t),
         (lam_minus, (E * lam_plus - S) * inv_t),
@@ -193,7 +188,7 @@ def _is_real_irreducible_quadratic(quad: Polynomial) -> bool:
     return (
         len(c) == 3
         and all(map(_is_real, c))
-        and mq_sign(MultiQuad(c[1] * c[1] - 4 * c[2] * c[0])) == -1
+        and MultiQuad(c[1] * c[1] - 4 * c[2] * c[0]).sign() == -1
     )
 
 
@@ -226,9 +221,8 @@ def verify_cmjc(M: DenseMatrix, dsu: DeltaSigmaU) -> VerificationReport:
     """Full identity report for a Delta Sigma U decomposition."""
     report = VerificationReport("complete multiplicative decomposition")
     n = M.n
-    M_mq = _mq(M)
     delta, sigma, U = dsu.delta, dsu.sigma, dsu.unipotent
-    report.add("reassembly", "M = Delta Sigma U", delta @ sigma @ U == M_mq)
+    report.add("reassembly", "M = Delta Sigma U", delta @ sigma @ U == M)
     report.add(
         "commutation",
         "Delta, Sigma, U pairwise commute",
@@ -243,7 +237,7 @@ def verify_cmjc(M: DenseMatrix, dsu: DeltaSigmaU) -> VerificationReport:
         "delta-spectrum",
         "minimal polynomial of Delta is the product of (X - v) over the "
         "distinct class norms v",
-        _is_minimal_polynomial(_mq(delta), [_linear(v) for v in dsu.delta_spectrum]),
+        _is_minimal_polynomial(delta, [_linear(v) for v in dsu.delta_spectrum]),
     )
     report.add(
         "delta-positive",
@@ -253,7 +247,6 @@ def verify_cmjc(M: DenseMatrix, dsu: DeltaSigmaU) -> VerificationReport:
     # real entries and coefficients, and a negative discriminant for each
     # quadratic, make every listed factor irreducible over the entry field;
     # the entries are real when no nonzero part of Sigma has a negative label
-    sigma = _mq(sigma)
     irreducible = (
         all(label > 0 for label in sigma.labels)
         and all(map(_is_real, dsu.sigma_linear))
@@ -347,7 +340,7 @@ def _svd_terms(A: DenseMatrix) -> SVDResult:
         sigma_i = mq_sqrt_rational(value)
         radicands.update(sigma_i.radicands)
         P_i = horner_eval(system.e_polys[i], gram)
-        terms.append(SVDTerm(sigma=sigma_i, matrix=_mq(A @ P_i) * sigma_i.inverse()))
+        terms.append(SVDTerm(sigma=sigma_i, matrix=(A @ P_i) * sigma_i.inverse()))
     return SVDResult(terms=tuple(terms), radicands=tuple(sorted(radicands)))
 
 
@@ -358,7 +351,7 @@ def _as_terms(candidate) -> List[Tuple[MultiQuad, DenseMatrix]]:
     for sigma, matrix in candidate:
         if isinstance(sigma, (int, Fraction)):
             sigma = MultiQuad(sigma)
-        out.append((sigma, _mq(matrix)))
+        out.append((sigma, matrix))
     return out
 
 
@@ -367,7 +360,6 @@ def verify_svd_system(A: DenseMatrix, candidate) -> VerificationReport:
     report = VerificationReport("singular value system")
     terms = _as_terms(candidate)
     n = A.n
-    A_mq = _mq(A)
     report.add("nonzero", "every A_i is nonzero", all(not B.is_zero for _, B in terms))
     order_ok = all(t.sign() == 1 for t, _ in terms) and all(
         (terms[i][0] - terms[i + 1][0]).sign() == 1 for i in range(len(terms) - 1)
@@ -389,10 +381,10 @@ def verify_svd_system(A: DenseMatrix, candidate) -> VerificationReport:
     )
     isometry_ok = all(B @ B.transpose() @ B == B for _, B in terms)
     report.add("partial-isometry", "A_i A_i^T A_i = A_i", isometry_ok)
-    acc = _mq(DenseMatrix.zeros(n))
+    acc = DenseMatrix.zeros(n)
     for t, B in terms:
         acc = acc + B * t
-    report.add("reassembly", "sum(sigma_i A_i) = A", acc == A_mq)
+    report.add("reassembly", "sum(sigma_i A_i) = A", acc == A)
     report.add(
         "kernel-sanity",
         "Ker(A^T A) = Ker(A)",

@@ -82,12 +82,7 @@ from mindec.realclosed import (
 from mindec.scalar import (
     MultiQuad,
     NumberField,
-    mq_conjugate,
-    mq_invert,
-    mq_sign,
     mq_sqrt_rational,
-    nf_invert,
-    nf_trace,
 )
 
 
@@ -241,14 +236,13 @@ def real_pair_splits(M: DenseMatrix):
     """For every real-pair class of M, the projectors of split_real_pair
     and the generic-root split of the class evaluated at M."""
     system = system_of(M)
-    M_mq = M.as_multiquad()
     for i, (factor, _) in enumerate(system.factored.factors):
         p, q = factor.coefficient(1), factor.coefficient(0)
         if factor.degree == 2 and p * p > 4 * q:
             E_i = horner_eval(system.e_polys[i], M)
             d, pairs = split_real_pair(factor, E_i, horner_eval(system.s_polys[i], M))
             split = split_covariants_over_extension(system, i, d)
-            yield pairs, tuple((lam, horner_eval(cov, M_mq)) for lam, cov in split)
+            yield pairs, tuple((lam, horner_eval(cov, M)) for lam, cov in split)
 
 
 def criterion_cmjc(count: int = 50) -> CriterionResult:
@@ -404,17 +398,17 @@ def criterion_scalar(count: int = 1000) -> CriterionResult:
         ok = ok and a * b == b * a and a + b == b + a
         ok = ok and a + (b - b) == a
         if a != MultiQuad(0):
-            ok = ok and a * mq_invert(a) == one
-        ok = ok and mq_conjugate(a * b) == mq_conjugate(a) * mq_conjugate(b)
-        ok = ok and mq_conjugate(a + b) == mq_conjugate(a) + mq_conjugate(b)
-        ok = ok and mq_conjugate(mq_conjugate(a)) == a
+            ok = ok and a * a.inverse() == one
+        ok = ok and (a * b).conjugate() == a.conjugate() * b.conjugate()
+        ok = ok and (a + b).conjugate() == a.conjugate() + b.conjugate()
+        ok = ok and a.conjugate().conjugate() == a
         x = _random_mq(rng, real=True)
         y = _random_mq(rng, real=True)
-        ok = ok and mq_sign(x * y) == mq_sign(x) * mq_sign(y)
-        ok = ok and mq_sign(-x) == -mq_sign(x)
-        ok = ok and mq_sign(x * x) in (0, 1)
-        if mq_sign(x) == 1 and mq_sign(y) == 1:
-            ok = ok and mq_sign(x + y) == 1
+        ok = ok and (x * y).sign() == x.sign() * y.sign()
+        ok = ok and (-x).sign() == -x.sign()
+        ok = ok and (x * x).sign() in (0, 1)
+        if x.sign() == 1 and y.sign() == 1:
+            ok = ok and (x + y).sign() == 1
         field = rng.choice(fields)
         u = field.element(
             tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(field.degree))
@@ -423,9 +417,9 @@ def criterion_scalar(count: int = 1000) -> CriterionResult:
             tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(field.degree))
         )
         alpha = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        ok = ok and nf_trace(u * alpha + v) == nf_trace(u) * alpha + nf_trace(v)
+        ok = ok and (u * alpha + v).trace() == u.trace() * alpha + v.trace()
         if u:
-            ok = ok and u * nf_invert(u) == field.one()
+            ok = ok and u * u.inverse() == field.one()
         if not ok:
             failures.append(k)
     return _result(8, "scalar field, sign, trace, conjugation properties", t0, failures, f"{count} cases")
@@ -460,44 +454,40 @@ def run_all(quick: bool = False) -> List[CriterionResult]:
 _HALF = Fraction(1, 2)
 
 
-def _mqm(M: DenseMatrix) -> DenseMatrix:
-    return M.as_multiquad()
-
-
 @_case("invert-rational")
 def _t_invert_rational():
-    assert mq_invert(MultiQuad(2)) == MultiQuad(_HALF)
+    assert MultiQuad(2).inverse() == MultiQuad(_HALF)
 
 
 @_case("invert-sqrt2")
 def _t_invert_sqrt2():
-    assert mq_invert(MultiQuad({2: 1})) == MultiQuad({2: _HALF})
+    assert MultiQuad({2: 1}).inverse() == MultiQuad({2: _HALF})
 
 
 @_case("sign-zero")
 def _t_sign_zero():
-    assert mq_sign(MultiQuad(0)) == 0
+    assert MultiQuad(0).sign() == 0
 
 
 @_case("sign-sqrt2-minus-one")
 def _t_sign_sqrt2_minus_one():
-    assert mq_sign(MultiQuad({2: 1, 1: -1})) == 1
+    assert MultiQuad({2: 1, 1: -1}).sign() == 1
 
 
 @_case("conjugate-rational")
 def _t_conjugate_rational():
-    assert mq_conjugate(MultiQuad(3)) == MultiQuad(3)
+    assert MultiQuad(3).conjugate() == MultiQuad(3)
 
 
 @_case("conjugate-imaginary")
 def _t_conjugate_imaginary():
-    assert mq_conjugate(MultiQuad({-1: 1})) == MultiQuad({-1: -1})
+    assert MultiQuad({-1: 1}).conjugate() == MultiQuad({-1: -1})
 
 
 @_case("conjugate-mixed")
 def _t_conjugate_mixed():
     value = MultiQuad({1: 1, -1: 2, 2: 1})
-    assert mq_conjugate(value) == MultiQuad({1: 1, -1: -2, 2: 1})
+    assert value.conjugate() == MultiQuad({1: 1, -1: -2, 2: 1})
 
 
 @_case("sqrt-perfect-square")
@@ -516,34 +506,34 @@ def _t_sqrt_with_square_part():
 
 
 @_case("nf-invert-generator")
-def _t_nf_invert_generator():
+def _t_nf_inverse_generator():
     field = NumberField((-2, 0, 1))
-    assert nf_invert(field.gen()) == field.element((0, _HALF))
+    assert field.gen().inverse() == field.element((0, _HALF))
 
 
 @_case("nf-invert-rational-element")
-def _t_nf_invert_rational():
+def _t_nf_inverse_rational():
     field = NumberField((1, 0, 1))
-    assert nf_invert(field.embed(3)) == field.embed(Fraction(1, 3))
+    assert field.embed(3).inverse() == field.embed(Fraction(1, 3))
 
 
 @_case("nf-trace-generator")
-def _t_nf_trace_generator():
+def _t_trace_generator():
     field = NumberField((-2, 0, 1))
-    assert nf_trace(field.gen()) == 0
+    assert field.gen().trace() == 0
 
 
 @_case("nf-trace-rational")
-def _t_nf_trace_rational():
+def _t_trace_rational():
     field = NumberField((-2, 0, 1))
-    assert nf_trace(field.embed(3)) == 6
+    assert field.embed(3).trace() == 6
 
 
 @_case("nf-trace-square")
-def _t_nf_trace_square():
+def _t_trace_square():
     field = NumberField((-2, 0, 1))
     y = field.gen()
-    assert nf_trace(y * y) == 4
+    assert (y * y).trace() == 4
 
 
 @_case("ext-gcd-coprime-linears")
@@ -735,8 +725,8 @@ def _t_system_repeated_linear():
 def _t_split_conjugate():
     system = build_covariant_system(factor_rational(Polynomial((1, 0, 1))))
     (lam_p, cov_p), (lam_m, cov_m) = split_covariants_over_extension(system, 0, -1)
-    assert lam_m == mq_conjugate(lam_p)
-    assert [mq_conjugate(c) for c in cov_p.coeffs] == list(cov_m.coeffs)
+    assert lam_m == lam_p.conjugate()
+    assert [c.conjugate() for c in cov_p.coeffs] == list(cov_m.coeffs)
     total = cov_p + cov_m
     assert total == Polynomial((MultiQuad(1),))
 
@@ -968,25 +958,25 @@ def _t_image_fine_identity():
 def _t_cmjc_rotation():
     M = DenseMatrix([[0, -1], [1, 0]])
     dsu = complete_mjc(M)
-    assert dsu.delta == _mqm(DenseMatrix.identity(2))
-    assert dsu.sigma == _mqm(M)
-    assert dsu.unipotent == _mqm(DenseMatrix.identity(2))
+    assert dsu.delta == DenseMatrix.identity(2)
+    assert dsu.sigma == M
+    assert dsu.unipotent == DenseMatrix.identity(2)
 
 
 @_case("cmjc-scaled-jordan")
 def _t_cmjc_scaled_jordan():
     dsu = complete_mjc(DenseMatrix([[2, 2], [0, 2]]))
-    assert dsu.delta == _mqm(DenseMatrix.scaled_identity(2, Fraction(2)))
-    assert dsu.sigma == _mqm(DenseMatrix.identity(2))
-    assert dsu.unipotent == _mqm(DenseMatrix([[1, 1], [0, 1]]))
+    assert dsu.delta == DenseMatrix.scaled_identity(2, Fraction(2))
+    assert dsu.sigma == DenseMatrix.identity(2)
+    assert dsu.unipotent == DenseMatrix([[1, 1], [0, 1]])
 
 
 @_case("svd-diagonal")
 def _t_svd_diagonal():
     result = svd(DenseMatrix([[3, 0], [0, -2]]))
     assert result.singular_values == (MultiQuad(3), MultiQuad(2))
-    assert result.terms[0].matrix == _mqm(DenseMatrix([[1, 0], [0, 0]]))
-    assert result.terms[1].matrix == _mqm(DenseMatrix([[0, 0], [0, -1]]))
+    assert result.terms[0].matrix == DenseMatrix([[1, 0], [0, 0]])
+    assert result.terms[1].matrix == DenseMatrix([[0, 0], [0, -1]])
 
 
 @_case("svd-nilpotent")
@@ -994,7 +984,7 @@ def _t_svd_nilpotent():
     A = DenseMatrix([[0, 1], [0, 0]])
     result = svd(A)
     assert result.singular_values == (MultiQuad(1),)
-    assert result.terms[0].matrix == _mqm(A)
+    assert result.terms[0].matrix == A
 
 
 @_case("svd-uniqueness-accepts-canonical")

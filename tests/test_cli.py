@@ -213,6 +213,32 @@ def test_multiquad_input_is_a_field_mismatch_for_every_command():
         assert json.loads(err)["error"] == "FieldMismatch", command
 
 
+#: a rational matrix written with MultiQuad entries of rational value,
+#: 2 = sqrt(4), 3 and 1 = (1/3) sqrt(9), and its Fraction twin; it is
+#: symmetric and nonsingular with eigenvalues 5, 1, 1, so every command
+#: succeeds on it
+RATIONAL_MQ_3 = json.dumps(
+    {
+        "entries": [
+            [{"1": "3"}, {"4": "1"}, "0"],
+            [{"4": "1"}, {"1": "3"}, "0"],
+            ["0", "0", {"9": "1/3"}],
+        ]
+    }
+)
+RATIONAL_3 = json.dumps({"entries": [["3", "2", "0"], ["2", "3", "0"], ["0", "0", "1"]]})
+
+
+@pytest.mark.parametrize(
+    "argv", [[c] for c in MATRIX_COMMANDS] + [["apply", "--poly", "X^2-1"]], ids="-".join
+)
+def test_rational_valued_multiquad_input_matches_its_fraction_twin(argv):
+    # the field of a matrix is the field of its values, not of its syntax
+    code, out, err = run_cli([*argv, "--check"], input_text=RATIONAL_MQ_3)
+    assert (code, err) == (0, "")
+    assert (code, out) == run_cli([*argv, "--check"], input_text=RATIONAL_3)[:2]
+
+
 #: atoms the document format refuses: zero denominators, non-strings,
 #: bad labels, non-ASCII digits
 MALFORMED_ATOMS = (
@@ -377,6 +403,18 @@ class TestGen:
         error = json.loads(err)
         assert error["error"] == "UsageError"
         assert f"at most {cli.MAX_GEN_SIZE}, got 1000" in error["message"]
+
+    @pytest.mark.parametrize("blocks, order", [("X^65-2", 65), ("X^30-2;X^30-3;X^30-5", 90)])
+    def test_blocks_total_degree_is_bounded(self, blocks, order):
+        code, out, err = run_cli(["gen", "--seed", "s", "--blocks", blocks])
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "UsageError"
+        assert f"at most {cli.MAX_GEN_SIZE}, got {order}" in error["message"]
+
+    def test_blocks_at_the_bound_are_accepted(self):
+        doc = json.loads(gen("edge", "--blocks", "X^32-2;X^30-3;X^2+1"))
+        assert doc["n"] == cli.MAX_GEN_SIZE == 64
 
     def test_blocks_builds_companion_direct_sum(self):
         out = gen("g2", "--blocks", "(X-1)^2;X^2+1")

@@ -25,7 +25,7 @@ from mindec.generator import IRREDUCIBLE_POOL, blocks_matrix
 from mindec.matfun import _factor_slices
 from mindec.matrix import DenseMatrix, companion, horner_eval
 from mindec.poly import Polynomial, X, hasse_derivative, trace_coeffwise
-from mindec.scalar import MultiQuad, mq_conjugate
+from mindec.scalar import MultiQuad
 
 
 class TestSqrt2System:
@@ -115,7 +115,7 @@ class TestSplitCovariants:
 
     def test_split_projectors_idempotent_at_matrix(self):
         m = Polynomial((-2, 0, 1))
-        M = companion(m).as_multiquad()
+        M = companion(m)
         system = build_covariant_system(factor_rational(m))
         for lam, cov in split_covariants_over_extension(system, 0, 2):
             P = horner_eval(cov, M)
@@ -125,8 +125,8 @@ class TestSplitCovariants:
     def test_complex_split_conjugate_symmetry(self):
         system = build_covariant_system(factor_rational(Polynomial((1, 0, 1))))
         (lam_p, cov_p), (lam_m, cov_m) = split_covariants_over_extension(system, 0, -1)
-        assert lam_m == mq_conjugate(lam_p)
-        assert tuple(mq_conjugate(c) for c in cov_p.coeffs) == cov_m.coeffs
+        assert lam_m == lam_p.conjugate()
+        assert tuple(c.conjugate() for c in cov_p.coeffs) == cov_m.coeffs
 
     def test_wrong_radicand_rejected(self):
         system = build_covariant_system(factor_rational(Polynomial((-2, 0, 1))))

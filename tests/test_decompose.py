@@ -18,7 +18,7 @@ from mindec.decompose import (
     verify_unbreakable,
 )
 from mindec.errors import SingularMatrix
-from mindec.generator import block_diag, random_matrix
+from mindec.generator import block_diag, blocks_matrix, random_matrix
 from mindec.matrix import (
     DenseMatrix,
     commute,
@@ -47,6 +47,27 @@ class TestAdditiveSplit:
             M = random_matrix(f"newton-cross-{k}").matrix
             sn = sn_decompose(M)
             assert sn.semisimple == sn_newton_oracle(M)
+
+    def test_newton_needs_its_whole_evaluation_bound(self, monkeypatch):
+        # (X^2-2)^16: g(Z_k) lies in g(M)^(2^k) Q[M], so g(Z_k) = 0 first
+        # at k = 4, on the fifth evaluation of g, which is the bound
+        # ceil(log2 16) + 1
+        import mindec.decompose as decompose_mod
+
+        g = Polynomial((-2, 0, 1))
+        M = blocks_matrix([g**16], "newton-bound").matrix
+        assert M.n == 32
+        calls = []
+
+        def counting(f, Z):
+            calls.append(f == g)
+            return horner_eval(f, Z)
+
+        monkeypatch.setattr(decompose_mod, "horner_eval", counting)
+        S = sn_newton_oracle(M)
+        assert sum(calls) == 5
+        assert horner_eval(g, S).is_zero and S == sn_decompose(M).semisimple
+        assert not ((M - S) ** 8).is_zero and ((M - S) ** 16).is_zero
 
     def test_witness_polynomials_evaluate_to_parts(self):
         M = companion(((X - Polynomial((1,))) ** 2 * (X + Polynomial((1,)))).monic())

@@ -105,8 +105,9 @@ class TestRankAndKernel:
             kernel_basis(A)
         with pytest.raises(FieldMismatch):
             rref_rows(A.rows)
-        with pytest.raises(FieldMismatch):
-            rank(DenseMatrix.identity(2).as_multiquad())
+        # MultiQuad entries with rational values make a rational matrix
+        B = DenseMatrix([[MultiQuad({4: 1}), MultiQuad(2)], [MultiQuad(1), MultiQuad(1)]])
+        assert rank(B) == 1 and kernel_basis(B) == [(Fraction(-1), Fraction(1))]
 
 
 class TestInverse:
@@ -162,9 +163,9 @@ class TestMinimalPolynomial:
         A = DenseMatrix([[sqrt2, MultiQuad(1)], [MultiQuad(0), sqrt2]])
         with pytest.raises(FieldMismatch):
             minimal_polynomial(A)
-        # a MultiQuad matrix with rational values is still not rational
-        with pytest.raises(FieldMismatch):
-            minimal_polynomial(DenseMatrix.identity(2).as_multiquad())
+        # MultiQuad entries with rational values make a rational matrix
+        B = DenseMatrix([[MultiQuad({4: 1}), MultiQuad(1)], [MultiQuad(0), MultiQuad(2)]])
+        assert minimal_polynomial(B) == (X - Polynomial((2,))) ** 2
 
 
 class TestCompanion:
@@ -253,7 +254,7 @@ class TestHornerDiagonal:
         with pytest.raises(FieldMismatch):
             horner_eval(Polynomial((field.one(), y)), DenseMatrix.identity(2))
         with pytest.raises(FieldMismatch):
-            horner_eval(Polynomial((y,)), DenseMatrix.identity(2).as_multiquad())
+            horner_eval(Polynomial((y,)), DenseMatrix([[MultiQuad({2: 1})]]))
         with pytest.raises(FieldMismatch):
             DenseMatrix.scaled_identity(2, y)
 
@@ -308,6 +309,11 @@ def representation_cases(rng):
     for n in (1, 2, 3, 4, 5, 6):
         yield DenseMatrix([[big_entry(rng) for _ in range(n)] for _ in range(n)])
         yield rand_matrix(rng, n)
+
+
+def as_mq_entries(M):
+    """The same matrix built from MultiQuad entries."""
+    return DenseMatrix([[MultiQuad(e) for e in r] for r in M.rows])
 
 
 def assert_canonical(M):
@@ -420,13 +426,15 @@ class TestIntegerRepresentation:
             assert MultiQuad({1: a, 2: b}).inverse() == MultiQuad({1: c, 2: d})
 
     def test_multiquad_entries_stay_generic(self):
+        # MultiQuad entries with rational values take the generic
+        # constructor and land on the same rational matrix
         rng = random.Random("repr-generic")
         for n in (1, 3, 4):
             A = rand_matrix(rng, n)
             B = rand_matrix(rng, n)
-            Aq, Bq = A.as_multiquad(), B.as_multiquad()
-            assert not Aq.is_rational and not (Aq @ Bq).is_rational
-            assert (Aq @ Bq).rows == (A @ B).as_multiquad().rows
+            Aq, Bq = as_mq_entries(A), as_mq_entries(B)
+            assert Aq.is_rational and (Aq @ Bq).is_rational and Aq.rows == A.rows
+            assert (Aq @ Bq).rows == (A @ B).rows
             assert (Aq + Bq) == (A + B) and (Aq - Bq) == (A - B)
             assert A @ Bq == A @ B
             f = Polynomial((Fraction(1, 2), Fraction(-3), Fraction(2, 5)))
@@ -486,28 +494,30 @@ def mq_matrix(rng, n):
 
 
 def mq_cases(rng):
-    """MultiQuad matrices: 1x1, zero, a single label, mixed Fraction
-    entries, rational values in MultiQuad entries, random up to 5x5."""
+    """Matrices of MultiQuad entries: 1x1, zero, a single label, mixed
+    Fraction entries, rational values in MultiQuad entries, random up
+    to 5x5."""
     yield DenseMatrix([[MultiQuad({-1: 1})]])
-    yield DenseMatrix.zeros(3).as_multiquad()
+    yield DenseMatrix([[MultiQuad(0)] * 3] * 3)
     yield DenseMatrix([[MultiQuad({2: Fraction(3, 7)}), 0], [0, MultiQuad({2: -1})]])
     yield DenseMatrix([[Fraction(1, 3), MultiQuad({6: 2})], [MultiQuad(5), Fraction(-2, 9)]])
-    yield rand_matrix(rng, 3).as_multiquad()
+    yield as_mq_entries(rand_matrix(rng, 3))
     for n in (1, 2, 3, 4, 5):
         yield mq_matrix(rng, n)
 
 
 def assert_mq_canonical(M):
     """No all-zero part, den > 0 with no factor common to den and every
-    part, rows of MultiQuads read from the parts, and the form read
-    back from the rows is the same."""
-    assert not M.is_rational
+    part, rows read from the parts as the labels say (Fractions when the
+    only label is 1, MultiQuads otherwise), and the form read back from
+    the rows is the same."""
     parts, den = M._parts, M._den
     assert den > 0
     assert all(any(map(any, p)) for p in parts.values())
     assert gcd(den, *(x for p in parts.values() for r in p for x in r)) == 1
-    rows = M.as_multiquad().rows
-    assert all(type(e) is MultiQuad for r in rows for e in r)
+    assert M.is_rational == (set(parts) <= {1})
+    rows = M.rows
+    assert all(type(e) is (Fraction if M.is_rational else MultiQuad) for r in rows for e in r)
     assert (DenseMatrix(rows)._parts, DenseMatrix(rows)._den) == (parts, den)
     assert M.labels == tuple(sorted(parts))
 
@@ -519,7 +529,8 @@ class TestMultiQuadRepresentation:
     def test_label_products_carry_their_coefficients(self):
         i = DenseMatrix([[MultiQuad({-1: 1})]])
         assert i @ i == DenseMatrix([[-1]])
-        assert (i @ i).rows[0][0].coordinates == {1: Fraction(-1)}
+        assert (i @ i).is_rational and (i @ i).labels == (1,)
+        assert type((i @ i).rows[0][0]) is Fraction and (i @ i).rows[0][0] == -1
         assert i @ i @ i == i * -1 and (i @ i @ i).labels == (-1,)
         assert i * MultiQuad({-1: 1}) == DenseMatrix([[-1]])
         A = DenseMatrix([[MultiQuad({2: 1}), 0], [MultiQuad({6: 1}), MultiQuad({-2: 1})]])
@@ -577,19 +588,22 @@ class TestMultiQuadRepresentation:
 
     def test_rational_values_and_the_zero_matrix(self):
         rng = random.Random("mq-rational")
+        sqrt2 = MultiQuad({2: 1})
         for n in (1, 2, 4):
-            Z = DenseMatrix.zeros(n).as_multiquad()
-            assert Z.is_zero and not Z.is_rational and Z.labels == ()
-            assert Z == DenseMatrix.zeros(n) and Z.rows == ((MultiQuad(0),) * n,) * n
+            Z = DenseMatrix([[MultiQuad(0)] * n] * n)
+            assert Z.is_zero and Z.is_rational and Z.labels == ()
+            assert Z == DenseMatrix.zeros(n) and Z.rows == ((Fraction(0),) * n,) * n
             A, B = rand_matrix(rng, n), rand_matrix(rng, n)
-            Aq = A.as_multiquad()
-            assert (Aq @ Z).is_zero and (Z @ A).is_zero and not (Z @ A).is_rational
+            Aq = as_mq_entries(A)
+            assert (Aq @ Z).is_zero and (Z @ A).is_zero and (Z @ A).is_rational
             assert Aq.labels == ((1,) if not A.is_zero else ())
-            # rational @ MultiQuad stays a MultiQuad matrix with the rational values
-            assert A @ Aq == A @ A and not (A @ Aq).is_rational
-            assert (A @ Aq).rows == (A @ A).as_multiquad().rows
-            assert A + B.as_multiquad() == A + B
-            assert A * MultiQuad(3) == A * 3 and not (A * MultiQuad(3)).is_rational
+            # rational values read as Fractions, however they were reached
+            assert A @ Aq == A @ A and (A @ Aq).rows == (A @ A).rows
+            assert A + as_mq_entries(B) == A + B
+            assert A * MultiQuad(3) == A * 3 and (A * MultiQuad(3)).rows == (A * 3).rows
+            S = A * sqrt2
+            assert S.is_rational == A.is_zero
+            assert S @ S == A @ A * 2 and (S @ S).rows == (A @ A * 2).rows
 
     def test_horner_with_multiquad_coefficients(self):
         rng = random.Random("mq-horner")
@@ -601,8 +615,11 @@ class TestMultiQuadRepresentation:
             assert horner_eval(Polynomial((MultiQuad({2: 1}),)), A) == DenseMatrix.scaled_identity(
                 A.n, MultiQuad({2: 1})
             )
-        with pytest.raises(FieldMismatch):
-            horner_eval(Polynomial((MultiQuad({2: 1}), 1)), rand_matrix(rng, 2))
+        # MultiQuad coefficients at a rational matrix
+        R = rand_matrix(rng, 2)
+        assert horner_eval(Polynomial((MultiQuad({2: 1}), 1)), R) == R + DenseMatrix.scaled_identity(
+            2, MultiQuad({2: 1})
+        )
 
     def test_property_against_oracles(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -624,51 +641,49 @@ class TestMultiQuadRepresentation:
             assert as_lists(A @ B) == entrywise_matmul(a, b)
             assert as_lists(A - B) == [[x - y for x, y in zip(p, q)] for p, q in zip(a, b)]
             f = Polynomial(coeffs)
-            if A.is_rational and not f.is_rational:
-                return
             assert as_lists(horner_eval(f, A)) == plain_poly_at(f.coeffs, a)
-            if not (A @ B).is_rational:
-                assert_mq_canonical(A @ B)
+            assert_mq_canonical(A @ B)
 
         check()
 
 
-class TestTypeBit:
-    """One storage form: the type bit alone says whether entries read
-    as Fractions or MultiQuads, and a result is rational exactly when
-    its operands and scalar are."""
+class TestLabelsDecideTheField:
+    """The labels of the parts are the matrix's field: it is rational
+    exactly when its only label is 1, and then entries and trace read
+    as Fractions, whatever the operands and scalar of the operation."""
 
     @staticmethod
-    def _assert_bit(M, rat):
-        assert M.is_rational == rat
+    def _assert_field(M, rat):
+        assert M.is_rational == rat == (set(M.labels) <= {1})
         assert {type(e) for r in M.rows for e in r} == {Fraction if rat else MultiQuad}
         assert type(M.trace()) is (Fraction if rat else MultiQuad)
 
-    def test_each_operation_keeps_the_type_bit(self):
+    def test_entry_and_trace_types_follow_the_labels(self):
         rng = random.Random("type-bit")
         sqrt2 = MultiQuad({2: 1})
         f = Polynomial((Fraction(1, 2), Fraction(-3), Fraction(2, 5)))
         for n in (1, 2, 3):
             A, B, Z = rand_matrix(rng, n), rand_matrix(rng, n), DenseMatrix.zeros(n)
             for X in (A, Z):
-                for Xb in (X, X.as_multiquad()):
-                    rat = Xb.is_rational
-                    for Y in (B, B.as_multiquad(), Z, Z.as_multiquad()):
-                        both = rat and Y.is_rational
-                        for R in (Xb @ Y, Y @ Xb, Xb + Y, Xb - Y, Y - Xb):
-                            self._assert_bit(R, both)
-                    for R in (-Xb, Xb * 3, Fraction(-1, 2) * Xb, Xb * 0, Xb.transpose(),
-                              Xb**0, Xb**3, horner_eval(f, Xb), horner_eval(Polynomial((5,)), Xb)):
-                        self._assert_bit(R, rat)
-                    for R in (Xb * sqrt2, sqrt2 * Xb, Xb * MultiQuad(2), Xb.as_multiquad()):
-                        self._assert_bit(R, False)
-                    if not rat:
-                        self._assert_bit(horner_eval(Polynomial((sqrt2, 1)), Xb), False)
-                    # equality compares values, whatever the bit
+                Xs = X * sqrt2  # irrational unless X = 0
+                for Xb in (X, as_mq_entries(X)):
+                    for Y in (B, as_mq_entries(B), Z, as_mq_entries(Z)):
+                        for R in (Xb @ Y, Y @ Xb, Xb + Y, Xb - Y, Y - Xb, Xs @ Xs, Xs @ (Y * sqrt2)):
+                            self._assert_field(R, True)
+                        for R, rat in ((Xs + Y, X.is_zero), (Y - Xs, X.is_zero), (Xs @ Y, (X @ Y).is_zero)):
+                            self._assert_field(R, rat)
+                    for R in (-Xb, Xb * 3, Fraction(-1, 2) * Xb, Xb * 0, Xb.transpose(), Xb**0, Xb**3,
+                              horner_eval(f, Xb), horner_eval(Polynomial((5,)), Xb), Xb * MultiQuad(2),
+                              horner_eval(Polynomial((1, sqrt2)), Xs), Xs * sqrt2, Xs**0):
+                        self._assert_field(R, True)
+                    for R, rat in ((Xs, X.is_zero), (sqrt2 * Xb, X.is_zero), (-Xs, X.is_zero),
+                                   (Xs.transpose(), X.is_zero), (Xs**3, (X**3).is_zero)):
+                        self._assert_field(R, rat)
+                    self._assert_field(horner_eval(Polynomial((sqrt2, 1)), Xb), False)
                     assert Xb == X and Xb @ B == X @ B and Xb.is_zero == X.is_zero
-            self._assert_bit(DenseMatrix.scaled_identity(n, Fraction(2, 3)), True)
-            self._assert_bit(DenseMatrix.scaled_identity(n, MultiQuad(2)), False)
-            self._assert_bit(DenseMatrix.scaled_identity(n, sqrt2), False)
-            self._assert_bit(DenseMatrix([[sqrt2 if i == j else 0 for j in range(n)] for i in range(n)]), False)
-            self._assert_bit(inverse(DenseMatrix.identity(n) * 2), True)
-
+            self._assert_field(DenseMatrix.scaled_identity(n, Fraction(2, 3)), True)
+            self._assert_field(DenseMatrix.scaled_identity(n, MultiQuad(2)), True)
+            self._assert_field(DenseMatrix.scaled_identity(n, MultiQuad({4: 1})), True)
+            self._assert_field(DenseMatrix.scaled_identity(n, sqrt2), False)
+            self._assert_field(DenseMatrix([[sqrt2 if i == j else 0 for j in range(n)] for i in range(n)]), False)
+            self._assert_field(inverse(DenseMatrix.identity(n) * 2), True)

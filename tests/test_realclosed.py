@@ -23,15 +23,11 @@ from mindec.realclosed import (
     verify_svd_system,
     verify_svd_uniqueness,
 )
-from mindec.scalar import MultiQuad, mq_sign
+from mindec.scalar import MultiQuad
 
 
 SQRT2 = MultiQuad({2: 1})
 ONE = Polynomial((1,))
-
-
-def mqm(M):
-    return M.as_multiquad()
 
 
 class TestCompleteMjc:
@@ -41,13 +37,13 @@ class TestCompleteMjc:
         M = companion(Polynomial((-2, 0, 1)))
         dsu = complete_mjc(M)
         assert dsu.delta == DenseMatrix.scaled_identity(2, SQRT2)
-        assert dsu.sigma == mqm(M) * SQRT2.inverse()
-        assert dsu.unipotent == mqm(DenseMatrix.identity(2))
-        assert dsu.delta @ dsu.sigma @ dsu.unipotent == mqm(M)
+        assert dsu.sigma == M * SQRT2.inverse()
+        assert dsu.unipotent == DenseMatrix.identity(2)
+        assert dsu.delta @ dsu.sigma @ dsu.unipotent == M
         # norm-one by constant term: min poly of sigma is X^2 - 1... no:
         # sigma^2 = M^2/2 = I, so the quadratic has constant term -1
         # only for split spectra; here sigma^2 = I exactly
-        assert dsu.sigma @ dsu.sigma == mqm(DenseMatrix.identity(2))
+        assert dsu.sigma @ dsu.sigma == DenseMatrix.identity(2)
 
     def test_factor_parts_commute_pairwise(self):
         for k in range(12):
@@ -56,13 +52,13 @@ class TestCompleteMjc:
             assert dsu.delta @ dsu.sigma == dsu.sigma @ dsu.delta
             assert dsu.delta @ dsu.unipotent == dsu.unipotent @ dsu.delta
             assert dsu.sigma @ dsu.unipotent == dsu.unipotent @ dsu.sigma
-            assert dsu.delta @ dsu.sigma @ dsu.unipotent == mqm(M)
+            assert dsu.delta @ dsu.sigma @ dsu.unipotent == M
 
     def test_delta_spectrum_positive(self):
         for k in range(12):
             M = random_invertible_quadratic(f"rcpos-{k}").matrix
             dsu = complete_mjc(M)
-            assert all(mq_sign(v) == 1 for v in dsu.delta_spectrum)
+            assert all(v.sign() == 1 for v in dsu.delta_spectrum)
 
     def test_norm_one_quadratics_have_unit_constant_term(self):
         for k in range(25):
@@ -205,7 +201,7 @@ class TestSpectrumCertificate:
         expected = ONE
         for v in listing:
             expected = expected * (X - v * ONE)
-        candidate = replace(dsu, delta=A.as_multiquad(), delta_spectrum=values)
+        candidate = replace(dsu, delta=A, delta_spectrum=values)
         certified = "delta-spectrum" not in _spectrum_failures(A, candidate)
         assert certified == (minimal_polynomial(A) == expected)
         assert certified == (listing == (1, 1, 2, -3))
@@ -221,7 +217,7 @@ class TestSvd:
         result = svd(A)
         assert [t.sigma for t in result.terms] == [MultiQuad(2)]
         half = Fraction(1, 2)
-        assert result.terms[0].matrix == mqm(DenseMatrix([[half, half], [half, half]]))
+        assert result.terms[0].matrix == DenseMatrix([[half, half], [half, half]])
         report = verify_svd_system(A, result)
         assert report.passed, str(report)
 
@@ -231,8 +227,8 @@ class TestSvd:
             DenseMatrix([[1, 1, 0], [0, 0, 0], [1, 1, 0]]),
         ):
             result = svd(A)
-            total = sum((t.matrix * t.sigma for t in result.terms), mqm(DenseMatrix.zeros(A.n)))
-            assert total == mqm(A)
+            total = sum((t.matrix * t.sigma for t in result.terms), DenseMatrix.zeros(A.n))
+            assert total == A
             assert len(result.terms) >= 1
 
     def test_random_gram_friendly_family(self):
@@ -240,16 +236,16 @@ class TestSvd:
             A = random_gram_friendly(f"rsvd-{k}").matrix
             result = svd(A)
             n = A.n
-            total = sum((t.matrix * t.sigma for t in result.terms), mqm(DenseMatrix.zeros(n)))
-            assert total == mqm(A)
+            total = sum((t.matrix * t.sigma for t in result.terms), DenseMatrix.zeros(n))
+            assert total == A
             values = result.singular_values
             for i in range(len(values) - 1):
-                assert mq_sign(values[i] - values[i + 1]) == 1
+                assert (values[i] - values[i + 1]).sign() == 1
             gram = A.transpose() @ A
-            # sigma_i * A_i = A P_i has rational values; rank needs a rational matrix
+            # sigma_i * A_i = A P_i is a rational matrix, which rank accepts
             scaled = [t.matrix * t.sigma for t in result.terms]
-            assert all(S.labels == (1,) for S in scaled)
-            term_ranks = [rank(DenseMatrix([[e.rational_part for e in r] for r in S.rows])) for S in scaled]
+            assert all(S.is_rational and S.labels == (1,) for S in scaled)
+            term_ranks = [rank(S) for S in scaled]
             assert sum(term_ranks) == rank(gram)
 
     def test_zero_matrix_rejected(self):

@@ -15,12 +15,7 @@ from mindec.errors import (
 from mindec.scalar import (
     MultiQuad,
     NumberField,
-    mq_conjugate,
-    mq_invert,
-    mq_sign,
     mq_sqrt_rational,
-    nf_invert,
-    nf_trace,
     square_split,
 )
 
@@ -32,48 +27,48 @@ class TestMultiQuadInvert:
         # reference: solve the multiplication-matrix system for 1/(1+sqrt(2))
         c, d = invert_a_plus_b_sqrt2(Fraction(1), Fraction(1))
         assert (c, d) == (Fraction(-1), Fraction(1))
-        inv = mq_invert(MultiQuad(1) + SQRT2)
+        inv = (MultiQuad(1) + SQRT2).inverse()
         assert inv == MultiQuad({1: c, 2: d})
 
     def test_one_plus_sqrt2_product_is_one(self):
         u = MultiQuad(1) + SQRT2
-        assert u * mq_invert(u) == MultiQuad(1)
+        assert u * u.inverse() == MultiQuad(1)
 
     def test_three_term_inverse_round_trips(self):
         u = MultiQuad({1: Fraction(1, 2), 2: 1, 3: -2})
-        assert u * mq_invert(u) == MultiQuad(1)
+        assert u * u.inverse() == MultiQuad(1)
 
     def test_complex_surd_inverse(self):
         u = MultiQuad({1: 1, -1: 3})
-        assert u * mq_invert(u) == MultiQuad(1)
+        assert u * u.inverse() == MultiQuad(1)
 
     def test_zero_rejected(self):
         with pytest.raises(DivisionByZero):
-            mq_invert(MultiQuad(0))
+            MultiQuad(0).inverse()
 
 
 class TestMultiQuadSign:
     def test_seven_minus_five_sqrt2_matches_interval_oracle(self):
         expected = sign_a_plus_b_sqrt2(Fraction(7), Fraction(-5))
         assert expected == -1
-        assert mq_sign(MultiQuad({1: 7, 2: -5})) == expected
+        assert MultiQuad({1: 7, 2: -5}).sign() == expected
 
     def test_tight_positive_combination(self):
         # 10 - 7 sqrt(2) is barely positive (sqrt(2) < 10/7)
         expected = sign_a_plus_b_sqrt2(Fraction(10), Fraction(-7))
         assert expected == 1
-        assert mq_sign(MultiQuad({1: 10, 2: -7})) == expected
+        assert MultiQuad({1: 10, 2: -7}).sign() == expected
 
     def test_sign_of_complex_value_rejected(self):
         with pytest.raises(NotTotallyReal):
-            mq_sign(MultiQuad({-1: 1}))
+            MultiQuad({-1: 1}).sign()
 
     @pytest.mark.parametrize(
         "coords, expected",
         [({1: 1, 2: 1, 3: -1}, 1), ({1: -1, 2: 1, 5: -1}, -1), ({6: 1, 10: -1}, -1)],
     )
     def test_multi_radical_signs(self, coords, expected):
-        assert mq_sign(MultiQuad(coords)) == expected
+        assert MultiQuad(coords).sign() == expected
 
 
 class TestSquareSplit:
@@ -121,7 +116,7 @@ class TestSqrtRational:
         for q in (Fraction(2), Fraction(8, 9), Fraction(49), Fraction(5, 4)):
             root = mq_sqrt_rational(q)
             assert root * root == MultiQuad(q)
-            assert mq_sign(root) == 1
+            assert root.sign() == 1
 
 
 class TestNumberField:
@@ -130,18 +125,18 @@ class TestNumberField:
         field = NumberField((-2, 0, 1))
         c, d = invert_a_plus_b_sqrt2(Fraction(1), Fraction(1))
         u = field.element((1, 1))
-        assert nf_invert(u) == field.element((c, d))
-        assert u * nf_invert(u) == field.one()
+        assert u.inverse() == field.element((c, d))
+        assert u * u.inverse() == field.one()
 
     def test_invert_in_cubic_field(self):
         field = NumberField((-2, 0, 0, 1))
         u = field.element((1, 1, 0))
-        assert u * nf_invert(u) == field.one()
+        assert u * u.inverse() == field.one()
 
     def test_invert_zero_rejected(self):
         field = NumberField((-2, 0, 1))
         with pytest.raises(DivisionByZero):
-            nf_invert(field.zero())
+            field.zero().inverse()
 
     def test_mixed_moduli_rejected(self):
         a = NumberField((-2, 0, 1)).gen()
@@ -154,13 +149,13 @@ class TestNumberField:
         # unity, so tr(Y) = 0, tr(Y^2) = 0, tr(Y^3) = 6
         field = NumberField((-2, 0, 0, 1))
         y = field.gen()
-        assert nf_trace(y) == 0
-        assert nf_trace(y * y) == 0
-        assert nf_trace(y * y * y) == 6
+        assert y.trace() == 0
+        assert (y * y).trace() == 0
+        assert (y * y * y).trace() == 6
 
     def test_trace_is_rational_valued(self):
         field = NumberField((-1, -1, 1))
-        value = nf_trace(field.element((Fraction(1, 3), Fraction(5, 2))))
+        value = field.element((Fraction(1, 3), Fraction(5, 2))).trace()
         assert isinstance(value, Fraction)
         # tr(a + bY) = 2a + b * tr(Y); tr(Y) = 1 for Y^2 - Y - 1
         assert value == 2 * Fraction(1, 3) + Fraction(5, 2)
@@ -173,10 +168,10 @@ class TestNumberField:
 class TestConjugation:
     def test_fixes_reals_and_flips_imaginaries(self):
         value = MultiQuad({2: Fraction(1, 3), -5: 4, 1: -2})
-        conj = mq_conjugate(value)
+        conj = value.conjugate()
         assert conj == MultiQuad({2: Fraction(1, 3), -5: -4, 1: -2})
 
     def test_product_with_conjugate_is_square_modulus(self):
         u = MultiQuad({1: 1, -1: 2})
-        prod = u * mq_conjugate(u)
+        prod = u * u.conjugate()
         assert prod.is_rational and prod.as_fraction() == 5
