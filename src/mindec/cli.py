@@ -13,6 +13,8 @@ own result failed its verifier, or an iteration or spectrum broke a
 property every valid input has) or any other unexpected exception.
 Every error is one JSON object on standard error,
 {"error": <exception class>, "message": <text>}, never a traceback.
+A reader that closes standard output early (``mindec gen ... | head``)
+is no error: the rest of the output is dropped, with no error object.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -345,6 +348,22 @@ def _fail(exc: BaseException, code: int) -> int:
     return code
 
 
+def _stdout_to_devnull() -> None:
+    """Point the descriptor behind stdout at os.devnull, so that the
+    output still buffered there, flushed at exit, cannot raise again.
+    A stdout with no descriptor (an in-process capture) is left as it
+    is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -353,8 +372,13 @@ def main(argv=None) -> int:
         return _fail(exc, 2)
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 2
+    code = 0
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; that is no error of the request
+        _stdout_to_devnull()
     except FormatError as exc:
         return _fail(exc, 2)
     except MindecError as exc:
@@ -363,6 +387,7 @@ def main(argv=None) -> int:
         return _fail(exc, 2)
     except Exception as exc:  # InvariantViolation, or a bug
         return _fail(exc, 4)
+    return code
 
 
 if __name__ == "__main__":

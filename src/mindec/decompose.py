@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from mindec.covariant import CovariantSystem, build_covariant_system
+from mindec.covariant import CovariantSystem, build_covariant_system, materialize_projectors
 from mindec.errors import InvariantViolation, NotSemisimple, SingularMatrix, ZeroMatrix
 from mindec.factor import factor_rational
 from mindec.matrix import (
@@ -126,6 +126,14 @@ def sn_decompose(M: DenseMatrix) -> SNDecomposition:
     )
 
 
+def _nilpotency_index(M: DenseMatrix) -> int:
+    """mu, the largest multiplicity of a factor of M's own minimal
+    polynomial (its factorization kept on M's analysis), at most n.
+    The nilpotent part of M has index exactly mu: the size of its
+    largest Jordan block."""
+    return min(M.n, max(k for _, k in system_of(M).factored.factors))
+
+
 def sn_newton_oracle(M: DenseMatrix) -> DenseMatrix:
     """Independent construction of the semisimple part.
 
@@ -154,7 +162,12 @@ def sn_newton_oracle(M: DenseMatrix) -> DenseMatrix:
 
 def verify_sn(M: DenseMatrix, sn: SNDecomposition) -> VerificationReport:
     """Identity report for an additive decomposition, including exact
-    agreement with the independent Newton construction."""
+    agreement with the independent Newton construction.
+
+    The "nilpotent" check computes N^mu, mu <= n the largest
+    multiplicity in the factorization of M's own minimal polynomial,
+    never the candidate's system: the true N has index exactly mu, and
+    N^mu = 0 implies the stated N^n = 0."""
     report = VerificationReport("additive decomposition")
     report.add("reassembly", "S + N = M", sn.semisimple + sn.nilpotent == M)
     report.add("commutation", "SN = NS", commute(sn.semisimple, sn.nilpotent))
@@ -164,7 +177,8 @@ def verify_sn(M: DenseMatrix, sn: SNDecomposition) -> VerificationReport:
         "minimal polynomial of S is squarefree",
         poly_gcd(mp, mp.derivative()).degree == 0,
     )
-    report.add("nilpotent", "N^n = 0", (sn.nilpotent ** M.n).is_zero)
+    mu = _nilpotency_index(M)
+    report.add("nilpotent", "N^n = 0", (sn.nilpotent**mu).is_zero)
     report.add(
         "newton-agreement",
         "S equals the Newton iteration limit bit for bit",
@@ -175,24 +189,26 @@ def verify_sn(M: DenseMatrix, sn: SNDecomposition) -> VerificationReport:
 
 def fine_decompose(M: DenseMatrix) -> FineDecomposition:
     """One (S_i, N_i) pair per irreducible factor of the minimal
-    polynomial, the zero eigenvalue class last with S_i = 0."""
+    polynomial, the zero eigenvalue class last with S_i = 0.
+
+    S_i = E_i(M) S and N_i = E_i(M) N, from the projectors and the
+    additive parts kept on M's analysis: E_i * s = S_i and
+    X * E_i - S_i = E_i * (X - s) modulo m, and m(M) = 0, which
+    materialize_projectors checks.
+    """
     system = system_of(M)
-    return _fine_from_system(system, M)
-
-
-def _fine_from_system(system: CovariantSystem, M: DenseMatrix) -> FineDecomposition:
-    components = []
-    for i, (factor, mult) in enumerate(system.factored.factors):
-        S_i = horner_eval(system.s_polys[i], M)
-        N_i = horner_eval(system.n_polys[i], M)
-        components.append(
-            FineComponent(
-                factor=factor, multiplicity=mult, semisimple=S_i, nilpotent=N_i
-            )
+    sn = sn_decompose(M)
+    projectors = materialize_projectors(system, M)
+    components = tuple(
+        FineComponent(
+            factor=factor,
+            multiplicity=mult,
+            semisimple=E_i @ sn.semisimple,
+            nilpotent=E_i @ sn.nilpotent,
         )
-    return FineDecomposition(
-        components=tuple(components), zero_index=system.factored.zero_index
+        for (factor, mult), E_i in zip(system.factored.factors, projectors)
     )
+    return FineDecomposition(components=components, zero_index=system.factored.zero_index)
 
 
 def verify_fine(M: DenseMatrix, fd: FineDecomposition) -> VerificationReport:
@@ -361,7 +377,11 @@ def verify_unbreakable(M: DenseMatrix, components: Sequence[DenseMatrix]) -> Ver
 
 
 def verify_mjc(M: DenseMatrix, jc: MultiplicativeJC) -> VerificationReport:
-    """Identity report for a multiplicative decomposition M = S U."""
+    """Identity report for a multiplicative decomposition M = S U.
+
+    The "unipotent" check computes (U - I)^mu, mu as in verify_sn: for
+    the true pair U - I = S^-1 N with S^-1 and N commuting, so its
+    index is N's, and (U - I)^mu = 0 implies the stated (U - I)^n = 0."""
     report = VerificationReport("multiplicative decomposition")
     report.add(
         "reassembly", "S U = U S = M", jc.semisimple @ jc.unipotent == M
@@ -373,10 +393,11 @@ def verify_mjc(M: DenseMatrix, jc: MultiplicativeJC) -> VerificationReport:
         "minimal polynomial of S is squarefree",
         poly_gcd(mp, mp.derivative()).degree == 0,
     )
+    mu = _nilpotency_index(M)
     report.add(
         "unipotent",
         "(U - I)^n = 0",
-        ((jc.unipotent - DenseMatrix.identity(M.n)) ** M.n).is_zero,
+        ((jc.unipotent - DenseMatrix.identity(M.n)) ** mu).is_zero,
     )
     return report
 

@@ -79,8 +79,8 @@ def schwerdtfeger_eval(f: Polynomial, M: DenseMatrix) -> MatFunResult:
 
     Returns the value together with its split into semisimple and
     nilpotent parts and the factor equivalence classes of the image.
-    The value equals plain Horner evaluation; the parts equal the
-    additive decomposition of the value.
+    The value equals direct evaluation by horner_eval; the parts equal
+    the additive decomposition of the value.
     """
     system = system_of(M)
     sems, nils = _factor_slices(system, f)
@@ -192,8 +192,9 @@ def fine_of_image(f: Polynomial, M: DenseMatrix) -> FineDecomposition:
 
 
 def verify_matfun(f: Polynomial, M: DenseMatrix, result: MatFunResult) -> VerificationReport:
-    """Cross-check a covariant evaluation against plain Horner evaluation
-    and the additive decomposition of the image."""
+    """Cross-check a covariant evaluation against direct evaluation
+    (horner_eval, whose name the "value" check's statement keeps) and
+    the additive decomposition of the image."""
     report = VerificationReport("matrix function")
     direct = horner_eval(f, M)
     report.add("value", "covariant evaluation equals Horner evaluation", result.value == direct)

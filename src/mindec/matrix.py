@@ -13,20 +13,25 @@ read as MultiQuads over Q(sqrt(d1), ...).
 
 A product is one integer ``mat_mul`` (in :mod:`mindec._kernel`) per
 pair of labels, combined through sqrt(a) * sqrt(b) = coef * sqrt(label);
-sums, scalar multiples, transposes, powers and Horner steps run on the
-parts too.  Entries are built only when ``rows`` or ``entry`` is read,
-and kept.  The Krylov minimal polynomial and the fraction-free
-elimination behind rank, inverse and kernel accept rational matrices
-only (FieldMismatch otherwise); the real-closed verifiers certify their
-polynomials by evaluation instead.  Elimination pivots on the first
-nonzero entry of each column, so all results are deterministic.
+sums, scalar multiples, transposes and powers run on the parts too.
+A polynomial is evaluated at M by the Paterson-Stockmeyer scheme
+(:func:`horner_eval`): baby steps M^2 ... M^b, b about sqrt(deg + 1),
+kept on M's analysis and shared by every polynomial evaluated at M,
+and giant steps in M^b, each one product plus one integer linear
+combination of the parts.  Entries are built only when ``rows`` or
+``entry`` is read, and kept.  The Krylov minimal polynomial and the
+fraction-free elimination behind rank, inverse and kernel accept
+rational matrices only (FieldMismatch otherwise); the real-closed
+verifiers certify their polynomials by evaluation instead.
+Elimination pivots on the first nonzero entry of each column, so all
+results are deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 from typing import Dict, List, Sequence, Tuple
 
@@ -46,21 +51,25 @@ class MatrixAnalysis:
     them: the minimal polynomial and the covariant system by
     :func:`mindec.decompose.system_of` (the minimal polynomial also by
     :func:`mindec.decompose.sn_newton_oracle`), the additive parts
-    (S, N, s_poly) by :func:`mindec.decompose.sn_decompose`, and the
+    (S, N, s_poly) by :func:`mindec.decompose.sn_decompose`, the
     projectors E_i(M) of that system by
-    :func:`mindec.covariant.materialize_projectors`.  A DenseMatrix is
-    immutable, so each value stays valid for the matrix's lifetime.
-    No field refers back to the matrix, so dropping the matrix frees
-    its analysis without waiting for the cycle collector.
+    :func:`mindec.covariant.materialize_projectors`, and the powers
+    (M^2, ..., M^b), the baby steps of every polynomial evaluated at M,
+    by :func:`horner_eval`, which extends them as later polynomials
+    need.  A DenseMatrix is immutable, so each value stays valid for
+    the matrix's lifetime.  No field refers back to the matrix (M^1 is
+    not kept), so dropping the matrix frees its analysis, powers
+    included, without waiting for the cycle collector.
     """
 
-    __slots__ = ("min_poly", "system", "sn_parts", "projectors")
+    __slots__ = ("min_poly", "system", "sn_parts", "projectors", "powers")
 
     def __init__(self):
         self.min_poly = None
         self.system = None
         self.sn_parts = None
         self.projectors = None
+        self.powers = ()
 
 
 class DenseMatrix:
@@ -272,7 +281,7 @@ def _sole(parts: Parts, n: int) -> Tuple[int, tuple]:
 
 
 def _scaled(P: tuple, c: int) -> tuple:
-    return P if c == 1 else tuple(tuple(c * x for x in r) for r in P)
+    return P if c == 1 else tuple(tuple([c * x for x in r]) for r in P)
 
 
 def _reduced(n: int, parts: Parts, den: int) -> DenseMatrix:
@@ -286,7 +295,7 @@ def _reduced(n: int, parts: Parts, den: int) -> DenseMatrix:
         if den < 0:
             g = -g
         if g != 1:
-            parts = {lbl: tuple(tuple(x // g for x in r) for r in p) for lbl, p in parts.items()}
+            parts = {lbl: tuple(tuple([x // g for x in r]) for r in p) for lbl, p in parts.items()}
             den //= g
     return DenseMatrix._of_parts(n, parts, den)
 
@@ -341,15 +350,18 @@ def _scalar_parts(c) -> Tuple[Dict[int, int], int]:
 
 
 def _lincomb(terms) -> tuple:
-    """sum(coef * P) over the (coef, P) in terms, P integer matrices."""
+    """sum(coef * P) over the (coef, P) in terms, P integer matrices;
+    row by row, as mat_mul sums its row multiples."""
     (coef, P), *rest = terms
     if not rest:
         return _scaled(P, coef)
-    coefs = [c for c, _ in terms]
-    return tuple(
-        tuple(sum(map(mul, coefs, xs)) for xs in zip(*rs))
-        for rs in zip(*(P for _, P in terms))
-    )
+    out = []
+    for i, row in enumerate(P):
+        acc = [coef * x for x in row]
+        for c, Q in rest:
+            acc = [s + c * x for s, x in zip(acc, Q[i])]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def _combine(A: DenseMatrix, B: DenseMatrix, sign: int) -> DenseMatrix:
@@ -438,38 +450,98 @@ def mat_vec(M: DenseMatrix, vec: Sequence) -> list:
 
 
 def horner_eval(f: Polynomial, M: DenseMatrix) -> DenseMatrix:
-    """Evaluate a polynomial at a matrix by Horner's rule.
+    """Evaluate a polynomial at a matrix by the Paterson-Stockmeyer
+    scheme (SIAM J. Comput. 2, 1973; Higham, Functions of Matrices,
+    2008, sec. 4.2).  The name is kept from the Horner loop it replaced.
 
-    Coefficients are rational or MultiQuad, at any matrix; others raise
-    FieldMismatch.  Each step is one product and additions on the
-    diagonals of the parts; no entry is built.
+    With d = deg f >= 1, b = isqrt(d) + 1 (about sqrt(d + 1)) for
+    d >= 4 and b = 1 (Horner's rule itself, whose d - 1 products no b
+    beats there) for d <= 3, f is cut into g + 1 chunks C_j of b
+    coefficients, the top one holding the last d - g*b + 1 <= b + 1,
+    g = ceil(d/b) - 1, and evaluated by Horner's rule in M^b:
+
+        acc <- C_g(M);  acc <- acc @ M^b + C_j(M),  j = g-1, ..., 0.
+
+    The baby steps M^2 ... M^b come from the table kept on M's
+    analysis, which is extended to M^b when it is shorter and is shared
+    by every polynomial later evaluated at M; a longer table raises b
+    up to d, which saves giant steps.  So degrees up to 3 start no
+    table.  Each C_j(M), plus acc @ M^b, is one integer linear
+    combination per label of the parts over their least common
+    denominator, its constant term added on the diagonals only, then
+    reduced once.  So f(M) costs about 2*sqrt(d) products instead of
+    d.  Coefficients are rational or MultiQuad, at any matrix; others
+    raise FieldMismatch.  No entry is built.
     """
     n = M.n
-    if f.is_zero:
-        acc = DenseMatrix.zeros(n)
-    else:
-        acc = DenseMatrix.scaled_identity(n, f.coeffs[-1])
-        for c in reversed(f.coeffs[:-1]):
-            acc = acc @ M
-            if c:
-                acc = _plus_diagonal(acc, c)
+    d = f.degree
+    if d < 1:
+        return DenseMatrix.scaled_identity(n, f.coeffs[0]) if d == 0 else DenseMatrix.zeros(n)
+    cs = _coefficient_parts(f)
+    powers = _baby_steps(M, isqrt(d) + 1 if d > 3 else 1)
+    b = min(len(powers), d)
+    g = (d - 1) // b
+    acc = _chunk(n, cs[g * b :], powers, None)
+    for j in range(g - 1, -1, -1):
+        acc = _chunk(n, cs[j * b : j * b + b], powers, acc @ powers[b - 1])
     return acc
 
 
-def _plus_diagonal(A: DenseMatrix, c) -> DenseMatrix:
-    # A + c*I, with additions on the diagonals of the parts only
-    n, d = A.n, A._den
-    cs, cd = _scalar_parts(c)
-    den = d // gcd(d, cd) * cd
-    fa, fc = den // d, den // cd
-    parts = dict(A._parts) if fa == 1 else {lbl: _scaled(P, fa) for lbl, P in A._parts.items()}
-    for lbl, x in cs.items():
-        rows = list(map(list, parts.get(lbl) or _zeros(n)))
-        y = fc * x
-        for i in range(n):
-            rows[i][i] += y
-        parts[lbl] = tuple(map(tuple, rows))
-    return _reduced(n, parts, den)
+def _coefficient_parts(f: Polynomial) -> List[Tuple[Dict[int, int], int]]:
+    """({label: integer}, den) of each coefficient of a polynomial with
+    rational or MultiQuad coefficients, low degree first, each over its
+    own least denominator."""
+    if not f.is_rational:
+        return [_scalar_parts(c) for c in f.coeffs]
+    e = f._den
+    out = []
+    for x in f._num:
+        g = gcd(x, e)
+        out.append(({1: x // g}, e // g) if x else ({}, 1))
+    return out
+
+
+def _baby_steps(M: DenseMatrix, b: int) -> tuple:
+    """(M, M^2, ..., M^c) with c >= b: M and the powers kept on its
+    analysis, first extended to M^b."""
+    analysis = getattr(M, "_analysis", None)
+    kept = () if analysis is None else analysis.powers
+    if len(kept) < b - 1:
+        steps = list(kept)
+        last = steps[-1] if steps else M
+        while len(steps) < b - 1:
+            last = last @ M
+            steps.append(last)
+        kept = M.analysis.powers = tuple(steps)
+    return (M,) + kept
+
+
+def _chunk(n: int, cs, powers: tuple, giant) -> DenseMatrix:
+    """giant + sum(cs[k] * M^k), M^k = powers[k - 1] (M^0 = I and giant
+    a matrix or None), as one integer combination per label over the
+    least common denominator; the constant goes on the diagonals only."""
+    (c0, e0), rest = cs[0], cs[1:]
+    used = [(c, e * P._den, P) for (c, e), P in zip(rest, powers) if c]
+    if not used and not c0:
+        return giant
+    D = lcm(e0, *(de for _, de, _ in used))
+    terms: Dict[int, list] = {}
+    if giant is not None:
+        D = lcm(D, giant._den)
+        terms = {la: [(D // giant._den, A)] for la, A in giant._parts.items()}
+    for c, de, P in used:
+        fp = D // de
+        for la, A in P._parts.items():
+            for lc, x in c.items():
+                coef, lbl = _label_mul(la, lc)
+                terms.setdefault(lbl, []).append((coef * x * fp, A))
+    parts = {lbl: _lincomb(t) for lbl, t in terms.items()}
+    f0 = D // e0
+    for lc, x in c0.items():
+        y = x * f0
+        P = parts.get(lc) or _zeros(n)
+        parts[lc] = tuple(r[:i] + (r[i] + y,) + r[i + 1 :] for i, r in enumerate(P))
+    return _reduced(n, parts, D)
 
 
 def minimal_polynomial(M: DenseMatrix) -> Polynomial:

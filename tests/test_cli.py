@@ -1,9 +1,13 @@
 """End-to-end command line checks, run in-process via selftest.run_cli."""
 
+import io
 import json
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -562,6 +566,90 @@ class TestPipelines:
         code, out, _ = run_cli(["sn", "--check"], input_text=IDENTITY_2)
         assert code == 4
         assert json.loads(out)["report"]["pass"] is False
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: writing, or only flushing, fails."""
+
+    def __init__(self, fail_on):
+        super().__init__()
+        self.fail_on = fail_on
+
+    def write(self, text):
+        if self.fail_on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.fail_on == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends a good request with exit 0
+    and no error object; input errors stay exit 2."""
+
+    @pytest.mark.parametrize("fail_on", ["write", "flush"])
+    @pytest.mark.parametrize(
+        "argv, text",
+        [(["gen", "--seed", "s", "--blocks", "X^32-2;X^32-3"], ""), (["sn", "--check"], JORDAN_2)],
+        ids=["gen", "sn"],
+    )
+    def test_broken_pipe_is_success(self, monkeypatch, fail_on, argv, text):
+        err = io.StringIO()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fail_on))
+        monkeypatch.setattr(sys, "stderr", err)
+        assert cli.main(argv) == 0
+        assert err.getvalue() == ""
+
+    def test_a_failed_check_keeps_its_code_when_only_the_flush_fails(self, monkeypatch):
+        from mindec.report import VerificationReport
+
+        def dishonest(M, sn):
+            report = VerificationReport(subject="sn")
+            report.add("planted", "always fails", False)
+            return report
+
+        monkeypatch.setattr(cli, "verify_sn", dishonest)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(IDENTITY_2))
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe("flush"))
+        assert cli.main(["sn", "--check"]) == 4
+
+    def test_input_errors_stay_two(self, tmp_path):
+        code, out, err = run_cli(["sn", "--input", str(tmp_path / "missing.json")])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "FileNotFoundError"
+
+    def test_stdout_is_pointed_at_devnull(self, monkeypatch):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with os.fdopen(write_end, "w") as closed:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(JORDAN_2))
+            monkeypatch.setattr(sys, "stdout", closed)
+            assert cli.main(["sn", "--check"]) == 0
+            now, devnull = os.fstat(write_end), os.stat(os.devnull)
+            assert (now.st_dev, now.st_ino, now.st_rdev) == (devnull.st_dev, devnull.st_ino, devnull.st_rdev)
+
+    def test_a_real_pipe_closed_before_the_output(self):
+        # no reader from the start: the write fails with EPIPE, and the
+        # output left in the buffer must not fail again at exit
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mindec.cli", "sn", "--check"],
+                input=JORDAN_2.encode(),
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 class TestSelftestCommand:

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+import mindec.decompose as decompose_mod
 from mindec.decompose import (
     FineDecomposition,
     fine_decompose,
     multiplicative_jc,
     sn_decompose,
     sn_newton_oracle,
+    system_of,
     unbreakable_components,
     verify_fine,
     verify_mjc,
@@ -27,6 +29,7 @@ from mindec.matrix import (
     minimal_polynomial,
 )
 from mindec.poly import Polynomial, X, poly_gcd
+from mindec.serialize import parse_poly_expression
 
 
 class TestAdditiveSplit:
@@ -119,6 +122,36 @@ class TestFineSplit:
             expected = (X * comp.factor).monic()
             assert minimal_polynomial(comp.semisimple) == expected
 
+    def test_components_are_their_witness_polynomials_at_m(self):
+        # S_i = E_i(M) S and N_i = E_i(M) N equal s_i(M) and n_i(M)
+        for k in range(15):
+            M = random_matrix(f"fine-witness-{k}").matrix
+            system = system_of(M)
+            for i, c in enumerate(fine_decompose(M).components):
+                assert c.semisimple == horner_eval(system.s_polys[i], M)
+                assert c.nilpotent == horner_eval(system.n_polys[i], M)
+
+    def test_n32_ladder_matrix_takes_few_integer_products(self, monkeypatch):
+        # the minimal polynomial has degree 32: one power table of M^2 ... M^6,
+        # five giant steps for m and for each of the 8 projectors and s,
+        # then two products per component
+        from mindec import _kernel
+
+        blocks = "(X^2-2)^3; (X-3)^3; (X^3-X-1)^2; X^2+X+1; (X+2)^4; (X^2+3)^2; (X^3-5)^2; X-7"
+        M = blocks_matrix([parse_poly_expression(b) for b in blocks.split(";")], "0").matrix
+        assert M.n == 32
+        real, calls = _kernel.mat_mul, []
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(_kernel, "mat_mul", counting)
+        fd = fine_decompose(M)
+        assert len(calls) <= 150
+        monkeypatch.setattr(_kernel, "mat_mul", real)
+        assert verify_fine(M, fd).passed
+
     def test_swapped_nilpotents_fire_annihilation_or_kernel_check(self):
         # corrupting a decomposition by exchanging nilpotent payloads
         # between distinct factors must be caught by the product or the
@@ -139,6 +172,41 @@ class TestFineSplit:
         assert not report.passed
         fired = {c.name for c in report.failed_checks()}
         assert fired & {"cross-annihilation", "kernel-containment"}, fired
+
+
+class TestNilpotencyCertificates:
+    """verify_sn checks N^mu = 0 and verify_mjc (U - I)^mu = 0, mu the
+    largest multiplicity of M's own minimal polynomial: (X-3)^3 (X^2-2)
+    gives mu = 3 at n = 5."""
+
+    @staticmethod
+    def _matrix():
+        M = blocks_matrix([Polynomial((-3, 1)) ** 3, Polynomial((-2, 0, 1))], "nilpotency").matrix
+        assert M.n == 5
+        return M
+
+    def test_exponent_is_the_nilpotency_index(self):
+        M = self._matrix()
+        sn, jc = sn_decompose(M), multiplicative_jc(M)
+        assert decompose_mod._nilpotency_index(M) == 3
+        assert not (sn.nilpotent**2).is_zero and (sn.nilpotent**3).is_zero
+        assert verify_sn(M, sn).passed and verify_mjc(M, jc).passed
+
+    def test_one_less_fails(self, monkeypatch):
+        M = self._matrix()
+        sn, jc = sn_decompose(M), multiplicative_jc(M)
+        index = decompose_mod._nilpotency_index
+        monkeypatch.setattr(decompose_mod, "_nilpotency_index", lambda A: index(A) - 1)
+        assert {c.name for c in verify_sn(M, sn).failed_checks()} == {"nilpotent"}
+        assert {c.name for c in verify_mjc(M, jc).failed_checks()} == {"unipotent"}
+
+    def test_the_candidate_does_not_choose_the_exponent(self):
+        # the correct parts carrying the system of a squarefree matrix
+        # (largest multiplicity 1) still pass: N is raised to M's own 3
+        M = self._matrix()
+        sn = sn_decompose(M)
+        other = sn_decompose(companion(Polynomial((-2, 0, 1)))).system
+        assert verify_sn(M, replace(sn, system=other)).passed
 
 
 class TestUnbreakable:

@@ -687,3 +687,84 @@ class TestLabelsDecideTheField:
             self._assert_field(DenseMatrix.scaled_identity(n, sqrt2), False)
             self._assert_field(DenseMatrix([[sqrt2 if i == j else 0 for j in range(n)] for i in range(n)]), False)
             self._assert_field(inverse(DenseMatrix.identity(n) * 2), True)
+
+
+class TestPatersonStockmeyer:
+    """horner_eval takes its baby steps M^2 ... M^b from the table kept
+    on M's analysis and its giant steps in M^b, b = isqrt(d) + 1 for
+    d >= 4 (1 below), or longer up to d when the table is; every
+    degree, at a fresh matrix and at one whose table grows and is
+    reused, equals the explicit powers."""
+
+    @staticmethod
+    def _matrices(rng):
+        yield rand_matrix(rng, 3)
+        yield mq_matrix(rng, 2)
+        yield DenseMatrix([[MultiQuad({1: 1, -3: Fraction(1, 2)})]])
+        yield DenseMatrix([[0, 2, 0], [0, 0, Fraction(1, 3)], [0, 0, 0]])  # M^3 = 0
+        yield DenseMatrix.zeros(2)
+
+    def test_every_degree_against_the_oracle(self):
+        rng = random.Random("paterson-stockmeyer")
+
+        def rational():
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+        def mq():
+            return MultiQuad({1: rational(), 2: rational(), -1: Fraction(rng.randint(-1, 1))})
+
+        for M in self._matrices(rng):
+            shared = DenseMatrix(M.rows)
+            for coeff in (rational, mq):
+                # the zero polynomial, then degrees 0 ... 40 (b = 1 ... 7)
+                # upwards, so the shared table grows step by step, then
+                # downwards, so a table longer than b is used
+                polys = [Polynomial()] + [
+                    Polynomial([coeff() for _ in range(d)] + [coeff() or 1]) for d in range(41)
+                ]
+                expected = [plain_poly_at(f.coeffs, M.rows) for f in polys]
+                for f, want in zip(polys + polys[::-1], expected + expected[::-1]):
+                    assert as_lists(horner_eval(f, DenseMatrix(M.rows))) == want, f.degree
+                    value = horner_eval(f, shared)
+                    assert as_lists(value) == want, f.degree
+                    (assert_canonical if value.is_rational else assert_mq_canonical)(value)
+            assert len(shared.analysis.powers) == 6  # M^2 ... M^7 for degree 40
+
+    def test_a_second_polynomial_builds_no_baby_steps(self, monkeypatch):
+        rng = random.Random("ps-table")
+        M, N = rand_matrix(rng, 4), rand_matrix(rng, 4)
+        products = []
+        real = DenseMatrix.__matmul__
+
+        def counting(A, B):
+            products.append(B)
+            return real(A, B)
+
+        monkeypatch.setattr(DenseMatrix, "__matmul__", counting)
+
+        def poly(d):
+            return Polynomial([Fraction(rng.randint(-5, 5), 3) for _ in range(d)] + [1])
+
+        # degree 24: b = 5, four baby steps and (24 - 1) // 5 = 4 giant steps
+        horner_eval(poly(24), M)
+        table = M.analysis.powers
+        assert len(products) == 8 and len(table) == 4
+        assert products[4:] == [table[-1]] * 4
+        # degree 20 at the same M: only its 19 // 5 = 3 giant steps
+        products.clear()
+        horner_eval(poly(20), M)
+        assert products == [table[-1]] * 3 and M.analysis.powers is table
+        # degree 5 fits the table: one combination, no product
+        products.clear()
+        horner_eval(poly(5), M)
+        assert products == []
+        # degrees up to 3 are Horner's rule (b = 1) and start no table
+        for d in (1, 2, 3):
+            products.clear()
+            horner_eval(poly(d), N)
+            assert products == [N] * (d - 1) and N.analysis.powers == ()
+        # a table, once there, serves them too: degree 4 keeps M^2, M^3
+        horner_eval(poly(4), N)
+        products.clear()
+        horner_eval(poly(3), N)
+        assert products == [] and len(N.analysis.powers) == 2
