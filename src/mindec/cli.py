@@ -88,8 +88,7 @@ def _parse_poly_arg(text: str) -> Polynomial:
 def _finish(payload, report) -> int:
     if report is not None:
         payload["report"] = report.to_json()
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     if report is not None and not report.passed:
         return 4
     return 0

@@ -81,10 +81,16 @@ def rational_from_string(text: str) -> Fraction:
 def rational_to_string(q: RationalLike) -> str:
     """The decimal form "p/q", or "p" when the denominator is 1, for
     integers of any length."""
-    num, den = q.numerator, q.denominator
-    if den == 1:
-        return _int_to_string(num)
-    return f"{_int_to_string(num)}/{_int_to_string(den)}"
+    return ratio_to_string(q.numerator, q.denominator)
+
+
+def ratio_to_string(num: int, den: int) -> str:
+    """The form of rational_to_string for num/den, den > 0, reduced by
+    one gcd."""
+    g = gcd(num, den)
+    if g == den:
+        return _int_to_string(num // den)
+    return f"{_int_to_string(num // g)}/{_int_to_string(den // g)}"
 
 
 #: bit length below which str() converts an int at once: under 3,613

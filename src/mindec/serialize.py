@@ -22,6 +22,7 @@ from mindec.poly import Polynomial, X
 from mindec.scalar import (
     MultiQuad,
     int_from_digits,
+    ratio_to_string,
     rational_from_string,
     rational_to_string,
 )
@@ -82,7 +83,28 @@ class MatrixDocument:
 
 
 def matrix_to_json(M: DenseMatrix) -> Dict[str, Any]:
-    return {"n": M.n, "entries": [[scalar_to_json(e) for e in row] for row in M.rows]}
+    """{"n": ..., "entries": ...} of M, written as scalar_to_json writes
+    its entries but from the integer parts over M's one denominator, so
+    no entry is built: each coordinate is reduced by one gcd."""
+    n, den, parts = M.n, M._den, M._parts
+    if not parts:
+        return {"n": n, "entries": [["0"] * n for _ in range(n)]}
+    if M.is_rational:
+        return {"n": n, "entries": [[ratio_to_string(x, den) for x in r] for r in parts[1]]}
+    items = sorted(parts.items())
+    entries = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            coords = [(lbl, p[i][j]) for lbl, p in items if p[i][j]]
+            if not coords:
+                row.append("0")
+            elif len(coords) == 1 and coords[0][0] == 1:
+                row.append(ratio_to_string(coords[0][1], den))
+            else:
+                row.append({str(lbl): ratio_to_string(x, den) for lbl, x in coords})
+        entries.append(row)
+    return {"n": n, "entries": entries}
 
 
 def document_to_json(doc: MatrixDocument) -> Dict[str, Any]:

@@ -69,7 +69,7 @@ class TestWorkPerRequest:
         assert json.loads(out)["report"]["pass"] is True
         assert sum(1 for (A,) in calls if A == M) == 1
 
-    def test_apply_check_builds_two_covariant_systems(self, monkeypatch):
+    def test_apply_check_builds_one_covariant_system(self, monkeypatch):
         M = _matrix()
         calls = _record_calls(monkeypatch, decompose_mod, "build_covariant_system")
         code, out, err = run_cli(
@@ -77,8 +77,8 @@ class TestWorkPerRequest:
         )
         assert code == 0, err
         assert json.loads(out)["report"]["pass"] is True
-        # one for M, one for f(M) in verify_matfun
-        assert len(calls) == 2
+        # M's own; verify_matfun certifies the parts of f(M) without one
+        assert len(calls) == 1
 
     def test_covariants_check_evaluates_each_projector_once(self, monkeypatch):
         M = _matrix()

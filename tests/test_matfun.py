@@ -1,5 +1,6 @@
 """Polynomial matrix functions routed through covariant systems."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from mindec.decompose import fine_decompose, sn_decompose
 from mindec.errors import NotSemisimple
 from mindec.factor import factor_rational
-from mindec.generator import random_function_poly, random_matrix
+from mindec.generator import blocks_matrix, random_function_poly, random_matrix
 from mindec.matfun import (
     f_equivalence_classes,
     fine_of_image,
@@ -17,6 +18,18 @@ from mindec.matfun import (
 )
 from mindec.matrix import DenseMatrix, companion, horner_eval
 from mindec.poly import Polynomial, X
+from mindec.scalar import MultiQuad
+
+
+def _parts_exact(f, M, sem, nil):
+    """Whether verify_matfun's "parts-exact" check passes when the
+    covariant evaluation of f at M is handed with the parts sem, nil."""
+    result = dataclasses.replace(
+        schwerdtfeger_eval(f, M), semisimple_part=sem, nilpotent_part=nil
+    )
+    report = verify_matfun(f, M, result)
+    (check,) = [c for c in report.checks if c.name == "parts-exact"]
+    return check.passed
 
 
 class TestSchwerdtfegerEval:
@@ -53,14 +66,62 @@ class TestSchwerdtfegerEval:
         M = DenseMatrix([[1, 1], [0, 1]])
         f = X * X
         result = schwerdtfeger_eval(f, M)
-        import dataclasses
+        # the sum, commutation and semisimplicity still hold; only the
+        # nilpotent part fails, so "parts-exact" must see nil^mu != 0
+        sem = result.semisimple_part + DenseMatrix.identity(2)
+        nil = result.nilpotent_part - DenseMatrix.identity(2)
+        assert not _parts_exact(f, M, sem, nil)
 
-        bad = dataclasses.replace(
-            result,
-            semisimple_part=result.semisimple_part + DenseMatrix.identity(2),
-            nilpotent_part=result.nilpotent_part - DenseMatrix.identity(2),
-        )
-        assert not verify_matfun(f, M, bad).passed
+
+class TestPartsExact:
+    """verify_matfun's "parts-exact" check certifies the parts by the
+    uniqueness of the additive decomposition: they must sum to f(M),
+    commute, and be semisimple (squarefree minimal polynomial) and
+    nilpotent.  Each mutant here, with the nilpotent one in
+    TestSchwerdtfegerEval.test_verifier_rejects_transplanted_parts,
+    breaks exactly one of those clauses, so dropping any clause lets
+    one of them through."""
+
+    JORDAN = DenseMatrix([[1, 1], [0, 1]])  # f = X^2 gives [[1, 2], [0, 1]]
+
+    def test_true_parts_pass_when_classes_merge(self):
+        # X^2 merges the classes of 1 and -1, and keeps a nilpotent part
+        M = blocks_matrix([(X - 1) ** 2, X + 1, X**2 - 2], seed="0").matrix
+        f = X**2
+        result = schwerdtfeger_eval(f, M)
+        assert not result.nilpotent_part.is_zero
+        assert len(f_equivalence_classes(f, sn_decompose(M).system.factored)) == 2
+        assert verify_matfun(f, M, result).passed
+        assert _parts_exact(f, M, result.semisimple_part, result.nilpotent_part)
+
+    def test_wrong_sum(self):
+        f, M = X**2, self.JORDAN
+        result = schwerdtfeger_eval(f, M)
+        sem = result.semisimple_part + DenseMatrix.identity(2)
+        assert not _parts_exact(f, M, sem, result.nilpotent_part)
+
+    def test_parts_that_do_not_commute(self):
+        # the split [[1, -1], [0, 2]] + [[0, 1], [0, 0]] of diag(1, 2),
+        # next to a Jordan block of M so that nil^mu = 0 (mu = 2) holds
+        M = DenseMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+        f = X**2 - 2 * X + 2  # f(1) = 1, f'(1) = 0, f(2) = 2
+        sem = DenseMatrix([[1, 0, 0], [0, 1, -1], [0, 0, 2]])
+        nil = DenseMatrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
+        assert sem + nil == horner_eval(f, M) == DenseMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+        assert not _parts_exact(f, M, sem, nil)
+
+    def test_semisimple_part_that_is_not_semisimple(self):
+        f, M = X**2, self.JORDAN
+        direct = horner_eval(f, M)
+        assert not _parts_exact(f, M, direct, DenseMatrix.zeros(2))
+
+    def test_irrational_parts_fail_without_raising(self):
+        f, M = X**2, self.JORDAN
+        result = schwerdtfeger_eval(f, M)
+        shift = DenseMatrix.scaled_identity(2, MultiQuad({2: 1}))
+        sem = result.semisimple_part + shift
+        nil = result.nilpotent_part - shift
+        assert not _parts_exact(f, M, sem, nil)
 
 
 class TestSylvesterEval:

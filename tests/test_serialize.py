@@ -1,5 +1,6 @@
 """JSON round trips and the polynomial text grammar."""
 
+import hashlib
 import json
 import sys
 import time
@@ -12,7 +13,8 @@ from mindec.errors import FormatError, PolyParseError
 from mindec.generator import random_matrix
 from mindec.matrix import DenseMatrix
 from mindec.poly import Polynomial, X
-from mindec.scalar import MultiQuad, rational_from_string
+from mindec.scalar import _STR_BITS, MultiQuad, rational_from_string
+from mindec.selftest import run_cli
 from mindec.serialize import (
     MAX_POLY_BITS,
     MAX_POLY_DEGREE,
@@ -153,6 +155,104 @@ class TestMatrixJson:
             document_from_json({"n": 3, "entries": [["1", "0"], ["0", "1"]]})
         with pytest.raises(FormatError):
             document_from_json({"entries": [["1"]], "label": 7})
+
+
+def _entrywise_json(M):
+    # the entry-by-entry form that matrix_to_json must reproduce
+    return [[scalar_to_json(e) for e in row] for row in M.rows]
+
+
+def _unread(rows):
+    """The matrix of rows as the commands produce their outputs: the
+    result of arithmetic, whose entries were never read."""
+    return DenseMatrix(rows) @ DenseMatrix.identity(len(rows))
+
+
+class TestMatrixJsonFromParts:
+    """matrix_to_json writes the integer parts over the one denominator
+    and equals the entry-by-entry serialization, building no entry."""
+
+    def _assert_entrywise(self, rows):
+        M = _unread(rows)
+        data = matrix_to_json(M)
+        assert M._rows is None
+        # the same JSON text, key order included
+        assert json.dumps(data) == json.dumps({"n": M.n, "entries": _entrywise_json(M)})
+        return data
+
+    def test_fixed_cases(self):
+        big = 2**_STR_BITS + 12345
+        cases = [
+            [[0, 0], [0, 0]],
+            [[-3, 4], [7, -1]],
+            [[Fraction(-6, 4), Fraction(1, 3)], [0, Fraction(5, 6)]],
+            [[Fraction(-big, 3), 1], [Fraction(2, big), 0]],
+            [[MultiQuad({2: Fraction(-1, 2), 1: 3}), Fraction(7, 3)], [0, MultiQuad({-1: 1})]],
+            [[MultiQuad({2: 1}), MultiQuad({3: big, 1: -big})], [MultiQuad(5), Fraction(-1, 4)]],
+        ]
+        for rows in cases:
+            self._assert_entrywise(rows)
+        data = self._assert_entrywise(cases[-2])
+        assert data["entries"] == [[{"1": "3", "2": "-1/2"}, "7/3"], ["0", {"-1": "1"}]]
+
+    def test_property_against_entrywise(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        big = st.integers(2**_STR_BITS, 2**_STR_BITS + 2**20)
+        integer = st.integers(-(10**6), 10**6) | big | big.map(lambda x: -x)
+        coeff = st.builds(Fraction, integer, st.integers(1, 60) | big)
+        labels = st.sampled_from((1, 2, 3, 6, -1, 5))
+        entry = (
+            st.just(Fraction(0))
+            | coeff
+            | st.dictionaries(labels, coeff, max_size=3).map(MultiQuad)
+        )
+
+        @st.composite
+        def rows(draw):
+            n = draw(st.integers(1, 4))
+            cell = entry if draw(st.booleans()) else (st.just(Fraction(0)) | coeff)
+            return [[draw(cell) for _ in range(n)] for _ in range(n)]
+
+        @hypothesis.settings(max_examples=80, derandomize=True, deadline=None, database=None)
+        @hypothesis.given(rows())
+        def check(rs):
+            self._assert_entrywise(rs)
+
+        check()
+
+
+class TestPinnedOutputs:
+    """The stdout of each command that writes matrices, byte for byte.
+    Digests of parsed JSON with sorted keys could not see a change in
+    the order of an object's keys; these hash the raw text."""
+
+    BLOCKS = (
+        '{"entries": [["2", "1", "-1", "0", "0"], ["-1", "0", "0", "0", "-1"], '
+        '["0", "0", "0", "0", "-1"], ["0", "0", "0", "-1", "0"], ["0", "0", "-2", "0", "0"]]}'
+    )
+    # cmjc's delta has an entry 2 - 2*sqrt(3), an object with key "1"
+    QUADRATIC = '{"entries": [["1", "-2", "2"], ["0", "0", "3"], ["0", "1", "0"]]}'
+    GRAM = '{"entries": [["-2", "-2", "-3/2"], ["2", "2", "-3/2"], ["-3/2", "3/2", "0"]]}'
+
+    @pytest.mark.parametrize(
+        "argv, doc, digest",
+        [
+            (["sn", "--check"], BLOCKS, "4f1c0ca1f967b453c5fd6ca07e5d0164639f66b27b5aeed675370742b6b8b109"),
+            (["fine", "--check"], BLOCKS, "0d3629d30d5a824012d9e6fc0ac311260ee093e838e57f93eca420027a0e729f"),
+            (
+                ["apply", "--poly", "X^2", "--check"],
+                BLOCKS,
+                "d6ddbb8f4754a88b95d6533923533cba047d8be7b72cf5a3aab80646ba2ee46b",
+            ),
+            (["cmjc", "--check"], QUADRATIC, "6fb5c3155c2649f0bbf10190e5b50d7893b418458aad56fe3d07d624e4d7d13b"),
+            (["svd", "--check"], GRAM, "6c32b3aabab127dca7d0f2037f2d7c43fb8775f5102fb1c1e8218d442ad52e56"),
+        ],
+    )
+    def test_stdout_digest(self, argv, doc, digest):
+        code, out, err = run_cli(argv, doc)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestPolyJson:
