@@ -19,7 +19,10 @@ A polynomial is evaluated at M by the Paterson-Stockmeyer scheme
 kept on M's analysis and shared by every polynomial evaluated at M,
 and giant steps in M^b, each one product plus one integer linear
 combination of the parts.  Entries are built only when ``rows`` or
-``entry`` is read, and kept.  The Krylov minimal polynomial and the
+``entry`` is read, and kept.  The minimal polynomial is the lcm of
+Krylov annihilators of standard basis vectors, run only from vectors
+outside the invariant span of the earlier chains and only until that
+span is the whole space (:func:`minimal_polynomial`).  It and the
 fraction-free elimination behind rank, inverse and kernel accept
 rational matrices only (FieldMismatch otherwise); the real-closed
 verifiers certify their polynomials by evaluation instead.
@@ -30,14 +33,14 @@ results are deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 from typing import Dict, List, Sequence, Tuple
 
 from mindec import _kernel
 from mindec.errors import FieldMismatch, SingularMatrix
-from mindec.poly import ONE, Polynomial, poly_lcm
+from mindec.poly import Polynomial, poly_lcm
 from mindec.scalar import MultiQuad, _label_mul, cleared_row
 
 #: {squarefree label: integer rows} of a matrix over one denominator
@@ -545,53 +548,126 @@ def _chunk(n: int, cs, powers: tuple, giant) -> DenseMatrix:
 
 
 def minimal_polynomial(M: DenseMatrix) -> Polynomial:
-    """Monic minimal polynomial of a rational matrix, by per-vector
-    Krylov annihilators.
+    """Monic minimal polynomial of a rational matrix, by Krylov
+    annihilators of standard basis vectors over one shared invariant
+    subspace.
 
-    For each standard basis vector the least linear dependence among
-    v, Av, A^2 v, ... of the integer matrix A = d*M is found by ordered
+    Over the integer matrix A = d*M, the chain v, Av, A^2 v, ... of
+    v = e_j is run until its first linear dependence, found by ordered
     fraction-free elimination that carries the combination
-    coefficients: a vector is reduced by w <- p*w - w[pc]*v against each
-    kept (pc, v) with pivot p, its tracker alongside, and the pair is
-    divided by its content.  The lcm of the per-vector annihilators is
-    m_A, and the loop stops once it has degree n; then
-    m_M(X) = d^-k * m_A(d*X).  An irrational entry raises FieldMismatch.
+    coefficients (:func:`_krylov_chain`); that dependence is the monic
+    annihilator a_j of e_j.  m_A is the lcm of the annihilators of any
+    set of vectors that generates Q^n as a Q[X]-module (Augot and
+    Camion, Linear Algebra Appl. 260, 1997), so the loop keeps one
+    fraction-free echelon basis of W, the A-invariant span of the
+    chains run so far:
+
+    - e_j is first reduced against W; if it reduces to 0 it lies in
+      the submodule generated by e_1 ... e_(j-1), a_j divides the
+      current m, and no chain is run;
+    - otherwise the chain's vectors join W in order until the first
+      one already in W, after which the whole chain is (W is
+      invariant);
+    - the loop stops once dim W = n.  The first chain's eliminated
+      vectors are already an echelon basis of its span, so a cyclic
+      matrix (one chain of length n) does no span bookkeeping at all;
+    - the first annihilator is m; a later one costs one m % a_j, and an
+      lcm only when a_j does not divide m.
+
+    Then m_M(X) = d^-k * m_A(d*X).  An irrational entry raises
+    FieldMismatch.
     """
     A, d = _rational_ints(M, "minimal_polynomial")
     n = M.n
-    mp = ONE
+    mp = span = None
     for j in range(n):
-        cur = [0] * n
-        cur[j] = 1
-        reduced = []  # (pivot_col, vector, tracker), integers
-        for k in range(n + 1):
-            w = cur
-            t = [0] * k + [1]
-            for pc, pv, pt in reduced:
-                f = w[pc]
-                if f:
-                    p = pv[pc]
-                    w = [p * x - f * y for x, y in zip(w, pv)]
-                    t = [p * x for x in t]
-                    for i, y in enumerate(pt):
-                        if y:
-                            t[i] -= f * y
-            if not any(w):
-                mp = poly_lcm(mp, Polynomial._of_ints(t, t[-1]))
-                break
-            g = gcd(*w, *t)
-            if g != 1:
-                w = [x // g for x in w]
-                t = [x // g for x in t]
-            pc = next(i for i in range(n) if w[i])
-            reduced.append((pc, w, t))
-            cur = [sum(map(mul, row, cur)) for row in A]
-        if mp.degree == n:
+        e = [0] * n
+        e[j] = 1
+        if span is not None:
+            e = _span_reduced(e, span)
+            if e is None:
+                continue
+        a, steps = _krylov_chain(A, j)
+        if span is None:
+            mp = a
+            span = [(pc, w) for pc, w, _ in steps]
+        else:
+            if a != mp and mp % a:
+                mp = poly_lcm(mp, a)
+            span.append(_pivoted(e))
+            for _, w, _ in steps[1:]:
+                w = _span_reduced(w, span)
+                if w is None:
+                    break
+                span.append(_pivoted(w))
+        if len(span) == n:
             break
     if d == 1:
         return mp
     k = mp.degree
     return Polynomial._of_ints([x * d**i for i, x in enumerate(mp._num)], mp._den * d**k)
+
+
+def _krylov_chain(A: tuple, j: int):
+    """(a, steps) for the Krylov chain of e_j under the integer matrix
+    A: a is the monic annihilator of e_j and steps the kept
+    (pivot_col, vector, tracker) triples, each vector the next power
+    A^k e_j reduced by w <- p*w - w[pc]*v against the earlier (pc, v)
+    with pivot p, its tracker alongside, and the pair divided by its
+    content.  Each vector is zero at every earlier pivot, so the
+    vectors are an echelon basis of the chain's span.  A e_j is read off
+    as column j of A."""
+    n = len(A)
+    e = [0] * n
+    e[j] = 1
+    steps = [(j, e, [1])]
+    cur = [row[j] for row in A]
+    # at most n vectors are independent, so the loop ends by k = n
+    for k in count(1):
+        w = cur
+        t = [0] * k + [1]
+        for pc, pv, pt in steps:
+            f = w[pc]
+            if f:
+                p = pv[pc]
+                w = [p * x - f * y for x, y in zip(w, pv)]
+                t = [p * x for x in t]
+                for i, y in enumerate(pt):
+                    if y:
+                        t[i] -= f * y
+        if not any(w):
+            return Polynomial._of_ints(t, t[-1]), steps
+        g = gcd(*w, *t)
+        if g != 1:
+            w = [x // g for x in w]
+            t = [x // g for x in t]
+        pc = next(i for i in range(n) if w[i])
+        steps.append((pc, w, t))
+        cur = [sum(map(mul, row, cur)) for row in A]
+
+
+def _span_reduced(w: list, span: list):
+    """w reduced against the echelon basis span of (pivot_col, vector)
+    pairs, in order, and divided by its content; None when w lies in
+    the span."""
+    for pc, v in span:
+        f = w[pc]
+        if f:
+            p = v[pc]
+            g = gcd(p, f)
+            if g != 1:
+                p //= g
+                f //= g
+            w = [p * x - f * y for x, y in zip(w, v)]
+    g = gcd(*w)
+    if not g:
+        return None
+    return w if g == 1 else [x // g for x in w]
+
+
+def _pivoted(w: list) -> tuple:
+    # (first nonzero column, w) of a nonzero vector
+    return next(i for i, x in enumerate(w) if x), w
 
 
 def companion(p: Polynomial) -> DenseMatrix:

@@ -155,6 +155,8 @@ class Polynomial:
         return other - self
 
     def __neg__(self):
+        if self._num is not None:
+            return Polynomial._of_ints([-x for x in self._num], self._den)
         return Polynomial(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
@@ -273,6 +275,10 @@ class Polynomial:
         return Polynomial(tuple(c * inv for c in self.coeffs))
 
     def derivative(self) -> "Polynomial":
+        num = self._num
+        if num is not None:
+            # i * lc != 0, so no trailing zero arises
+            return Polynomial._of_ints([i * x for i, x in enumerate(num) if i], self._den)
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
     def map_coefficients(self, fn: Callable) -> "Polynomial":

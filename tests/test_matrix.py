@@ -768,3 +768,145 @@ class TestPatersonStockmeyer:
         products.clear()
         horner_eval(poly(3), N)
         assert products == [] and len(N.analysis.powers) == 2
+
+
+# -- the Krylov loop over one shared invariant span --
+
+#: the seed-0 n = 17 ladder rung (minimal polynomial of degree 14)
+LADDER_17 = "(X^2-2)^3;(X-3)^3;X^3-2;X^2+X+1;X^3-2"
+
+
+def ladder_matrix(spec, key):
+    from mindec.generator import blocks_matrix
+    from mindec.serialize import parse_poly_expression
+
+    return blocks_matrix([parse_poly_expression(b) for b in spec.split(";")], key).matrix
+
+
+def diagonal(*entries):
+    n = len(entries)
+    return DenseMatrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def derogatory_cases(rng):
+    """Matrices with deg m < n, where later chains start from vectors
+    already spanned, or bring the only copy of a factor."""
+    # a new factor only in the last basis vector, after n - 1 spanned
+    # dimensions; and only in the first
+    yield diagonal(2, 2, 2, 2, 5)
+    yield diagonal(5, 2, 2, 2, 2)
+    yield diagonal(1, 1, 2, 2, 1, 3)
+    # c * I, and the zero matrix
+    yield DenseMatrix.scaled_identity(4, Fraction(-7, 10**12 + 39))
+    yield DenseMatrix.zeros(5)
+    # rank one u v^T: m = X (X - v.u), or X^2 when v.u = 0
+    for u, v in (([1, 2, 0, -1], [3, 0, 1, 2]), ([1, 1, 0, 0], [1, -1, 5, 0])):
+        yield DenseMatrix([[Fraction(a * b, 7) for b in v] for a in u])
+    # repeated conjugated blocks: nilpotent, semisimple and mixed
+    yield conjugated_blocks(rng, [[[0, 1], [0, 0]]] * 3)
+    yield conjugated_blocks(rng, [[[0, 2], [1, 0]]] * 2 + [[[3]]] * 2)
+    yield conjugated_blocks(rng, [[[2, 1], [0, 2]], [[2]], [[3]], [[2, 1], [0, 2]], [[3]], [[-1]]])
+    # block diagonal with the blocks unconjugated: chains stay inside
+    # one block, so every block needs its own chain
+    yield DenseMatrix(
+        [
+            [1, 1, 0, 0, 0, 0],
+            [0, 1, 0, 0, 0, 0],
+            [0, 0, 0, 2, 0, 0],
+            [0, 0, 1, 0, 0, 0],
+            [0, 0, 0, 0, 1, 1],
+            [0, 0, 0, 0, 0, 1],
+        ]
+    )
+    # large denominators: a conjugated derogatory matrix scaled and shifted
+    A = conjugated_blocks(rng, [[[1, 1], [0, 1]], [[1]], [[4]], [[1, 1], [0, 1]]])
+    yield A * Fraction(10**9 + 7, 2**61 - 1) + DenseMatrix.scaled_identity(6, Fraction(-1, 6**20))
+
+
+class TestSharedSpanMinimalPolynomial:
+    def test_derogatory_cases_match_the_fraction_oracle(self):
+        rng = random.Random("shared-span")
+        for A in derogatory_cases(rng):
+            m = minimal_polynomial(A)
+            assert m.degree < A.n
+            assert list(m.coeffs) == fraction_minimal_polynomial(as_lists(A))
+            assert horner_eval(m, A).is_zero
+
+    def test_projected_semisimple_parts_of_a_ladder_matrix(self):
+        # E_i(M) * S: every block but one annihilated, the rest semisimple
+        from mindec.covariant import materialize_projectors
+        from mindec.decompose import sn_decompose, system_of
+
+        M = ladder_matrix("(X^2-2)^2;(X-3)^3;X^3-2;X^2-2", "ladder:0:0:fine")
+        S = sn_decompose(M).semisimple
+        for E in materialize_projectors(system_of(M), M):
+            for A in (E @ S, E @ M):
+                assert list(minimal_polynomial(A).coeffs) == fraction_minimal_polynomial(as_lists(A))
+
+    def test_ladder_matrix_needs_few_chains(self, monkeypatch):
+        import mindec.matrix as matrix_mod
+
+        counts = {"chains": 0, "lcms": 0}
+        chain, lcm_ = matrix_mod._krylov_chain, matrix_mod.poly_lcm
+
+        def counting_chain(A, j):
+            counts["chains"] += 1
+            return chain(A, j)
+
+        def counting_lcm(a, b):
+            counts["lcms"] += 1
+            return lcm_(a, b)
+
+        monkeypatch.setattr(matrix_mod, "_krylov_chain", counting_chain)
+        monkeypatch.setattr(matrix_mod, "poly_lcm", counting_lcm)
+        from mindec.decompose import sn_decompose
+
+        M = ladder_matrix(LADDER_17, "ladder:0:0:sn")
+        assert M.n == 17 and minimal_polynomial(M).degree == 14
+        # measured: 5 chains and 3 lcms for M, 9 and 3 for S; a loop
+        # that runs every basis vector takes 17 chains and 17 lcms
+        assert counts["chains"] <= 6 and counts["lcms"] <= 3
+        S = sn_decompose(M).semisimple
+        counts.update(chains=0, lcms=0)
+        assert minimal_polynomial(S).degree == 8
+        assert counts["chains"] <= 10 and counts["lcms"] <= 3
+
+    def test_a_cyclic_matrix_runs_one_chain_and_no_span_reduction(self, monkeypatch):
+        import mindec.matrix as matrix_mod
+
+        calls = []
+        monkeypatch.setattr(matrix_mod, "_span_reduced", lambda *a: calls.append(a))
+        p = (Polynomial((-2, 0, 1)) ** 2 * Polynomial((3, 1)) ** 3).monic()
+        assert minimal_polynomial(companion(p)) == p
+        assert calls == []
+
+    def test_property_derogatory_matches_the_fraction_oracle(self):
+        # block diagonal of repeated small blocks, conjugated by a
+        # triangular unimodular matrix
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        entry = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)) | st.just(Fraction(0))
+        block = st.integers(1, 2).flatmap(
+            lambda k: st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k)
+        )
+
+        @hypothesis.settings(max_examples=40, derandomize=True, deadline=None)
+        @hypothesis.given(st.lists(block, min_size=1, max_size=3), st.integers(1, 3), st.randoms())
+        def check(blocks, copies, rnd):
+            blocks = (blocks * copies)[:6]
+            n = sum(len(b) for b in blocks)
+            D = [[Fraction(0)] * n for _ in range(n)]
+            at = 0
+            for b in blocks:
+                for i, r in enumerate(b):
+                    for j, x in enumerate(r):
+                        D[at + i][at + j] = x
+                at += len(b)
+            U = [[Fraction(int(i == j)) if i <= j else Fraction(0) for j in range(n)] for i in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    U[i][j] = Fraction(rnd.randint(-2, 2))
+            a = frac_matmul(frac_matmul(U, D), fraction_inverse(U))
+            assert list(minimal_polynomial(DenseMatrix(a)).coeffs) == fraction_minimal_polynomial(a)
+
+        check()

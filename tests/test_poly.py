@@ -429,3 +429,41 @@ class TestIntegerRepresentation:
                 assert_canonical(pb.monic())
 
         check()
+
+    def test_property_derivative_and_negation_match_the_fraction_formula(self):
+        # the integer form and the generic path (MultiQuad and number
+        # field coefficients) both give sum(i * c_i X^(i-1)) and -p
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coeff = st.builds(
+            Fraction,
+            st.integers(-(10**30), 10**30),
+            st.sampled_from(DENOMINATORS) | st.integers(1, 10**15),
+        )
+        polys = st.lists(coeff, max_size=7).map(
+            lambda cs: cs[: max((i + 1 for i, c in enumerate(cs) if c), default=0)]
+        )
+        field = NumberField((-2, 0, 0, 1))
+        y = field.gen()
+        sqrt2 = MultiQuad({2: 1})
+
+        @hypothesis.settings(max_examples=150, derandomize=True, deadline=None)
+        @hypothesis.given(polys, st.integers(0, 6))
+        def check(a, shift):
+            p = Polynomial(a)
+            want_d = [i * c for i, c in enumerate(a)][1:]
+            want_n = [-c for c in a]
+            for got, want in ((p.derivative(), want_d), (-p, want_n)):
+                assert list(got.coeffs) == want
+                assert_canonical(got)
+            # coefficients off Q: c_i + c_(i+shift) * sqrt(2), and c_i * y^shift
+            mq = [c + (a[i + shift] if i + shift < len(a) else 0) * sqrt2 for i, c in enumerate(a)]
+            nf = [c * y**shift for c in a]
+            for cs in (mq, nf):
+                q = Polynomial(cs)
+                assert list(q.derivative().coeffs) == [i * c for i, c in enumerate(cs)][1:]
+                assert list((-q).coeffs) == [-c for c in cs]
+
+        check()
+        assert Polynomial((Fraction(5, 3),)).derivative().is_zero
+        assert -Polynomial() == Polynomial()
