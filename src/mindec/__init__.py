@@ -35,6 +35,7 @@ from mindec.errors import (
     NotInvertible,
     NotSemisimple,
     NotTotallyReal,
+    OrderTooLarge,
     PartitionOfUnityFailure,
     PolyParseError,
     RadicandTooLarge,
@@ -162,6 +163,7 @@ __all__ = [
     "NotTotallyReal",
     "NumberField",
     "NumberFieldElement",
+    "OrderTooLarge",
     "PartitionOfUnityFailure",
     "PolyParseError",
     "RadicandTooLarge",

@@ -7,7 +7,8 @@ identities and exits with status 4 if any check fails.  Exit codes:
 0 success, 2 malformed input or arguments (JSON nested too deeply
 included), 3 violated precondition (singular matrix, irrational
 singular values, a minimal polynomial whose factorization needs more
-than the recombination budget, ...), 4 failed verification, a failed
+than the recombination budget, a matrix document of order above
+serialize.MAX_ORDER = 64, ...), 4 failed verification, a failed
 internal invariant (InvariantViolation, a RuntimeError: a constructor's
 own result failed its verifier, or an iteration or spectrum broke a
 property every valid input has) or any other unexpected exception.
@@ -52,6 +53,7 @@ from mindec.poly import Polynomial
 from mindec.realclosed import complete_mjc, svd
 from mindec.scalar import rational_from_string
 from mindec.serialize import (
+    MAX_ORDER,
     MatrixDocument,
     document_from_json,
     document_to_json,
@@ -204,29 +206,23 @@ def _cmd_apply(args) -> int:
     return _finish(payload, verify_matfun(f, M, result) if args.check else None)
 
 
-#: largest matrix size that gen --size accepts (the smallest is 2),
-#: largest degree of gen --minpoly and largest total degree of the
-#: gen --blocks polynomials
-MAX_GEN_SIZE = 64
-
-
 def _cmd_gen(args) -> int:
     seed = args.seed
-    if args.size is not None and not 2 <= args.size <= MAX_GEN_SIZE:
-        raise UsageError(f"--size must be between 2 and {MAX_GEN_SIZE}, got {args.size}")
+    if args.size is not None and not 2 <= args.size <= MAX_ORDER:
+        raise UsageError(f"--size must be between 2 and {MAX_ORDER}, got {args.size}")
     if args.minpoly:
         min_poly = parse_poly_expression(args.minpoly)
-        if min_poly.degree > MAX_GEN_SIZE:
+        if min_poly.degree > MAX_ORDER:
             raise UsageError(
-                f"--minpoly degree must be at most {MAX_GEN_SIZE}, got {min_poly.degree}"
+                f"--minpoly degree must be at most {MAX_ORDER}, got {min_poly.degree}"
             )
         gm = matrix_from_min_poly(min_poly, seed)
     elif args.blocks:
         polys = [parse_poly_expression(s) for s in args.blocks.split(";") if s.strip()]
         order = sum(p.degree for p in polys)
-        if order > MAX_GEN_SIZE:
+        if order > MAX_ORDER:
             raise UsageError(
-                f"--blocks total degree must be at most {MAX_GEN_SIZE}, got {order}"
+                f"--blocks total degree must be at most {MAX_ORDER}, got {order}"
             )
         gm = blocks_matrix(polys, seed)
     elif args.family == "invertible-quadratic":

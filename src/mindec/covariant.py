@@ -227,21 +227,33 @@ def materialize_projectors(system: CovariantSystem, M: DenseMatrix) -> List[Dens
 
 
 def verify_system(system: CovariantSystem, M: DenseMatrix) -> VerificationReport:
-    """Projector axioms of a covariant system at a concrete matrix."""
+    """Projector axioms of a covariant system at a concrete matrix.
+
+    "idempotent-orthogonal" is certified by the k products P_i^2 = P_i,
+    P_i = E_i(M), when the E_i sum to 1, so that the P_i sum to I.
+    Every x is then sum(P_i x), so the images span Q^n; the rank of an
+    idempotent is its trace, so their dimensions sum to tr I = n, and
+    the sum is direct.  For x in im P_j, x = P_j x leaves the sum over
+    i != j of P_i x = 0, hence P_i x = 0 and P_i P_j = 0.  When either
+    premise fails, all k^2 products are compared, so the check has the
+    same value on every input.
+    """
     report = VerificationReport("covariant system")
     total = Polynomial()
     for e in system.e_polys:
         total = total + e
-    report.add("partition-of-unity", "sum(E_i) = 1 as polynomials", total == Polynomial((1,)))
+    unity = total == ONE
+    report.add("partition-of-unity", "sum(E_i) = 1 as polynomials", unity)
     projectors = materialize_projectors(system, M)
     prod_ok = True
     witness = ""
-    for i, P in enumerate(projectors):
-        for j, Q in enumerate(projectors):
-            expect = P if i == j else DenseMatrix.zeros(M.n)
-            if P @ Q != expect:
-                prod_ok = False
-                witness = f"E_{i}(M) E_{j}(M) wrong"
+    if not (unity and all(P @ P == P for P in projectors)):
+        for i, P in enumerate(projectors):
+            for j, Q in enumerate(projectors):
+                expect = P if i == j else DenseMatrix.zeros(M.n)
+                if P @ Q != expect:
+                    prod_ok = False
+                    witness = f"E_{i}(M) E_{j}(M) wrong"
     report.add(
         "idempotent-orthogonal", "E_i(M) E_j(M) = delta_ij E_i(M)", prod_ok, witness
     )

@@ -15,6 +15,7 @@ S_i = 0 and ordered last.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from mindec.covariant import CovariantSystem, build_covariant_system, materialize_projectors
@@ -25,6 +26,7 @@ from mindec.matrix import (
     commute,
     horner_eval,
     inverse,
+    is_minimal_polynomial,
     kernel_basis,
     mat_vec,
     minimal_polynomial,
@@ -89,13 +91,27 @@ def _min_poly_of(M: DenseMatrix) -> Polynomial:
     return analysis.min_poly
 
 
+@lru_cache(maxsize=1)
+def _system_of_min_poly(m: Polynomial) -> CovariantSystem:
+    # the last system built, keyed by its monic minimal polynomial;
+    # an exception (RecombinationBudgetExceeded, ...) is not cached
+    return build_covariant_system(factor_rational(m))
+
+
 def system_of(M: DenseMatrix) -> CovariantSystem:
-    """Covariant system of the minimal polynomial of M, built once per
-    matrix and kept in its analysis; FieldMismatch for a matrix that is
-    not rational."""
+    """Covariant system of the minimal polynomial of M, kept in M's
+    analysis; FieldMismatch for a matrix that is not rational.
+
+    The system depends on the minimal polynomial m alone, so the last
+    one built is kept in a one-entry memo keyed by m: a matrix whose m
+    equals that of the matrix before it (the same matrix read again, or
+    a conjugate) shares its system and skips factoring and building.
+    Everything else computed from M (the minimal polynomial itself,
+    S + N, the projectors, the power table) stays on M's own analysis.
+    """
     analysis = M.analysis
     if analysis.system is None:
-        analysis.system = build_covariant_system(factor_rational(_min_poly_of(M)))
+        analysis.system = _system_of_min_poly(_min_poly_of(M))
     return analysis.system
 
 
@@ -224,6 +240,15 @@ def verify_fine(M: DenseMatrix, fd: FineDecomposition) -> VerificationReport:
     * the kernel of the summed semisimple part is exactly Ker(M^e);
     * with two or more factors, each nonzero S_i has minimal
       polynomial X * m_i.
+
+    The last check is decided by evaluation when m_i is one of the
+    irreducible factors of M's own minimal polynomial: (X m_i)(S_i) = 0,
+    m_i(S_i) != 0 and S_i != 0 (:func:`mindec.matrix.is_minimal_polynomial`).
+    The minimal polynomial of S_i then divides X m_i, and with X and m_i
+    irreducible it keeps each of them, so it is X m_i; it is X m_i only
+    if those three hold.  Any other m_i, which no true decomposition
+    has, is compared with the Krylov minimal polynomial of S_i, so the
+    check has the same value on every input.
     """
     report = VerificationReport("fine decomposition")
     n = M.n
@@ -287,11 +312,15 @@ def verify_fine(M: DenseMatrix, fd: FineDecomposition) -> VerificationReport:
     if len(comps) >= 2:
         minpoly_ok = True
         witness = ""
+        irreducible = {f for f, _ in system_of(M).factored.factors}
         for i, c in enumerate(comps):
             if c.semisimple.is_zero:
                 continue
-            expected = (X * c.factor).monic()
-            if minimal_polynomial(c.semisimple) != expected:
+            if c.factor in irreducible:
+                ok = is_minimal_polynomial(c.semisimple, (X, c.factor))
+            else:
+                ok = minimal_polynomial(c.semisimple) == (X * c.factor).monic()
+            if not ok:
                 minpoly_ok = False
                 witness = f"minimal polynomial of S_{i} is not X * m_{i}"
         report.add(

@@ -43,6 +43,11 @@ class RecombinationBudgetExceeded(MindecError):
     modular factors than mindec.factor.RECOMBINATION_BUDGET allows."""
 
 
+class OrderTooLarge(MindecError):
+    """A matrix document of order above mindec.serialize.MAX_ORDER,
+    refused before any entry is parsed."""
+
+
 class MixedModuli(MindecError):
     """Number field elements with different moduli were combined."""
 

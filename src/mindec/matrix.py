@@ -25,7 +25,8 @@ outside the invariant span of the earlier chains and only until that
 span is the whole space (:func:`minimal_polynomial`).  It and the
 fraction-free elimination behind rank, inverse and kernel accept
 rational matrices only (FieldMismatch otherwise); the real-closed
-verifiers certify their polynomials by evaluation instead.
+verifiers and verify_fine certify a minimal polynomial by evaluation
+instead (:func:`is_minimal_polynomial`).
 Elimination pivots on the first nonzero entry of each column, so all
 results are deterministic.
 """
@@ -36,7 +37,7 @@ from fractions import Fraction
 from itertools import chain, count
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from mindec import _kernel
 from mindec.errors import FieldMismatch, SingularMatrix
@@ -59,10 +60,13 @@ class MatrixAnalysis:
     :func:`mindec.covariant.materialize_projectors`, and the powers
     (M^2, ..., M^b), the baby steps of every polynomial evaluated at M,
     by :func:`horner_eval`, which extends them as later polynomials
-    need.  A DenseMatrix is immutable, so each value stays valid for
-    the matrix's lifetime.  No field refers back to the matrix (M^1 is
-    not kept), so dropping the matrix frees its analysis, powers
-    included, without waiting for the cycle collector.
+    need.  Every field is this matrix's own except the system, a
+    function of the minimal polynomial alone, which system_of may hand
+    to the next matrix of the same minimal polynomial as well.  A
+    DenseMatrix is immutable, so each value stays valid for the
+    matrix's lifetime.  No field refers back to the matrix (M^1 is not
+    kept), so dropping the matrix frees its analysis, powers included,
+    without waiting for the cycle collector.
     """
 
     __slots__ = ("min_poly", "system", "sn_parts", "projectors", "powers")
@@ -488,6 +492,33 @@ def horner_eval(f: Polynomial, M: DenseMatrix) -> DenseMatrix:
     for j in range(g - 1, -1, -1):
         acc = _chunk(n, cs[j * b : j * b + b], powers, acc @ powers[b - 1])
     return acc
+
+
+def is_minimal_polynomial(A: DenseMatrix, factors: Sequence[Polynomial]) -> bool:
+    """Whether the product p of ``factors`` is the minimal polynomial of
+    A, each factor r being irreducible over a field that holds A's
+    entries and the coefficients: p(A) = 0 and (p / r)(A) != 0 for every
+    listed r.  Then the minimal polynomial divides p and, for each
+    irreducible r, has r to the full power it has in p, so it is p; a
+    reducible r voids this.  The r(A) commute, so each (p / r)(A) is a
+    prefix times a suffix product.  Any matrix, by evaluation alone."""
+    at = [horner_eval(r, A) for r in factors]
+    k = len(at)
+    # before[j] = r_0(A)...r_{j-1}(A), after[j] = r_{j+1}(A)...r_{k-1}(A);
+    # None stands for the empty product
+    before, after = [None] * k, [None] * k
+    for j in range(1, k):
+        before[j] = _times(before[j - 1], at[j - 1])
+        after[-1 - j] = _times(at[-j], after[-j])
+    return (
+        k > 0
+        and _times(before[-1], at[-1]).is_zero
+        and all(c is None or not c.is_zero for c in map(_times, before, after))
+    )
+
+
+def _times(A: Optional[DenseMatrix], B: Optional[DenseMatrix]) -> Optional[DenseMatrix]:
+    return B if A is None else A if B is None else A @ B
 
 
 def _coefficient_parts(f: Polynomial) -> List[Tuple[Dict[int, int], int]]:

@@ -62,6 +62,7 @@ from mindec.matrix import (
     DenseMatrix,
     horner_eval,
     inverse,
+    is_minimal_polynomial,
     is_normal,
     is_symmetric,
     rank,
@@ -192,31 +193,6 @@ def _is_real_irreducible_quadratic(quad: Polynomial) -> bool:
     )
 
 
-def _is_minimal_polynomial(A: DenseMatrix, factors: List[Polynomial]) -> bool:
-    """Whether the product p of ``factors`` is the minimal polynomial of
-    A, each factor r being irreducible over a field that holds A's
-    entries and the coefficients: p(A) = 0 and (p / r)(A) != 0 for every
-    listed r.  The r(A) commute, so each (p / r)(A) is a prefix times a
-    suffix product."""
-    at = [horner_eval(r, A) for r in factors]
-    k = len(at)
-    # before[j] = r_0(A)...r_{j-1}(A), after[j] = r_{j+1}(A)...r_{k-1}(A);
-    # None stands for the empty product
-    before, after = [None] * k, [None] * k
-    for j in range(1, k):
-        before[j] = _times(before[j - 1], at[j - 1])
-        after[-1 - j] = _times(at[-j], after[-j])
-    return (
-        k > 0
-        and _times(before[-1], at[-1]).is_zero
-        and all(c is None or not c.is_zero for c in map(_times, before, after))
-    )
-
-
-def _times(A: Optional[DenseMatrix], B: Optional[DenseMatrix]) -> Optional[DenseMatrix]:
-    return B if A is None else A if B is None else A @ B
-
-
 def verify_cmjc(M: DenseMatrix, dsu: DeltaSigmaU) -> VerificationReport:
     """Full identity report for a Delta Sigma U decomposition."""
     report = VerificationReport("complete multiplicative decomposition")
@@ -237,7 +213,7 @@ def verify_cmjc(M: DenseMatrix, dsu: DeltaSigmaU) -> VerificationReport:
         "delta-spectrum",
         "minimal polynomial of Delta is the product of (X - v) over the "
         "distinct class norms v",
-        _is_minimal_polynomial(delta, [_linear(v) for v in dsu.delta_spectrum]),
+        is_minimal_polynomial(delta, [_linear(v) for v in dsu.delta_spectrum]),
     )
     report.add(
         "delta-positive",
@@ -256,7 +232,7 @@ def verify_cmjc(M: DenseMatrix, dsu: DeltaSigmaU) -> VerificationReport:
         "sigma-spectrum",
         "minimal polynomial of Sigma is the product of its norm-1 factors",
         irreducible
-        and _is_minimal_polynomial(
+        and is_minimal_polynomial(
             sigma, [_linear(v) for v in dsu.sigma_linear] + list(dsu.sigma_quadratics)
         ),
     )

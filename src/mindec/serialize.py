@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Union
 
-from mindec.errors import FormatError, PolyParseError
+from mindec.errors import FormatError, OrderTooLarge, PolyParseError
 from mindec.matrix import DenseMatrix
 from mindec.poly import Polynomial, X
 from mindec.scalar import (
@@ -28,6 +28,11 @@ from mindec.scalar import (
 )
 
 Scalar = Union[Fraction, MultiQuad]
+
+#: largest order n of a matrix document, and of a matrix gen builds;
+#: fraction-free Krylov grows as about n^7.5 on dense input, so a
+#: dense n = 64 document already costs tens of seconds
+MAX_ORDER = 64
 
 
 def scalar_to_json(value) -> Union[str, Dict[str, str]]:
@@ -130,6 +135,11 @@ def document_from_json(data) -> MatrixDocument:
     entries = data["entries"]
     if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
         raise FormatError('"entries" must be a list of rows')
+    if len(entries) > MAX_ORDER or any(len(r) > MAX_ORDER for r in entries):
+        raise OrderTooLarge(
+            f"matrix order is limited to {MAX_ORDER}; the document has "
+            f"{len(entries)} rows, the longest of {max(map(len, entries))} entries"
+        )
     rows = [[scalar_from_json(e) for e in row] for row in entries]
     try:
         M = DenseMatrix(rows)

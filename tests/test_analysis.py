@@ -1,6 +1,8 @@
 """Per-matrix analysis reuse: each request computes the minimal
 polynomial, covariant system, S + N and projectors of its matrix once,
 and every verifier still checks the decomposition it is handed.  The
+covariant system, a function of the minimal polynomial alone, is also
+shared with the next matrix of the same minimal polynomial.  The
 constructors that promise a verified result run their verifier once
 and carry its report."""
 
@@ -13,6 +15,7 @@ import pytest
 import mindec.cli as cli_mod
 import mindec.covariant as covariant_mod
 import mindec.decompose as decompose_mod
+import mindec.factor as factor_mod
 import mindec.realclosed as realclosed_mod
 from mindec.covariant import materialize_projectors, verify_system
 from mindec.decompose import (
@@ -25,7 +28,7 @@ from mindec.decompose import (
     verify_sn,
 )
 from mindec.errors import SystemMatrixMismatch
-from mindec.generator import matrix_from_min_poly
+from mindec.generator import blocks_matrix, matrix_from_min_poly
 from mindec.matfun import schwerdtfeger_eval, verify_matfun
 from mindec.matrix import DenseMatrix, companion
 from mindec.poly import Polynomial, X
@@ -102,6 +105,79 @@ class TestWorkPerRequest:
         # realclosed computes no minimal polynomial of its own
         assert not hasattr(realclosed_mod, "minimal_polynomial")
         assert sum(1 for (B,) in calls if B is A) == 1
+
+
+BUILDS = ("factor_rational", "build_covariant_system")
+
+
+def _record_builds(monkeypatch):
+    return [_record_calls(monkeypatch, decompose_mod, name) for name in BUILDS]
+
+
+def _cold(argv, document):
+    decompose_mod._system_of_min_poly.cache_clear()
+    return run_cli(argv, input_text=document)
+
+
+CHECKED_REQUESTS = (["fine", "--check"], ["apply", "--poly", "X^3-2*X+1", "--check"])
+
+
+class TestCovariantMemo:
+    """The last covariant system built is shared by the next matrix
+    with the same minimal polynomial, and by nothing else."""
+
+    @pytest.mark.parametrize("argv", CHECKED_REQUESTS, ids=lambda argv: argv[0])
+    def test_second_request_on_the_same_document_builds_nothing(self, monkeypatch, argv):
+        doc = _document(_matrix())
+        cold = _cold(argv, doc)
+        assert cold[0] == 0, cold[2]
+        assert json.loads(cold[1])["report"]["pass"] is True
+        factors, builds = _record_builds(monkeypatch)
+        assert run_cli(argv, input_text=doc) == cold
+        assert factors == [] and builds == []
+
+    @pytest.mark.parametrize("argv", CHECKED_REQUESTS, ids=lambda argv: argv[0])
+    def test_a_conjugate_with_the_same_minimal_polynomial_builds_nothing(
+        self, monkeypatch, argv
+    ):
+        blocks = [(X - ONE) ** 2, X - ONE, X * X - 2 * ONE]
+        first = blocks_matrix(blocks, "memo-a").matrix
+        second = blocks_matrix(blocks, "memo-b").matrix
+        assert first != second
+        cold = _cold(argv, _document(second))
+        assert cold[0] == 0, cold[2]
+        assert run_cli(argv, input_text=_document(first))[0] == 0
+        factors, builds = _record_builds(monkeypatch)
+        assert run_cli(argv, input_text=_document(second)) == cold
+        assert factors == [] and builds == []
+
+    def test_a_different_minimal_polynomial_evicts_and_builds_once(self, monkeypatch):
+        M = _matrix()
+        first = system_of(M)
+        other = companion(((X - 3 * ONE) ** 2 * (X * X + ONE)).monic())
+        factors, builds = _record_builds(monkeypatch)
+        assert system_of(other).min_poly != first.min_poly
+        assert (len(factors), len(builds)) == (1, 1)
+        assert decompose_mod._system_of_min_poly.cache_info().currsize == 1
+        # the entry for M's polynomial is gone: a copy of M builds again
+        again = system_of(DenseMatrix(M.rows))
+        assert again is not first and again == first
+        assert (len(factors), len(builds)) == (2, 2)
+
+    def test_a_refused_factorization_leaves_nothing_cached(self, monkeypatch):
+        # X^4 + 1 is irreducible but splits modulo every prime, so proving
+        # it irreducible takes one subset trial
+        doc = _document(companion(X**4 + ONE))
+        monkeypatch.setattr(factor_mod, "RECOMBINATION_BUDGET", 0)
+        code, out, err = run_cli(["fine"], input_text=doc)
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == "RecombinationBudgetExceeded"
+        assert decompose_mod._system_of_min_poly.cache_info().currsize == 0
+        monkeypatch.setattr(factor_mod, "RECOMBINATION_BUDGET", 1)
+        factors, builds = _record_builds(monkeypatch)
+        code, out, err = run_cli(["fine", "--check"], input_text=doc)
+        assert code == 0, err
+        assert (len(factors), len(builds)) == (1, 1)
 
 
 class TestGenericCovariantsOffTheHotPath:

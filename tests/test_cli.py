@@ -10,9 +10,12 @@ import time
 from pathlib import Path
 
 import pytest
+from test_factor import swinnerton_dyer
 
 from mindec import cli
+from mindec.matrix import companion
 from mindec.selftest import run_cli
+from mindec.serialize import matrix_to_json
 
 IDENTITY_2 = json.dumps({"n": 2, "entries": [["1", "0"], ["0", "1"]]})
 SINGULAR_2 = json.dumps({"entries": [["1", "0"], ["0", "0"]]})
@@ -204,6 +207,43 @@ def test_large_radicand_is_bounded(argv, entries, error):
     assert json.loads(err)["error"] == error
 
 
+def _zeros_document(n):
+    row = "[" + ",".join(['"0"'] * n) + "]"
+    return '{"entries": [' + ",".join([row] * n) + "]}"
+
+
+@pytest.mark.parametrize("n", [cli.MAX_ORDER + 1, 2000])
+def test_matrix_order_is_bounded(n):
+    document = _zeros_document(n)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["sn", "--check"], input_text=document)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (3, "")
+    error = json.loads(err)
+    assert error["error"] == "OrderTooLarge"
+    assert f"limited to {cli.MAX_ORDER}; the document has {n} rows" in error["message"]
+
+
+def test_a_long_row_is_refused_before_its_entries_are_parsed():
+    entries = [["0"] * 3, ["0"] * 3, ["not a number"] * (cli.MAX_ORDER + 1)]
+    code, out, err = run_cli(["sn"], input_text=json.dumps({"entries": entries}))
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "OrderTooLarge"
+
+
+def test_order_64_is_accepted():
+    # the companion matrix of the degree-64 Swinnerton-Dyer polynomial
+    # parses; sn then stops at the recombination budget, not the order
+    sd64 = companion(swinnerton_dyer([2, 3, 5, 7, 11, 13]))
+    assert sd64.n == cli.MAX_ORDER
+    code, out, err = run_cli(["sn"], input_text=json.dumps(matrix_to_json(sd64)))
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "RecombinationBudgetExceeded"
+    code, out, err = run_cli(["sn", "--check"], input_text=_zeros_document(cli.MAX_ORDER))
+    assert code == 0, err
+    assert json.loads(out)["report"]["pass"] is True
+
+
 #: a matrix over Q(sqrt(2), sqrt(3)); the matrix commands work over Q
 SURD_2 = json.dumps({"entries": [[{"2": "1"}, "1"], ["0", {"3": "1"}]]})
 MATRIX_COMMANDS = ("sn", "fine", "covariants", "unbreakable", "mjc", "cmjc", "svd")
@@ -371,16 +411,16 @@ def test_result_past_the_str_digit_limit_is_written_in_full():
 
 
 class TestGen:
-    @pytest.mark.parametrize("size", ["0", "-3", "1", str(cli.MAX_GEN_SIZE + 1)])
+    @pytest.mark.parametrize("size", ["0", "-3", "1", str(cli.MAX_ORDER + 1)])
     @pytest.mark.parametrize("family", ["general", "gram"])
     def test_size_out_of_range_is_a_usage_error(self, size, family):
         code, out, err = run_cli(["gen", "--seed", "s", "--family", family, "--size", size])
         assert (code, out) == (2, "")
         error = json.loads(err)
         assert error["error"] == "UsageError"
-        assert f"between 2 and {cli.MAX_GEN_SIZE}" in error["message"]
+        assert f"between 2 and {cli.MAX_ORDER}" in error["message"]
 
-    @pytest.mark.parametrize("size", [2, cli.MAX_GEN_SIZE])
+    @pytest.mark.parametrize("size", [2, cli.MAX_ORDER])
     def test_size_bounds_are_accepted(self, size):
         doc = json.loads(gen("edge", "--size", str(size)))
         assert 1 <= doc["n"] <= size
@@ -406,7 +446,7 @@ class TestGen:
         assert (code, out) == (2, "")
         error = json.loads(err)
         assert error["error"] == "UsageError"
-        assert f"at most {cli.MAX_GEN_SIZE}, got 1000" in error["message"]
+        assert f"at most {cli.MAX_ORDER}, got 1000" in error["message"]
 
     @pytest.mark.parametrize("blocks, order", [("X^65-2", 65), ("X^30-2;X^30-3;X^30-5", 90)])
     def test_blocks_total_degree_is_bounded(self, blocks, order):
@@ -414,11 +454,11 @@ class TestGen:
         assert (code, out) == (2, "")
         error = json.loads(err)
         assert error["error"] == "UsageError"
-        assert f"at most {cli.MAX_GEN_SIZE}, got {order}" in error["message"]
+        assert f"at most {cli.MAX_ORDER}, got {order}" in error["message"]
 
     def test_blocks_at_the_bound_are_accepted(self):
         doc = json.loads(gen("edge", "--blocks", "X^32-2;X^30-3;X^2+1"))
-        assert doc["n"] == cli.MAX_GEN_SIZE == 64
+        assert doc["n"] == cli.MAX_ORDER == 64
 
     def test_blocks_builds_companion_direct_sum(self):
         out = gen("g2", "--blocks", "(X-1)^2;X^2+1")

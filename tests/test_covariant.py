@@ -1,6 +1,7 @@
 """Rational covariant witnesses, the generic covariants they agree
 with, and concrete projectors."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,26 @@ class TestProjectors:
         system = build_covariant_system(factor_rational(m))
         report = verify_system(system, M)
         assert report.passed, str(report)
+
+    def test_idempotent_projectors_that_overlap_fail_verify_system(self):
+        # at M = diag(0, 1, 2): E_0 = 1 - X(X-1)/2 projects onto the
+        # eigenvalues {0, 1} and E_1 = X(2 - X) onto {1}; both are
+        # idempotent and their ranks sum to n, but E_0 + E_1 != 1 and
+        # E_0(M) E_1(M) = E_1(M)
+        M = DenseMatrix([[0, 0, 0], [0, 1, 0], [0, 0, 2]])
+        half = Polynomial((Fraction(1, 2),))
+        e_polys = (Polynomial((1,)) - half * X * (X - Polynomial((1,))), X * (2 - X))
+        honest = build_covariant_system(factor_rational(X * (X - 1) * (X - 2)))
+        system = dataclasses.replace(honest, e_polys=e_polys)
+        projectors = materialize_projectors(system, M)
+        assert all(P @ P == P for P in projectors)
+        assert sum(fraction_rank(P.rows) for P in projectors) == M.n
+        report = verify_system(system, M)
+        assert {c.name for c in report.failed_checks()} == {
+            "partition-of-unity",
+            "idempotent-orthogonal",
+        }
+        assert verify_system(honest, M).passed
 
 
 class TestSplitCovariants:

@@ -173,6 +173,29 @@ class TestFineSplit:
         fired = {c.name for c in report.failed_checks()}
         assert fired & {"cross-annihilation", "kernel-containment"}, fired
 
+    @pytest.mark.parametrize(
+        "semisimple, factor",
+        [
+            # minimal polynomial X - 1: (X m_i)(S_i) = 0 and S_i != 0, but m_i(S_i) = 0
+            (DenseMatrix.identity(3), X - 1),
+            # minimal polynomial (X-1)(X-2): m_i(S_i) != 0, but (X m_i)(S_i) != 0
+            (DenseMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 0]]), X - 1),
+            # minimal polynomial X(X-1), but the claimed m_i = (X-1)(X-3) is
+            # reducible: (X m_i)(S_i) = 0 and m_i(S_i) != 0 all the same
+            (DenseMatrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]]), (X - 1) * (X - 3)),
+        ],
+        ids=["minpoly-m_i", "minpoly-too-large", "reducible-m_i"],
+    )
+    def test_component_min_poly_rejects_a_wrong_minimal_polynomial(self, semisimple, factor):
+        M = DenseMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 0]])
+        fd = fine_decompose(M)
+        assert verify_fine(M, fd).passed
+        comps = list(fd.components)
+        i = [c.factor for c in comps].index(X - 1)
+        comps[i] = replace(comps[i], semisimple=semisimple, factor=factor)
+        report = verify_fine(M, replace(fd, components=tuple(comps)))
+        assert "component-min-poly" in {c.name for c in report.failed_checks()}
+
 
 class TestNilpotencyCertificates:
     """verify_sn checks N^mu = 0 and verify_mjc (U - I)^mu = 0, mu the
