@@ -4,8 +4,8 @@ The additive decomposition M = S + N is assembled from the covariant
 system of the minimal polynomial: S is the image of the rational
 witness polynomial sum(S_i) at M, so S and N are themselves rational
 polynomials in M.  A Newton iteration on the squarefree part of the
-minimal polynomial provides an independent oracle for S; the two must
-agree exactly.
+minimal polynomial m, run in Q[X]/(m) and evaluated once at M,
+provides an independent oracle for S; the two must agree exactly.
 
 The fine decomposition refines S + N into one (S_i, N_i) pair per
 irreducible factor, with the zero eigenvalue class (factor X) carrying
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from mindec.covariant import CovariantSystem, build_covariant_system, materialize_projectors
@@ -32,7 +33,7 @@ from mindec.matrix import (
     minimal_polynomial,
     rank,
 )
-from mindec.poly import Polynomial, X, poly_gcd, squarefree_part
+from mindec.poly import ONE, Polynomial, X, ext_gcd, poly_gcd, squarefree_part
 from mindec.report import VerificationReport, attach_report
 
 
@@ -151,34 +152,90 @@ def _nilpotency_index(M: DenseMatrix) -> int:
 
 
 def sn_newton_oracle(M: DenseMatrix) -> DenseMatrix:
-    """Independent construction of the semisimple part.
+    """Independent construction of the semisimple part: the polynomial
+    z of :func:`_newton_poly`, Newton's iteration in Q[X]/(m) on the
+    minimal polynomial m of M (read from M's analysis), evaluated once
+    at M.  z(M) is the unique semisimple S with M - S nilpotent,
+    commuting with M.
 
-    Newton iteration Z <- Z - g(Z) * g'(Z)^-1 on the squarefree part g
-    of the minimal polynomial, starting at M.  Quadratic convergence in
-    the nilpotency order: g(Z_k) lies in g(M)^(2^k) * Q[M], so with mu
-    the largest multiplicity of a factor of the minimal polynomial,
-    g(Z_k) = 0 once 2^k >= mu, and ceil(log2 mu) + 1 evaluations of g
-    suffice; InvariantViolation if they do not.  The limit is the
-    unique semisimple S with M - S nilpotent, commuting with M.  Shares
-    nothing with the covariant construction but basic polynomial
-    arithmetic and the minimal polynomial of M, which it reads from M's
-    analysis.
+    It shares nothing with the covariant construction but basic
+    polynomial arithmetic, m and the final :func:`horner_eval` at M: no
+    factorization, no CRT and no covariant system.  So verify_sn's
+    "newton-agreement" still fails when the covariant route builds a
+    wrong s_poly, and so a wrong S = s_poly(M), and when S is corrupted
+    after it was built: either way S no longer equals z(M).
     """
-    g, profile = squarefree_part(_min_poly_of(M))
+    return horner_eval(_newton_poly(_min_poly_of(M)), M)
+
+
+def _newton_poly(m: Polynomial) -> Polynomial:
+    """The semisimple part of X in Q[X]/(m), reduced mod m: Newton's
+    iteration z <- z - g(z) * w mod m from z = X, g the squarefree part
+    of m (Yun's algorithm), with w an approximation of g'(z)^-1.
+
+    w_0 = g'^-1 mod g comes from one extended gcd at degree deg g, and
+    every later step applies one Schulz update w <- w * (2 - g'(z) * w)
+    mod m.  g(z) and g'(z) are read off one table z^0 ... z^deg(g) mod
+    m per step.  Convergence stays quadratic: with (h) the ideal of h
+    in Q[X]/(m), g(z_k) and 1 - g'(z_k) * w_k lie in (g^(2^k)).  For
+    k = 0, z_0 = X and w_0 inverts g' mod g.  z_(k+1) - z_k is a
+    multiple of g(z_k), so g'(z_(k+1)) = g'(z_k) mod g^(2^k), and the
+    Schulz step squares the residual 1 - g'(z_(k+1)) * w_k, which puts
+    it in (g^(2^(k+1))); Taylor's formula gives
+    g(z_(k+1)) = g(z_k) * (1 - g'(z_k) * w_k) mod g(z_k)^2, also in
+    (g^(2^(k+1))).  With mu the largest multiplicity of a factor of m,
+    g^mu = 0 mod m, so g(z_k) = 0 once 2^k >= mu and ceil(log2 mu) + 1
+    evaluations of g suffice; InvariantViolation if they do not.  w_0 is
+    computed only after a first g(z) != 0, so a squarefree m (g = m)
+    returns X mod m at once, with no extended gcd.
+    """
+    g, profile = squarefree_part(m)
     mu = max((k for _, k in profile), default=1)
     dg = g.derivative()
-    Z = M
+    z, w = X % m, None
     for _ in range((mu - 1).bit_length() + 1):
-        value = horner_eval(g, Z)
+        table = [ONE, z]
+        while len(table) <= g.degree:
+            table.append(table[-1] * z % m)
+        value = _on_table(g, table)
         if value.is_zero:
-            return Z
-        Z = Z - value @ inverse(horner_eval(dg, Z))
+            return z
+        if w is None:
+            w = ext_gcd(dg, g)[1]
+        else:
+            w = _schulz(w, _on_table(dg, table), m)
+        z = (z - value * w) % m
     raise InvariantViolation("Newton iteration did not stabilize")
+
+
+def _on_table(f: Polynomial, table: Sequence[Polynomial]) -> Polynomial:
+    """f(z) = sum(f_k * z^k) for rational f, with table[k] = z^k mod m
+    for k <= deg f: one integer combination over the common
+    denominator, reduced mod m as each table entry is."""
+    terms = [(c, t) for c, t in zip(f._num, table) if c]
+    den = lcm(*(t._den for _, t in terms))
+    acc = [0] * max(len(t._num) for _, t in terms)
+    for c, t in terms:
+        c *= den // t._den
+        for i, x in enumerate(t._num):
+            acc[i] += c * x
+    while acc and not acc[-1]:
+        acc.pop()
+    return Polynomial._of_ints(acc, den * f._den)
+
+
+def _schulz(w: Polynomial, a: Polynomial, m: Polynomial) -> Polynomial:
+    # w * (2 - a * w) mod m: squares the residual 1 - a * w
+    return w * (2 - a * w % m) % m
 
 
 def verify_sn(M: DenseMatrix, sn: SNDecomposition) -> VerificationReport:
     """Identity report for an additive decomposition, including exact
-    agreement with the independent Newton construction.
+    agreement with the independent Newton construction
+    (:func:`sn_newton_oracle`, which shares only basic polynomial
+    arithmetic, the minimal polynomial and the final evaluation at M
+    with the covariant route, so an S from a wrong s_poly or a
+    corrupted S fails "newton-agreement").
 
     The "nilpotent" check computes N^mu, mu <= n the largest
     multiplicity in the factorization of M's own minimal polynomial,

@@ -18,8 +18,10 @@ A polynomial is evaluated at M by the Paterson-Stockmeyer scheme
 (:func:`horner_eval`): baby steps M^2 ... M^b, b about sqrt(deg + 1),
 kept on M's analysis and shared by every polynomial evaluated at M,
 and giant steps in M^b, each one product plus one integer linear
-combination of the parts.  Entries are built only when ``rows`` or
-``entry`` is read, and kept.  The minimal polynomial is the lcm of
+combination of the parts; at a matrix whose minimal polynomial m is on
+its analysis, a polynomial of degree <= deg m takes the whole table
+up to its degree and no giant step.  Entries are built only when
+``rows`` or ``entry`` is read, and kept.  The minimal polynomial is the lcm of
 Krylov annihilators of standard basis vectors, run only from vectors
 outside the invariant span of the earlier chains and only until that
 span is the whole space (:func:`minimal_polynomial`).  It and the
@@ -60,8 +62,11 @@ class MatrixAnalysis:
     :func:`mindec.covariant.materialize_projectors`, and the powers
     (M^2, ..., M^b), the baby steps of every polynomial evaluated at M,
     by :func:`horner_eval`, which extends them as later polynomials
-    need.  Every field is this matrix's own except the system, a
-    function of the minimal polynomial alone, which system_of may hand
+    need.  Once min_poly is set, a polynomial of degree d <= deg m
+    extends the powers to M^d, so they never pass M^(deg m), and its
+    value is one combination of them.  Every field is this matrix's own
+    except the system, a function of the minimal polynomial alone,
+    which system_of may hand
     to the next matrix of the same minimal polynomial as well.  A
     DenseMatrix is immutable, so each value stays valid for the
     matrix's lifetime.  No field refers back to the matrix (M^1 is not
@@ -251,15 +256,19 @@ class DenseMatrix:
     def __pow__(self, k: int) -> "DenseMatrix":
         if k < 0:
             return inverse(self) ** (-k)
-        result = DenseMatrix.identity(self.n)
+        if k == 0:
+            return DenseMatrix.identity(self.n)
+        # square-and-multiply from no matrix: M^k costs popcount(k) - 1
+        # products besides the squarings, none for the identity
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result @ base
-            if k > 1:
-                base = base @ base
+                result = base if result is None else result @ base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base @ base
 
     def __eq__(self, other):
         if not isinstance(other, DenseMatrix):
@@ -473,8 +482,12 @@ def horner_eval(f: Polynomial, M: DenseMatrix) -> DenseMatrix:
     analysis, which is extended to M^b when it is shorter and is shared
     by every polynomial later evaluated at M; a longer table raises b
     up to d, which saves giant steps.  So degrees up to 3 start no
-    table.  Each C_j(M), plus acc @ M^b, is one integer linear
-    combination per label of the parts over their least common
+    table, except at a matrix whose minimal polynomial m is on its
+    analysis: there d <= deg m takes b = d, the table grows to M^d,
+    never past M^(deg m), and f(M) is a single combination with no
+    giant step; d > deg m keeps b = isqrt(d) + 1.  Each C_j(M), plus
+    acc @ M^b, is one integer linear combination per label of the parts
+    over their least common
     denominator, its constant term added on the diagonals only, then
     reduced once.  So f(M) costs about 2*sqrt(d) products instead of
     d.  Coefficients are rational or MultiQuad, at any matrix; others
@@ -485,7 +498,13 @@ def horner_eval(f: Polynomial, M: DenseMatrix) -> DenseMatrix:
     if d < 1:
         return DenseMatrix.scaled_identity(n, f.coeffs[0]) if d == 0 else DenseMatrix.zeros(n)
     cs = _coefficient_parts(f)
-    powers = _baby_steps(M, isqrt(d) + 1 if d > 3 else 1)
+    analysis = getattr(M, "_analysis", None)
+    m = analysis and analysis.min_poly
+    if m is not None and d <= m.degree:
+        b = d
+    else:
+        b = isqrt(d) + 1 if d > 3 else 1
+    powers = _baby_steps(M, b)
     b = min(len(powers), d)
     g = (d - 1) // b
     acc = _chunk(n, cs[g * b :], powers, None)

@@ -49,7 +49,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from mindec.covariant import quadratic_roots
-from mindec.decompose import _min_poly_of, sn_decompose, system_of
+from mindec.decompose import _min_poly_of, _nilpotency_index, sn_decompose, system_of
 from mindec.errors import (
     FactorDegreeTooHigh,
     FieldMismatch,
@@ -194,7 +194,18 @@ def _is_real_irreducible_quadratic(quad: Polynomial) -> bool:
 
 
 def verify_cmjc(M: DenseMatrix, dsu: DeltaSigmaU) -> VerificationReport:
-    """Full identity report for a Delta Sigma U decomposition."""
+    """Full identity report for a Delta Sigma U decomposition.
+
+    The "unipotence" check computes (U - I)^mu, mu <= n the largest
+    multiplicity of a factor of M's own minimal polynomial, as verify_sn
+    and verify_mjc do.  (U - I)^mu = 0 implies the stated
+    (U - I)^n = 0.  Conversely, let a candidate pass reassembly,
+    commutation and both spectrum checks, so that Delta Sigma is
+    semisimple and commutes with U.  If also (U - I)^n = 0, U is
+    unipotent and (Delta Sigma, U) is the unique multiplicative
+    decomposition of M, so U - I = S^-1 N has N's index mu and
+    (U - I)^mu = 0.  The two exponents thus agree whenever the other
+    checks pass, and the report's verdict is the same on every input."""
     report = VerificationReport("complete multiplicative decomposition")
     n = M.n
     delta, sigma, U = dsu.delta, dsu.sigma, dsu.unipotent
@@ -208,7 +219,8 @@ def verify_cmjc(M: DenseMatrix, dsu: DeltaSigmaU) -> VerificationReport:
         ),
     )
     ident = DenseMatrix.identity(n)
-    report.add("unipotence", "(U - I)^n = 0", ((U - ident) ** n).is_zero)
+    mu = _nilpotency_index(M)
+    report.add("unipotence", "(U - I)^n = 0", ((U - ident) ** mu).is_zero)
     report.add(
         "delta-spectrum",
         "minimal polynomial of Delta is the product of (X - v) over the "
@@ -345,13 +357,14 @@ def verify_svd_system(A: DenseMatrix, candidate) -> VerificationReport:
     )
     ortho_ok = True
     witness = ""
-    for i, (_, Bi) in enumerate(terms):
-        for j, (_, Bj) in enumerate(terms):
-            if i == j:
-                continue
-            if not (Bi.transpose() @ Bj).is_zero or not (Bi @ Bj.transpose()).is_zero:
+    # (A_i^T A_j)^T = A_j^T A_i and (A_i A_j^T)^T = A_j A_i^T, so the pairs
+    # i < j decide every ordered pair; the witness names the last failing
+    # ordered pair (j, i), j > i, as the loop over all of them did
+    for j, (_, Bj) in enumerate(terms):
+        for i, (_, Bi) in enumerate(terms[:j]):
+            if not (Bj.transpose() @ Bi).is_zero or not (Bj @ Bi.transpose()).is_zero:
                 ortho_ok = False
-                witness = f"terms {i}, {j} not orthogonal"
+                witness = f"terms {j}, {i} not orthogonal"
     report.add(
         "orthogonality", "A_i^T A_j = 0 and A_i A_j^T = 0 for i != j", ortho_ok, witness
     )

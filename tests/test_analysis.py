@@ -343,3 +343,47 @@ def test_only_the_verifier_reassembles(monkeypatch, command, construct, M, produ
     code, out, err = run_cli([command, "--check"], input_text=_document(M))
     assert code == 0, err
     assert len(reassembled) == products
+
+
+#: the seed-0 n = 17 ladder rung (minimal polynomial of degree 14)
+LADDER_17 = "(X^2-2)^3;(X-3)^3;X^3-2;X^2+X+1;X^3-2"
+
+
+def _ladder_17(command):
+    from mindec.serialize import parse_poly_expression
+
+    polys = [parse_poly_expression(b) for b in LADDER_17.split(";")]
+    return blocks_matrix(polys, f"ladder:0:0:{command}").matrix
+
+
+class TestOnePowerTable:
+    """Every polynomial at an analyzed M is one combination on M's kept
+    power table; the Newton oracle runs in Q[X]/(m) and evaluates once."""
+
+    def test_newton_oracle_runs_no_elimination(self, monkeypatch):
+        import mindec._kernel as kernel
+
+        M = _ladder_17("sn")
+        assert M.n == 17
+        sn = sn_decompose(M)
+        rrefs = _record_calls(monkeypatch, kernel, "rref")
+        products = _record_calls(monkeypatch, kernel, "mat_mul")
+        assert decompose_mod.sn_newton_oracle(M) == sn.semisimple
+        # z has the degree of s_poly, whose evaluation built the table
+        assert rrefs == [] and products == []
+
+    def test_projectors_take_no_giant_step(self, monkeypatch):
+        M = _ladder_17("fine")
+        system = system_of(M)
+        degree = system.min_poly.degree
+        assert degree == 14
+        products = _record_calls(monkeypatch, DenseMatrix, "__matmul__")
+        projectors = materialize_projectors(system, M)
+        # m(M) first: the table M^2 ... M^14, each step one product by M
+        assert len(products) == degree - 1 and all(B is M for _, B in products)
+        assert len(M.analysis.powers) == degree - 1
+        # once the table is built, no evaluation at M makes a product
+        products.clear()
+        M.analysis.projectors = None
+        assert materialize_projectors(system, M) == projectors
+        assert products == []

@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from oracles import fraction_minimal_polynomial
 
 import mindec.decompose as decompose_mod
 from mindec.decompose import (
@@ -19,7 +20,7 @@ from mindec.decompose import (
     verify_sn,
     verify_unbreakable,
 )
-from mindec.errors import SingularMatrix
+from mindec.errors import InvariantViolation, SingularMatrix
 from mindec.generator import block_diag, blocks_matrix, random_matrix
 from mindec.matrix import (
     DenseMatrix,
@@ -52,25 +53,104 @@ class TestAdditiveSplit:
             assert sn.semisimple == sn_newton_oracle(M)
 
     def test_newton_needs_its_whole_evaluation_bound(self, monkeypatch):
-        # (X^2-2)^16: g(Z_k) lies in g(M)^(2^k) Q[M], so g(Z_k) = 0 first
-        # at k = 4, on the fifth evaluation of g, which is the bound
-        # ceil(log2 16) + 1
-        import mindec.decompose as decompose_mod
-
+        # (X^2-2)^16: g(z_k) lies in (g^(2^k)) in Q[X]/(m), so g(z_k) = 0
+        # first at k = 4, on the fifth evaluation of g, which is the bound
+        # ceil(log2 16) + 1; the evaluations of g are read off the table
+        # of z's powers inside the iteration
         g = Polynomial((-2, 0, 1))
         M = blocks_matrix([g**16], "newton-bound").matrix
         assert M.n == 32
         calls = []
+        on_table = decompose_mod._on_table
 
-        def counting(f, Z):
+        def counting(f, table):
             calls.append(f == g)
-            return horner_eval(f, Z)
+            return on_table(f, table)
 
-        monkeypatch.setattr(decompose_mod, "horner_eval", counting)
+        monkeypatch.setattr(decompose_mod, "_on_table", counting)
         S = sn_newton_oracle(M)
         assert sum(calls) == 5
         assert horner_eval(g, S).is_zero and S == sn_decompose(M).semisimple
         assert not ((M - S) ** 8).is_zero and ((M - S) ** 16).is_zero
+        # a bound one evaluation short (mu read as 8) raises
+        monkeypatch.setattr(decompose_mod, "squarefree_part", lambda p: (g, [(g, 8)]))
+        with pytest.raises(InvariantViolation):
+            sn_newton_oracle(M)
+
+    def test_newton_without_the_schulz_update_fails(self, monkeypatch):
+        # w stuck at g'^-1 mod g leaves only linear convergence: g(z_k)
+        # in (g^(k+1)), short of (g^16) after the five evaluations
+        M = blocks_matrix([Polynomial((-2, 0, 1)) ** 16], "newton-bound").matrix
+        monkeypatch.setattr(decompose_mod, "_schulz", lambda w, a, m: w)
+        with pytest.raises(InvariantViolation):
+            sn_newton_oracle(M)
+
+    def test_squarefree_minimal_polynomial_needs_no_extended_gcd(self, monkeypatch):
+        calls = []
+        real = decompose_mod.ext_gcd
+
+        def counting(a, b):
+            calls.append(b)
+            return real(a, b)
+
+        monkeypatch.setattr(decompose_mod, "ext_gcd", counting)
+        dense = DenseMatrix([[(7 * i * i + 3 * j + i * j) % 19 - 9 for j in range(8)] for i in range(8)])
+        m = minimal_polynomial(dense)
+        assert m.degree == 8 and poly_gcd(m, m.derivative()).degree == 0
+        assert sn_newton_oracle(dense) == dense
+        assert calls == []
+        # one extended gcd, at the squarefree part, when m is not squarefree
+        M = companion(((X - Polynomial((1,))) ** 3 * (X + Polynomial((2,)))).monic())
+        assert sn_newton_oracle(M) == sn_decompose(M).semisimple
+        assert calls == [((X - Polynomial((1,))) * (X + Polynomial((2,)))).monic()]
+
+    def test_newton_polynomial_is_the_witness_polynomial(self):
+        # the oracle's z, from the oracle's own minimal polynomial, is
+        # s_poly: both are the semisimple part of X reduced mod m
+        def check(M):
+            rows = [list(r) for r in M.rows]
+            m = Polynomial(fraction_minimal_polynomial(rows))
+            assert decompose_mod._newton_poly(m) == sn_decompose(M).s_poly
+
+        big = Fraction(10**30 + 57, 2**61 - 1)
+        quad, lin = Polynomial((-2, 0, 1)), Polynomial((-3, 1))
+        derogatory = blocks_matrix([quad**2, quad**2, lin**3, lin], "newton-derogatory").matrix
+        check(derogatory)
+        check(derogatory * big + DenseMatrix.scaled_identity(derogatory.n, Fraction(1, 3**40)))
+        check(DenseMatrix([[big, 1, 0], [0, big, 0], [0, 0, -big]]))
+
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        small = st.integers(-3, 3)
+        entries = st.sampled_from((0, 0, 1, -1, 2))
+
+        @st.composite
+        def blocks(draw):
+            # 1 to 3 companion blocks (X + a)^k or (X^2 + bX + c)^k, k <= 3
+            out = []
+            for _ in range(draw(st.integers(1, 3))):
+                base = [draw(small) for _ in range(draw(st.integers(1, 2)))] + [1]
+                out.append(Polynomial(base) ** draw(st.integers(1, 3)))
+            return out
+
+        @st.composite
+        def small_matrices(draw):
+            n = draw(st.integers(1, 4))
+            return [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+
+        @hypothesis.settings(max_examples=40, derandomize=True, deadline=None)
+        @hypothesis.given(blocks(), st.integers(0, 10**6), st.fractions(max_denominator=10**9))
+        def check_drawn(polys, key, scale):
+            M = blocks_matrix(polys, f"newton-{key}").matrix
+            check(M * scale if scale else M)
+
+        @hypothesis.settings(max_examples=40, derandomize=True, deadline=None)
+        @hypothesis.given(small_matrices())
+        def check_entries(rows):
+            check(DenseMatrix(rows))
+
+        check_drawn()
+        check_entries()
 
     def test_witness_polynomials_evaluate_to_parts(self):
         M = companion(((X - Polynomial((1,))) ** 2 * (X + Polynomial((1,)))).monic())

@@ -66,6 +66,27 @@ class TestArithmetic:
         assert commute(A, A @ A)
         assert not commute(A, DenseMatrix([[0, 0], [1, 0]]))
 
+    def test_powers_cost_no_product_for_the_identity(self, monkeypatch):
+        import mindec._kernel as kernel
+
+        M = DenseMatrix([[1, Fraction(1, 2), 0], [0, 2, 1], [3, 0, -1]])
+        plain = {k: plain_poly_at([0] * k + [1], M.rows) for k in (0, 1, 2, 3, 8)}
+        products = []
+        real = kernel.mat_mul
+
+        def counting(A, B):
+            products.append(1)
+            return real(A, B)
+
+        monkeypatch.setattr(kernel, "mat_mul", counting)
+        for k, cost in ((0, 0), (1, 0), (2, 1), (3, 2), (8, 3)):
+            products.clear()
+            assert [list(r) for r in (M**k).rows] == plain[k]
+            assert len(products) == cost, k
+        # negative powers are powers of the inverse
+        inv = inverse(M)
+        assert M**-1 == inv and M**-2 == inv @ inv and M**-3 @ M**3 == DenseMatrix.identity(3)
+
 
 class TestRankAndKernel:
     def test_rank_matches_fraction_oracle(self):
@@ -768,6 +789,52 @@ class TestPatersonStockmeyer:
         products.clear()
         horner_eval(poly(3), N)
         assert products == [] and len(N.analysis.powers) == 2
+
+    def test_an_analyzed_matrix_evaluates_from_its_full_table(self, monkeypatch):
+        # with M's minimal polynomial m on its analysis, deg f <= deg m
+        # takes b = deg f: the table grows to M^(deg f), never past
+        # M^(deg m), and f(M) is one combination with no giant step
+        rng = random.Random("full-table")
+        M = rand_matrix(rng, 6)
+        M.analysis.min_poly = m = minimal_polynomial(M)
+        assert m.degree == 6
+        products = []
+        real = DenseMatrix.__matmul__
+
+        def counting(A, B):
+            products.append(B)
+            return real(A, B)
+
+        def poly(d):
+            return Polynomial([Fraction(rng.randint(-5, 5), 3) for _ in range(d)] + [1])
+
+        monkeypatch.setattr(DenseMatrix, "__matmul__", counting)
+        f = poly(5)
+        want = plain_poly_at(f.coeffs, M.rows)
+        assert as_lists(horner_eval(f, M)) == want
+        assert products == [M] * 4 and len(M.analysis.powers) == 4
+        products.clear()
+        assert horner_eval(m, M).is_zero
+        assert products == [M] and len(M.analysis.powers) == 5
+        # every degree up to deg m is then free of products
+        products.clear()
+        for d in range(7):
+            f = poly(d)
+            assert as_lists(horner_eval(f, M)) == plain_poly_at(f.coeffs, M.rows)
+        assert products == []
+        # deg f > deg m keeps Paterson-Stockmeyer on the table as it is
+        for d in (7, 13, 20):
+            products.clear()
+            f = poly(d)
+            assert as_lists(horner_eval(f, M)) == plain_poly_at(f.coeffs, M.rows)
+            assert products == [M.analysis.powers[-1]] * ((d - 1) // 6)
+        assert len(M.analysis.powers) == 5
+        # an unanalyzed matrix keeps b = isqrt(d) + 1: degree 5 takes b = 3
+        products.clear()
+        N = DenseMatrix(M.rows)
+        f = poly(5)
+        assert as_lists(horner_eval(f, N)) == plain_poly_at(f.coeffs, N.rows)
+        assert products == [N, N, N.analysis.powers[-1]] and len(N.analysis.powers) == 2
 
 
 # -- the Krylov loop over one shared invariant span --

@@ -97,6 +97,30 @@ class TestCompleteMjc:
         assert not verify_cmjc(M, bad).passed
 
 
+class TestUnipotenceExponent:
+    """verify_cmjc raises U - I to mu, the largest multiplicity of M's
+    own minimal polynomial: (X - 2)^2 (X^2 + 1) gives mu = 2 at n = 4."""
+
+    M = companion(((X - 2 * ONE) ** 2 * (X * X + ONE)).monic())
+
+    def test_exponent_is_the_nilpotency_index(self):
+        import mindec.decompose as decompose_mod
+
+        dsu = complete_mjc(self.M)
+        U_minus_I = dsu.unipotent - DenseMatrix.identity(4)
+        assert decompose_mod._nilpotency_index(self.M) == 2
+        assert not U_minus_I.is_zero and (U_minus_I @ U_minus_I).is_zero
+        assert verify_cmjc(self.M, dsu).passed
+
+    def test_one_less_fails(self, monkeypatch):
+        import mindec.realclosed as realclosed_mod
+
+        dsu = complete_mjc(self.M)
+        index = realclosed_mod._nilpotency_index
+        monkeypatch.setattr(realclosed_mod, "_nilpotency_index", lambda A: index(A) - 1)
+        assert {c.name for c in verify_cmjc(self.M, dsu).failed_checks()} == {"unipotence"}
+
+
 I_SQRT = MultiQuad({-1: 1})
 
 
@@ -266,6 +290,32 @@ class TestSvd:
             B = term.matrix
             # each term is a partial isometry scaled decision: B B^T B = B
             assert B @ B.transpose() @ B == B
+
+
+def _unit(n, i, j):
+    return DenseMatrix([[int((r, c) == (i, j)) for c in range(n)] for r in range(n)])
+
+
+class TestSvdOrthogonality:
+    """Each unordered pair of terms is checked once, through
+    A_j^T A_i and A_j A_i^T for i < j, the transposes of the two
+    products of the ordered pair (i, j)."""
+
+    # E00 with E01 fails only A^T B = 0, E00 with E10 only A B^T = 0
+    @pytest.mark.parametrize("other", [(0, 1), (1, 0)], ids=["transpose-first", "transpose-second"])
+    @pytest.mark.parametrize("swap", [False, True], ids=["in-order", "swapped"])
+    def test_one_non_orthogonal_pair_fails(self, other, swap):
+        P, Q = _unit(4, 0, 0), _unit(4, *other)
+        if swap:
+            P, Q = Q, P
+        terms = [(MultiQuad(3), P), (MultiQuad(2), _unit(4, 3, 3)), (MultiQuad(1), Q)]
+        A = P * 3 + _unit(4, 3, 3) * 2 + Q
+        report = verify_svd_system(A, terms)
+        failed = {c.name: c for c in report.failed_checks()}
+        assert "orthogonality" in failed
+        assert failed["orthogonality"].witness == "terms 2, 0 not orthogonal"
+        fixed = [terms[0], terms[1]]
+        assert "orthogonality" not in {c.name for c in verify_svd_system(A, fixed).failed_checks()}
 
 
 class TestSvdUniqueness:
