@@ -18,11 +18,11 @@ def poly_mul(a, b):
     """Product of two integer polynomials, as a list."""
     if not a or not b:
         return []
-    lb = len(b)
-    out = [0] * (len(a) + lb - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            out[i : i + lb] = [s + x * y for s, y in zip(out[i : i + lb], b)]
+            for j, y in enumerate(b, i):
+                out[j] += x * y
     return out
 
 

@@ -4,9 +4,11 @@ The rational witnesses are built in Q[X] alone.  With the minimal
 polynomial m = prod m_j^mu_j, let q_i = m_i^mu_i and G_i = m / q_i.
 Then
 
-    u_i = G_i^-1 mod q_i                     (one extended gcd over Q),
-    E_i = u_i * G_i,
+    u_i = (G_i mod q_i)^-1 in Q[X]/(q_i),    E_i = u_i * G_i,
 
+with G_i reduced mod q_i once.  The inverse u_i of degree < deg q_i is
+unique: for q_i = X - a it is the reciprocal of the constant G_i(a),
+and otherwise one extended gcd below degree deg q_i gives it.  E_i is
 the Chinese-remainder idempotent: E_i = 1 mod q_i, E_i = 0 mod q_j for
 j != i and deg E_i < deg m, so sum(E_i) = 1.  Newton's iteration on
 the squarefree factor m_i in Q[X]/(q_i), started at X,
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from mindec.errors import DoesNotSplit, PartitionOfUnityFailure, SystemMatrixMismatch
 from mindec.factor import FactoredMinPoly
@@ -107,27 +109,36 @@ class CovariantSystem:
 def build_covariant_system(factored: FactoredMinPoly) -> CovariantSystem:
     """Construct the rational witnesses E_i, S_i, N_i in Q[X].
 
-    Raises PartitionOfUnityFailure if a factor shares a root with its
+    Each u_i = G_i^-1 mod q_i comes from G_i mod q_i alone (see
+    inverse_mod), and a linear q_i = X - a gives S_i = a * E_i.  Raises
+    PartitionOfUnityFailure if a factor shares a root with its
     complement or the E_i do not sum to 1, which would mean the
     factorization was not into distinct irreducibles.
     """
     factors = factored.factors
     if not factors:
         raise ValueError("empty factorization")
-    m = factored.product()
+    powers = [m_i**mu_i for m_i, mu_i in factors]
+    m = powers[0]
+    for q_i in powers[1:]:
+        m = m * q_i
     e_polys: List[Polynomial] = []
     s_polys: List[Polynomial] = []
     n_polys: List[Polynomial] = []
-    for i, (m_i, mu_i) in enumerate(factors):
-        q_i = m_i**mu_i
+    for i, ((m_i, mu_i), q_i) in enumerate(zip(factors, powers)):
         complement = m // q_i
-        g, cofactor, _ = ext_gcd(complement, q_i)
-        if g != ONE:
+        u_i = inverse_mod(complement % q_i, q_i)
+        if u_i is None:
             raise PartitionOfUnityFailure(
                 f"factor {i} shares a root with its complement"
             )
-        e_i = cofactor * complement
-        s_i = (e_i * root_lift(m_i, mu_i)) % m
+        e_i = u_i * complement
+        if q_i.degree == 1:
+            # e_i * (X - a) = u_i * m = 0 mod m and deg e_i < deg m, so
+            # X * e_i mod m is a * e_i
+            s_i = e_i * -q_i.coefficient(0)
+        else:
+            s_i = (e_i * root_lift(m_i, mu_i)) % m
         e_polys.append(e_i)
         s_polys.append(s_i)
         n_polys.append(X * e_i - s_i)
@@ -143,6 +154,20 @@ def build_covariant_system(factored: FactoredMinPoly) -> CovariantSystem:
         s_polys=tuple(s_polys),
         n_polys=tuple(n_polys),
     )
+
+
+def inverse_mod(g: Polynomial, q: Polynomial) -> Optional[Polynomial]:
+    """The u of degree < deg q with u * g = 1 mod q, for rational g
+    reduced mod q, or None when g and q share a root.
+
+    The inverse is unique, so it is read off directly where that is
+    cheaper: for a linear q = X - a, g is the constant g(a) and u its
+    reciprocal.  Otherwise one extended gcd at degree below deg q.
+    """
+    if q.degree == 1:
+        return Polynomial._of_ints((g._den,), g._num[0]) if g else None
+    d, u, _ = ext_gcd(g, q)
+    return u if d == ONE else None
 
 
 def root_lift(m_i: Polynomial, mu_i: int) -> Polynomial:

@@ -1,11 +1,15 @@
 """Factorization of rational polynomials into monic irreducibles.
 
-The route is classical Zassenhaus: Yun's squarefree decomposition over
-Q, reduction of each squarefree part to a primitive integer polynomial
-(made monic by the substitution X -> X/lc scaled back at the end),
-factorization modulo an odd prime, quadratic Hensel lifting to a
-Mignotte-style coefficient bound, and recombination of modular factor
-subsets by trial division.
+Yun's squarefree decomposition over Q comes first, and each squarefree
+part is reduced to a primitive integer polynomial a_n X^n + ... + a_0.
+A part of degree <= 2 is solved in closed form: a linear part is
+irreducible, and a quadratic one splits over Q exactly when its
+discriminant b^2 - 4ac is a square s^2 (isqrt), with roots
+(-b +- s) / 2a.  A part of degree >= 3 takes the classical Zassenhaus
+route: made monic by the substitution X -> X/lc scaled back at the
+end, factored modulo an odd prime, lifted by quadratic Hensel steps to
+a Mignotte-style coefficient bound, and recombined from subsets of its
+modular factors by trial division.
 
 The cost is the recombination: up to 2^(r-1) subsets of the r modular
 factors, whatever the degree.  So up to _SCAN_PRIMES good primes are
@@ -15,7 +19,8 @@ Subsets are tried by increasing width up to half the remaining
 factors, which is exhaustive: of a true factor and its cofactor, one
 is built from at most half of them (at exactly half, only the subsets
 holding the first factor are tried).  Every subset tried counts
-against RECOMBINATION_BUDGET; a squarefree part that needs more raises
+against RECOMBINATION_BUDGET, and nothing else does, so a part of
+degree <= 2 never touches it; a squarefree part that needs more raises
 RecombinationBudgetExceeded.
 """
 
@@ -23,7 +28,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
 from typing import List, Optional, Tuple
@@ -255,7 +259,16 @@ def _factor_squarefree(w: List[int]) -> List[Polynomial]:
     integer polynomial with positive leading coefficient."""
     n = len(w) - 1
     if n == 1:
-        return [Polynomial([Fraction(w[0], w[1]), Fraction(1)])]
+        return [Polynomial._of_ints(w, w[1])]
+    if n == 2:
+        c, b, a = w
+        disc = b * b - 4 * a * c
+        s = isqrt(disc) if disc > 0 else 0
+        if s * s != disc:
+            return [Polynomial._of_ints(w, a)]
+        # w = a (X + (b - s)/2a)(X + (b + s)/2a), in the (degree,
+        # coefficients) order of the general case
+        return [Polynomial._of_ints((b + t, 2 * a), 2 * a) for t in (-s, s)]
     lead = w[-1]
     # monicize: F(X) = lead^(n-1) * w(X/lead) is monic with integer
     # coefficients and the same splitting behaviour
@@ -341,7 +354,7 @@ def _descale(H: List[int], lead: int) -> Polynomial:
     # undo the monicization substitution: factor of F gives
     # H(lead * X) / lead^deg as a monic factor of the original
     d = len(H) - 1
-    return Polynomial([Fraction(H[i] * lead**i, lead**d) for i in range(d + 1)])
+    return Polynomial._of_ints([h * lead**i for i, h in enumerate(H)], lead**d)
 
 
 def _next_prime(p: int) -> int:
@@ -380,18 +393,6 @@ class FactoredMinPoly:
     @property
     def is_squarefree(self) -> bool:
         return all(mult == 1 for _, mult in self.factors)
-
-    def product(self) -> Polynomial:
-        out = Polynomial((Fraction(1),))
-        for f, mult in self.factors:
-            out = out * f**mult
-        return out
-
-    def radical(self) -> Polynomial:
-        out = Polynomial((Fraction(1),))
-        for f, _ in self.factors:
-            out = out * f
-        return out
 
 
 def _canonical_order(pairs):

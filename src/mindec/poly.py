@@ -190,11 +190,13 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial((self._one_coeff(),))
+        if n == 0:
+            return Polynomial((self._one_coeff(),))
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if n > 1 else base
             n >>= 1
         return result
@@ -327,7 +329,7 @@ def _coerce(value):
     if isinstance(value, Polynomial):
         return value
     if isinstance(value, (int, Fraction)):
-        return Polynomial((value,))
+        return Polynomial._of_ints((value.numerator,) if value else (), value.denominator)
     # scalar-like coefficient (duck typed: supports * and +)
     if hasattr(value, "__mul__") and not isinstance(value, (list, tuple, str)):
         return Polynomial((value,))

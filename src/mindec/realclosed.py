@@ -209,14 +209,13 @@ def verify_cmjc(M: DenseMatrix, dsu: DeltaSigmaU) -> VerificationReport:
     report = VerificationReport("complete multiplicative decomposition")
     n = M.n
     delta, sigma, U = dsu.delta, dsu.sigma, dsu.unipotent
-    report.add("reassembly", "M = Delta Sigma U", delta @ sigma @ U == M)
+    delta_sigma = delta @ sigma
+    report.add("reassembly", "M = Delta Sigma U", delta_sigma @ U == M)
     report.add(
         "commutation",
         "Delta, Sigma, U pairwise commute",
-        all(
-            A @ B == B @ A
-            for A, B in ((delta, sigma), (delta, U), (sigma, U))
-        ),
+        delta_sigma == sigma @ delta
+        and all(A @ B == B @ A for A, B in ((delta, U), (sigma, U))),
     )
     ident = DenseMatrix.identity(n)
     mu = _nilpotency_index(M)

@@ -4,7 +4,7 @@ Nothing here goes through the library's arithmetic paths: interval
 sign determination, Cramer solves of hand-built multiplication
 matrices, plain-Fraction Gaussian elimination, inverses, null spaces
 and Krylov minimal polynomials, schoolbook polynomial products, long
-division and Euclidean gcds.  Tests freeze expected values by
+division, Euclidean gcds and a covariant build on those.  Tests freeze expected values by
 computing them through these instead of trusting the code under test.
 """
 
@@ -188,6 +188,59 @@ def frac_poly_monic_lcm(a, b):
     quot, rem = frac_poly_divmod(frac_poly_mul(a, b), frac_poly_monic_gcd(a, b))
     assert not rem
     return [x / quot[-1] for x in quot]
+
+
+def frac_poly_ext_gcd(a, b):
+    """(g, s) for Fraction coefficient lists a, b with b of positive
+    degree: g the monic gcd and s * a = g mod b with s reduced mod b / g,
+    by the extended Euclidean algorithm on long division."""
+    r0, r1 = _strip([Fraction(x) for x in a]), _strip([Fraction(x) for x in b])
+    s0, s1 = [Fraction(1)], []
+    while r1:
+        quot, rem = frac_poly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, frac_poly_add(s0, frac_poly_mul(quot, s1), -1)
+    inv = 1 / r0[-1]
+    g, s = [x * inv for x in r0], [x * inv for x in s0]
+    cofactor = frac_poly_divmod(b, g)[0]
+    return g, frac_poly_divmod(s, cofactor)[1] if len(cofactor) > 1 else []
+
+
+def frac_covariant_witnesses(factors):
+    """[(E_i, S_i, N_i)] as Fraction coefficient lists for [(m_i, mu_i)],
+    the m_i distinct monic irreducibles given as coefficient lists.
+
+    The construction the library replaced: u_i from one extended gcd of
+    the whole complement G_i = m / q_i with q_i = m_i^mu_i, E_i = u_i G_i,
+    the root lift z_i by Newton's iteration from X in Q[X]/(q_i), then
+    S_i = E_i z_i mod m and N_i = X E_i - S_i.
+    """
+    powers = []
+    for m_i, mu in factors:
+        q = [Fraction(1)]
+        for _ in range(mu):
+            q = frac_poly_mul(q, m_i)
+        powers.append(q)
+    m = [Fraction(1)]
+    for q in powers:
+        m = frac_poly_mul(m, q)
+    out = []
+    for (m_i, mu), q in zip(factors, powers):
+        complement, rem = frac_poly_divmod(m, q)
+        assert not rem
+        g, u = frac_poly_ext_gcd(complement, q)
+        assert g == [1]
+        e = frac_poly_mul(u, complement)
+        dm = _strip([k * Fraction(c) for k, c in enumerate(m_i)][1:])
+        z = [Fraction(0), Fraction(1)]
+        for _ in range((mu - 1).bit_length()):
+            g, inv = frac_poly_ext_gcd(frac_poly_compose_mod(dm, z, q), q)
+            assert g == [1]
+            step = frac_poly_mul(frac_poly_compose_mod(m_i, z, q), inv)
+            z = frac_poly_divmod(frac_poly_add(z, step, -1), q)[1]
+        s = frac_poly_divmod(frac_poly_mul(e, z), m)[1]
+        out.append((e, s, frac_poly_add([Fraction(0)] + e, s, -1)))
+    return out
 
 
 def fraction_minimal_polynomial(rows):

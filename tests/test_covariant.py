@@ -5,7 +5,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from oracles import fraction_rank
+from oracles import frac_covariant_witnesses, fraction_rank
 
 import mindec.covariant as covariant_mod
 from mindec.covariant import (
@@ -21,7 +21,7 @@ from mindec.errors import (
     PartitionOfUnityFailure,
     SystemMatrixMismatch,
 )
-from mindec.factor import factor_rational
+from mindec.factor import FactoredMinPoly, factor_rational
 from mindec.generator import IRREDUCIBLE_POOL, blocks_matrix
 from mindec.matfun import _factor_slices
 from mindec.matrix import DenseMatrix, companion, horner_eval
@@ -174,6 +174,29 @@ class TestSabotage:
         with pytest.raises(PartitionOfUnityFailure):
             build_covariant_system(factor_rational(Polynomial((-2, 0, 1))))
 
+    def test_corrupted_linear_reciprocal_fails_partition_of_unity(self, monkeypatch):
+        # for q_i = X - a the inverse is the reciprocal of G_i(a), taken
+        # without an extended gcd; a wrong one is caught the same way
+        honest = covariant_mod.inverse_mod
+
+        def dishonest(g, q):
+            u = honest(g, q)
+            return u * 2 if q.degree == 1 else u
+
+        monkeypatch.setattr(covariant_mod, "inverse_mod", dishonest)
+        one = Polynomial((1,))
+        with pytest.raises(PartitionOfUnityFailure):
+            build_covariant_system(factor_rational((X - one) * (X + one)))
+
+    @pytest.mark.parametrize("mu", [1, 2])
+    def test_repeated_linear_factor_fails(self, mu):
+        # a hand-built factorization listing X - 1 twice: the complement
+        # of the first copy vanishes at 1, so it has no inverse
+        x_minus_1 = X - Polynomial((1,))
+        factored = FactoredMinPoly(((x_minus_1, 1), (x_minus_1, mu)))
+        with pytest.raises(PartitionOfUnityFailure):
+            build_covariant_system(factored)
+
     def test_corrupted_root_lift_fails_verify_sn(self, monkeypatch):
         # z_i still agrees with X mod m_i, so the E_i sum to 1 and the
         # build passes; the Newton oracle on the matrix catches S
@@ -190,6 +213,82 @@ class TestSabotage:
         report = verify_sn(M, sn_decompose(M))
         assert not report.passed
         assert "newton-agreement" in {c.name for c in report.failed_checks()}
+
+
+def _as_lists(system):
+    return [
+        (list(e.coeffs), list(s.coeffs), list(n.coeffs))
+        for e, s, n in zip(system.e_polys, system.s_polys, system.n_polys)
+    ]
+
+
+def _reference(factored):
+    return frac_covariant_witnesses([(list(f.coeffs), mu) for f, mu in factored.factors])
+
+
+QUADRATIC_OR_CUBIC = tuple(p for p in IRREDUCIBLE_POOL if p.degree >= 2)
+
+
+class TestPerFactorInverse:
+    """build_covariant_system inverts G_i mod q_i in Q[X]/(q_i); the
+    witnesses equal those of one extended gcd of the whole G_i with
+    q_i (tests/oracles.py), on every kind of factor."""
+
+    ALL_KINDS = FactoredMinPoly(
+        (
+            (X - Polynomial((Fraction(1, 2),)), 1),  # linear, mu = 1
+            (X + Polynomial((3,)), 2),  # linear, mu > 1
+            (X * X - Polynomial((2,)), 2),  # quadratic
+            (X**3 - X - Polynomial((1,)), 1),  # cubic
+            (X, 2),  # the zero class
+        )
+    )
+
+    def test_every_kind_of_factor_matches_the_reference(self):
+        system = build_covariant_system(self.ALL_KINDS)
+        assert _as_lists(system) == _reference(self.ALL_KINDS)
+
+    def test_matches_the_reference_on_random_factorizations(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        root = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)
+
+        @st.composite
+        def factorizations(draw):
+            roots = draw(st.lists(root, max_size=3, unique=True))
+            others = draw(st.lists(st.sampled_from(QUADRATIC_OR_CUBIC), max_size=2, unique=True))
+            irreducibles = [X - Polynomial((a,)) for a in roots] + others
+            if draw(st.booleans()) or not irreducibles:
+                irreducibles.append(X)  # ordered last, as factor_rational does
+            mults = st.integers(1, 3)
+            return FactoredMinPoly(tuple((f, draw(mults)) for f in irreducibles))
+
+        @hypothesis.settings(max_examples=40, derandomize=True, deadline=None)
+        @hypothesis.given(factorizations())
+        def check(factored):
+            assert _as_lists(build_covariant_system(factored)) == _reference(factored)
+
+        check()
+
+    def test_extended_gcd_only_for_factors_of_degree_two_and_more(self, monkeypatch):
+        moduli = []
+        honest = covariant_mod.ext_gcd
+
+        def counting(a, b):
+            moduli.append(b)
+            return honest(a, b)
+
+        monkeypatch.setattr(covariant_mod, "ext_gcd", counting)
+        linear = FactoredMinPoly(((X - Polynomial((1,)), 1), (X + Polynomial((2,)), 1), (X, 1)))
+        build_covariant_system(linear)
+        assert moduli == []
+        build_covariant_system(self.ALL_KINDS)
+        # one inverse per q_i of degree >= 2, and one per Newton step of
+        # the root lift when mu_i > 1 (one step each for mu_i = 2)
+        powers = [f**mu for f, mu in self.ALL_KINDS.factors if (f**mu).degree >= 2]
+        lifts = [f**mu for f, mu in self.ALL_KINDS.factors if mu > 1]
+        assert all(b.degree >= 2 for b in moduli)
+        assert sorted(moduli, key=str) == sorted(powers + lifts, key=str)
 
 
 def _generic_root_slices(system, f):

@@ -46,10 +46,25 @@ def test_backend_label():
     assert _kernel.BACKEND == "python"
 
 
+POLY_MUL_EDGES = [
+    ([], []),
+    ([], [Fraction(3)]),
+    ([Fraction(2), Fraction(1)], []),
+    ([Fraction(-7, 3)], [Fraction(5, 2)]),
+    ([Fraction(4)], [Fraction(1), Fraction(0), Fraction(0), Fraction(-2)]),
+    ([Fraction(1), Fraction(0), Fraction(0), Fraction(-2)], [Fraction(-1, 6)]),
+    ([Fraction(0), Fraction(0), Fraction(5)], [Fraction(3), Fraction(0), Fraction(1, 2)]),
+    ([Fraction(2), Fraction(0), Fraction(0), Fraction(1)], [Fraction(0), Fraction(9), Fraction(0), Fraction(-1)]),
+    ([Fraction(2**70 + 1), Fraction(0), Fraction(-(3**50))], [Fraction(5**40, 7), Fraction(0), Fraction(1)]),
+]
+
+
 def test_poly_mul_matches_schoolbook():
+    """Random operands, and fixed ones with zero interior coefficients,
+    a length-1 operand or an empty one."""
     rng = random.Random("kernel-mul")
-    for _ in range(80):
-        a, b = random_poly(rng, 9), random_poly(rng, 9)
+    cases = POLY_MUL_EDGES + [(random_poly(rng, 9), random_poly(rng, 9)) for _ in range(80)]
+    for a, b in cases:
         (an, ad), (bn, bd) = int_form(a), int_form(b)
         got = _kernel.poly_mul(an, bn)
         assert all(type(x) is int for x in got)

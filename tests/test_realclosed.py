@@ -96,6 +96,21 @@ class TestCompleteMjc:
         bad = dataclasses.replace(dsu, delta=dsu.delta * MultiQuad(2))
         assert not verify_cmjc(M, bad).passed
 
+    def test_verifier_forms_delta_sigma_once(self, monkeypatch):
+        # "reassembly" and "commutation" share the one product Delta Sigma
+        M = random_invertible_quadratic("rc-once").matrix
+        dsu = complete_mjc(M)
+        pairs = []
+        honest = DenseMatrix.__matmul__
+
+        def recording(A, B):
+            pairs.append((A, B))
+            return honest(A, B)
+
+        monkeypatch.setattr(DenseMatrix, "__matmul__", recording)
+        assert verify_cmjc(M, dsu).passed
+        assert sum(A is dsu.delta and B is dsu.sigma for A, B in pairs) == 1
+
 
 class TestUnipotenceExponent:
     """verify_cmjc raises U - I to mu, the largest multiplicity of M's

@@ -9,9 +9,12 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+import mindec.factor as factor_mod  # noqa: E402
+from mindec.errors import RecombinationBudgetExceeded  # noqa: E402
 from mindec.factor import factor_rational  # noqa: E402
 from mindec.generator import blocks_matrix, random_matrix  # noqa: E402
 from mindec.matrix import DenseMatrix, minimal_polynomial  # noqa: E402
+from mindec.poly import Polynomial  # noqa: E402
 from mindec.scalar import MultiQuad  # noqa: E402
 from mindec.serialize import parse_poly_expression  # noqa: E402
 
@@ -62,6 +65,39 @@ def test_minimal_polynomial_divides_the_characteristic_polynomial():
         assert sympy.div(charpoly, m)[1].is_zero
         # the same distinct irreducible factors
         assert set(sympy_factors(m)) == set(sympy_factors(charpoly))
+
+
+BIG = 2**64 + 13
+
+
+class TestQuadraticParts:
+    """Squarefree parts of degree 2 are decided by their discriminant,
+    without modular factoring or subset trials."""
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (1, -5, 6),  # 6X^2 - 5X + 1 = (2X - 1)(3X - 1): primitive, not monic
+            (1, 3, -1),  # discriminant 5
+            (3, 1, 2),  # discriminant -23
+            (-(BIG**2) * 3, 2 * BIG, 1),  # (X - 3 BIG)(X + BIG), roots past 2^64
+            (BIG + 2, BIG, 1),  # discriminant BIG^2 - 4 BIG - 8, positive, not a square
+            (BIG**2, 1, BIG),  # discriminant 1 - 4 BIG^3 < 0
+            (0, -2, 0, 1),  # X^3 - 2X = X (X^2 - 2)
+        ],
+    )
+    def test_factors_match_sympy(self, coeffs):
+        p = Polynomial(coeffs)
+        ours = {tuple(f.coeffs): mult for f, mult in factor_rational(p).factors}
+        assert ours == sympy_factors(to_sympy_poly(p)), p
+
+    def test_zero_budget_still_factors_a_reducible_quadratic(self, monkeypatch):
+        monkeypatch.setattr(factor_mod, "RECOMBINATION_BUDGET", 0)
+        p = Polynomial((1, -5, 6))
+        ours = {tuple(f.coeffs): mult for f, mult in factor_rational(p).factors}
+        assert ours == sympy_factors(to_sympy_poly(p))
+        with pytest.raises(RecombinationBudgetExceeded):
+            factor_rational(Polynomial((1, 0, 0, 0, 1)))  # X^4 + 1
 
 
 LABELS = (1, 2, 3, 6, -1, -2, 5)
