@@ -210,15 +210,19 @@ def _cmd_gen(args) -> int:
     seed = args.seed
     if args.size is not None and not 2 <= args.size <= MAX_ORDER:
         raise UsageError(f"--size must be between 2 and {MAX_ORDER}, got {args.size}")
-    if args.minpoly:
-        min_poly = parse_poly_expression(args.minpoly)
+    if args.minpoly is not None:
+        min_poly = parse_poly_expression(args.minpoly) if args.minpoly.strip() else None
+        if not min_poly:
+            raise UsageError("--minpoly must be a nonzero polynomial")
         if min_poly.degree > MAX_ORDER:
             raise UsageError(
                 f"--minpoly degree must be at most {MAX_ORDER}, got {min_poly.degree}"
             )
         gm = matrix_from_min_poly(min_poly, seed)
-    elif args.blocks:
+    elif args.blocks is not None:
         polys = [parse_poly_expression(s) for s in args.blocks.split(";") if s.strip()]
+        if not polys:
+            raise UsageError("--blocks needs at least one polynomial")
         order = sum(p.degree for p in polys)
         if order > MAX_ORDER:
             raise UsageError(

@@ -17,13 +17,15 @@ the squarefree factor m_i in Q[X]/(q_i), started at X,
 
 lifts the root class of X to the unique z_i with m_i(z_i) = 0 mod q_i
 and z_i = X mod m_i (Couty, Esterle and Zarouf, "Decomposition
-effective de Jordan-Chevalley", 2011).  Hence
+effective de Jordan-Chevalley", 2011); each step reads m_i(z) and
+m_i'(z) off one table of the powers of z mod q_i.  Hence
 
     S_i = E_i * z_i mod m,   N_i = X * E_i - S_i,
 
-and s = sum(S_i) is the semisimple witness.  Evaluated at a matrix
-annihilated by m, the E_i(M) are the spectral projectors, s(M) the
-semisimple part and sum(N_i(M)) restricted to each block the
+and s = sum(S_i), summed once per system as ``s_poly``, is the
+semisimple witness that sn_decompose and matfun read.  Evaluated at a
+matrix annihilated by m, the E_i(M) are the spectral projectors, s(M)
+the semisimple part and sum(N_i(M)) restricted to each block the
 nilpotent part.
 
 The generic-root construction never names an eigenvalue either.  It
@@ -37,22 +39,23 @@ works in R_i = Q[Y]/(m_i) with the generic root Y and builds
 so C_i is the generic covariant of the factor: substituting a concrete
 root for Y gives the classical Frobenius covariant of that root, and
 the coefficient-wise field traces Tr(C_i) and Tr(Y * C_i) are E_i and
-S_i again.  It is built lazily, one factor at a time, and serves only
-as an independent oracle: its traces for the rational witnesses, and
-its split over Q(sqrt(d)) for the real-pair projectors that
-complete_mjc forms from the rational E_i and S_i.  No command builds it.
+S_i again.  build_generic_covariant builds it for one factor on each
+call, and nothing keeps it: it serves only as an independent oracle,
+its traces for the rational witnesses and its split over Q(sqrt(d))
+for the real-pair projectors that complete_mjc forms from the
+rational E_i and S_i.  No command builds it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from mindec.errors import DoesNotSplit, PartitionOfUnityFailure, SystemMatrixMismatch
 from mindec.factor import FactoredMinPoly
 from mindec.matrix import DenseMatrix, horner_eval, rank
-from mindec.poly import ONE, Polynomial, X, compose_mod, ext_gcd, trace_coeffwise
+from mindec.poly import ONE, Polynomial, X, ext_gcd, on_powers, power_table, trace_coeffwise
 from mindec.report import VerificationReport
 from mindec.scalar import MultiQuad, NumberField, square_split
 
@@ -74,10 +77,9 @@ class GenericCovariant:
 
 @dataclass(frozen=True)
 class CovariantSystem:
-    """Covariant data for a full factored minimal polynomial.
-
-    The rational witnesses are computed at construction; the generic
-    covariant of a factor is built on first use and kept.
+    """Covariant data for a full factored minimal polynomial: the
+    rational witnesses, all computed at construction.  The generic
+    covariant of a factor is built apart, by build_generic_covariant.
     """
 
     factored: FactoredMinPoly
@@ -85,25 +87,11 @@ class CovariantSystem:
     e_polys: Tuple[Polynomial, ...]  # rational: partition of unity
     s_polys: Tuple[Polynomial, ...]  # rational: semisimple witnesses
     n_polys: Tuple[Polynomial, ...]  # rational: nilpotent witnesses
-    _generics: Dict[int, GenericCovariant] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    s_poly: Polynomial  # s = sum(S_i), the semisimple witness of X
 
     @property
     def r(self) -> int:
         return len(self.factored.factors)
-
-    def generic(self, index: int) -> GenericCovariant:
-        """Generic covariant of one factor, built on first use."""
-        gen = self._generics.get(index)
-        if gen is None:
-            gen = self._generics[index] = build_generic_covariant(self.factored, index)
-        return gen
-
-    @property
-    def generics(self) -> Tuple[GenericCovariant, ...]:
-        """Generic covariants of every factor, in factor order."""
-        return tuple(self.generic(i) for i in range(self.r))
 
 
 def build_covariant_system(factored: FactoredMinPoly) -> CovariantSystem:
@@ -142,9 +130,10 @@ def build_covariant_system(factored: FactoredMinPoly) -> CovariantSystem:
         e_polys.append(e_i)
         s_polys.append(s_i)
         n_polys.append(X * e_i - s_i)
-    total = Polynomial()
-    for e in e_polys:
-        total = total + e
+    total = s_poly = Polynomial()
+    for e_i, s_i in zip(e_polys, s_polys):
+        total = total + e_i
+        s_poly = s_poly + s_i  # each reduced mod m, and so the sum
     if total != ONE:
         raise PartitionOfUnityFailure(f"sum of covariants is {total}")
     return CovariantSystem(
@@ -153,6 +142,7 @@ def build_covariant_system(factored: FactoredMinPoly) -> CovariantSystem:
         e_polys=tuple(e_polys),
         s_polys=tuple(s_polys),
         n_polys=tuple(n_polys),
+        s_poly=s_poly,
     )
 
 
@@ -175,7 +165,9 @@ def root_lift(m_i: Polynomial, mu_i: int) -> Polynomial:
 
     Newton's iteration from X; each step doubles the power of m_i that
     divides m_i(z), so ceil(log2 mu_i) steps suffice.  m_i must be
-    squarefree (PartitionOfUnityFailure otherwise).
+    squarefree (PartitionOfUnityFailure otherwise).  m_i(z) and
+    m_i'(z) are read off one table z^0 ... z^deg(m_i) mod m_i^mu_i per
+    step.
     """
     z = X
     if mu_i == 1:
@@ -183,10 +175,11 @@ def root_lift(m_i: Polynomial, mu_i: int) -> Polynomial:
     q_i = m_i**mu_i
     dm = m_i.derivative()
     for _ in range((mu_i - 1).bit_length()):
-        g, inv, _ = ext_gcd(compose_mod(dm, z, q_i), q_i)
+        table = power_table(z, q_i, m_i.degree)
+        g, inv, _ = ext_gcd(on_powers(dm, table), q_i)
         if g != ONE:
             raise PartitionOfUnityFailure(f"factor {m_i} is not squarefree")
-        z = (z - compose_mod(m_i, z, q_i) * inv) % q_i
+        z = (z - on_powers(m_i, table) * inv) % q_i
     return z
 
 
@@ -302,7 +295,7 @@ def split_covariants_over_extension(
     Q(sqrt(d)).  This is the generic-root oracle for
     :func:`mindec.realclosed.split_real_pair`, which complete_mjc uses.
     """
-    gen = system.generic(index)
+    gen = build_generic_covariant(system.factored, index)
     if gen.modulus.degree != 2:
         raise DoesNotSplit(
             f"factor of degree {gen.modulus.degree}; only quadratics split here"

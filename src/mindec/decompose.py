@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from mindec.covariant import CovariantSystem, build_covariant_system, materialize_projectors
@@ -28,12 +27,13 @@ from mindec.matrix import (
     horner_eval,
     inverse,
     is_minimal_polynomial,
+    is_semisimple,
     kernel_basis,
     mat_vec,
     minimal_polynomial,
     rank,
 )
-from mindec.poly import ONE, Polynomial, X, ext_gcd, poly_gcd, squarefree_part
+from mindec.poly import Polynomial, X, ext_gcd, on_powers, power_table, squarefree_part
 from mindec.report import VerificationReport, attach_report
 
 
@@ -120,25 +120,22 @@ def sn_decompose(M: DenseMatrix) -> SNDecomposition:
     """Additive decomposition M = S + N.
 
     Total on square rational matrices; the zero matrix yields S = N = 0
-    through the single factor X of its minimal polynomial.  S, N and
-    the witness polynomial are computed once per matrix and kept in its
-    analysis.
+    through the single factor X of its minimal polynomial.  S = s(M),
+    s the system's semisimple witness, and N = M - S are computed once
+    per matrix and kept in its analysis.
     """
     system = system_of(M)
     analysis = M.analysis
     if analysis.sn_parts is None:
-        s_poly = Polynomial()
-        for s in system.s_polys:  # each reduced mod m, and so the sum
-            s_poly = s_poly + s
-        S = horner_eval(s_poly, M)
-        analysis.sn_parts = (S, M - S, s_poly)
-    S, N, s_poly = analysis.sn_parts
+        S = horner_eval(system.s_poly, M)
+        analysis.sn_parts = (S, M - S)
+    S, N = analysis.sn_parts
     return SNDecomposition(
         matrix=M,
         semisimple=S,
         nilpotent=N,
-        s_poly=s_poly,
-        n_poly=X - s_poly,
+        s_poly=system.s_poly,
+        n_poly=X - system.s_poly,
         system=system,
     )
 
@@ -160,7 +157,11 @@ def sn_newton_oracle(M: DenseMatrix) -> DenseMatrix:
 
     It shares nothing with the covariant construction but basic
     polynomial arithmetic, m and the final :func:`horner_eval` at M: no
-    factorization, no CRT and no covariant system.  So verify_sn's
+    factorization, no CRT and no covariant system.  The power-table
+    composition it reads g(z) and g'(z) from (power_table, on_powers)
+    is shared with the covariant route's root lift, but it is part of
+    that basic arithmetic: f(z) mod m for given f, z and m, with no
+    knowledge of a factor or a covariant.  So verify_sn's
     "newton-agreement" still fails when the covariant route builds a
     wrong s_poly, and so a wrong S = s_poly(M), and when S is corrupted
     after it was built: either way S no longer equals z(M).
@@ -194,34 +195,16 @@ def _newton_poly(m: Polynomial) -> Polynomial:
     dg = g.derivative()
     z, w = X % m, None
     for _ in range((mu - 1).bit_length() + 1):
-        table = [ONE, z]
-        while len(table) <= g.degree:
-            table.append(table[-1] * z % m)
-        value = _on_table(g, table)
+        table = power_table(z, m, g.degree)
+        value = on_powers(g, table)
         if value.is_zero:
             return z
         if w is None:
             w = ext_gcd(dg, g)[1]
         else:
-            w = _schulz(w, _on_table(dg, table), m)
+            w = _schulz(w, on_powers(dg, table), m)
         z = (z - value * w) % m
     raise InvariantViolation("Newton iteration did not stabilize")
-
-
-def _on_table(f: Polynomial, table: Sequence[Polynomial]) -> Polynomial:
-    """f(z) = sum(f_k * z^k) for rational f, with table[k] = z^k mod m
-    for k <= deg f: one integer combination over the common
-    denominator, reduced mod m as each table entry is."""
-    terms = [(c, t) for c, t in zip(f._num, table) if c]
-    den = lcm(*(t._den for _, t in terms))
-    acc = [0] * max(len(t._num) for _, t in terms)
-    for c, t in terms:
-        c *= den // t._den
-        for i, x in enumerate(t._num):
-            acc[i] += c * x
-    while acc and not acc[-1]:
-        acc.pop()
-    return Polynomial._of_ints(acc, den * f._den)
 
 
 def _schulz(w: Polynomial, a: Polynomial, m: Polynomial) -> Polynomial:
@@ -244,11 +227,8 @@ def verify_sn(M: DenseMatrix, sn: SNDecomposition) -> VerificationReport:
     report = VerificationReport("additive decomposition")
     report.add("reassembly", "S + N = M", sn.semisimple + sn.nilpotent == M)
     report.add("commutation", "SN = NS", commute(sn.semisimple, sn.nilpotent))
-    mp = minimal_polynomial(sn.semisimple)
     report.add(
-        "semisimple",
-        "minimal polynomial of S is squarefree",
-        poly_gcd(mp, mp.derivative()).degree == 0,
+        "semisimple", "minimal polynomial of S is squarefree", is_semisimple(sn.semisimple)
     )
     mu = _nilpotency_index(M)
     report.add("nilpotent", "N^n = 0", (sn.nilpotent**mu).is_zero)
@@ -339,8 +319,7 @@ def verify_fine(M: DenseMatrix, fd: FineDecomposition) -> VerificationReport:
         witness,
     )
     e = comps[fd.zero_index].multiplicity if fd.zero_index is not None else 0
-    Me = M**e
-    ker = kernel_basis(Me) if e else []
+    ker = kernel_basis(M**e) if e else []
     containment_ok = True
     witness = ""
     for h, ch in enumerate(comps):
@@ -356,9 +335,8 @@ def verify_fine(M: DenseMatrix, fd: FineDecomposition) -> VerificationReport:
         containment_ok,
         witness,
     )
-    ker_s_dim = n - rank(total_s)
-    ker_m_dim = n - rank(Me)
-    equality_ok = ker_s_dim == ker_m_dim and all(
+    # dim Ker(M^e) is the length of its basis, 0 for e = 0
+    equality_ok = n - rank(total_s) == len(ker) and all(
         not any(mat_vec(total_s, v)) for v in ker
     )
     report.add(
@@ -473,11 +451,8 @@ def verify_mjc(M: DenseMatrix, jc: MultiplicativeJC) -> VerificationReport:
         "reassembly", "S U = U S = M", jc.semisimple @ jc.unipotent == M
         and jc.unipotent @ jc.semisimple == M
     )
-    mp = minimal_polynomial(jc.semisimple)
     report.add(
-        "semisimple",
-        "minimal polynomial of S is squarefree",
-        poly_gcd(mp, mp.derivative()).degree == 0,
+        "semisimple", "minimal polynomial of S is squarefree", is_semisimple(jc.semisimple)
     )
     mu = _nilpotency_index(M)
     report.add(

@@ -1,17 +1,21 @@
 """Polynomial functions of a matrix through its covariant system.
 
-The value of f at M is assembled per irreducible factor from the
-rational witnesses of the covariant system: with E_i the partition of
-unity and s = sum(S_i) the semisimple witness, both modulo the minimal
-polynomial m,
+The value of f at M is read off the rational witnesses of the
+covariant system: with E_i the partition of unity and s = sum(S_i) the
+semisimple witness, both modulo the minimal polynomial m,
 
-    f(M) = sum_i (E_i * f(s) + E_i * (f - f(s)))  at M.
+    f(M) = f(s)(M) + (f - f(s))(M),   f(s) and f - f(s) reduced mod m.
 
-The f(s) slices are the semisimple part of f(M) and simultaneously the
-image of the semisimple part of M under f; the f - f(s) slices are the
-nilpotent part, and vanish on factors of multiplicity one, where only
-the classical interpolation formula on eigenvalues remains.  f(s) mod m
-is found by Horner's rule with reduction, so no number field is built.
+f(s) is the semisimple part of f(M) and simultaneously the image of
+the semisimple part of M under f; f - f(s) is the nilpotent part.  Per
+factor these are the slices E_i * f(s) and E_i * (f - f(s)), and the
+slices sum back to the two parts because sum(E_i) = 1.  On a factor of
+multiplicity one s = X mod m_i, so its nilpotent slice is 0 mod m, and
+only the classical interpolation formula on eigenvalues remains.
+f(s) mod m is one composition (:func:`mindec.poly.compose_mod`, a
+table of the powers of s mod m and one integer combination), so no
+number field is built.  The per-factor slices are formed only where
+classes of factors are assembled apart (:func:`fine_of_image`).
 
 Factors whose roots map to conjugate values under f merge in the
 image; the equivalence classes are computed from the minimal
@@ -34,8 +38,8 @@ from mindec.decompose import (
 )
 from mindec.errors import InvariantViolation, NotSemisimple
 from mindec.factor import FactoredMinPoly
-from mindec.matrix import DenseMatrix, commute, horner_eval, minimal_polynomial
-from mindec.poly import Polynomial, X, compose_mod, poly_gcd
+from mindec.matrix import DenseMatrix, commute, horner_eval, is_semisimple, minimal_polynomial
+from mindec.poly import Polynomial, X, compose_mod
 from mindec.report import VerificationReport
 
 
@@ -58,20 +62,22 @@ class MatFunResult:
     classes: Tuple[EquivalenceClass, ...]
 
 
-def _semisimple_witness(system: CovariantSystem) -> Polynomial:
-    s = Polynomial()
-    for s_i in system.s_polys:
-        s = s + s_i
-    return s
+def _parts_of(system: CovariantSystem, f: Polynomial) -> Tuple[Polynomial, Polynomial]:
+    """(f_m, f(s) mod m) for f_m = f mod m and s the semisimple
+    witness; f(s) = f_m(s) mod m, since m(s) = 0 mod m (s(M) has the
+    squarefree part of m as its minimal polynomial)."""
+    m = system.min_poly
+    f_m = f % m
+    return f_m, compose_mod(f_m, system.s_poly, m)
 
 
 def _factor_slices(system: CovariantSystem, f: Polynomial):
     """Per-factor rational witness polynomials (semisimple slice,
     nilpotent slice) of f through the covariants, each reduced mod m,
-    so sums of slices are reduced too."""
+    so sums of slices are reduced too; the semisimple slices sum to
+    f(s) and the nilpotent ones to f - f(s), both mod m."""
     m = system.min_poly
-    f_m = f % m
-    f_s = compose_mod(f_m, _semisimple_witness(system), m)
+    f_m, f_s = _parts_of(system, f)
     sems = []
     nils = []
     for e_i, (_, mu_i) in zip(system.e_polys, system.factored.factors):
@@ -86,16 +92,12 @@ def schwerdtfeger_eval(f: Polynomial, M: DenseMatrix) -> MatFunResult:
     Returns the value together with its split into semisimple and
     nilpotent parts and the factor equivalence classes of the image.
     The value equals direct evaluation by horner_eval; the parts equal
-    the additive decomposition of the value.
+    the additive decomposition of the value.  f must be rational
+    (FieldMismatch otherwise).
     """
     system = system_of(M)
-    sems, nils = _factor_slices(system, f)
-    sem_poly = Polynomial()
-    for p in sems:
-        sem_poly = sem_poly + p
-    nil_poly = Polynomial()
-    for p in nils:
-        nil_poly = nil_poly + p
+    f_m, sem_poly = _parts_of(system, f)
+    nil_poly = f_m - sem_poly
     sem = horner_eval(sem_poly, M)
     nil = horner_eval(nil_poly, M)
     return MatFunResult(
@@ -110,18 +112,14 @@ def schwerdtfeger_eval(f: Polynomial, M: DenseMatrix) -> MatFunResult:
 
 def sylvester_eval(f: Polynomial, M: DenseMatrix) -> DenseMatrix:
     """Eigenvalue interpolation for a matrix with squarefree minimal
-    polynomial: the k = 0 covariant slice alone.
+    polynomial: f(s) mod m at M, the sum of the k = 0 covariant slices.
 
     Raises NotSemisimple when nilpotent corrections would be needed.
     """
     system = system_of(M)
     if not system.factored.is_squarefree:
         raise NotSemisimple("matrix has a repeated factor; interpolation insufficient")
-    sems, _ = _factor_slices(system, f)
-    total = Polynomial()
-    for p in sems:
-        total = total + p
-    return horner_eval(total, M)
+    return horner_eval(_parts_of(system, f)[1], M)
 
 
 def _image_min_poly(f: Polynomial, factor: Polynomial) -> Polynomial:
@@ -221,15 +219,15 @@ def verify_matfun(f: Polynomial, M: DenseMatrix, result: MatFunResult) -> Verifi
     sem, nil = result.semisimple_part, result.nilpotent_part
     total = sem + nil
     report.add("parts-sum", "semisimple + nilpotent parts = value", total == result.value)
-    # minimal_polynomial takes rational matrices only, and the true
+    # is_semisimple takes rational matrices only, and the true
     # parts are rational: polynomials in f(M) over Q
-    exact = total == direct and sem.is_rational and commute(sem, nil)
-    if exact:
-        mp = minimal_polynomial(sem)
-        exact = (
-            poly_gcd(mp, mp.derivative()).degree == 0
-            and (nil ** _nilpotency_index(M)).is_zero
-        )
+    exact = (
+        total == direct
+        and sem.is_rational
+        and commute(sem, nil)
+        and is_semisimple(sem)
+        and (nil ** _nilpotency_index(M)).is_zero
+    )
     report.add(
         "parts-exact", "the parts are the additive decomposition of the value", exact
     )

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from mindec import _kernel
 from mindec.errors import FieldMismatch, SingularMatrix
-from mindec.poly import Polynomial, poly_lcm
+from mindec.poly import Polynomial, poly_gcd, poly_lcm
 from mindec.scalar import MultiQuad, _label_mul, cleared_row
 
 #: {squarefree label: integer rows} of a matrix over one denominator
@@ -57,7 +57,7 @@ class MatrixAnalysis:
     them: the minimal polynomial and the covariant system by
     :func:`mindec.decompose.system_of` (the minimal polynomial also by
     :func:`mindec.decompose.sn_newton_oracle`), the additive parts
-    (S, N, s_poly) by :func:`mindec.decompose.sn_decompose`, the
+    (S, N) by :func:`mindec.decompose.sn_decompose`, the
     projectors E_i(M) of that system by
     :func:`mindec.covariant.materialize_projectors`, and the powers
     (M^2, ..., M^b), the baby steps of every polynomial evaluated at M,
@@ -656,6 +656,13 @@ def minimal_polynomial(M: DenseMatrix) -> Polynomial:
         return mp
     k = mp.degree
     return Polynomial._of_ints([x * d**i for i, x in enumerate(mp._num)], mp._den * d**k)
+
+
+def is_semisimple(A: DenseMatrix) -> bool:
+    """Whether A is semisimple: its Krylov minimal polynomial is
+    squarefree.  Rational A only (FieldMismatch otherwise)."""
+    mp = minimal_polynomial(A)
+    return poly_gcd(mp, mp.derivative()).degree == 0
 
 
 def _krylov_chain(A: tuple, j: int):

@@ -406,12 +406,39 @@ def ext_gcd(a: Polynomial, b: Polynomial):
     return g, s, t
 
 
-def compose_mod(f: Polynomial, g: Polynomial, m: Polynomial) -> Polynomial:
-    """f(g) mod m by Horner's rule, reducing after every step."""
-    acc = Polynomial()
-    for c in reversed(f.coeffs):
-        acc = (acc * g + c) % m
-    return acc
+def compose_mod(f: Polynomial, z: Polynomial, m: Polynomial) -> Polynomial:
+    """f(z) mod m for rational f, z and m (FieldMismatch otherwise): the
+    table z^0 ... z^k mod m, k = deg f, then one integer combination."""
+    if not (f.is_rational and z.is_rational and m.is_rational):
+        raise FieldMismatch("compose_mod expects rational polynomials")
+    return on_powers(f, power_table(z, m, f.degree))
+
+
+def power_table(z: Polynomial, m: Polynomial, k: int) -> list:
+    """[z^0, ..., z^k] mod m, each entry reduced; every entry is 0 for a
+    constant m."""
+    table = [ONE % m, z % m]
+    while len(table) <= k:
+        table.append(table[-1] * table[1] % m)
+    return table
+
+
+def on_powers(f: Polynomial, table) -> Polynomial:
+    """f(z) = sum(f_k * z^k) for rational f, with table[k] = z^k mod m
+    for k <= deg f (see power_table): one integer combination over the
+    common denominator, reduced mod m as each table entry is."""
+    terms = [(c, t) for c, t in zip(f._num, table) if c and t]
+    if not terms:
+        return Polynomial()
+    den = lcm(*(t._den for _, t in terms))
+    acc = [0] * max(len(t._num) for _, t in terms)
+    for c, t in terms:
+        c *= den // t._den
+        for i, x in enumerate(t._num):
+            acc[i] += c * x
+    while acc and not acc[-1]:
+        acc.pop()
+    return Polynomial._of_ints(acc, den * f._den)
 
 
 def squarefree_part(p: Polynomial):

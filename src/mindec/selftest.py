@@ -23,6 +23,7 @@ from typing import Callable, List, Tuple
 
 from mindec.covariant import (
     build_covariant_system,
+    build_generic_covariant,
     materialize_projectors,
     split_covariants_over_extension,
     trace_witnesses,
@@ -132,7 +133,8 @@ def generic_root_agreement(system) -> bool:
     """The rational E_i and S_i equal the traces Tr(C_i), Tr(Y C_i) of
     the generic covariants, built here for the comparison."""
     return all(
-        trace_witnesses(system.generic(i)) == (system.e_polys[i], system.s_polys[i])
+        trace_witnesses(build_generic_covariant(system.factored, i))
+        == (system.e_polys[i], system.s_polys[i])
         for i in range(system.r)
     )
 
@@ -700,11 +702,11 @@ def _t_system_linear_pair():
     assert [f for f, _ in system.factored.factors] == [Polynomial((-1, 1)), X]
     assert system.e_polys == (X, Polynomial((1, -1)))
     assert system.s_polys == (X, Polynomial())
-    root_gen = system.generics[0]
+    root_gen = build_generic_covariant(system.factored, 0)
     assert [c.as_fraction() for c in root_gen.complement.coeffs] == [0, 1]
     assert [c.as_fraction() for c in root_gen.bezout.coeffs] == [1]
     assert [c.as_fraction() for c in root_gen.covariant.coeffs] == [0, 1]
-    zero_gen = system.generics[1]
+    zero_gen = build_generic_covariant(system.factored, 1)
     assert [c.as_fraction() for c in zero_gen.complement.coeffs] == [-1, 1]
     assert [c.as_fraction() for c in zero_gen.bezout.coeffs] == [-1]
     assert [c.as_fraction() for c in zero_gen.covariant.coeffs] == [1, -1]
@@ -715,7 +717,8 @@ def _t_system_repeated_linear():
     m = Polynomial((-2, 1))
     system = build_covariant_system(factor_rational(m * m))
     assert system.r == 1
-    assert [c.as_fraction() for c in system.generics[0].covariant.coeffs] == [1]
+    covariant = build_generic_covariant(system.factored, 0).covariant
+    assert [c.as_fraction() for c in covariant.coeffs] == [1]
     assert system.e_polys == (Polynomial((1,)),)
     assert system.s_polys == (Polynomial((2,)),)
     assert system.n_polys == (Polynomial((-2, 1)),)

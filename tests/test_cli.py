@@ -456,6 +456,22 @@ class TestGen:
         assert error["error"] == "UsageError"
         assert f"at most {cli.MAX_ORDER}, got {order}" in error["message"]
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--blocks", "", "--blocks needs at least one polynomial"),
+            ("--blocks", " ; ", "--blocks needs at least one polynomial"),
+            ("--minpoly", "", "--minpoly must be a nonzero polynomial"),
+            ("--minpoly", "0", "--minpoly must be a nonzero polynomial"),
+        ],
+        ids=["empty-blocks", "blank-blocks", "empty-minpoly", "zero-minpoly"],
+    )
+    def test_empty_or_zero_polynomial_flag_is_a_usage_error(self, flag, value, message):
+        # an empty flag used to fall through to the default random matrix
+        code, out, err = run_cli(["gen", "--seed", "0", flag, value])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "UsageError", "message": message}
+
     def test_blocks_at_the_bound_are_accepted(self):
         doc = json.loads(gen("edge", "--blocks", "X^32-2;X^30-3;X^2+1"))
         assert doc["n"] == cli.MAX_ORDER == 64

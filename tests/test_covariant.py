@@ -10,6 +10,7 @@ from oracles import frac_covariant_witnesses, fraction_rank
 import mindec.covariant as covariant_mod
 from mindec.covariant import (
     build_covariant_system,
+    build_generic_covariant,
     materialize_projectors,
     split_covariants_over_extension,
     trace_witnesses,
@@ -27,6 +28,7 @@ from mindec.matfun import _factor_slices
 from mindec.matrix import DenseMatrix, companion, horner_eval
 from mindec.poly import Polynomial, X, hasse_derivative, trace_coeffwise
 from mindec.scalar import MultiQuad
+from mindec.serialize import parse_poly_expression
 
 
 class TestSqrt2System:
@@ -35,7 +37,7 @@ class TestSqrt2System:
 
     def setup_method(self):
         self.system = build_covariant_system(factor_rational(Polynomial((-2, 0, 1))))
-        self.gen = self.system.generics[0]
+        self.gen = build_generic_covariant(self.system.factored, 0)
         self.ring = self.gen.ring
         self.y = self.ring.gen()
         self.one = self.ring.one()
@@ -291,13 +293,38 @@ class TestPerFactorInverse:
         assert sorted(moduli, key=str) == sorted(powers + lifts, key=str)
 
 
+class TestSemisimpleWitness:
+    """s = sum(S_i) is summed once, by the build, and sn_decompose reads it."""
+
+    def test_s_poly_is_the_sum_of_the_s_i(self):
+        system = build_covariant_system(TestPerFactorInverse.ALL_KINDS)
+        assert system.s_poly == sum(system.s_polys, Polynomial())
+        assert system.s_poly.degree < system.min_poly.degree
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            ("X^2-2", "(X-3)^2"),
+            ("(X^2-2)^2", "(X-3)^3", "X^3-2", "X^2+X+1", "(X-3)^2"),
+            ("X-5",),
+            ("X^2", "X-1"),
+        ],
+    )
+    def test_sn_decompose_reads_it(self, blocks):
+        M = blocks_matrix([parse_poly_expression(b) for b in blocks], "witness").matrix
+        sn = sn_decompose(M)
+        assert sn.s_poly == sum(sn.system.s_polys, Polynomial()) == sn.system.s_poly
+        assert horner_eval(sn.s_poly, M) == sn.semisimple
+
+
 def _generic_root_slices(system, f):
     """Semisimple and nilpotent slices of f through the generic
     covariants: Tr(f(Y) C_i) and Tr(sum_{0 < k < mu_i} Phi_k(Y)
     (X - Y)^k C_i), Phi_k the k-th Hasse derivative, reduced mod m."""
     m = system.min_poly
     sems, nils = [], []
-    for gen in system.generics:
+    for i in range(system.r):
+        gen = build_generic_covariant(system.factored, i)
         y = gen.ring.gen()
         prod = f(y) * gen.covariant
         sems.append(trace_coeffwise(prod) % m if prod else Polynomial())
@@ -339,9 +366,8 @@ class TestGenericRootOracle:
         @hypothesis.given(factorizations(), st.lists(small_rational, max_size=6))
         def check(factored, coeffs):
             system = build_covariant_system(factored)
-            assert system._generics == {}  # nothing generic built yet
             for i in range(system.r):
-                e_i, s_i = trace_witnesses(system.generic(i))
+                e_i, s_i = trace_witnesses(build_generic_covariant(factored, i))
                 assert (system.e_polys[i], system.s_polys[i]) == (e_i, s_i)
                 assert system.n_polys[i] == X * e_i - s_i
             f = Polynomial(coeffs)
@@ -349,7 +375,9 @@ class TestGenericRootOracle:
 
         check()
 
-    def test_generics_are_built_once_per_factor(self, monkeypatch):
+    def test_split_builds_only_its_own_factor(self, monkeypatch):
+        # the system keeps no generic covariant: each split builds the
+        # one of its factor, and nothing else
         system = build_covariant_system(factor_rational(X * (X * X - Polynomial((2,)))))
         calls = []
         honest = covariant_mod.build_generic_covariant
@@ -359,7 +387,10 @@ class TestGenericRootOracle:
             return honest(factored, index)
 
         monkeypatch.setattr(covariant_mod, "build_generic_covariant", counting)
-        assert system.generic(1) is system.generic(1)
-        assert calls == [1]
-        assert [g.index for g in system.generics] == [0, 1]
-        assert calls == [1, 0]
+        assert calls == []
+        split_covariants_over_extension(system, 0, 2)
+        split_covariants_over_extension(system, 0, 2)
+        assert calls == [0, 0]
+        with pytest.raises(DoesNotSplit):
+            split_covariants_over_extension(system, 1, 2)
+        assert calls == [0, 0, 1]

@@ -61,13 +61,13 @@ class TestAdditiveSplit:
         M = blocks_matrix([g**16], "newton-bound").matrix
         assert M.n == 32
         calls = []
-        on_table = decompose_mod._on_table
+        on_powers = decompose_mod.on_powers
 
         def counting(f, table):
             calls.append(f == g)
-            return on_table(f, table)
+            return on_powers(f, table)
 
-        monkeypatch.setattr(decompose_mod, "_on_table", counting)
+        monkeypatch.setattr(decompose_mod, "on_powers", counting)
         S = sn_newton_oracle(M)
         assert sum(calls) == 5
         assert horner_eval(g, S).is_zero and S == sn_decompose(M).semisimple
@@ -171,6 +171,25 @@ class TestAdditiveSplit:
 
 
 class TestFineSplit:
+    @pytest.mark.parametrize(
+        "M",
+        [
+            DenseMatrix([[0, 1], [0, 0]]),
+            companion((X * X * (X - Polynomial((1,)))).monic()),
+        ],
+        ids=["nilpotent", "singular"],
+    )
+    def test_kernel_equality_catches_a_short_zero_class(self, M):
+        # with the zero class's multiplicity cut from 2 to 1, Ker(M^e)
+        # loses a dimension that Ker(sum S_i) keeps; the other checks
+        # cannot see it
+        fd = fine_decompose(M)
+        assert verify_fine(M, fd).passed
+        comps = list(fd.components)
+        comps[fd.zero_index] = replace(comps[fd.zero_index], multiplicity=1)
+        report = verify_fine(M, replace(fd, components=tuple(comps)))
+        assert {c.name for c in report.failed_checks()} == {"kernel-equality"}
+
     def test_mixed_minimal_polynomial_payload_count(self):
         # (X^2-2)(X-1)^2: nonzero payloads are the quadratic semisimple
         # part, the eigenvalue-1 projector part, and one nilpotent

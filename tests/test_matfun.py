@@ -1,15 +1,23 @@
 """Polynomial matrix functions routed through covariant systems."""
 
 import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
 
-from mindec.decompose import fine_decompose, sn_decompose
+import mindec.matfun as matfun_mod
+from mindec.decompose import fine_decompose, sn_decompose, system_of
 from mindec.errors import NotSemisimple
 from mindec.factor import factor_rational
-from mindec.generator import blocks_matrix, random_function_poly, random_matrix
+from mindec.generator import (
+    IRREDUCIBLE_POOL,
+    blocks_matrix,
+    random_function_poly,
+    random_matrix,
+)
 from mindec.matfun import (
+    _factor_slices,
     f_equivalence_classes,
     fine_of_image,
     schwerdtfeger_eval,
@@ -19,6 +27,8 @@ from mindec.matfun import (
 from mindec.matrix import DenseMatrix, companion, horner_eval
 from mindec.poly import Polynomial, X
 from mindec.scalar import MultiQuad
+from mindec.selftest import run_cli
+from mindec.serialize import MatrixDocument, document_to_json, parse_poly_expression
 
 
 def _parts_exact(f, M, sem, nil):
@@ -187,3 +197,88 @@ class TestFineOfImage:
         fd = fine_of_image(X * X, DenseMatrix([[1, 0], [0, -1]]))
         assert len(fd.components) == 1
         assert fd.components[0].semisimple == DenseMatrix.identity(2)
+
+
+#: blocks of ladder-like matrices: repeated quadratic, linear and cubic
+#: factors, one factor of multiplicity one among them
+LADDER_BLOCKS = (
+    "X^2-2;(X-3)^2",
+    "(X^2-2)^2;(X-3)^3;X^3-2;X^2+X+1;(X-3)^2",
+    "(X^2-2)^3;(X-3)^3;X^3-2;X^2+X+1;X^3-2",
+)
+
+
+def _ladder_matrix(spec, seed):
+    return blocks_matrix([parse_poly_expression(b) for b in spec.split(";")], seed).matrix
+
+
+def _slice_sums(system, f):
+    sems, nils = _factor_slices(system, f)
+    return sum(sems, Polynomial()), sum(nils, Polynomial())
+
+
+class TestPartsWithoutSlices:
+    """apply's parts are f(s) and f - f(s) mod m, one composition; the
+    per-factor slices sum to them because sum(E_i) = 1, and a factor of
+    multiplicity one has no nilpotent slice."""
+
+    def _check(self, f, M):
+        result = schwerdtfeger_eval(f, M)
+        assert (result.sem_poly, result.nil_poly) == _slice_sums(system_of(M), f)
+
+    def test_ladder_inputs(self):
+        fs = [
+            parse_poly_expression("1-X+2X^3"),
+            parse_poly_expression("X^40+X^3-1"),
+            Polynomial(),
+            Polynomial((Fraction(-7, 3),)),
+        ]
+        for k, spec in enumerate(LADDER_BLOCKS):
+            M = _ladder_matrix(spec, f"slices-{k}")
+            for f in fs + [random_function_poly(f"slices-{k}", max_degree=20)]:
+                self._check(f, M)
+
+    def test_session_inputs(self):
+        for k in range(15):
+            key = f"session:slices:{k}"
+            self._check(random_function_poly(key, max_degree=10), random_matrix(key, 6).matrix)
+
+    def test_property_on_random_factorizations(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        small_rational = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+        @st.composite
+        def minimal_polynomials(draw):
+            picks = draw(
+                st.lists(st.sampled_from(IRREDUCIBLE_POOL + (X,)), min_size=1, max_size=3, unique=True)
+            )
+            m = Polynomial((1,))
+            for p in picks:
+                m = m * p ** draw(st.integers(1, 3))
+            return m.monic()
+
+        @hypothesis.settings(max_examples=40, derandomize=True, deadline=None)
+        @hypothesis.given(minimal_polynomials(), st.lists(small_rational, max_size=12))
+        def check(m, coeffs):
+            self._check(Polynomial(coeffs), companion(m))
+
+        check()
+
+    def test_apply_and_sylvester_form_no_slices(self, monkeypatch):
+        calls = []
+        honest = matfun_mod._factor_slices
+
+        def counting(system, f):
+            calls.append(f)
+            return honest(system, f)
+
+        monkeypatch.setattr(matfun_mod, "_factor_slices", counting)
+        M = _ladder_matrix(LADDER_BLOCKS[1], "count")
+        doc = json.dumps(document_to_json(MatrixDocument(matrix=M)))
+        code, _, err = run_cli(["apply", "--poly", "X^3+X", "--check"], input_text=doc)
+        assert code == 0, err
+        sylvester_eval(X**3, companion((X * X - Polynomial((2,))).monic()))
+        assert calls == []
+        fine_of_image(X**2, M)  # the one caller left
+        assert calls == [X**2]

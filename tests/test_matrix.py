@@ -24,6 +24,7 @@ from mindec.matrix import (
     companion,
     horner_eval,
     inverse,
+    is_semisimple,
     kernel_basis,
     mat_vec,
     minimal_polynomial,
@@ -187,6 +188,35 @@ class TestMinimalPolynomial:
         # MultiQuad entries with rational values make a rational matrix
         B = DenseMatrix([[MultiQuad({4: 1}), MultiQuad(1)], [MultiQuad(0), MultiQuad(2)]])
         assert minimal_polynomial(B) == (X - Polynomial((2,))) ** 2
+
+
+class TestIsSemisimple:
+    """The one semisimple certificate: a squarefree Krylov minimal
+    polynomial."""
+
+    @pytest.mark.parametrize(
+        "m, semisimple",
+        [
+            (X, True),
+            (X * X, False),
+            (Polynomial((-2, 0, 1)), True),
+            (Polynomial((-2, 0, 1)) ** 2, False),
+            (Polynomial((-2, 0, 1)) * (X - Polynomial((3,))) * X, True),
+            ((X - Polynomial((3,))) ** 2 * Polynomial((1, 0, 1)), False),
+        ],
+    )
+    def test_companions(self, m, semisimple):
+        assert is_semisimple(companion(m.monic())) is semisimple
+
+    def test_derogatory_matrices(self):
+        assert is_semisimple(DenseMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 3]]))
+        assert not is_semisimple(DenseMatrix([[2, 1, 0], [0, 2, 0], [0, 0, 2]]))
+        assert is_semisimple(DenseMatrix.zeros(3))
+
+    def test_other_entry_fields_are_refused(self):
+        sqrt2 = MultiQuad({2: 1})
+        with pytest.raises(FieldMismatch):
+            is_semisimple(DenseMatrix([[sqrt2, MultiQuad(0)], [MultiQuad(0), sqrt2]]))
 
 
 class TestCompanion:

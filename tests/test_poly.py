@@ -371,6 +371,30 @@ class TestIntegerRepresentation:
             assert list(got.coeffs) == frac_poly_compose_mod(f, g, m)
             assert_canonical(got)
 
+    def test_compose_mod_edge_cases_match_horner_oracle(self):
+        # zero f, zero z, constant m, deg f >= deg m and wide
+        # denominators; the table composition against Horner's rule
+        rng = random.Random("compose-edges")
+        wide = [Fraction(10**30 + 1, 2**61 - 1), Fraction(-7, 6**20), Fraction(3, 10**12 + 39)]
+        fs = [[], [Fraction(5, 3)], wide, wide * 4, [Fraction(0)] * 9 + [Fraction(1, 6**20)]]
+        fs += [big_frac_list(rng, 12) for _ in range(4)]
+        zs = [[], [Fraction(-2, 3)], [Fraction(0), Fraction(1)], wide, big_frac_list(rng, 7)]
+        ms = [m for m in EDGE_LISTS if m] + [wide, [Fraction(1, 2**61 - 1)]]
+        for f in fs:
+            for z in zs:
+                for m in ms:
+                    got = compose_mod(Polynomial(f), Polynomial(z), Polynomial(m))
+                    assert list(got.coeffs) == frac_poly_compose_mod(f, z, m)
+                    assert_canonical(got)
+        assert any(len(m) == 1 for m in ms) and max(map(len, fs)) > max(map(len, ms))
+
+    def test_compose_mod_refuses_an_irrational_polynomial(self):
+        sqrt2 = Polynomial((MultiQuad({2: 1}), MultiQuad(1)))
+        with pytest.raises(FieldMismatch):
+            compose_mod(sqrt2, X, X * X)
+        with pytest.raises(FieldMismatch):
+            compose_mod(X, sqrt2, X * X)
+
     def test_squarefree_part_matches_oracle(self):
         rng = random.Random("integer-squarefree")
         for _ in range(25):
