@@ -214,15 +214,21 @@ def _cmd_gen(args) -> int:
         min_poly = parse_poly_expression(args.minpoly) if args.minpoly.strip() else None
         if not min_poly:
             raise UsageError("--minpoly must be a nonzero polynomial")
+        if min_poly.degree < 1:
+            raise UsageError("--minpoly must have degree at least 1, got 0")
         if min_poly.degree > MAX_ORDER:
             raise UsageError(
                 f"--minpoly degree must be at most {MAX_ORDER}, got {min_poly.degree}"
             )
         gm = matrix_from_min_poly(min_poly, seed)
     elif args.blocks is not None:
-        polys = [parse_poly_expression(s) for s in args.blocks.split(";") if s.strip()]
-        if not polys:
+        texts = [s.strip() for s in args.blocks.split(";") if s.strip()]
+        if not texts:
             raise UsageError("--blocks needs at least one polynomial")
+        polys = [parse_poly_expression(s) for s in texts]
+        for text, p in zip(texts, polys):
+            if p.degree < 1 or p.lc != 1:
+                raise UsageError(f"--blocks polynomials must be monic of degree >= 1, got {text}")
         order = sum(p.degree for p in polys)
         if order > MAX_ORDER:
             raise UsageError(

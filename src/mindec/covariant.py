@@ -24,9 +24,11 @@ m_i'(z) off one table of the powers of z mod q_i.  Hence
 
 and s = sum(S_i), summed once per system as ``s_poly``, is the
 semisimple witness that sn_decompose and matfun read.  Evaluated at a
-matrix annihilated by m, the E_i(M) are the spectral projectors, s(M)
-the semisimple part and sum(N_i(M)) restricted to each block the
-nilpotent part.
+matrix annihilated by m, the E_i(M) are the spectral projectors and
+s(M) is the semisimple part S; then S_i(M) = E_i(M) S and
+N_i(M) = E_i(M) (M - S), so the per-factor S_i and N_i are never
+evaluated at a matrix: ``mindec covariants`` prints them, and s_poly
+is their sum.
 
 The generic-root construction never names an eigenvalue either.  It
 works in R_i = Q[Y]/(m_i) with the generic root Y and builds
@@ -42,8 +44,8 @@ the coefficient-wise field traces Tr(C_i) and Tr(Y * C_i) are E_i and
 S_i again.  build_generic_covariant builds it for one factor on each
 call, and nothing keeps it: it serves only as an independent oracle,
 its traces for the rational witnesses and its split over Q(sqrt(d))
-for the real-pair projectors that complete_mjc forms from the
-rational E_i and S_i.  No command builds it.
+for the real-pair projectors that complete_mjc forms from E_i(M) and
+E_i(M) S.  No command builds it.
 """
 
 from __future__ import annotations

@@ -8,8 +8,10 @@ minimal polynomial m, run in Q[X]/(m) and evaluated once at M,
 provides an independent oracle for S; the two must agree exactly.
 
 The fine decomposition refines S + N into one (S_i, N_i) pair per
-irreducible factor, with the zero eigenvalue class (factor X) carrying
-S_i = 0 and ordered last.
+irreducible factor, S_i = E_i(M) S and N_i = E_i(M) N for the class
+projector E_i(M), with the zero eigenvalue class (factor X) carrying
+S_i = 0 and ordered last.  Every per-class part in the library is
+formed this way: a projector times S or N.
 """
 
 from __future__ import annotations
@@ -107,8 +109,8 @@ def system_of(M: DenseMatrix) -> CovariantSystem:
     one built is kept in a one-entry memo keyed by m: a matrix whose m
     equals that of the matrix before it (the same matrix read again, or
     a conjugate) shares its system and skips factoring and building.
-    Everything else computed from M (the minimal polynomial itself,
-    S + N, the projectors, the power table) stays on M's own analysis.
+    Everything else kept from M (the minimal polynomial itself, the
+    projectors, the power table) stays on M's own analysis.
     """
     analysis = M.analysis
     if analysis.system is None:
@@ -121,19 +123,14 @@ def sn_decompose(M: DenseMatrix) -> SNDecomposition:
 
     Total on square rational matrices; the zero matrix yields S = N = 0
     through the single factor X of its minimal polynomial.  S = s(M),
-    s the system's semisimple witness, and N = M - S are computed once
-    per matrix and kept in its analysis.
+    s the system's semisimple witness, and N = M - S.
     """
     system = system_of(M)
-    analysis = M.analysis
-    if analysis.sn_parts is None:
-        S = horner_eval(system.s_poly, M)
-        analysis.sn_parts = (S, M - S)
-    S, N = analysis.sn_parts
+    S = horner_eval(system.s_poly, M)
     return SNDecomposition(
         matrix=M,
         semisimple=S,
-        nilpotent=N,
+        nilpotent=M - S,
         s_poly=system.s_poly,
         n_poly=X - system.s_poly,
         system=system,
@@ -244,8 +241,8 @@ def fine_decompose(M: DenseMatrix) -> FineDecomposition:
     """One (S_i, N_i) pair per irreducible factor of the minimal
     polynomial, the zero eigenvalue class last with S_i = 0.
 
-    S_i = E_i(M) S and N_i = E_i(M) N, from the projectors and the
-    additive parts kept on M's analysis: E_i * s = S_i and
+    S_i = E_i(M) S and N_i = E_i(M) N, from the projectors kept on M's
+    analysis and one additive decomposition: E_i * s = S_i and
     X * E_i - S_i = E_i * (X - s) modulo m, and m(M) = 0, which
     materialize_projectors checks.
     """
@@ -371,22 +368,23 @@ def unbreakable_components(S: DenseMatrix) -> List[DenseMatrix]:
     """Decompose a nonzero semisimple matrix into its unbreakable
     semisimple summands, one per nonzero eigenvalue class.
 
-    These are the S_i of the fine decomposition; none of them can be
-    written as a sum of two nonzero commuting semisimple matrices with
-    the same one-factor structure.  Raises NotSemisimple when the
-    minimal polynomial is not squarefree and ZeroMatrix for S = 0.
+    These are the S_i of the fine decomposition of S, whose N is 0:
+    P_i S for S's own class projectors P_i = E_i(S), evaluated for the
+    nonzero classes only.  None of them can be written as a sum of two
+    nonzero commuting semisimple matrices with the same one-factor
+    structure.  Raises NotSemisimple when the minimal polynomial is not
+    squarefree and ZeroMatrix for S = 0.
     """
     system = system_of(S)
     if S.is_zero:
         raise ZeroMatrix("the zero matrix has no unbreakable components")
     if not system.factored.is_squarefree:
         raise NotSemisimple("matrix is not semisimple")
-    out = []
-    for i in range(system.r):
-        if i == system.factored.zero_index:
-            continue
-        out.append(horner_eval(system.s_polys[i], S))
-    return out
+    return [
+        horner_eval(e_i, S) @ S
+        for i, e_i in enumerate(system.e_polys)
+        if i != system.factored.zero_index
+    ]
 
 
 def multiplicative_jc(M: DenseMatrix) -> MultiplicativeJC:

@@ -395,10 +395,12 @@ class FactoredMinPoly:
         return all(mult == 1 for _, mult in self.factors)
 
 
-def _canonical_order(pairs):
-    return tuple(
-        sorted(pairs, key=lambda fm: (fm[0] == X, fm[0].degree, fm[0].coeffs))
-    )
+def factor_order(p: Polynomial):
+    """Sort key of a monic irreducible factor: by degree, then by
+    coefficients, the factor X last.  Factorizations and the image
+    classes of :func:`mindec.matfun.f_equivalence_classes` both follow
+    it."""
+    return (p == X, p.degree, p.coeffs)
 
 
 def factor_rational(p: Polynomial) -> FactoredMinPoly:
@@ -425,4 +427,4 @@ def factor_rational(p: Polynomial) -> FactoredMinPoly:
         if part.degree >= 1:
             for irr in _factor_squarefree(_int_poly(part)):
                 pairs.append((irr, mult))
-    return FactoredMinPoly(_canonical_order(pairs))
+    return FactoredMinPoly(tuple(sorted(pairs, key=lambda fm: factor_order(fm[0]))))

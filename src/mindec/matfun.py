@@ -7,15 +7,17 @@ semisimple witness, both modulo the minimal polynomial m,
     f(M) = f(s)(M) + (f - f(s))(M),   f(s) and f - f(s) reduced mod m.
 
 f(s) is the semisimple part of f(M) and simultaneously the image of
-the semisimple part of M under f; f - f(s) is the nilpotent part.  Per
-factor these are the slices E_i * f(s) and E_i * (f - f(s)), and the
-slices sum back to the two parts because sum(E_i) = 1.  On a factor of
-multiplicity one s = X mod m_i, so its nilpotent slice is 0 mod m, and
-only the classical interpolation formula on eigenvalues remains.
+the semisimple part of M under f; f - f(s) is the nilpotent part.
 f(s) mod m is one composition (:func:`mindec.poly.compose_mod`, a
 table of the powers of s mod m and one integer combination), so no
-number field is built.  The per-factor slices are formed only where
-classes of factors are assembled apart (:func:`fine_of_image`).
+number field is built.  On a factor of multiplicity one s = X mod m_i,
+so there E_i * (f - f(s)) = 0 mod m, and only the classical
+interpolation formula on eigenvalues remains.
+
+The part of a class of factors is a projector times a part: with
+P = E_i(M) summed over the class, P f(s)(M) and P (f - f(s))(M)
+(:func:`fine_of_image`).  (E_i * g mod m)(M) = E_i(M) g(M) because
+m(M) = 0, so no per-factor polynomial is formed.
 
 Factors whose roots map to conjugate values under f merge in the
 image; the equivalence classes are computed from the minimal
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from mindec.covariant import CovariantSystem
+from mindec.covariant import CovariantSystem, materialize_projectors
 from mindec.decompose import (
     FineComponent,
     FineDecomposition,
@@ -37,7 +39,7 @@ from mindec.decompose import (
     system_of,
 )
 from mindec.errors import InvariantViolation, NotSemisimple
-from mindec.factor import FactoredMinPoly
+from mindec.factor import FactoredMinPoly, factor_order
 from mindec.matrix import DenseMatrix, commute, horner_eval, is_semisimple, minimal_polynomial
 from mindec.poly import Polynomial, X, compose_mod
 from mindec.report import VerificationReport
@@ -71,21 +73,6 @@ def _parts_of(system: CovariantSystem, f: Polynomial) -> Tuple[Polynomial, Polyn
     return f_m, compose_mod(f_m, system.s_poly, m)
 
 
-def _factor_slices(system: CovariantSystem, f: Polynomial):
-    """Per-factor rational witness polynomials (semisimple slice,
-    nilpotent slice) of f through the covariants, each reduced mod m,
-    so sums of slices are reduced too; the semisimple slices sum to
-    f(s) and the nilpotent ones to f - f(s), both mod m."""
-    m = system.min_poly
-    f_m, f_s = _parts_of(system, f)
-    sems = []
-    nils = []
-    for e_i, (_, mu_i) in zip(system.e_polys, system.factored.factors):
-        sems.append((e_i * f_s) % m)
-        nils.append((e_i * (f_m - f_s)) % m if mu_i > 1 else Polynomial())
-    return sems, nils
-
-
 def schwerdtfeger_eval(f: Polynomial, M: DenseMatrix) -> MatFunResult:
     """Evaluate a rational polynomial at M covariant by covariant.
 
@@ -112,7 +99,7 @@ def schwerdtfeger_eval(f: Polynomial, M: DenseMatrix) -> MatFunResult:
 
 def sylvester_eval(f: Polynomial, M: DenseMatrix) -> DenseMatrix:
     """Eigenvalue interpolation for a matrix with squarefree minimal
-    polynomial: f(s) mod m at M, the sum of the k = 0 covariant slices.
+    polynomial: f(s) mod m at M, with no nilpotent correction.
 
     Raises NotSemisimple when nilpotent corrections would be needed.
     """
@@ -140,8 +127,8 @@ def f_equivalence_classes(
     f: Polynomial, factored: FactoredMinPoly
 ) -> List[EquivalenceClass]:
     """Group factors by the minimal polynomial of the image of their
-    generic root; classes are ordered like factorizations (degree,
-    then coefficients, the X class last)."""
+    generic root; classes are ordered by their image as factorizations
+    order their factors (:func:`mindec.factor.factor_order`)."""
     images = {}
     for i, (factor, _) in enumerate(factored.factors):
         q = _image_min_poly(f, factor)
@@ -150,7 +137,7 @@ def f_equivalence_classes(
         EquivalenceClass(image=entries[0][1], indices=tuple(i for i, _ in entries))
         for entries in images.values()
     ]
-    classes.sort(key=lambda c: (c.image == X, c.image.degree, c.image.coeffs))
+    classes.sort(key=lambda c: factor_order(c.image))
     return classes
 
 
@@ -158,23 +145,21 @@ def fine_of_image(f: Polynomial, M: DenseMatrix) -> FineDecomposition:
     """Fine decomposition of f(M) assembled classwise from the source
     covariants, without decomposing f(M) itself.
 
-    Component multiplicities are the nilpotency orders of the class
-    nilpotents, which match the factor multiplicities in the minimal
-    polynomial of f(M).
+    The parts and classes come from one :func:`schwerdtfeger_eval`;
+    the class parts are P_c sem and P_c nil, P_c the sum of the
+    projectors E_i(M) over the class.  Component multiplicities are the
+    nilpotency orders of the class nilpotents, which match the factor
+    multiplicities in the minimal polynomial of f(M).
     """
-    system = system_of(M)
-    sems, nils = _factor_slices(system, f)
-    classes = f_equivalence_classes(f, system.factored)
+    result = schwerdtfeger_eval(f, M)
+    projectors = materialize_projectors(system_of(M), M)
     components = []
     zero_index = None
-    for pos, cls in enumerate(classes):
-        s_poly = Polynomial()
-        n_poly = Polynomial()
-        for i in cls.indices:
-            s_poly = s_poly + sems[i]
-            n_poly = n_poly + nils[i]
-        S_c = horner_eval(s_poly, M)
-        N_c = horner_eval(n_poly, M)
+    for pos, cls in enumerate(result.classes):
+        first, *rest = (projectors[i] for i in cls.indices)
+        P_c = sum(rest, first)
+        S_c = P_c @ result.semisimple_part
+        N_c = P_c @ result.nilpotent_part
         mult = 1
         power = N_c
         while not power.is_zero:

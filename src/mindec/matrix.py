@@ -56,30 +56,28 @@ class MatrixAnalysis:
     The fields are filled on first use by the functions that compute
     them: the minimal polynomial and the covariant system by
     :func:`mindec.decompose.system_of` (the minimal polynomial also by
-    :func:`mindec.decompose.sn_newton_oracle`), the additive parts
-    (S, N) by :func:`mindec.decompose.sn_decompose`, the
-    projectors E_i(M) of that system by
-    :func:`mindec.covariant.materialize_projectors`, and the powers
-    (M^2, ..., M^b), the baby steps of every polynomial evaluated at M,
-    by :func:`horner_eval`, which extends them as later polynomials
-    need.  Once min_poly is set, a polynomial of degree d <= deg m
-    extends the powers to M^d, so they never pass M^(deg m), and its
-    value is one combination of them.  Every field is this matrix's own
-    except the system, a function of the minimal polynomial alone,
-    which system_of may hand
-    to the next matrix of the same minimal polynomial as well.  A
-    DenseMatrix is immutable, so each value stays valid for the
-    matrix's lifetime.  No field refers back to the matrix (M^1 is not
-    kept), so dropping the matrix frees its analysis, powers included,
-    without waiting for the cycle collector.
+    :func:`mindec.decompose.sn_newton_oracle`), the projectors E_i(M)
+    of that system by :func:`mindec.covariant.materialize_projectors`,
+    and the powers (M^2, ..., M^b), the baby steps of every polynomial
+    evaluated at M, by :func:`horner_eval`, which extends them as later
+    polynomials need.  Once min_poly is set, a polynomial of degree
+    d <= deg m extends the powers to M^d, so they never pass M^(deg m),
+    and its value is one combination of them.  The additive parts S and
+    N are not kept: no command reads them twice, and every per-class
+    part is a projector times them.  Every field is this matrix's
+    own except the system, a function of the minimal polynomial alone,
+    which system_of may hand to the next matrix of the same minimal
+    polynomial as well.  A DenseMatrix is immutable, so each value
+    stays valid for the matrix's lifetime.  No field refers back to the
+    matrix (M^1 is not kept), so dropping the matrix frees its
+    analysis, powers included, without waiting for the cycle collector.
     """
 
-    __slots__ = ("min_poly", "system", "sn_parts", "projectors", "powers")
+    __slots__ = ("min_poly", "system", "projectors", "powers")
 
     def __init__(self):
         self.min_poly = None
         self.system = None
-        self.sn_parts = None
         self.projectors = None
         self.powers = ()
 
@@ -409,16 +407,6 @@ def _rational_ints(M: DenseMatrix, what: str) -> Tuple[tuple, int]:
     if not M.is_rational:
         raise FieldMismatch(f"{what} expects a matrix with rational entries")
     return _sole(M._parts, M.n)[1], M._den
-
-
-def rref_rows(rows: Sequence[Sequence]) -> Tuple[List[list], List[int]]:
-    """Reduced row echelon form of a rectangular array of rationals;
-    returns (rows, pivot_columns)."""
-    rows = [[Fraction(e) if isinstance(e, int) else e for e in r] for r in rows]
-    if not all(type(e) is Fraction for r in rows for e in r):
-        raise FieldMismatch("rref_rows expects rational entries")
-    red, den, pivots = _kernel.rref([cleared_row(r) for r in rows])
-    return [[Fraction(x, den) for x in r] for r in red], pivots
 
 
 def rank(M: DenseMatrix) -> int:

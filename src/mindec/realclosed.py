@@ -93,9 +93,11 @@ def complete_mjc(M: DenseMatrix) -> DeltaSigmaU:
 
     Preconditions: M nonsingular (SingularMatrix) and every factor of
     its minimal polynomial of degree <= 2 (FactorDegreeTooHigh).  Delta
-    and Sigma are assembled class by class.  verify_cmjc runs once on
-    the result, which carries the report as ``report``; a failed check
-    raises InvariantViolation.
+    and Sigma are assembled class by class from the class projector
+    E_i(M) and, for a real or complex pair, S_i(M) = E_i(M) S, S the
+    semisimple part of M.  verify_cmjc runs once on the result, which
+    carries the report as ``report``; a failed check raises
+    InvariantViolation.
     """
     sn = sn_decompose(M)
     system = sn.system
@@ -118,14 +120,13 @@ def complete_mjc(M: DenseMatrix) -> DeltaSigmaU:
         if factor.degree == 1:
             pairs = ((MultiQuad(-q), E_i),)
         elif p * p > 4 * q:
-            d, pairs = split_real_pair(factor, E_i, horner_eval(system.s_polys[i], M))
+            d, pairs = split_real_pair(factor, E_i, E_i @ sn.semisimple)
             radicands.add(d)
         else:
             norm = mq_sqrt_rational(q)  # q = root * conjugate root > 0
             radicands.update(norm.radicands)
-            S_i = horner_eval(system.s_polys[i], M)
             delta = delta + E_i * norm
-            sigma = sigma + S_i * norm.inverse()
+            sigma = sigma + (E_i @ sn.semisimple) * norm.inverse()
             _record(delta_eigen, norm)
             quad = Polynomial((MultiQuad(1), MultiQuad(p) * norm.inverse(), MultiQuad(1)))
             if quad not in sigma_quad:

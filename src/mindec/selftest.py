@@ -236,13 +236,15 @@ def criterion_matfun(count: int = 100) -> CriterionResult:
 
 def real_pair_splits(M: DenseMatrix):
     """For every real-pair class of M, the projectors of split_real_pair
-    and the generic-root split of the class evaluated at M."""
-    system = system_of(M)
+    (from E_i(M) and S_i(M) = E_i(M) S, as complete_mjc forms them) and
+    the generic-root split of the class evaluated at M."""
+    sn = sn_decompose(M)
+    system = sn.system
     for i, (factor, _) in enumerate(system.factored.factors):
         p, q = factor.coefficient(1), factor.coefficient(0)
         if factor.degree == 2 and p * p > 4 * q:
             E_i = horner_eval(system.e_polys[i], M)
-            d, pairs = split_real_pair(factor, E_i, horner_eval(system.s_polys[i], M))
+            d, pairs = split_real_pair(factor, E_i, E_i @ sn.semisimple)
             split = split_covariants_over_extension(system, i, d)
             yield pairs, tuple((lam, horner_eval(cov, M)) for lam, cov in split)
 

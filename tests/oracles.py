@@ -4,8 +4,9 @@ Nothing here goes through the library's arithmetic paths: interval
 sign determination, Cramer solves of hand-built multiplication
 matrices, plain-Fraction Gaussian elimination, inverses, null spaces
 and Krylov minimal polynomials, schoolbook polynomial products, long
-division, Euclidean gcds and a covariant build on those.  Tests freeze expected values by
-computing them through these instead of trusting the code under test.
+division, Euclidean gcds, and a covariant build and per-factor slices
+on those.  Tests freeze expected values by computing them through
+these instead of trusting the code under test.
 """
 
 from fractions import Fraction
@@ -241,6 +242,32 @@ def frac_covariant_witnesses(factors):
         s = frac_poly_divmod(frac_poly_mul(e, z), m)[1]
         out.append((e, s, frac_poly_add([Fraction(0)] + e, s, -1)))
     return out
+
+
+def frac_slice_sums(factors, f):
+    """(sum of E_i f(s), sum of E_i (f - f(s))) mod m as Fraction
+    coefficient lists, for [(m_i, mu_i)] as in frac_covariant_witnesses
+    and f a coefficient list: the per-factor slices of f through the
+    covariants, s = sum(S_i) and m = prod m_i^mu_i, with f(s) mod m by
+    Horner's rule and a factor of multiplicity one given no nilpotent
+    slice."""
+    m = [Fraction(1)]
+    for m_i, mu in factors:
+        for _ in range(mu):
+            m = frac_poly_mul(m, m_i)
+    witnesses = frac_covariant_witnesses(factors)
+    s = []
+    for _, s_i, _ in witnesses:
+        s = frac_poly_add(s, s_i)
+    f_m = frac_poly_divmod(f, m)[1]
+    f_s = frac_poly_compose_mod(f, s, m)
+    sem, nil = [], []
+    for (_, mu), (e, _, _) in zip(factors, witnesses):
+        sem = frac_poly_add(sem, frac_poly_divmod(frac_poly_mul(e, f_s), m)[1])
+        if mu > 1:
+            nil_i = frac_poly_mul(e, frac_poly_add(f_m, f_s, -1))
+            nil = frac_poly_add(nil, frac_poly_divmod(nil_i, m)[1])
+    return sem, nil
 
 
 def fraction_minimal_polynomial(rows):

@@ -463,11 +463,18 @@ class TestGen:
             ("--blocks", " ; ", "--blocks needs at least one polynomial"),
             ("--minpoly", "", "--minpoly must be a nonzero polynomial"),
             ("--minpoly", "0", "--minpoly must be a nonzero polynomial"),
+            ("--minpoly", "1", "--minpoly must have degree at least 1, got 0"),
+            ("--blocks", "0", "--blocks polynomials must be monic of degree >= 1, got 0"),
+            ("--blocks", "1", "--blocks polynomials must be monic of degree >= 1, got 1"),
+            ("--blocks", "2X-1", "--blocks polynomials must be monic of degree >= 1, got 2X-1"),
+            ("--blocks", "X-1; 0", "--blocks polynomials must be monic of degree >= 1, got 0"),
         ],
-        ids=["empty-blocks", "blank-blocks", "empty-minpoly", "zero-minpoly"],
+        ids=["empty-blocks", "blank-blocks", "empty-minpoly", "zero-minpoly", "constant-minpoly",
+             "zero-blocks", "constant-blocks", "non-monic-blocks", "zero-among-blocks"],
     )
     def test_empty_or_zero_polynomial_flag_is_a_usage_error(self, flag, value, message):
-        # an empty flag used to fall through to the default random matrix
+        # an empty flag used to fall through to the default random matrix;
+        # a constant or non-monic polynomial used to exit 2 as ValueError
         code, out, err = run_cli(["gen", "--seed", "0", flag, value])
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "UsageError", "message": message}

@@ -24,7 +24,7 @@ from mindec.errors import (
 )
 from mindec.factor import FactoredMinPoly, factor_rational
 from mindec.generator import IRREDUCIBLE_POOL, blocks_matrix
-from mindec.matfun import _factor_slices
+from mindec.matfun import f_equivalence_classes, fine_of_image
 from mindec.matrix import DenseMatrix, companion, horner_eval
 from mindec.poly import Polynomial, X, hasse_derivative, trace_coeffwise
 from mindec.scalar import MultiQuad
@@ -370,8 +370,18 @@ class TestGenericRootOracle:
                 e_i, s_i = trace_witnesses(build_generic_covariant(factored, i))
                 assert (system.e_polys[i], system.s_polys[i]) == (e_i, s_i)
                 assert system.n_polys[i] == X * e_i - s_i
+            # the class parts of f(M) are the generic-root slice sums at M
             f = Polynomial(coeffs)
-            assert _factor_slices(system, f) == _generic_root_slices(system, f)
+            M = companion(system.min_poly)
+            sems, nils = _generic_root_slices(system, f)
+            fd = fine_of_image(f, M)
+            classes = f_equivalence_classes(f, factored)
+            assert len(fd.components) == len(classes)
+            for comp, cls in zip(fd.components, classes):
+                sem = sum((sems[i] for i in cls.indices), Polynomial())
+                nil = sum((nils[i] for i in cls.indices), Polynomial())
+                assert comp.semisimple == horner_eval(sem, M)
+                assert comp.nilpotent == horner_eval(nil, M)
 
         check()
 

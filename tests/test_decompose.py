@@ -354,6 +354,22 @@ class TestUnbreakable:
                     if i != j:
                         assert (A @ B).is_zero
 
+    def test_components_are_the_fine_semisimple_parts(self):
+        # ladder-like: conjugated squarefree blocks, the factor X among
+        # them; session-like: the semisimple part of a random n <= 6 draw
+        inputs = [
+            blocks_matrix([parse_poly_expression(b) for b in spec.split(";")], spec).matrix
+            for spec in ("X^2-2;X-3;X^2+1;X", "X^3-2;X^2+X+1;X-3;X-3;X^2-2", "X^2-2;X^2-2")
+        ]
+        for k in range(10):
+            S = sn_decompose(random_matrix(f"session:unbreak:{k}", 6).matrix).semisimple
+            if not S.is_zero:
+                inputs.append(S)
+        for S in inputs:
+            fd = fine_decompose(S)
+            want = [c.semisimple for i, c in enumerate(fd.components) if i != fd.zero_index]
+            assert unbreakable_components(S) == want
+
 
 class TestMultiplicativeSplit:
     def test_companion_reassembly(self):

@@ -5,8 +5,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from oracles import frac_slice_sums
 
+import mindec.covariant as covariant_mod
+import mindec.decompose as decompose_mod
 import mindec.matfun as matfun_mod
+import mindec.matrix as matrix_mod
+import mindec.realclosed as realclosed_mod
 from mindec.decompose import fine_decompose, sn_decompose, system_of
 from mindec.errors import NotSemisimple
 from mindec.factor import factor_rational
@@ -17,7 +22,6 @@ from mindec.generator import (
     random_matrix,
 )
 from mindec.matfun import (
-    _factor_slices,
     f_equivalence_classes,
     fine_of_image,
     schwerdtfeger_eval,
@@ -212,19 +216,17 @@ def _ladder_matrix(spec, seed):
     return blocks_matrix([parse_poly_expression(b) for b in spec.split(";")], seed).matrix
 
 
-def _slice_sums(system, f):
-    sems, nils = _factor_slices(system, f)
-    return sum(sems, Polynomial()), sum(nils, Polynomial())
-
-
 class TestPartsWithoutSlices:
     """apply's parts are f(s) and f - f(s) mod m, one composition; the
-    per-factor slices sum to them because sum(E_i) = 1, and a factor of
-    multiplicity one has no nilpotent slice."""
+    per-factor slices of the reference (oracles.frac_slice_sums) sum to
+    them because sum(E_i) = 1, and a factor of multiplicity one has no
+    nilpotent slice."""
 
     def _check(self, f, M):
         result = schwerdtfeger_eval(f, M)
-        assert (result.sem_poly, result.nil_poly) == _slice_sums(system_of(M), f)
+        factors = [(list(p.coeffs), mu) for p, mu in system_of(M).factored.factors]
+        want = frac_slice_sums(factors, list(f.coeffs))
+        assert (list(result.sem_poly.coeffs), list(result.nil_poly.coeffs)) == want
 
     def test_ladder_inputs(self):
         fs = [
@@ -265,20 +267,35 @@ class TestPartsWithoutSlices:
 
         check()
 
-    def test_apply_and_sylvester_form_no_slices(self, monkeypatch):
-        calls = []
-        honest = matfun_mod._factor_slices
+    def test_no_per_factor_witness_evaluated_at_a_matrix(self, monkeypatch):
+        # every per-class part is a projector times S or N: no command
+        # evaluates a system's S_i or N_i polynomial at a matrix
+        systems = []
+        honest_build = decompose_mod.build_covariant_system
 
-        def counting(system, f):
-            calls.append(f)
-            return honest(system, f)
+        def recording_build(factored):
+            systems.append(honest_build(factored))
+            return systems[-1]
 
-        monkeypatch.setattr(matfun_mod, "_factor_slices", counting)
-        M = _ladder_matrix(LADDER_BLOCKS[1], "count")
-        doc = json.dumps(document_to_json(MatrixDocument(matrix=M)))
-        code, _, err = run_cli(["apply", "--poly", "X^3+X", "--check"], input_text=doc)
-        assert code == 0, err
-        sylvester_eval(X**3, companion((X * X - Polynomial((2,))).monic()))
-        assert calls == []
-        fine_of_image(X**2, M)  # the one caller left
-        assert calls == [X**2]
+        evaluations = []
+        honest_eval = matrix_mod.horner_eval
+
+        def counting_eval(f, A):
+            witness = any(f is w for sys in systems for w in sys.s_polys + sys.n_polys)
+            evaluations.append(witness)
+            return honest_eval(f, A)
+
+        monkeypatch.setattr(decompose_mod, "build_covariant_system", recording_build)
+        for module in (decompose_mod, covariant_mod, matfun_mod, realclosed_mod):
+            monkeypatch.setattr(module, "horner_eval", counting_eval)
+        for command, blocks in (
+            ("fine", LADDER_BLOCKS[1]),
+            ("cmjc", "X^2-2;(X^2+1)^2;X-3;X^2-3"),
+            ("unbreakable", "X^2-2;X-3;X^2+1;X"),
+        ):
+            doc = json.dumps(document_to_json(MatrixDocument(matrix=_ladder_matrix(blocks, "count"))))
+            code, _, err = run_cli([command, "--check"], input_text=doc)
+            assert code == 0, (command, err)
+        fine_of_image(X**2, _ladder_matrix(LADDER_BLOCKS[1], "count"))
+        assert len(systems) >= 3 and len(evaluations) > 0
+        assert sum(evaluations) == 0

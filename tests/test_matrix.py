@@ -12,7 +12,6 @@ from oracles import (
     fraction_minimal_polynomial,
     fraction_null_space,
     fraction_rank,
-    fraction_rref,
     invert_a_plus_b_sqrt2,
     plain_poly_at,
 )
@@ -29,7 +28,6 @@ from mindec.matrix import (
     mat_vec,
     minimal_polynomial,
     rank,
-    rref_rows,
 )
 from mindec.poly import Polynomial, X
 from mindec.scalar import MultiQuad, NumberField
@@ -125,8 +123,6 @@ class TestRankAndKernel:
             rank(A)
         with pytest.raises(FieldMismatch):
             kernel_basis(A)
-        with pytest.raises(FieldMismatch):
-            rref_rows(A.rows)
         # MultiQuad entries with rational values make a rational matrix
         B = DenseMatrix([[MultiQuad({4: 1}), MultiQuad(2)], [MultiQuad(1), MultiQuad(1)]])
         assert rank(B) == 1 and kernel_basis(B) == [(Fraction(-1), Fraction(1))]
@@ -451,10 +447,6 @@ class TestIntegerRepresentation:
             else:
                 assert as_lists(inverse(A)) == want
                 assert_canonical(inverse(A))
-            # rectangular arrays, rows with their own denominators
-            wide = [r + [big_entry(rng)] for r in a]
-            assert rref_rows(wide) == fraction_rref(wide)
-            assert rref_rows(a[:-1] or a) == fraction_rref(a[:-1] or a)
 
     def test_multiquad_inverse(self):
         rng = random.Random("repr-mq-inverse")
