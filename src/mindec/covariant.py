@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from mindec.errors import DoesNotSplit, PartitionOfUnityFailure, SystemMatrixMismatch
 from mindec.factor import FactoredMinPoly
@@ -226,13 +226,16 @@ def trace_witnesses(gen: GenericCovariant) -> Tuple[Polynomial, Polynomial]:
 
 
 def materialize_projectors(system: CovariantSystem, M: DenseMatrix) -> List[DenseMatrix]:
-    """Evaluate the partition polynomials at M.
+    """The projectors E_i(M), in the order of the system's factors.
 
-    M must be annihilated by the system's minimal polynomial
-    (SystemMatrixMismatch otherwise); the results are then idempotents
-    summing to the identity, pairwise annihilating.  When the system is
-    the one kept in M's analysis, the projectors are evaluated once and
-    kept there too.
+    This is the one place a partition polynomial E_i meets a matrix:
+    every command and verifier takes its class projectors from here.
+    M must be annihilated by the system's minimal polynomial, which is
+    checked first, also for M's own system (SystemMatrixMismatch
+    otherwise); the results are then idempotents summing to the
+    identity, pairwise annihilating.  When the system is the one kept
+    in M's analysis, the projectors are evaluated once and kept there
+    too, so a later call makes no product.
     """
     analysis = M.analysis
     own = system is analysis.system
@@ -265,17 +268,11 @@ def verify_system(system: CovariantSystem, M: DenseMatrix) -> VerificationReport
     unity = total == ONE
     report.add("partition-of-unity", "sum(E_i) = 1 as polynomials", unity)
     projectors = materialize_projectors(system, M)
-    prod_ok = True
     witness = ""
     if not (unity and all(P @ P == P for P in projectors)):
-        for i, P in enumerate(projectors):
-            for j, Q in enumerate(projectors):
-                expect = P if i == j else DenseMatrix.zeros(M.n)
-                if P @ Q != expect:
-                    prod_ok = False
-                    witness = f"E_{i}(M) E_{j}(M) wrong"
+        witness = _delta_witness(projectors, "E_{i}(M) E_{j}(M) wrong")
     report.add(
-        "idempotent-orthogonal", "E_i(M) E_j(M) = delta_ij E_i(M)", prod_ok, witness
+        "idempotent-orthogonal", "E_i(M) E_j(M) = delta_ij E_i(M)", not witness, witness
     )
     report.add(
         "rank-sum",
@@ -283,6 +280,18 @@ def verify_system(system: CovariantSystem, M: DenseMatrix) -> VerificationReport
         sum(rank(P) for P in projectors) == M.n,
     )
     return report
+
+
+def _delta_witness(matrices: Sequence[DenseMatrix], witness: str) -> str:
+    """``witness`` formatted with the last pair (i, j) whose product
+    A_i A_j is not delta_ij A_i, or "" when the whole table holds."""
+    zero = DenseMatrix.zeros(matrices[0].n)
+    found = ""
+    for i, A in enumerate(matrices):
+        for j, B in enumerate(matrices):
+            if A @ B != (A if i == j else zero):
+                found = witness.format(i=i, j=j)
+    return found
 
 
 def split_covariants_over_extension(

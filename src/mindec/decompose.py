@@ -20,7 +20,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
-from mindec.covariant import CovariantSystem, build_covariant_system, materialize_projectors
+from mindec.covariant import (
+    CovariantSystem,
+    _delta_witness,
+    build_covariant_system,
+    materialize_projectors,
+)
 from mindec.errors import InvariantViolation, NotSemisimple, SingularMatrix, ZeroMatrix
 from mindec.factor import factor_rational
 from mindec.matrix import (
@@ -31,7 +36,6 @@ from mindec.matrix import (
     is_minimal_polynomial,
     is_semisimple,
     kernel_basis,
-    mat_vec,
     minimal_polynomial,
     rank,
 )
@@ -275,6 +279,11 @@ def verify_fine(M: DenseMatrix, fd: FineDecomposition) -> VerificationReport:
     * with two or more factors, each nonzero S_i has minimal
       polynomial X * m_i.
 
+    The two kernel checks are integer matrix products: the basis of
+    Ker(M^e) fills the first columns of an n x n matrix K, zeros the
+    rest, and A v = 0 for every basis vector v exactly when A K = 0.
+    With e = 0 the kernel is 0, both checks hold and no product is made.
+
     The last check is decided by evaluation when m_i is one of the
     irreducible factors of M's own minimal polynomial: (X m_i)(S_i) = 0,
     m_i(S_i) != 0 and S_i != 0 (:func:`mindec.matrix.is_minimal_polynomial`).
@@ -317,15 +326,14 @@ def verify_fine(M: DenseMatrix, fd: FineDecomposition) -> VerificationReport:
     )
     e = comps[fd.zero_index].multiplicity if fd.zero_index is not None else 0
     ker = kernel_basis(M**e) if e else []
+    K = DenseMatrix(ker + [(0,) * n] * (n - len(ker))).transpose() if e else None
+    kills = lambda A: K is None or (A @ K).is_zero  # noqa: E731
     containment_ok = True
     witness = ""
     for h, ch in enumerate(comps):
-        if h == fd.zero_index:
-            continue
-        for v in ker:
-            if any(mat_vec(ch.nilpotent, v)):
-                containment_ok = False
-                witness = f"Ker(M^{e}) not inside Ker(N_{h})"
+        if h != fd.zero_index and not kills(ch.nilpotent):
+            containment_ok = False
+            witness = f"Ker(M^{e}) not inside Ker(N_{h})"
     report.add(
         "kernel-containment",
         "Ker(M^e) contained in Ker(N_h) for every nonzero class h",
@@ -333,9 +341,7 @@ def verify_fine(M: DenseMatrix, fd: FineDecomposition) -> VerificationReport:
         witness,
     )
     # dim Ker(M^e) is the length of its basis, 0 for e = 0
-    equality_ok = n - rank(total_s) == len(ker) and all(
-        not any(mat_vec(total_s, v)) for v in ker
-    )
+    equality_ok = n - rank(total_s) == len(ker) and kills(total_s)
     report.add(
         "kernel-equality",
         "Ker(sum S_i) = Ker(M^e)",
@@ -369,8 +375,10 @@ def unbreakable_components(S: DenseMatrix) -> List[DenseMatrix]:
     semisimple summands, one per nonzero eigenvalue class.
 
     These are the S_i of the fine decomposition of S, whose N is 0:
-    P_i S for S's own class projectors P_i = E_i(S), evaluated for the
-    nonzero classes only.  None of them can be written as a sum of two
+    P_i S for the nonzero classes, P_i = E_i(S) S's own class
+    projectors from :func:`mindec.covariant.materialize_projectors`,
+    which checks m(S) = 0 and keeps all of them, the zero class's too,
+    on S's analysis.  None of them can be written as a sum of two
     nonzero commuting semisimple matrices with the same one-factor
     structure.  Raises NotSemisimple when the minimal polynomial is not
     squarefree and ZeroMatrix for S = 0.
@@ -381,8 +389,8 @@ def unbreakable_components(S: DenseMatrix) -> List[DenseMatrix]:
     if not system.factored.is_squarefree:
         raise NotSemisimple("matrix is not semisimple")
     return [
-        horner_eval(e_i, S) @ S
-        for i, e_i in enumerate(system.e_polys)
+        E_i @ S
+        for i, E_i in enumerate(materialize_projectors(system, S))
         if i != system.factored.zero_index
     ]
 
@@ -481,15 +489,8 @@ def verify_frobenius_system(
         "A_i != 0 for all i",
         all(not A.is_zero for A in matrices),
     )
-    prod_ok = True
-    witness = ""
-    for i, A in enumerate(matrices):
-        for j, B in enumerate(matrices):
-            expect = A if i == j else DenseMatrix.zeros(n)
-            if A @ B != expect:
-                prod_ok = False
-                witness = f"A_{i} A_{j} wrong"
-    report.add("products", "A_i A_j = delta_ij A_i", prod_ok, witness)
+    witness = _delta_witness(matrices, "A_{i} A_{j} wrong")
+    report.add("products", "A_i A_j = delta_ij A_i", not witness, witness)
     distinct = all(bool(c) for c in coeffs) and all(
         coeffs[i] != coeffs[j]
         for i in range(len(coeffs))

@@ -111,11 +111,15 @@ def _conjugate(M: DenseMatrix, rng: random.Random) -> DenseMatrix:
 
 
 def _assemble(parts: List[Tuple[Polynomial, int]], rng: random.Random) -> GeneratedMatrix:
-    """Companion blocks for each (factor, power), optional extra blocks
-    of lower power, shuffled and conjugated."""
+    """Companion blocks for each (factor, power), a factor possibly
+    repeated at a lower power, shuffled and conjugated; the minimal
+    polynomial takes each factor to its largest power."""
     blocks = [companion(m ** mu) for m, mu in parts]
-    min_poly = Polynomial((1,))
+    largest = {}
     for m, mu in parts:
+        largest[m] = max(mu, largest.get(m, 0))
+    min_poly = Polynomial((1,))
+    for m, mu in largest.items():
         min_poly = min_poly * m ** mu
     rng.shuffle(blocks)
     M = _conjugate(block_diag(blocks), rng)
@@ -149,15 +153,7 @@ def random_matrix(seed: str, max_size: int = 6) -> GeneratedMatrix:
             budget -= k * m.degree
     if not parts:
         parts = [(rng.choice(IRREDUCIBLE_POOL[:6]), 1)]
-    # the minimal polynomial is the lcm over blocks: keep max power only
-    min_parts = {}
-    for m, mu in parts:
-        min_parts[m.coeffs] = (m, max(mu, min_parts.get(m.coeffs, (m, 0))[1]))
-    gm = _assemble(parts, rng)
-    min_poly = Polynomial((1,))
-    for m, mu in min_parts.values():
-        min_poly = min_poly * m ** mu
-    return GeneratedMatrix(matrix=gm.matrix, min_poly=min_poly, label=gm.label)
+    return _assemble(parts, rng)
 
 
 def blocks_matrix(polys: List[Polynomial], seed: str = "") -> GeneratedMatrix:

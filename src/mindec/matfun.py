@@ -22,7 +22,8 @@ m(M) = 0, so no per-factor polynomial is formed.
 Factors whose roots map to conjugate values under f merge in the
 image; the equivalence classes are computed from the minimal
 polynomial of the multiplication-by-f(Y) operator on each
-Q[Y]/(m_i), written out as a rational matrix.
+Q[Y]/(m_i), which is f(C) for C = companion(m_i), the multiplication
+by Y in the basis 1, Y, ..., Y^(d-1).
 """
 
 from __future__ import annotations
@@ -40,7 +41,14 @@ from mindec.decompose import (
 )
 from mindec.errors import InvariantViolation, NotSemisimple
 from mindec.factor import FactoredMinPoly, factor_order
-from mindec.matrix import DenseMatrix, commute, horner_eval, is_semisimple, minimal_polynomial
+from mindec.matrix import (
+    DenseMatrix,
+    commute,
+    companion,
+    horner_eval,
+    is_semisimple,
+    minimal_polynomial,
+)
 from mindec.poly import Polynomial, X, compose_mod
 from mindec.report import VerificationReport
 
@@ -111,16 +119,10 @@ def sylvester_eval(f: Polynomial, M: DenseMatrix) -> DenseMatrix:
 
 def _image_min_poly(f: Polynomial, factor: Polynomial) -> Polynomial:
     """Minimal polynomial over Q of f(Y) in Q[Y]/(factor): the minimal
-    polynomial of the multiplication-by-f(Y) operator, whose column j
-    holds the coefficients of f(Y) * Y^j reduced mod factor."""
-    d = factor.degree
-    prod = f % factor
-    cols = []
-    for _ in range(d):
-        cols.append([prod.coefficient(i) for i in range(d)])
-        prod = (prod * X) % factor
-    op = DenseMatrix([[cols[j][i] for j in range(d)] for i in range(d)])
-    return minimal_polynomial(op)
+    polynomial of the multiplication-by-f(Y) operator, which is f(C)
+    for C = companion(factor), the multiplication by Y in the basis
+    1, Y, ..., Y^(d-1)."""
+    return minimal_polynomial(horner_eval(f % factor, companion(factor)))
 
 
 def f_equivalence_classes(

@@ -58,11 +58,14 @@ class MatrixAnalysis:
     :func:`mindec.decompose.system_of` (the minimal polynomial also by
     :func:`mindec.decompose.sn_newton_oracle`), the projectors E_i(M)
     of that system by :func:`mindec.covariant.materialize_projectors`,
-    and the powers (M^2, ..., M^b), the baby steps of every polynomial
-    evaluated at M, by :func:`horner_eval`, which extends them as later
-    polynomials need.  Once min_poly is set, a polynomial of degree
-    d <= deg m extends the powers to M^d, so they never pass M^(deg m),
-    and its value is one combination of them.  The additive parts S and
+    the one function that evaluates them, after its m(M) = 0 check, for
+    every command (cmjc, svd at the Gram matrix, unbreakable and the
+    spectral check among them), and the powers (M^2, ..., M^b), the
+    baby steps of every polynomial evaluated at M, by
+    :func:`horner_eval`, which extends them as later polynomials need.
+    Once min_poly is set, a polynomial of degree d <= deg m extends the
+    powers to M^d, so they never pass M^(deg m), and its value is one
+    combination of them.  The additive parts S and
     N are not kept: no command reads them twice, and every per-class
     part is a projector times them.  Every field is this matrix's
     own except the system, a function of the minimal polynomial alone,
@@ -440,17 +443,6 @@ def kernel_basis(M: DenseMatrix) -> List[Tuple]:
             vec[pc] = Fraction(-red[r][free], den)
         basis.append(tuple(vec))
     return basis
-
-
-def mat_vec(M: DenseMatrix, vec: Sequence) -> list:
-    out = []
-    for row in M.rows:
-        acc = row[0] * vec[0]
-        for a, v in zip(row[1:], vec[1:]):
-            if a:
-                acc = acc + a * v
-        out.append(acc)
-    return out
 
 
 def horner_eval(f: Polynomial, M: DenseMatrix) -> DenseMatrix:

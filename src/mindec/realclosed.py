@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from mindec.covariant import quadratic_roots
+from mindec.covariant import materialize_projectors, quadratic_roots
 from mindec.decompose import _min_poly_of, _nilpotency_index, sn_decompose, system_of
 from mindec.errors import (
     FactorDegreeTooHigh,
@@ -60,7 +60,6 @@ from mindec.errors import (
 )
 from mindec.matrix import (
     DenseMatrix,
-    horner_eval,
     inverse,
     is_minimal_polynomial,
     is_normal,
@@ -95,9 +94,11 @@ def complete_mjc(M: DenseMatrix) -> DeltaSigmaU:
     its minimal polynomial of degree <= 2 (FactorDegreeTooHigh).  Delta
     and Sigma are assembled class by class from the class projector
     E_i(M) and, for a real or complex pair, S_i(M) = E_i(M) S, S the
-    semisimple part of M.  verify_cmjc runs once on the result, which
-    carries the report as ``report``; a failed check raises
-    InvariantViolation.
+    semisimple part of M.  The E_i(M) come from
+    :func:`mindec.covariant.materialize_projectors`, which checks
+    m(M) = 0 and keeps them on M's analysis.  verify_cmjc runs once on
+    the result, which carries the report as ``report``; a failed check
+    raises InvariantViolation.
     """
     sn = sn_decompose(M)
     system = sn.system
@@ -114,8 +115,8 @@ def complete_mjc(M: DenseMatrix) -> DeltaSigmaU:
     delta_eigen: List[MultiQuad] = []
     sigma_lin: List[MultiQuad] = []
     sigma_quad: List[Polynomial] = []
-    for i, (factor, _) in enumerate(system.factored.factors):
-        E_i = horner_eval(system.e_polys[i], M)
+    projectors = materialize_projectors(system, M)
+    for (factor, _), E_i in zip(system.factored.factors, projectors):
         p, q = factor.coefficient(1), factor.coefficient(0)
         if factor.degree == 1:
             pairs = ((MultiQuad(-q), E_i),)
@@ -287,7 +288,9 @@ def svd(A: DenseMatrix) -> SVDResult:
 
     Requires every nonzero eigenvalue of A^T A to be rational
     (SingularValuesNotRational otherwise).  The A_i are A P_i / sigma_i
-    for the Gram projectors P_i.  verify_svd_system runs once on the
+    for the Gram projectors P_i, all of which come from
+    :func:`mindec.covariant.materialize_projectors` after its
+    m(A^T A) = 0 check.  verify_svd_system runs once on the
     result, which carries the report as ``report``; a failed axiom
     raises InvariantViolation.
     """
@@ -322,13 +325,13 @@ def _svd_terms(A: DenseMatrix) -> SVDResult:
     if not eigen:
         # A nonzero with A^T A = 0 cannot happen over the rationals
         raise InvariantViolation("nonzero matrix with zero Gram spectrum")
+    projectors = materialize_projectors(system, gram)
     terms = []
     radicands = set()
     for value, i in eigen:
         sigma_i = mq_sqrt_rational(value)
         radicands.update(sigma_i.radicands)
-        P_i = horner_eval(system.e_polys[i], gram)
-        terms.append(SVDTerm(sigma=sigma_i, matrix=(A @ P_i) * sigma_i.inverse()))
+        terms.append(SVDTerm(sigma=sigma_i, matrix=(A @ projectors[i]) * sigma_i.inverse()))
     return SVDResult(terms=tuple(terms), radicands=tuple(sorted(radicands)))
 
 
@@ -408,8 +411,10 @@ def verify_svd_uniqueness(A: DenseMatrix, candidate) -> VerificationReport:
 
 def symmetric_spectral_check(A: DenseMatrix) -> VerificationReport:
     """Spectral sanity for symmetric (or normal) rational matrices:
-    squarefree minimal polynomial and symmetric class projectors.
-    Other matrices get a report noting the checks were skipped."""
+    squarefree minimal polynomial and symmetric class projectors, the
+    latter from :func:`mindec.covariant.materialize_projectors` (m(A) = 0
+    checked, kept on A's analysis).  Other matrices get a report noting
+    the checks were skipped."""
     report = VerificationReport("spectral projector check")
     if is_symmetric(A):
         shape = "symmetric"
@@ -427,8 +432,7 @@ def symmetric_spectral_check(A: DenseMatrix) -> VerificationReport:
     sf = poly_gcd(mp, mp.derivative()).degree == 0
     report.add("squarefree", f"{shape} matrix has squarefree minimal polynomial", sf)
     if sf:
-        system = system_of(A)
-        projectors = [horner_eval(e, A) for e in system.e_polys]
+        projectors = materialize_projectors(system_of(A), A)
         report.add(
             "projectors-symmetric",
             "every spectral projector is symmetric",

@@ -240,10 +240,10 @@ def real_pair_splits(M: DenseMatrix):
     the generic-root split of the class evaluated at M."""
     sn = sn_decompose(M)
     system = sn.system
-    for i, (factor, _) in enumerate(system.factored.factors):
+    projectors = materialize_projectors(system, M)
+    for i, ((factor, _), E_i) in enumerate(zip(system.factored.factors, projectors)):
         p, q = factor.coefficient(1), factor.coefficient(0)
         if factor.degree == 2 and p * p > 4 * q:
-            E_i = horner_eval(system.e_polys[i], M)
             d, pairs = split_real_pair(factor, E_i, E_i @ sn.semisimple)
             split = split_covariants_over_extension(system, i, d)
             yield pairs, tuple((lam, horner_eval(cov, M)) for lam, cov in split)

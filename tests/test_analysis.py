@@ -7,6 +7,7 @@ constructors that promise a verified result run their verifier once
 and carry its report."""
 
 import json
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ import mindec.cli as cli_mod
 import mindec.covariant as covariant_mod
 import mindec.decompose as decompose_mod
 import mindec.factor as factor_mod
+import mindec.matrix as matrix_mod
 import mindec.realclosed as realclosed_mod
 from mindec.covariant import materialize_projectors, verify_system
 from mindec.decompose import (
@@ -386,4 +388,72 @@ class TestOnePowerTable:
         products.clear()
         M.analysis.projectors = None
         assert materialize_projectors(system, M) == projectors
+        assert products == []
+
+
+class TestOneProjectorConstruction:
+    """Every class projector E_i(A) comes from materialize_projectors,
+    which checks m(A) = 0 first and keeps the projectors of A's own
+    system on A's analysis."""
+
+    def test_no_partition_polynomial_meets_a_matrix_elsewhere(self, monkeypatch):
+        systems = []
+        honest_build = decompose_mod.build_covariant_system
+
+        def recording_build(factored):
+            systems.append(honest_build(factored))
+            return systems[-1]
+
+        depth = [0]
+        honest_materialize = covariant_mod.materialize_projectors
+
+        def materialize(system, A):
+            depth[0] += 1
+            try:
+                return honest_materialize(system, A)
+            finally:
+                depth[0] -= 1
+
+        inside, outside = [], []
+        honest_eval = matrix_mod.horner_eval
+
+        def counting_eval(f, A):
+            if any(f is e for system in systems for e in system.e_polys):
+                (inside if depth[0] else outside).append(f)
+            return honest_eval(f, A)
+
+        monkeypatch.setattr(decompose_mod, "build_covariant_system", recording_build)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "mindec":
+                continue
+            if getattr(module, "horner_eval", None) is honest_eval:
+                monkeypatch.setattr(module, "horner_eval", counting_eval)
+            if getattr(module, "materialize_projectors", None) is honest_materialize:
+                monkeypatch.setattr(module, "materialize_projectors", materialize)
+        requests = (
+            (["cmjc"], companion(((X - 2 * ONE) * (X * X - 2 * ONE) * (X * X + ONE)).monic())),
+            (["svd"], DenseMatrix([[1, 1, 0], [1, -1, 0], [0, 0, 3]])),
+            (["unbreakable"], blocks_matrix([X * X - 2 * ONE, X - 3 * ONE, X * X + ONE, X]).matrix),
+            (["fine"], _matrix()),
+            (["covariants"], _matrix()),
+            (["apply", "--poly", "X^3-2*X+1"], _matrix()),
+        )
+        for argv, M in requests:
+            code, out, err = run_cli(argv + ["--check"], input_text=_document(M))
+            assert code == 0, (argv, err)
+            assert json.loads(out)["report"]["pass"] is True
+            assert outside == [], argv[0]
+        report = symmetric_spectral_check(DenseMatrix([[2, 1, 0], [1, 2, 0], [0, 0, 3]]))
+        assert "projectors-symmetric" in {c.name for c in report.checks}
+        assert outside == []
+        assert len(systems) >= 5 and len(inside) > 0
+
+    def test_cmjc_keeps_its_projectors_on_the_analysis(self, monkeypatch):
+        import mindec._kernel as kernel
+
+        M = companion(((X - 2 * ONE) * (X * X - 2 * ONE) * (X * X + ONE)).monic())
+        complete_mjc(M)
+        assert M.analysis.projectors is not None
+        products = _record_calls(monkeypatch, kernel, "mat_mul")
+        assert materialize_projectors(system_of(M), M) == list(M.analysis.projectors)
         assert products == []

@@ -251,6 +251,34 @@ class TestFineSplit:
         monkeypatch.setattr(_kernel, "mat_mul", real)
         assert verify_fine(M, fd).passed
 
+    def test_only_the_kernel_products_see_a_moved_zero_class_nilpotent(self):
+        # the zero class's nilpotent moved onto the class of X - 1 keeps
+        # every sum and cross product, but no longer kills Ker(M^2)
+        M = companion((X * X * (X - 1)).monic())
+        fd = fine_decompose(M)
+        h, z = 0, fd.zero_index
+        comps = list(fd.components)
+        moved = comps[z].nilpotent
+        assert z == 1 and not moved.is_zero
+        comps[h] = replace(comps[h], nilpotent=comps[h].nilpotent + moved)
+        comps[z] = replace(comps[z], nilpotent=comps[z].nilpotent - moved)
+        report = verify_fine(M, replace(fd, components=tuple(comps)))
+        assert {c.name for c in report.failed_checks()} == {"kernel-containment"}
+
+    def test_kernel_equality_multiplies_as_well_as_counts(self):
+        # S_0 + S_1 keeps the rank of the true sum, but its kernel is
+        # not Ker(M): only the product (sum S_i) K tells them apart
+        M = companion((X * (X - 1)).monic())
+        fd = fine_decompose(M)
+        shift = DenseMatrix([[0, 0], [0, -1]])
+        comps = list(fd.components)
+        comps[0] = replace(comps[0], semisimple=comps[0].semisimple + shift)
+        comps[1] = replace(comps[1], nilpotent=comps[1].nilpotent - shift)
+        bad = replace(fd, components=tuple(comps))
+        assert bad.total_semisimple() + bad.total_nilpotent() == M
+        report = verify_fine(M, bad)
+        assert "kernel-equality" in {c.name for c in report.failed_checks()}
+
     def test_swapped_nilpotents_fire_annihilation_or_kernel_check(self):
         # corrupting a decomposition by exchanging nilpotent payloads
         # between distinct factors must be caught by the product or the

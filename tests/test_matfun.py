@@ -11,7 +11,6 @@ import mindec.covariant as covariant_mod
 import mindec.decompose as decompose_mod
 import mindec.matfun as matfun_mod
 import mindec.matrix as matrix_mod
-import mindec.realclosed as realclosed_mod
 from mindec.decompose import fine_decompose, sn_decompose, system_of
 from mindec.errors import NotSemisimple
 from mindec.factor import factor_rational
@@ -286,7 +285,7 @@ class TestPartsWithoutSlices:
             return honest_eval(f, A)
 
         monkeypatch.setattr(decompose_mod, "build_covariant_system", recording_build)
-        for module in (decompose_mod, covariant_mod, matfun_mod, realclosed_mod):
+        for module in (decompose_mod, covariant_mod, matfun_mod):
             monkeypatch.setattr(module, "horner_eval", counting_eval)
         for command, blocks in (
             ("fine", LADDER_BLOCKS[1]),

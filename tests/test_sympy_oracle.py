@@ -1,6 +1,7 @@
 """Differential checks against sympy, an independent computer algebra
-system: factorization, minimal polynomials and MultiQuad matrix
-products.  Skipped when sympy is not installed."""
+system: factorization, minimal polynomials (of matrices and of the
+images f(alpha) of algebraic numbers) and MultiQuad matrix products.
+Skipped when sympy is not installed."""
 
 import random
 from fractions import Fraction
@@ -12,9 +13,10 @@ sympy = pytest.importorskip("sympy")
 import mindec.factor as factor_mod  # noqa: E402
 from mindec.errors import RecombinationBudgetExceeded  # noqa: E402
 from mindec.factor import factor_rational  # noqa: E402
-from mindec.generator import blocks_matrix, random_matrix  # noqa: E402
+from mindec.generator import IRREDUCIBLE_POOL, blocks_matrix, random_matrix  # noqa: E402
+from mindec.matfun import _image_min_poly  # noqa: E402
 from mindec.matrix import DenseMatrix, minimal_polynomial  # noqa: E402
-from mindec.poly import Polynomial  # noqa: E402
+from mindec.poly import Polynomial, X  # noqa: E402
 from mindec.scalar import MultiQuad  # noqa: E402
 from mindec.serialize import parse_poly_expression  # noqa: E402
 
@@ -65,6 +67,30 @@ def test_minimal_polynomial_divides_the_characteristic_polynomial():
         assert sympy.div(charpoly, m)[1].is_zero
         # the same distinct irreducible factors
         assert set(sympy_factors(m)) == set(sympy_factors(charpoly))
+
+
+#: functions f whose images f(alpha) are compared, the zero and a
+#: constant polynomial among them
+IMAGE_FUNCTIONS = (
+    X * X,
+    X**3 + X,
+    2 * X - 1,
+    X * X + X + 1,
+    Polynomial((Fraction(3, 2),)),
+    Polynomial(()),
+    Polynomial((1, -1, 0, Fraction(1, 3), 1)),
+    X**5 - 3 * X,
+)
+
+
+@pytest.mark.parametrize("p", IRREDUCIBLE_POOL, ids=str)
+def test_image_minimal_polynomial_matches_sympy(p):
+    # f(alpha) for a root alpha of p, as a sympy algebraic number
+    alpha = sympy.CRootOf(to_sympy_poly(p), 0)
+    for f in IMAGE_FUNCTIONS:
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)]
+        image = sympy.AlgebraicNumber(alpha, coeffs or [0])
+        assert _image_min_poly(f, p).coeffs == monic_key(sympy.minimal_polynomial(image, x)), f
 
 
 BIG = 2**64 + 13
