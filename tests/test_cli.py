@@ -110,6 +110,19 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(err)["error"] == "SingularValuesNotRational"
 
+    @pytest.mark.parametrize(
+        "document,error",
+        [
+            ('{"entries": [["0", "0"], ["0", "0"]]}', "ZeroMatrix"),
+            (JORDAN_2, "NotSemisimple"),
+        ],
+    )
+    def test_unbreakable_refusal_is_three(self, document, error):
+        code, out, err = run_cli(["unbreakable"], input_text=document)
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == error
+
     @pytest.mark.parametrize("entry", ['"\u0661"', '"\u00b2"', '"1/\u0663"', '{"2": "\u0661"}'])
     def test_non_ascii_digit_entry_is_two(self, entry):
         # Arabic-Indic and superscript digits are not rationals

@@ -16,6 +16,7 @@ from mindec.decompose import (
     system_of,
     unbreakable_components,
     verify_fine,
+    verify_frobenius_system,
     verify_mjc,
     verify_sn,
     verify_unbreakable,
@@ -265,6 +266,19 @@ class TestFineSplit:
         report = verify_fine(M, replace(fd, components=tuple(comps)))
         assert {c.name for c in report.failed_checks()} == {"kernel-containment"}
 
+    def test_cross_annihilation_names_a_nilpotent_product(self):
+        # the zero class's nilpotent added to class 0's: N_0 N_1 = N_1^2,
+        # which X^3 keeps nonzero
+        M = blocks_matrix([(X - 1) ** 2, X**3]).matrix
+        fd = fine_decompose(M)
+        z = fd.zero_index
+        comps = list(fd.components)
+        assert z == 1
+        comps[0] = replace(comps[0], nilpotent=comps[0].nilpotent + comps[z].nilpotent)
+        report = verify_fine(M, replace(fd, components=tuple(comps)))
+        cross = [c for c in report.failed_checks() if c.name == "cross-annihilation"]
+        assert [c.witness for c in cross] == ["N_0 * N_1 != 0"]
+
     def test_kernel_equality_multiplies_as_well_as_counts(self):
         # S_0 + S_1 keeps the rank of the true sum, but its kernel is
         # not Ker(M): only the product (sum S_i) K tells them apart
@@ -397,6 +411,12 @@ class TestUnbreakable:
             fd = fine_decompose(S)
             want = [c.semisimple for i, c in enumerate(fd.components) if i != fd.zero_index]
             assert unbreakable_components(S) == want
+
+
+class TestFrobeniusSystem:
+    def test_a_matrix_without_a_coefficient_fails_only_the_shape_check(self):
+        report = verify_frobenius_system([DenseMatrix.identity(2)], [])
+        assert [(c.name, c.passed) for c in report.checks] == [("shape", False)]
 
 
 class TestMultiplicativeSplit:

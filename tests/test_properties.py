@@ -1,7 +1,7 @@
 """Property tests on derandomized hypothesis draws: ``sn``, ``fine`` and
 ``apply --check`` pass, and the Krylov minimal polynomial equals the
 plain-Fraction oracle's.  Two families are drawn: conjugated companion
-blocks of repeated factors from the generator's pool (n <= 16), and
+blocks of repeated factors from the generator's pool (n <= 24), and
 small dense matrices whose entries have denominators up to 10^6."""
 
 import json
@@ -20,17 +20,19 @@ st = hypothesis.strategies
 SETTINGS = hypothesis.settings(max_examples=40, derandomize=True, deadline=None, database=None)
 #: coefficients of the f of the apply requests, constant term first
 POLY_COEFFS = st.lists(st.integers(-3, 3), max_size=6)
+#: largest order of a pool-block matrix
+MAX_ORDER = 24
 
 
 @st.composite
 def pool_blocks(draw):
     """Companion blocks p^k, p from the pool and drawn with repetition,
-    k <= 3, of total order at most 16."""
+    k <= 3, of total order at most MAX_ORDER."""
     polys, order = [], 0
     for _ in range(draw(st.integers(1, 6))):
         p = draw(st.sampled_from(IRREDUCIBLE_POOL))
         k = draw(st.integers(1, 3))
-        if order + k * p.degree > 16:
+        if order + k * p.degree > MAX_ORDER:
             break
         polys.append(p**k)
         order += k * p.degree
@@ -61,7 +63,7 @@ def test_pool_blocks_pass_every_check():
     @hypothesis.given(pool_blocks(), st.integers(0, 10**6), POLY_COEFFS)
     def check(polys, key, coeffs):
         M = blocks_matrix(polys, f"property-{key}").matrix
-        assert M.n <= 16
+        assert M.n <= MAX_ORDER
         _check(M, coeffs)
 
     check()

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from oracles import invert_a_plus_b_sqrt2, sign_a_plus_b_sqrt2
 
+from mindec import scalar
 from mindec.errors import (
     DivisionByZero,
     MixedModuli,
@@ -103,6 +104,30 @@ class TestSquareSplit:
         p = 399999999999639999999999689
         with pytest.raises(RadicandTooLarge, match=str(p)):
             square_split(4 * p)
+
+    def test_semiprime_cofactor_splits_within_the_rho_budget(self):
+        n = 1000000007 * 1000000009
+        assert square_split(n) == (1, n)
+
+    def test_rho_budget_refusal(self, monkeypatch):
+        n = 1000000007 * 1000000009
+        monkeypatch.setattr(scalar, "RHO_BUDGET", 4)
+        with pytest.raises(RadicandTooLarge, match="resisted 4 rho iterations"):
+            square_split(n)
+
+
+class TestBrentRho:
+    @pytest.mark.parametrize("x, f", [(25, 5), (35, 5), (49, 7), (55, 5), (143, 11)])
+    def test_small_composites_split(self, x, f):
+        # each takes the overshoot branch: a batch's product is 0 mod x
+        assert scalar._brent_rho(x, scalar.RHO_BUDGET)[0] == f
+
+    @pytest.mark.parametrize("x", [49, 55, 143])
+    def test_overshot_batch_is_retraced(self, x):
+        # 14 steps suffice only if the overshooting batch is retraced
+        # step by step, not dropped for the next constant
+        f, _ = scalar._brent_rho(x, 14)
+        assert f is not None and 1 < f < x and x % f == 0
 
 
 class TestSqrtRational:
