@@ -49,9 +49,7 @@ from mindec.generator import (
     random_normal_matrix,
 )
 from mindec.matfun import schwerdtfeger_eval, verify_matfun
-from mindec.poly import Polynomial
 from mindec.realclosed import complete_mjc, svd
-from mindec.scalar import rational_from_string
 from mindec.serialize import (
     MAX_ORDER,
     MatrixDocument,
@@ -76,15 +74,6 @@ def _load_matrix(args):
         # than the interpreter converts
         raise FormatError(f"input is not valid JSON: {exc}") from None
     return document_from_json(data).matrix
-
-
-def _parse_poly_arg(text: str) -> Polynomial:
-    """Either a polynomial expression ("(X-1)^2") or a comma-separated
-    ascending coefficient list ("1,0,-2")."""
-    if any(ch in text for ch in "X()^"):
-        return parse_poly_expression(text)
-    coeffs = tuple(rational_from_string(part.strip()) for part in text.split(","))
-    return Polynomial(coeffs)
 
 
 def _finish(payload, report) -> int:
@@ -191,7 +180,7 @@ def _cmd_svd(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    f = _parse_poly_arg(args.poly)
+    f = parse_poly_expression(args.poly)
     M = _load_matrix(args)
     result = schwerdtfeger_eval(f, M)
     payload = {
@@ -322,7 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--poly",
         required=True,
-        help='polynomial: expression like "(X-1)^2" or ascending coefficients "1,0,-2"',
+        help='polynomial: expression like "(X-1)^2", or with a comma the ascending '
+        'coefficients "1,0,-2"',
     )
     p.set_defaults(handler=_cmd_apply)
 

@@ -376,10 +376,6 @@ class FactoredMinPoly:
     factors: Tuple[Tuple[Polynomial, int], ...]
 
     @property
-    def r(self) -> int:
-        return len(self.factors)
-
-    @property
     def degree(self) -> int:
         return sum(f.degree * mult for f, mult in self.factors)
 

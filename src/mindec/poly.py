@@ -79,10 +79,6 @@ class Polynomial:
         p._den = den
         return p
 
-    @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls((c,))
-
     @property
     def coeffs(self) -> tuple:
         """The coefficients, low degree first; for a rational
@@ -306,19 +302,23 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
+        """A rational polynomial in the text form the expression grammar
+        reads, e.g. "4 - 30*X + X^2"; other coefficients as "c*X^k"
+        terms joined by " + "."""
+        terms = []
+        for k, c in enumerate(self.coeffs):
             if not c:
                 continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*X")
+            power = "X" if k == 1 else f"X^{k}"
+            if k == 0:
+                terms.append(str(c))
+            elif self._num is not None and abs(c) == 1:
+                terms.append(power if c > 0 else "-" + power)
             else:
-                parts.append(f"{c}*X^{i}")
-        return " + ".join(parts)
+                terms.append(f"{c}*{power}")
+        text = " + ".join(terms) or "0"
+        # a rational coefficient's text holds no "+"
+        return text.replace("+ -", "- ") if self._num is not None else text
 
 
 X = Polynomial((0, 1))

@@ -9,7 +9,8 @@ Three coefficient domains are used throughout the library:
   roots, stored as coordinates on the basis of square roots of
   squarefree integers.  The basis label 1 is the rational part;
   negative labels are allowed (the values are then complex), but sign
-  queries demand a totally real element;
+  queries demand a totally real element.  A MultiQuad divides through
+  ``.inverse()``: ``a * b.inverse()``, as the type has no ``/``;
 
 * :class:`NumberFieldElement`, residues modulo one fixed irreducible
   monic polynomial, used for computing with a generic root of an
@@ -232,33 +233,45 @@ def _is_prime(x: int) -> bool:
 
 def _brent_rho(x: int, budget: int):
     """A nontrivial factor of the odd composite x by Brent's variant of
-    Pollard's rho, and the budget left; (None, 0) when it runs out."""
+    Pollard's rho, and the budget left; (None, 0) when it runs out.
+    Every step y <- y^2 + c costs one unit of the budget: the advance of
+    a round, its batches and the retrace of an overshot batch.  A batch
+    whose steps the budget cannot pay is not started, since only its
+    gcd could end the search."""
     c = 1
-    while budget > 0:
+    while True:
         y, r, q, g = 2, 1, 1, 1
-        while g == 1 and budget > 0:
+        while g == 1:
+            if budget < r:
+                return None, 0
+            budget -= r
             z = y
             for _ in range(r):
                 y = (y * y + c) % x
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(128, r - k)):
+                steps = min(128, r - k)
+                if budget < steps:
+                    return None, 0
+                budget -= steps
+                for _ in range(steps):
                     y = (y * y + c) % x
                     q = q * abs(z - y) % x
                 g = gcd(q, x)
-                k += 128
-            budget -= 2 * r
+                k += steps
             r *= 2
         if g == x:  # the batch overshot: retrace it one step at a time
             g = 1
             while g == 1:
+                if not budget:
+                    return None, 0
+                budget -= 1
                 ys = (ys * ys + c) % x
                 g = gcd(abs(z - ys), x)
         if 1 < g < x:
             return g, budget
         c += 1
-    return None, 0
 
 
 def _label_mul(a: int, b: int) -> Tuple[int, int]:
@@ -390,35 +403,6 @@ class MultiQuad:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise NotInvertible("division by zero")
-            q = Fraction(other)
-            return MultiQuad._raw({k: c / q for k, c in self._coords.items()})
-        if not isinstance(other, MultiQuad):
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _mq_coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = MultiQuad(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
-
     def __bool__(self):
         return bool(self._coords)
 
@@ -528,9 +512,6 @@ class MultiQuad:
                 return -1
             bits *= 2
 
-    def __abs__(self) -> "MultiQuad":
-        return -self if self.sign() < 0 else self
-
     def __repr__(self):
         return f"MultiQuad({self._coords!r})"
 
@@ -631,12 +612,6 @@ class NumberField:
     def one(self) -> "NumberFieldElement":
         return NumberFieldElement(self, ONE)
 
-    def __eq__(self, other):
-        return isinstance(other, NumberField) and self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash(self.modulus)
-
     def __repr__(self):
         return f"NumberField({[str(c) for c in self.modulus]})"
 
@@ -687,12 +662,6 @@ class NumberFieldElement:
             return NotImplemented
         return NumberFieldElement(self.field, self.residue - other.residue)
 
-    def __rsub__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __neg__(self):
         return NumberFieldElement(self.field, -self.residue)
 
@@ -711,12 +680,6 @@ class NumberFieldElement:
         if other is None:
             return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:
@@ -742,11 +705,6 @@ class NumberFieldElement:
         if other.field.modulus != self.field.modulus:
             return False
         return self.residue == other.residue
-
-    def __hash__(self):
-        if self.is_rational:
-            return hash(self.as_fraction())
-        return hash((self.field.modulus, self.residue))
 
     def inverse(self) -> "NumberFieldElement":
         """Extended Euclid against the modulus: s*x + t*m = 1, with

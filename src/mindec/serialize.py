@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Any, Dict, List, Optional, Union
 
 from mindec.errors import FormatError, OrderTooLarge, PolyParseError
@@ -176,42 +177,26 @@ def poly_from_json(data) -> Polynomial:
 
 
 def poly_to_text(p: Polynomial) -> str:
-    """Render a rational polynomial as e.g. "2 - X + 3/2*X^2"."""
+    """The text form str(p) of a rational polynomial, e.g.
+    "2 - X + 3/2*X^2", which parse_poly_expression reads back."""
     if not p.is_rational:
         raise FormatError("text form is only defined for rational coefficients")
-    if p.is_zero:
-        return "0"
-    parts = []
-    for k, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        mag = abs(c)
-        if k == 0:
-            body = str(mag)
-        else:
-            power = "X" if k == 1 else f"X^{k}"
-            body = power if mag == 1 else f"{mag}*{power}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    return str(p)
 
 
-_TOKEN_RE = re.compile(r"(\d+)|(X)|([()+\-*^/])|(\S)")
+# [0-9], not \d: \d also matches the digits of other scripts, which
+# int() reads
+_TOKEN_RE = re.compile(r"([0-9]+)|X|[()+\-*^/]|(\S)")
 
 
 def _tokenize(text: str):
     tokens = []
     for m in _TOKEN_RE.finditer(text):
-        if m.group(4):
-            raise PolyParseError(f"unexpected character {m.group(4)!r} at {m.start()}")
-        if m.group(1):
-            tokens.append(("int", m.group(1), m.start()))
-        elif m.group(2):
-            tokens.append(("X", "X", m.start()))
-        else:
-            tokens.append((m.group(3), m.group(3), m.start()))
+        if m.group(2):
+            raise PolyParseError(f"unexpected character {m.group(2)!r} at {m.start()}")
+        # the kind of X and of an operator is its own text
+        kind = "int" if m.group(1) else m.group()
+        tokens.append((kind, m.group(), m.start()))
     return tokens
 
 
@@ -342,7 +327,11 @@ def _check_bits(value: int, what: str, pos: int) -> None:
 
 
 def parse_poly_expression(text: str) -> Polynomial:
-    """Parse products of polynomial expressions, e.g. "(X^2-2)(X-1)^2"."""
+    """Parse products of polynomial expressions, e.g. "(X^2-2)(X-1)^2",
+    or, when text holds a comma, an ascending coefficient list, e.g.
+    "1,0,-2" for 1 - 2*X^2."""
+    if "," in text:
+        return _coefficient_list(text)
     parser = _PolyParser(text)
     if not parser.tokens:
         raise PolyParseError("empty polynomial expression")
@@ -351,3 +340,21 @@ def parse_poly_expression(text: str) -> Polynomial:
         tok = parser.tokens[parser.pos]
         raise PolyParseError(f"trailing input {tok[1]!r} at position {tok[2]}")
     return result
+
+
+def _coefficient_list(text: str) -> Polynomial:
+    """The polynomial of comma-separated rationals "p" or "p/q", lowest
+    degree first, under the limits of the expression grammar: at most
+    MAX_POLY_DEGREE + 1 entries and a coefficient bit bound of at most
+    MAX_POLY_BITS.  The common denominator is checked as each entry
+    joins it: the lcm of many large denominators alone costs seconds."""
+    entries = text.split(",")
+    _check_degree(len(entries) - 1, "coefficient list degree", 0)
+    coeffs = [rational_from_string(entry) for entry in entries]
+    den = 1
+    for c in coeffs:
+        den = lcm(den, c.denominator)
+        _check_bits(den.bit_length(), "coefficient list", 0)
+    p = Polynomial(coeffs)
+    _check_bits(_bits(p), "coefficient list", 0)
+    return p

@@ -145,6 +145,35 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"] == "PolyParseError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["apply", "--poly", "X^\u0663"],
+            ["apply", "--poly=\u0661"],
+            ["gen", "--seed", "s", "--minpoly", "X-\u0661"],
+            ["gen", "--seed", "s", "--blocks", "X-1;X^2-\u0662"],
+        ],
+        ids=["apply-exponent", "apply-constant", "gen-minpoly", "gen-blocks"],
+    )
+    def test_non_ascii_digit_expression_is_two(self, argv):
+        # an expression reads ASCII digits only, as a coefficient list does
+        code, out, err = run_cli(argv, input_text=IDENTITY_2)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "PolyParseError"
+
+    def test_coefficient_list_and_expression_give_one_output(self):
+        outs = []
+        for poly in ("--poly=1,-1,0,2", "--poly=1 - X + 2*X^3"):
+            code, out, err = run_cli(["apply", poly, "--check"], input_text=JORDAN_2)
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_factor_in_a_message_is_written_as_text(self):
+        code, out, err = run_cli(["svd"], input_text='{"entries": [["1", "2"], ["3", "4"]]}')
+        assert (code, out) == (3, "")
+        assert "factor 4 - 30*X + X^2" in json.loads(err)["message"]
+
     def test_unknown_flag_is_two(self):
         code, _, _ = run_cli(["sn", "--frobnicate"], input_text=IDENTITY_2)
         assert code == 2
@@ -375,9 +404,11 @@ DEEP = "(" * 5000 + "X" + ")" * 5000
         ["apply", "--poly", "(X^2+1)^600"],
         ["gen", "--seed", "s", "--blocks", "X-1;(X^600)(X^401)"],
         ["apply", "--poly", "(X+2^1000)^200"],
+        ["apply", "--poly", "0," * 200000 + "1"],
+        ["apply", "--poly", "1," + str(7**1000)],
     ],
     ids=["apply-deep", "gen-deep", "apply-power", "apply-power-degree", "gen-product",
-         "apply-power-bits"],
+         "apply-power-bits", "apply-list-degree", "apply-list-bits"],
 )
 def test_polynomial_argument_is_bounded(argv):
     t0 = time.perf_counter()

@@ -116,6 +116,10 @@ class TestSquareSplit:
             square_split(n)
 
 
+#: steps y <- y^2 + c that _brent_rho takes to split x
+RHO_STEPS = {25: 13, 35: 13, 49: 7, 55: 7, 143: 15, 1000000007 * 1000000009: 50430}
+
+
 class TestBrentRho:
     @pytest.mark.parametrize("x, f", [(25, 5), (35, 5), (49, 7), (55, 5), (143, 11)])
     def test_small_composites_split(self, x, f):
@@ -124,10 +128,18 @@ class TestBrentRho:
 
     @pytest.mark.parametrize("x", [49, 55, 143])
     def test_overshot_batch_is_retraced(self, x):
-        # 14 steps suffice only if the overshooting batch is retraced
-        # step by step, not dropped for the next constant
-        f, _ = scalar._brent_rho(x, 14)
+        # the exact step count suffices only if the overshooting batch is
+        # retraced step by step, not dropped for the next constant
+        f, left = scalar._brent_rho(x, RHO_STEPS[x])
         assert f is not None and 1 < f < x and x % f == 0
+        assert left == 0
+
+    @pytest.mark.parametrize("x", sorted(RHO_STEPS))
+    def test_budget_counts_every_step(self, x):
+        # every step y <- y^2 + c is charged, so one step fewer than the
+        # count that splits x runs out, and no budget goes negative
+        assert scalar._brent_rho(x, scalar.RHO_BUDGET)[1] == scalar.RHO_BUDGET - RHO_STEPS[x]
+        assert scalar._brent_rho(x, RHO_STEPS[x] - 1) == (None, 0)
 
 
 class TestSqrtRational:

@@ -33,6 +33,8 @@ from mindec.serialize import (
 )
 
 SQRT2 = MultiQuad({2: 1})
+#: 430 primes; their product has about 4,200 bits
+PRIMES_BELOW_3000 = [p for p in range(2, 3000) if all(p % d for d in range(2, int(p**0.5) + 1))]
 
 
 class TestScalarJson:
@@ -296,6 +298,28 @@ class TestPolyText:
         with pytest.raises(FormatError):
             poly_to_text(Polynomial((SQRT2,)))
 
+    def test_str_is_the_text_form(self):
+        assert str(X**2 - 30 * X + 4) == "4 - 30*X + X^2"
+        assert str(Polynomial((0, Fraction(-3, 2)))) == "-3/2*X"
+        # other coefficients keep the "c*X^k" form
+        assert str(Polynomial((SQRT2, 0, MultiQuad(-1)))) == "1*sqrt(2) + -1*X^2"
+
+    def test_str_parse_round_trip_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coeff = st.just(Fraction(0)) | st.fractions(max_denominator=10**9) | st.integers(
+            -(2**70), 2**70
+        ).map(Fraction)
+
+        @hypothesis.settings(max_examples=200, derandomize=True, deadline=None, database=None)
+        @hypothesis.given(st.lists(coeff, max_size=12))
+        def check(coeffs):
+            p = Polynomial(coeffs)
+            assert parse_poly_expression(str(p)) == p
+            assert poly_to_text(p) == str(p)
+
+        check()
+
 
 class TestPolyGrammar:
     def test_juxtaposition_multiplies(self):
@@ -316,6 +340,30 @@ class TestPolyGrammar:
         p = parse_poly_expression("1/3 + 1/3 + 1/3")
         assert p == Polynomial((1,))
 
+    def test_a_comma_makes_a_coefficient_list(self):
+        assert parse_poly_expression("1, -1,0 ,2") == 1 - X + 2 * X**3
+        assert parse_poly_expression("-5/2,+3") == Polynomial((Fraction(-5, 2), 3))
+        assert parse_poly_expression("1,0,0") == Polynomial((1,))
+        # no comma: a lone rational, and products of constants, are
+        # expressions
+        assert parse_poly_expression(" -5/2 ") == Polynomial((Fraction(-5, 2),))
+        assert parse_poly_expression("2*3") == Polynomial((6,))
+
+    def test_coefficient_list_bounds_are_inclusive(self):
+        p = parse_poly_expression("0," * MAX_POLY_DEGREE + "1")
+        assert p == X**MAX_POLY_DEGREE
+        with pytest.raises(PolyParseError, match="degree"):
+            parse_poly_expression("0," * (MAX_POLY_DEGREE + 1) + "1")
+        # the bound counts the bits of the numerators' sum less one, as
+        # for a product
+        assert parse_poly_expression(f"0,{2**MAX_POLY_BITS}") == 2**MAX_POLY_BITS * X
+        with pytest.raises(PolyParseError, match="bits"):
+            parse_poly_expression(f"1,{2**MAX_POLY_BITS}")
+        q = parse_poly_expression(f"1/{2**MAX_POLY_BITS - 1},0").coefficient(0)
+        assert q.denominator.bit_length() == MAX_POLY_BITS
+        with pytest.raises(PolyParseError, match="bits"):
+            parse_poly_expression(f"0,1/{2**MAX_POLY_BITS}")
+
     def test_whitespace_is_free(self):
         a = parse_poly_expression("( X ^ 2 - 2 ) ( X - 1 )")
         b = parse_poly_expression("(X^2-2)(X-1)")
@@ -333,6 +381,12 @@ class TestPolyGrammar:
             "X^y",
             "X$2",
             "X..",
+            "X^\u0663",
+            "\u0661",
+            "X-\u0661/2",
+            "1,X",
+            "1,,2",
+            "1,\u0662",
         ],
     )
     def test_malformed_expressions(self, text):
@@ -384,10 +438,14 @@ class TestPolyGrammar:
             ("(X+2^1000)^200", "bits"),
             ("((2^1000)^1000)^1000", "bits"),
             ("(2^1000)(2^1000)(2^1000)", "bits"),
+            ("0," * 200000 + "1", "degree"),
+            ("1," + str(7**1000), "bits"),
+            (",".join(f"1/{p}" for p in PRIMES_BELOW_3000), "bits"),
         ],
         ids=["exp-bound", "exp-large", "exp-constant", "power", "product", "product-star",
              "nesting-bound", "nesting-5000", "nesting-signed", "bits-power",
-             "bits-nested-power", "bits-product"],
+             "bits-nested-power", "bits-product", "list-degree", "list-bits",
+             "list-denominators"],
     )
     def test_bounds_are_checked_before_expanding(self, text, message):
         t0 = time.perf_counter()

@@ -83,7 +83,18 @@ IMAGE_FUNCTIONS = (
 )
 
 
-@pytest.mark.parametrize("p", IRREDUCIBLE_POOL, ids=str)
+def pool_id(p):
+    """The case id of a pool polynomial: its "c*X^k" terms joined by
+    " + ", the form these ids were first written in, kept so that each
+    case keeps its name."""
+    return " + ".join(
+        str(c) if k == 0 else f"{c}*X" if k == 1 else f"{c}*X^{k}"
+        for k, c in enumerate(p.coeffs)
+        if c
+    )
+
+
+@pytest.mark.parametrize("p", IRREDUCIBLE_POOL, ids=pool_id)
 def test_image_minimal_polynomial_matches_sympy(p):
     # f(alpha) for a root alpha of p, as a sympy algebraic number
     alpha = sympy.CRootOf(to_sympy_poly(p), 0)
