@@ -197,6 +197,8 @@ def _cmd_apply(args) -> int:
 
 def _cmd_gen(args) -> int:
     seed = args.seed
+    if args.size is not None and (args.minpoly is not None or args.blocks is not None):
+        raise UsageError("--size applies to --family only, not to --minpoly or --blocks")
     if args.size is not None and not 2 <= args.size <= MAX_ORDER:
         raise UsageError(f"--size must be between 2 and {MAX_ORDER}, got {args.size}")
     if args.minpoly is not None:
@@ -318,17 +320,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit a seeded test matrix document")
     p.add_argument("--seed", required=True, help="seed string; same seed, same matrix")
-    p.add_argument("--minpoly", help="build a matrix with exactly this minimal polynomial")
-    p.add_argument(
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--minpoly", help="build a matrix with exactly this minimal polynomial")
+    source.add_argument(
         "--blocks", help='semicolon-separated companion block polynomials, e.g. "(X-1)^2;X^2+1"'
     )
-    p.add_argument(
+    source.add_argument(
         "--family",
         choices=("general", "invertible-quadratic", "gram", "normal"),
-        default="general",
-        help="random family when neither --minpoly nor --blocks is given",
+        help="random family (general when no source is given)",
     )
-    p.add_argument("--size", type=int, help="upper bound on the matrix size")
+    p.add_argument("--size", type=int, help="upper bound on the size of a --family matrix")
     p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("selftest", help="run the full verification suite")

@@ -277,21 +277,22 @@ def verify_fine(M: DenseMatrix, fd: FineDecomposition) -> VerificationReport:
       the multiplicity of the factor X (e = 0 for nonsingular M);
     * the kernel of the summed semisimple part is exactly Ker(M^e);
     * with two or more factors, each nonzero S_i has minimal
-      polynomial X * m_i.
+      polynomial X * m_i, for an m_i that no earlier component took.
 
     The two kernel checks are integer matrix products: the basis of
     Ker(M^e) fills the first columns of an n x n matrix K, zeros the
     rest, and A v = 0 for every basis vector v exactly when A K = 0.
     With e = 0 the kernel is 0, both checks hold and no product is made.
 
-    The last check is decided by evaluation when m_i is one of the
-    irreducible factors of M's own minimal polynomial: (X m_i)(S_i) = 0,
-    m_i(S_i) != 0 and S_i != 0 (:func:`mindec.matrix.is_minimal_polynomial`).
-    The minimal polynomial of S_i then divides X m_i, and with X and m_i
-    irreducible it keeps each of them, so it is X m_i; it is X m_i only
-    if those three hold.  Any other m_i, which no true decomposition
-    has, is compared with the Krylov minimal polynomial of S_i, so the
-    check has the same value on every input.
+    The last check asks that m_i be an irreducible factor of M's own
+    minimal polynomial, one factor per component, and then decides by
+    evaluation: (X m_i)(S_i) = 0, m_i(S_i) != 0 and S_i != 0
+    (:func:`mindec.matrix.is_minimal_polynomial`).  The minimal
+    polynomial of S_i then divides X m_i, and with X and m_i irreducible
+    it keeps each of them, so it is X m_i; it is X m_i only if those
+    three hold.  A true decomposition has one component per factor, so
+    a candidate that merges two classes under a reducible m_i, or splits
+    one class between two components, fails.
     """
     report = VerificationReport("fine decomposition")
     n = M.n
@@ -350,17 +351,19 @@ def verify_fine(M: DenseMatrix, fd: FineDecomposition) -> VerificationReport:
     if len(comps) >= 2:
         minpoly_ok = True
         witness = ""
-        irreducible = {f for f, _ in system_of(M).factored.factors}
+        # the irreducible factors of M no component has taken yet
+        free = {f for f, _ in system_of(M).factored.factors}
         for i, c in enumerate(comps):
             if c.semisimple.is_zero:
                 continue
-            if c.factor in irreducible:
-                ok = is_minimal_polynomial(c.semisimple, (X, c.factor))
-            else:
-                ok = minimal_polynomial(c.semisimple) == (X * c.factor).monic()
+            ok = c.factor in free and is_minimal_polynomial(c.semisimple, (X, c.factor))
+            free.discard(c.factor)
             if not ok:
                 minpoly_ok = False
-                witness = f"minimal polynomial of S_{i} is not X * m_{i}"
+                witness = (
+                    f"m_{i} is not a factor of M that no earlier S_j took, "
+                    f"or X * m_{i} is not the minimal polynomial of S_{i}"
+                )
         report.add(
             "component-min-poly",
             "minimal polynomial of each nonzero S_i is X * m_i (r >= 2)",

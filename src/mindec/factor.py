@@ -34,7 +34,7 @@ from typing import List, Optional, Tuple
 
 from mindec import _kernel
 from mindec.errors import RecombinationBudgetExceeded, ZeroPolynomial
-from mindec.poly import Polynomial, X, squarefree_part
+from mindec.poly import Polynomial, X, binary_power, squarefree_part
 
 #: Subsets of modular factors one squarefree part may try.  A part left
 #: with r <= 16 modular factors never needs more (an irreducible one
@@ -124,15 +124,10 @@ def _gf_ext_gcd(a, b, p):
 
 
 def _gf_pow_mod(base, e, mod, p):
-    result = [1]
-    base = _gf_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _gf_divmod(_gf_mul(result, base, p), mod, p)[1]
-        e >>= 1
-        if e:
-            base = _gf_divmod(_gf_mul(base, base, p), mod, p)[1]
-    return result
+    # base^e mod mod for e >= 1
+    return binary_power(
+        _gf_divmod(base, mod, p)[1], e, lambda a, b: _gf_divmod(_gf_mul(a, b, p), mod, p)[1]
+    )
 
 
 def _gf_deriv(a, p):

@@ -38,12 +38,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, count
 from math import gcd, isqrt, lcm
-from operator import add, mul, sub
+from operator import add, matmul, mul, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from mindec import _kernel
 from mindec.errors import FieldMismatch, SingularMatrix
-from mindec.poly import Polynomial, poly_gcd, poly_lcm
+from mindec.poly import Polynomial, binary_power, poly_gcd, poly_lcm
 from mindec.scalar import MultiQuad, _label_mul, cleared_row
 
 #: {squarefree label: integer rows} of a matrix over one denominator
@@ -257,19 +257,7 @@ class DenseMatrix:
     def __pow__(self, k: int) -> "DenseMatrix":
         if k < 0:
             return inverse(self) ** (-k)
-        if k == 0:
-            return DenseMatrix.identity(self.n)
-        # square-and-multiply from no matrix: M^k costs popcount(k) - 1
-        # products besides the squarings, none for the identity
-        result = None
-        base = self
-        while True:
-            if k & 1:
-                result = base if result is None else result @ base
-            k >>= 1
-            if not k:
-                return result
-            base = base @ base
+        return binary_power(self, k, matmul) if k else DenseMatrix.identity(self.n)
 
     def __eq__(self, other):
         if not isinstance(other, DenseMatrix):

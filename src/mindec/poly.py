@@ -18,6 +18,13 @@ Sums, products, division (integer pseudo-division in
 Fraction coefficients are built only when ``coeffs`` is read, and kept.
 Other polynomials take the generic path, which is semantically
 identical.
+
+Two helpers serve every module above this one.  ``binary_power`` is
+the one square-and-multiply loop, behind the powers of matrices,
+polynomials, number field elements and residues mod p.
+``ratio_to_string`` and ``_int_to_string`` are the one writer of
+integers, for output and messages alike: they write any length in
+full, past the interpreter's limit on one ``str()`` conversion.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, gcd, lcm
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Callable, Iterable
 
 from mindec import _kernel
@@ -186,16 +193,7 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        if n == 0:
-            return Polynomial((self._one_coeff(),))
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return binary_power(self, n, mul) if n else Polynomial((self._one_coeff(),))
 
     def __divmod__(self, other):
         if not isinstance(other, Polynomial):
@@ -303,26 +301,66 @@ class Polynomial:
 
     def __str__(self):
         """A rational polynomial in the text form the expression grammar
-        reads, e.g. "4 - 30*X + X^2"; other coefficients as "c*X^k"
-        terms joined by " + "."""
+        reads, e.g. "4 - 30*X + X^2", its integers written in full;
+        other coefficients as "c*X^k" terms joined by " + "."""
+        rational = self._num is not None
         terms = []
         for k, c in enumerate(self.coeffs):
             if not c:
                 continue
             power = "X" if k == 1 else f"X^{k}"
-            if k == 0:
-                terms.append(str(c))
-            elif self._num is not None and abs(c) == 1:
+            if k and rational and abs(c) == 1:
                 terms.append(power if c > 0 else "-" + power)
             else:
-                terms.append(f"{c}*{power}")
+                text = ratio_to_string(c.numerator, c.denominator) if rational else str(c)
+                terms.append(f"{text}*{power}" if k else text)
         text = " + ".join(terms) or "0"
         # a rational coefficient's text holds no "+"
-        return text.replace("+ -", "- ") if self._num is not None else text
+        return text.replace("+ -", "- ") if rational else text
 
 
 X = Polynomial((0, 1))
 ONE = Polynomial((1,))
+
+
+def binary_power(base, e: int, times: Callable):
+    """base^e for e >= 1 under an associative product times(a, b), by
+    square-and-multiply from no product: popcount(e) - 1 products
+    besides the squarings, none of them with an identity."""
+    result = None
+    while True:
+        if e & 1:
+            result = base if result is None else times(result, base)
+        e >>= 1
+        if not e:
+            return result
+        base = times(base, base)
+
+
+def ratio_to_string(num: int, den: int) -> str:
+    """The decimal form "p/q" of num/den, den > 0, reduced by one gcd,
+    or "p" when q is 1, for integers of any length."""
+    g = gcd(num, den)
+    if g == den:
+        return _int_to_string(num // den)
+    return f"{_int_to_string(num // g)}/{_int_to_string(den // g)}"
+
+
+#: bit length below which str() converts an int at once: under 3,613
+#: digits, inside CPython's default limit of 4,300 per conversion
+_STR_BITS = 12000
+
+
+def _int_to_string(n: int) -> str:
+    # str() refuses ints past the interpreter's digit limit, so a long
+    # one is split at a power of ten near half its digits
+    if n < 0:
+        return "-" + _int_to_string(-n)
+    if n.bit_length() < _STR_BITS:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # log10(2) / 2 is about 0.15
+    high, low = divmod(n, 10**k)
+    return _int_to_string(high) + _int_to_string(low).zfill(k)
 
 
 def _coerce(value):

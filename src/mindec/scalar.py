@@ -28,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
 from mindec import _kernel
@@ -39,7 +40,7 @@ from mindec.errors import (
     PolyParseError,
     RadicandTooLarge,
 )
-from mindec.poly import ONE, Polynomial, ext_gcd
+from mindec.poly import ONE, Polynomial, _int_to_string, binary_power, ext_gcd, ratio_to_string
 
 RationalLike = Union[int, Fraction]
 
@@ -77,38 +78,6 @@ def rational_from_string(text: str) -> Fraction:
         raise PolyParseError(f"zero denominator: {text!r}")
     p = int_from_digits(num)
     return Fraction(-p if s[0] == "-" else p, int_from_digits(den) if sep else 1)
-
-
-def rational_to_string(q: RationalLike) -> str:
-    """The decimal form "p/q", or "p" when the denominator is 1, for
-    integers of any length."""
-    return ratio_to_string(q.numerator, q.denominator)
-
-
-def ratio_to_string(num: int, den: int) -> str:
-    """The form of rational_to_string for num/den, den > 0, reduced by
-    one gcd."""
-    g = gcd(num, den)
-    if g == den:
-        return _int_to_string(num // den)
-    return f"{_int_to_string(num // g)}/{_int_to_string(den // g)}"
-
-
-#: bit length below which str() converts an int at once: under 3,613
-#: digits, inside CPython's default limit of 4,300 per conversion
-_STR_BITS = 12000
-
-
-def _int_to_string(n: int) -> str:
-    # str() refuses ints past the interpreter's digit limit, so a long
-    # one is split at a power of ten near half its digits
-    if n < 0:
-        return "-" + _int_to_string(-n)
-    if n.bit_length() < _STR_BITS:
-        return str(n)
-    k = n.bit_length() * 3 // 20  # log10(2) / 2 is about 0.15
-    high, low = divmod(n, 10**k)
-    return _int_to_string(high) + _int_to_string(low).zfill(k)
 
 
 def cleared_row(row: Sequence[Fraction], den: int = 0) -> list:
@@ -194,8 +163,8 @@ def _large_prime_factors(c: int, n: int) -> list:
             continue
         if x >= MR_LIMIT:
             raise RadicandTooLarge(
-                f"cannot certify the square part of {n}: cofactor {x} is beyond "
-                "deterministic primality testing"
+                f"cannot certify the square part of {_int_to_string(n)}: cofactor "
+                f"{_int_to_string(x)} is beyond deterministic primality testing"
             )
         if _is_prime(x):
             primes.append(x)
@@ -203,8 +172,8 @@ def _large_prime_factors(c: int, n: int) -> list:
         f, budget = _brent_rho(x, budget)
         if f is None:
             raise RadicandTooLarge(
-                f"cannot certify the square part of {n}: cofactor {x} resisted "
-                f"{RHO_BUDGET} rho iterations"
+                f"cannot certify the square part of {_int_to_string(n)}: cofactor "
+                f"{_int_to_string(x)} resisted {RHO_BUDGET} rho iterations"
             )
         pending += [f, x // f]
     return primes
@@ -519,9 +488,9 @@ class MultiQuad:
         if not self._coords:
             return "0"
         parts = []
-        for k in sorted(self._coords):
-            c = self._coords[k]
-            parts.append(str(c) if k == 1 else f"{c}*sqrt({k})")
+        for k, c in sorted(self._coords.items()):
+            c = ratio_to_string(c.numerator, c.denominator)
+            parts.append(c if k == 1 else f"{c}*sqrt({_int_to_string(k)})")
         return " + ".join(parts)
 
 
@@ -546,7 +515,7 @@ def mq_sqrt_rational(q: RationalLike) -> MultiQuad:
     """
     q = Fraction(q)
     if q <= 0:
-        raise NonPositiveRadicand(f"sqrt of {q}")
+        raise NonPositiveRadicand(f"sqrt of {ratio_to_string(q.numerator, q.denominator)}")
     s, d = square_split(q.numerator * q.denominator)
     return MultiQuad({d: Fraction(s, q.denominator)})
 
@@ -684,15 +653,7 @@ class NumberFieldElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, mul) if n else self.field.one()
 
     def __bool__(self):
         return bool(self.residue)
@@ -736,7 +697,8 @@ class NumberFieldElement:
         for i, c in enumerate(self.coeffs):
             if not c:
                 continue
-            parts.append(str(c) if i == 0 else (f"{c}*Y" if i == 1 else f"{c}*Y^{i}"))
+            c = ratio_to_string(c.numerator, c.denominator)
+            parts.append(c if i == 0 else (f"{c}*Y" if i == 1 else f"{c}*Y^{i}"))
         return " + ".join(parts)
 
 

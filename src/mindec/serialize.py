@@ -19,14 +19,8 @@ from typing import Any, Dict, List, Optional, Union
 
 from mindec.errors import FormatError, OrderTooLarge, PolyParseError
 from mindec.matrix import DenseMatrix
-from mindec.poly import Polynomial, X
-from mindec.scalar import (
-    MultiQuad,
-    int_from_digits,
-    ratio_to_string,
-    rational_from_string,
-    rational_to_string,
-)
+from mindec.poly import Polynomial, X, _int_to_string, ratio_to_string
+from mindec.scalar import MultiQuad, int_from_digits, rational_from_string
 
 Scalar = Union[Fraction, MultiQuad]
 
@@ -38,14 +32,14 @@ MAX_ORDER = 64
 
 def scalar_to_json(value) -> Union[str, Dict[str, str]]:
     if isinstance(value, MultiQuad):
-        if value.is_rational:
-            return rational_to_string(value.rational_part)
-        return {
-            str(label): rational_to_string(coeff)
-            for label, coeff in sorted(value.coordinates.items())
-        }
+        if not value.is_rational:
+            return {
+                _int_to_string(label): ratio_to_string(c.numerator, c.denominator)
+                for label, c in sorted(value.coordinates.items())
+            }
+        value = value.rational_part
     if isinstance(value, (int, Fraction)):
-        return rational_to_string(value)
+        return ratio_to_string(value.numerator, value.denominator)
     raise FormatError(f"cannot serialize scalar of type {type(value).__name__}")
 
 
@@ -108,7 +102,7 @@ def matrix_to_json(M: DenseMatrix) -> Dict[str, Any]:
             elif len(coords) == 1 and coords[0][0] == 1:
                 row.append(ratio_to_string(coords[0][1], den))
             else:
-                row.append({str(lbl): ratio_to_string(x, den) for lbl, x in coords})
+                row.append({_int_to_string(lbl): ratio_to_string(x, den) for lbl, x in coords})
         entries.append(row)
     return {"n": n, "entries": entries}
 
@@ -206,11 +200,12 @@ MAX_POLY_NESTING = 100
 #: parse_poly_expression expands; (X+1)^MAX_POLY_DEGREE parses in about
 #: 0.2 s under CPython 3.11 on a 2-CPU Xeon
 MAX_POLY_DEGREE = 1000
-#: largest coefficient bit bound of a product or power that
-#: parse_poly_expression expands: the sum of the factors' bounds, or e
-#: times the base's for a power e.  (X+1)^1000 needs 1000 bits, and
-#: (X+3)^1000, near the largest accepted power of degree 1000, parses in
-#: about 0.5 s under CPython 3.11 on a 2-CPU Xeon
+#: largest coefficient bit bound (_bits) of a literal or a sum that
+#: parse_poly_expression reads, and of a product or power that it
+#: expands: the sum of the factors' bounds, or e times the base's for a
+#: power e.  (X+1)^1000 needs 1000 bits, and (X+3)^1000, near the
+#: largest accepted power of degree 1000, parses in about 0.5 s under
+#: CPython 3.11 on a 2-CPU Xeon
 MAX_POLY_BITS = 2048
 
 
@@ -222,7 +217,9 @@ class _PolyParser:
     Nesting deeper than MAX_POLY_NESTING, an exponent or the degree of a
     product or power above MAX_POLY_DEGREE, and a coefficient bit bound
     of a product or power above MAX_POLY_BITS raise PolyParseError
-    before anything is expanded.
+    before anything is expanded.  A literal or a sum whose own bit bound
+    is above MAX_POLY_BITS raises it as soon as it is formed, so every
+    operand of every step is bounded.
     """
 
     def __init__(self, text: str):
@@ -251,9 +248,10 @@ class _PolyParser:
         if sign < 0:
             acc = -acc
         while self.peek() in ("+", "-"):
-            op = self.take()[0]
+            op, _, pos = self.take()
             t = self.term()
             acc = acc + t if op == "+" else acc - t
+            _check_bits(_bits(acc), "sum", pos)
         return acc
 
     def term(self) -> Polynomial:
@@ -284,14 +282,15 @@ class _PolyParser:
     def atom(self) -> Polynomial:
         kind, value, pos = self.take()
         if kind == "int":
-            num = int_from_digits(value)
+            num, den = int_from_digits(value), 1
             if self.peek() == "/":
                 self.take()
                 den = int_from_digits(self.take("int")[1])
                 if den == 0:
                     raise PolyParseError(f"zero denominator at position {pos}")
-                return Polynomial((Fraction(num, den),))
-            return Polynomial((Fraction(num),))
+            literal = Polynomial((Fraction(num, den),))
+            _check_bits(_bits(literal), "literal", pos)
+            return literal
         if kind == "X":
             return X
         if kind == "(":

@@ -14,8 +14,15 @@ from test_factor import swinnerton_dyer
 
 from mindec import cli
 from mindec.matrix import companion
+from mindec.poly import _int_to_string
 from mindec.selftest import run_cli
-from mindec.serialize import matrix_to_json
+from mindec.serialize import (
+    MAX_POLY_BITS,
+    MAX_POLY_DEGREE,
+    MAX_POLY_NESTING,
+    matrix_to_json,
+    parse_poly_expression,
+)
 
 IDENTITY_2 = json.dumps({"n": 2, "entries": [["1", "0"], ["0", "1"]]})
 SINGULAR_2 = json.dumps({"entries": [["1", "0"], ["0", "0"]]})
@@ -373,20 +380,138 @@ def test_fuzzed_requests_keep_the_cli_contract():
     @hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @hypothesis.given(requests())
     def check(request):
-        argv, text = request
-        t0 = time.perf_counter()
-        code, out, err = run_cli(argv, input_text=text)
-        assert time.perf_counter() - t0 < 5.0
-        assert code in (0, 2, 3, 4)
-        assert "Traceback" not in err
-        if code == 0:
-            assert err == ""
-            json.loads(out)
+        _assert_cli_contract(*request)
+
+    check()
+
+
+def _assert_cli_contract(argv, text):
+    # the request ends within 5 s with exit code 0, 2, 3 or 4; a failure
+    # writes nothing to stdout and one JSON error object to stderr, and
+    # names an error of the library, never a bare ValueError
+    t0 = time.perf_counter()
+    code, out, err = run_cli(argv, input_text=text)
+    assert time.perf_counter() - t0 < 5.0
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+        json.loads(out)
+    else:
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+        payload = json.loads(err)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] != "ValueError"
+
+
+def _digits(rng, k):
+    """A k-digit decimal string with a nonzero first digit."""
+    return str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=k - 1))
+
+
+def _limit_requests(st, limit):
+    """The strategy of limit-aimed requests (argv, document text) of one
+    kind: each kind puts its inputs on both sides of one limit."""
+    check = st.sampled_from(((), ("--check",)))
+    small = st.sampled_from((UPPER_2, JORDAN_2, SINGULAR_2, IDENTITY_2))
+
+    def apply(poly):
+        # --poly=text, as a text may start with "-"
+        return st.tuples(check, small).map(lambda a: (["apply", f"--poly={poly}", *a[0]], a[1]))
+
+    if limit == "fraction-sum":
+        # count terms over distinct odd denominators of at least bits bits
+
+        def sum_text(args):
+            count, bits, signs, degree = args
+            terms = (
+                f"{signs[k % 2]}1/{2 ** (bits - 1) + 2 * k + 1}*X^{k % degree}"
+                for k in range(count)
+            )
+            return "".join(terms).lstrip("+")
+
+        texts = st.tuples(
+            st.integers(1, 400),
+            st.sampled_from((2, 64, MAX_POLY_BITS - 1, MAX_POLY_BITS, MAX_POLY_BITS + 1)),
+            st.sampled_from(("++", "+-", "--")),
+            st.integers(1, 3),
+        ).map(sum_text)
+        return texts.flatmap(apply)
+    if limit == "nesting":
+        def nested(args):
+            depth, inner, power = args
+            return "(" * depth + inner + ")" * depth + power
+
+        texts = st.tuples(
+            st.integers(MAX_POLY_NESTING - 1, MAX_POLY_NESTING + 1),
+            st.sampled_from(("X", "X-1", "-X", "2/3", "(X+1)(X-1)")),
+            st.sampled_from(("", "^2", "(X-2)")),
+        ).map(nested)
+        gens = texts.map(lambda t: (["gen", "--seed", "s", f"--minpoly={t}"], ""))
+        return texts.flatmap(apply) | gens
+    if limit == "exponent":
+        def powered(args):
+            base, offset = args
+            degree = parse_poly_expression(base).degree
+            return f"({base})^{MAX_POLY_DEGREE // max(degree, 1) + offset}"
+
+        texts = st.tuples(
+            st.sampled_from(("X", "X+1", "X-3", "X+7", "2", "X^2+1", "X^3-X", "1/2*X+1/3")),
+            st.integers(-2, 2),
+        ).map(powered)
+        return texts.flatmap(apply)
+    # entries of 1 or of 4,295 to 4,305 digits, either side of the limit
+    # of one str() conversion, in triangular matrices of rational
+    # eigenvalues, so that no radicand needs trial division
+    commands = st.sampled_from(MATRIX_COMMANDS + ("apply",))
+
+    @st.composite
+    def long_entries(draw):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        n = draw(st.integers(1, 2))
+
+        def entry():
+            k = draw(st.sampled_from((1, 4295, 4299, 4300, 4301, 4305)))
+            text = _digits(rng, k)
+            return text if draw(st.booleans()) else f"-1/{text}"
+
+        entries = [[entry() if j >= i else "0" for j in range(n)] for i in range(n)]
+        command = draw(commands)
+        argv = [command, "--poly", "X^2+1"] if command == "apply" else [command]
+        return [*argv, *draw(check)], json.dumps({"entries": entries})
+
+    # matrices whose minimal-polynomial factor or radicand has more than
+    # 4,300 digits: the Gram factor of 10^e A for svd, the radicand
+    # b^2 - 4 of X^2 - b X + 1 for cmjc
+    @st.composite
+    def long_factors(draw):
+        if draw(st.booleans()):
+            e = draw(st.integers(1080, 1300))
+            A = draw(st.sampled_from(([[1, 2], [3, 4]], [[2, 1], [1, 1]], [[1, 1], [0, 3]])))
+            rows = [[x * 10**e for x in r] for r in A]
+            argv = ["svd"]
         else:
-            assert out == ""
-            assert err.count("\n") == 1 and err.endswith("\n")
-            payload = json.loads(err)
-            assert set(payload) == {"error", "message"}
+            b = 10 ** draw(st.integers(2151, 2200)) + draw(st.integers(1, 9))
+            rows = [[0, -1], [1, b]]
+            argv = ["cmjc"]
+        return [*argv, *draw(check)], _document(rows)
+
+    return long_entries() if limit == "long-entries" else long_factors()
+
+
+@pytest.mark.parametrize(
+    "limit, examples",
+    [("fraction-sum", 40), ("nesting", 30), ("exponent", 30), ("long-entries", 30),
+     ("long-factors", 8)],
+)
+def test_limit_aimed_requests_keep_the_cli_contract(limit, examples):
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=examples, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(_limit_requests(hypothesis.strategies, limit))
+    def check(request):
+        _assert_cli_contract(*request)
 
     check()
 
@@ -452,6 +577,45 @@ def test_result_past_the_str_digit_limit_is_written_in_full():
     assert code == 0, err
     value = json.loads(out)["value"]["entries"]
     assert value == [["1" + "0" * 5000, "0"], ["0", "1"]]
+
+
+def _document(rows):
+    return json.dumps({"entries": [[_int_to_string(x) for x in row] for row in rows]})
+
+
+def test_an_error_message_writes_integers_past_the_str_digit_limit_in_full():
+    # the Gram matrix is 10^2400 [[10, 14], [14, 20]], whose irreducible
+    # minimal polynomial has a constant term of 4,801 digits
+    b = 10**1200
+    code, out, err = run_cli(["svd"], input_text=_document([[b, 2 * b], [3 * b, 4 * b]]))
+    assert (code, out) == (3, "")
+    factor = "4" + "0" * 4800 + " - 3" + "0" * 2401 + "*X + X^2"
+    assert json.loads(err) == {
+        "error": "SingularValuesNotRational",
+        "message": f"Gram matrix has irrational eigenvalues (factor {factor})",
+    }
+
+
+def test_a_radicand_message_writes_integers_past_the_str_digit_limit_in_full():
+    # the eigenvalues of [[0, -1], [1, b]] ask for sqrt(b^2 - 4), a
+    # 4,400-digit radicand with two prime factors of over 4,000 digits
+    code, out, err = run_cli(["cmjc"], input_text=_document([[0, -1], [1, 10**2200]]))
+    assert (code, out) == (3, "")
+    error = json.loads(err)
+    assert error["error"] == "RadicandTooLarge"
+    assert error["message"].startswith(f"cannot certify the square part of {'9' * 4399}6: ")
+
+
+@pytest.mark.parametrize("n", [100, 400])
+def test_a_sum_of_large_fractions_is_refused_at_once(n):
+    # the common denominator of two 2,048-bit denominators is past the
+    # bound at the first sum; the whole sum used to take seconds
+    text = "+".join(f"1/{2**2047 + 2 * k + 1}" for k in range(n))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["apply", "--poly", text], input_text=UPPER_2)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "PolyParseError"
 
 
 class TestGen:
@@ -533,6 +697,31 @@ class TestGen:
         assert doc["n"] == 4
         code, _, err = run_cli(["fine", "--check"], input_text=out)
         assert code == 0, err
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--minpoly", "X-1", "--blocks", "X-2"],
+             "argument --blocks: not allowed with argument --minpoly"),
+            (["--blocks", "X-2", "--family", "gram"],
+             "argument --family: not allowed with argument --blocks"),
+            (["--family", "gram", "--minpoly", "X-1"],
+             "argument --minpoly: not allowed with argument --family"),
+            (["--minpoly", "X-1", "--size", "4"],
+             "--size applies to --family only, not to --minpoly or --blocks"),
+            (["--size", "4", "--blocks", "X-2"],
+             "--size applies to --family only, not to --minpoly or --blocks"),
+        ],
+        ids=["minpoly-blocks", "blocks-family", "family-minpoly", "minpoly-size", "blocks-size"],
+    )
+    def test_one_source_per_document(self, extra, message):
+        # each pair used to build from one source and drop the other
+        code, out, err = run_cli(["gen", "--seed", "0", *extra])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "UsageError", "message": message}
+
+    def test_no_source_is_the_general_family(self):
+        assert gen("plain", "--size", "5") == gen("plain", "--family", "general", "--size", "5")
 
     @pytest.mark.parametrize("family", ["general", "invertible-quadratic", "gram", "normal"])
     def test_families_produce_valid_documents(self, family):

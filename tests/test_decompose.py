@@ -8,6 +8,7 @@ from oracles import fraction_minimal_polynomial
 
 import mindec.decompose as decompose_mod
 from mindec.decompose import (
+    FineComponent,
     FineDecomposition,
     fine_decompose,
     multiplicative_jc,
@@ -336,6 +337,30 @@ class TestFineSplit:
         comps[i] = replace(comps[i], semisimple=semisimple, factor=factor)
         report = verify_fine(M, replace(fd, components=tuple(comps)))
         assert "component-min-poly" in {c.name for c in report.failed_checks()}
+
+    @pytest.mark.parametrize(
+        "diagonal, parts",
+        [
+            # one component merges the classes of 1 and 2 under (X-1)(X-2)
+            ((1, 2, 0), [((X - 1) * (X - 2), (1, 2, 0))]),
+            # two components split the class of 1, each under X - 1
+            ((1, 1, 0), [(X - 1, (1, 0, 0)), (X - 1, (0, 1, 0))]),
+        ],
+        ids=["merged-classes", "split-class"],
+    )
+    def test_component_min_poly_takes_each_factor_of_m_once(self, diagonal, parts):
+        # the candidate sums to M, its parts annihilate one another and
+        # its kernels are right; only the one-component-per-factor rule
+        # of the fine decomposition tells it from the true one
+        def diag(d):
+            return DenseMatrix([[d[i] if i == j else 0 for j in range(3)] for i in range(3)])
+
+        M, zero = diag(diagonal), DenseMatrix.zeros(3)
+        comps = [FineComponent(m, 1, diag(s), zero) for m, s in parts]
+        candidate = FineDecomposition((*comps, FineComponent(X, 1, zero, zero)), len(comps))
+        assert verify_fine(M, fine_decompose(M)).passed
+        report = verify_fine(M, candidate)
+        assert {c.name for c in report.failed_checks()} == {"component-min-poly"}
 
 
 class TestNilpotencyCertificates:

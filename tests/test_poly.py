@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from oracles import (
@@ -18,6 +18,7 @@ from mindec.errors import BothZero, FieldMismatch, ZeroPolynomial
 from mindec.poly import (
     Polynomial,
     X,
+    binary_power,
     compose_mod,
     ext_gcd,
     hasse_derivative,
@@ -51,6 +52,24 @@ class TestArithmetic:
         p = Polynomial((1, 2, 1))
         assert p**3 == p * p * p
         assert p**0 == Polynomial((1,))
+
+    def test_binary_power_squares_and_multiplies_from_no_product(self):
+        # e >= 1 costs floor(log2 e) squarings and popcount(e) - 1 more
+        # products; the powers of every type take this one loop
+        products = []
+
+        def times(a, b):
+            products.append((a, b))
+            return a * b
+
+        field = NumberField((-2, 0, 1))
+        y = field.gen()
+        for e in range(1, 70):
+            products.clear()
+            assert binary_power(3, e, times) == 3**e
+            assert len(products) == e.bit_length() - 1 + bin(e).count("1") - 1
+            assert (X + 1) ** e == Polynomial([comb(e, k) for k in range(e + 1)])
+            assert y**e == field.element((2 ** (e // 2),) if e % 2 == 0 else (0, 2 ** (e // 2)))
 
     def test_monic_scales_leading_coefficient(self):
         p = Polynomial((2, 0, 4))

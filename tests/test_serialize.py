@@ -12,8 +12,8 @@ import pytest
 from mindec.errors import FormatError, PolyParseError
 from mindec.generator import random_matrix
 from mindec.matrix import DenseMatrix
-from mindec.poly import Polynomial, X
-from mindec.scalar import _STR_BITS, MultiQuad, rational_from_string
+from mindec.poly import _STR_BITS, Polynomial, X
+from mindec.scalar import MultiQuad, rational_from_string
 from mindec.selftest import run_cli
 from mindec.serialize import (
     MAX_POLY_BITS,
@@ -422,6 +422,24 @@ class TestPolyGrammar:
         p = parse_poly_expression(f"(X+2^1000*2^{half - 1001})^2")
         assert time.perf_counter() - t0 < 2.0
         assert p.coefficient(0) == 2 ** (MAX_POLY_BITS - 2)
+
+    def test_a_literal_and_a_sum_are_bounded_as_a_coefficient_list_is(self):
+        # 2^k - 1 takes k bits and 2^k + 1 one more; a denominator
+        # counts its own bits
+        top = 2**MAX_POLY_BITS
+        assert parse_poly_expression(str(top - 1)) == Polynomial((top - 1,))
+        assert parse_poly_expression(f"1/{top - 1}") == Polynomial((Fraction(1, top - 1),))
+        with pytest.raises(PolyParseError, match="literal at position 0 .* 2049 bits"):
+            parse_poly_expression(str(top + 1))
+        with pytest.raises(PolyParseError, match="literal at position 2 .* 2049 bits"):
+            parse_poly_expression(f"X+1/{top}")
+        # each sum is checked as it is formed
+        half = str(top // 2)
+        assert parse_poly_expression(f"{half} + {half}") == Polynomial((top,))
+        with pytest.raises(PolyParseError, match="sum at position"):
+            parse_poly_expression(f"{half} + {half} + 1")
+        with pytest.raises(PolyParseError, match="sum at position"):
+            parse_poly_expression(f"1/{top - 1} - 1/{top - 3}")
 
     @pytest.mark.parametrize(
         "text, message",
