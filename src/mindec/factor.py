@@ -251,7 +251,8 @@ def _int_poly(p: Polynomial) -> List[int]:
 
 def _factor_squarefree(w: List[int]) -> List[Polynomial]:
     """Monic rational irreducible factors of a primitive squarefree
-    integer polynomial with positive leading coefficient."""
+    integer polynomial with positive leading coefficient, in no set
+    order: :func:`factor_rational` sorts them by :func:`factor_order`."""
     n = len(w) - 1
     if n == 1:
         return [Polynomial._of_ints(w, w[1])]
@@ -261,8 +262,7 @@ def _factor_squarefree(w: List[int]) -> List[Polynomial]:
         s = isqrt(disc) if disc > 0 else 0
         if s * s != disc:
             return [Polynomial._of_ints(w, a)]
-        # w = a (X + (b - s)/2a)(X + (b + s)/2a), in the (degree,
-        # coefficients) order of the general case
+        # w = a (X + (b - s)/2a)(X + (b + s)/2a)
         return [Polynomial._of_ints((b + t, 2 * a), 2 * a) for t in (-s, s)]
     lead = w[-1]
     # monicize: F(X) = lead^(n-1) * w(X/lead) is monic with integer
@@ -278,10 +278,7 @@ def _factor_squarefree(w: List[int]) -> List[Polynomial]:
     while target < bound:
         target *= target
     found = _recombine(F, _hensel_tree(F, modular, p, target), target)
-    return sorted(
-        (_descale(h, lead) for h in found),
-        key=lambda q: (q.degree, q.coeffs),
-    )
+    return [_descale(h, lead) for h in found]
 
 
 def _best_prime(F: List[int]):

@@ -136,15 +136,15 @@ def random_matrix(seed: str, max_size: int = 6) -> GeneratedMatrix:
     pool = IRREDUCIBLE_POOL + (X,)
     budget = rng.randint(2, max_size)
     parts: List[Tuple[Polynomial, int]] = []
-    used = {}
+    used: List[Polynomial] = []
     while budget > 0:
-        candidates = [m for m in pool if m.degree <= budget and m.coeffs not in used]
+        candidates = [m for m in pool if m.degree <= budget and m not in used]
         if not candidates:
             break
         m = rng.choice(candidates)
         mu = rng.randint(1, min(budget // m.degree, 3))
         parts.append((m, mu))
-        used[m.coeffs] = mu
+        used.append(m)
         budget -= mu * m.degree
         # a lower-power twin block shrinks the geometric multiplicity gap
         if rng.random() < 0.3 and budget >= m.degree:
@@ -187,15 +187,15 @@ def random_invertible_quadratic(seed: str, max_size: int = 5) -> GeneratedMatrix
     rng = random.Random(f"mjc:{seed}")
     budget = rng.randint(2, max_size)
     parts: List[Tuple[Polynomial, int]] = []
-    used = set()
+    used: List[Polynomial] = []
     while budget > 0:
-        candidates = [m for m in QUADRATIC_POOL if m.degree <= budget and m.coeffs not in used]
+        candidates = [m for m in QUADRATIC_POOL if m.degree <= budget and m not in used]
         if not candidates:
             break
         m = rng.choice(candidates)
         mu = rng.randint(1, min(budget // m.degree, 2))
         parts.append((m, mu))
-        used.add(m.coeffs)
+        used.append(m)
         budget -= mu * m.degree
     if not parts:
         parts = [(rng.choice(QUADRATIC_POOL), 1)]

@@ -12,8 +12,11 @@ from, and then its entries and trace read as Fractions; otherwise they
 read as MultiQuads over Q(sqrt(d1), ...).
 
 A product is one integer ``mat_mul`` (in :mod:`mindec._kernel`) per
-pair of labels, combined through sqrt(a) * sqrt(b) = coef * sqrt(label);
-sums, scalar multiples, transposes and powers run on the parts too.
+pair of labels, combined through sqrt(a) * sqrt(b) = coef * sqrt(label).
+Every sum, difference, negation, scalar multiple and scaled identity,
+and each Paterson-Stockmeyer chunk, is one integer linear combination
+of the parts over their least common denominator (:func:`_combination`);
+transposes and powers run on the parts too.
 A polynomial is evaluated at M by the Paterson-Stockmeyer scheme
 (:func:`horner_eval`): baby steps M^2 ... M^b, b about sqrt(deg + 1),
 kept on M's analysis and shared by every polynomial evaluated at M,
@@ -127,7 +130,7 @@ class DenseMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "DenseMatrix":
-        return cls._of_parts(n, {1: _int_identity(n, 1)}, 1)
+        return cls._of_parts(n, {1: _int_identity(n)}, 1)
 
     @classmethod
     def zeros(cls, n: int) -> "DenseMatrix":
@@ -136,9 +139,7 @@ class DenseMatrix:
     @classmethod
     def scaled_identity(cls, n: int, c) -> "DenseMatrix":
         """c times the identity, c rational or MultiQuad."""
-        cs, cd = _scalar_parts(c)
-        parts = {lbl: _int_identity(n, x) for lbl, x in cs.items()}
-        return cls._of_parts(n, parts, cd)
+        return _combination(n, (), _scalar_parts(c))
 
     @property
     def rows(self) -> Tuple[tuple, ...]:
@@ -205,32 +206,20 @@ class DenseMatrix:
     def __add__(self, other):
         if not isinstance(other, DenseMatrix):
             return NotImplemented
-        return _combine(self, other, 1)
+        return _combination(self.n, ((_ONE, self), (_ONE, other)))
 
     def __sub__(self, other):
         if not isinstance(other, DenseMatrix):
             return NotImplemented
-        return _combine(self, other, -1)
+        return _combination(self.n, ((_ONE, self), (_MINUS_ONE, other)))
 
     def __neg__(self):
-        parts = {lbl: _scaled(p, -1) for lbl, p in self._parts.items()}
-        return DenseMatrix._of_parts(self.n, parts, self._den)
+        return _combination(self.n, ((_MINUS_ONE, self),))
 
     def __mul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            p = scalar.numerator
-            parts = {lbl: _scaled(P, p) for lbl, P in self._parts.items()}
-            return _reduced(self.n, parts, self._den * scalar.denominator)
-        if isinstance(scalar, MultiQuad):
-            cs, cd = _scalar_parts(scalar)
-            terms: Dict[int, list] = {}
-            for la, A in self._parts.items():
-                for lc, x in cs.items():
-                    coef, lbl = _label_mul(la, lc)
-                    terms.setdefault(lbl, []).append((coef * x, A))
-            parts = {lbl: _lincomb(t) for lbl, t in terms.items()}
-            return _reduced(self.n, parts, self._den * cd)
-        return NotImplemented
+        if not isinstance(scalar, (int, Fraction, MultiQuad)):
+            return NotImplemented
+        return _combination(self.n, ((_scalar_parts(scalar), self),))
 
     __rmul__ = __mul__
 
@@ -269,9 +258,9 @@ class DenseMatrix:
         return f"DenseMatrix({[[str(e) for e in row] for row in self.rows]})"
 
 
-def _int_identity(n: int, c: int) -> Tuple[tuple, ...]:
+def _int_identity(n: int) -> Tuple[tuple, ...]:
     zero = (0,) * n
-    return tuple(zero[:i] + (c,) + zero[i + 1 :] for i in range(n))
+    return tuple(zero[:i] + (1,) + zero[i + 1 :] for i in range(n))
 
 
 def _zeros(n: int) -> tuple:
@@ -305,28 +294,21 @@ def _reduced(n: int, parts: Parts, den: int) -> DenseMatrix:
     return DenseMatrix._of_parts(n, parts, den)
 
 
-def _coords(e) -> Dict[int, Fraction]:
-    # {label: coefficient} of a Fraction or MultiQuad entry
-    if type(e) is MultiQuad:
-        return e._coords
-    return {1: e} if e else {}
-
-
 def _parts_of_rows(rows) -> Tuple[Parts, int]:
     """(parts, den) of rows of Fraction and MultiQuad entries.  den is
     the lcm of the reduced coordinate denominators, so no factor is
     common to den and every part, and only nonzero parts arise."""
     n = len(rows)
-    coords = [[_coords(e) for e in r] for r in rows]
-    den = lcm(*(c.denominator for r in coords for e in r for c in e.values()))
+    scalars = [[_scalar_parts(e) for e in r] for r in rows]
+    den = lcm(*(e for r in scalars for _, e in r))
     parts: Dict[int, list] = {}
-    for i, r in enumerate(coords):
-        for j, e in enumerate(r):
-            for lbl, c in e.items():
+    for i, r in enumerate(scalars):
+        for j, (c, e) in enumerate(r):
+            for lbl, x in c.items():
                 part = parts.get(lbl)
                 if part is None:
                     part = parts[lbl] = [[0] * n for _ in range(n)]
-                part[i][j] = c.numerator * (den // c.denominator)
+                part[i][j] = x * (den // e)
     return {lbl: tuple(map(tuple, p)) for lbl, p in sorted(parts.items())}, den
 
 
@@ -356,40 +338,47 @@ def _scalar_parts(c) -> Tuple[Dict[int, int], int]:
 
 def _lincomb(terms) -> tuple:
     """sum(coef * P) over the (coef, P) in terms, P integer matrices;
-    row by row, as mat_mul sums its row multiples."""
+    term by term over the rows, a coefficient of 1 or -1 by a plain add
+    or sub."""
     (coef, P), *rest = terms
-    if not rest:
-        return _scaled(P, coef)
-    out = []
-    for i, row in enumerate(P):
-        acc = [coef * x for x in row]
-        for c, Q in rest:
-            acc = [s + c * x for s, x in zip(acc, Q[i])]
-        out.append(tuple(acc))
-    return tuple(out)
-
-
-def _combine(A: DenseMatrix, B: DenseMatrix, sign: int) -> DenseMatrix:
-    """A + sign * B, sign in (1, -1), part by part over the lcm of the
-    two denominators."""
-    ap, ad, bp, bd = A._parts, A._den, B._parts, B._den
-    den = ad // gcd(ad, bd) * bd
-    fa, fb = den // ad, sign * (den // bd)
-    parts = {}
-    for lbl in chain(ap, (lbl for lbl in bp if lbl not in ap)):
-        P, Q = ap.get(lbl), bp.get(lbl)
-        if Q is None:
-            parts[lbl] = _scaled(P, fa)
-        elif P is None:
-            parts[lbl] = _scaled(Q, fb)
-        elif fa == 1 and fb in (1, -1):
-            op = add if fb == 1 else sub
-            parts[lbl] = tuple(tuple(map(op, rp, rq)) for rp, rq in zip(P, Q))
+    acc = _scaled(P, coef)
+    for c, Q in rest:
+        if c in (1, -1):
+            acc = [map(add if c == 1 else sub, a, q) for a, q in zip(acc, Q)]
         else:
-            parts[lbl] = tuple(
-                tuple(fa * x + fb * y for x, y in zip(rp, rq)) for rp, rq in zip(P, Q)
-            )
-    return _reduced(A.n, parts, den)
+            acc = [[s + c * x for s, x in zip(a, q)] for a, q in zip(acc, Q)]
+    return tuple(map(tuple, acc)) if rest else acc
+
+
+#: the scalars 1 and -1 as ({label: integer}, den)
+_ONE, _MINUS_ONE = ({1: 1}, 1), ({1: -1}, 1)
+
+
+def _combination(n: int, terms, const=({}, 1)) -> DenseMatrix:
+    """const * I + sum(c * A) over the (c, A) in terms, each scalar a
+    ({label: integer}, den) pair of :func:`_scalar_parts`: one integer
+    linear combination per label over the least common denominator,
+    through sqrt(a) * sqrt(b) = coef * sqrt(label), the constant added
+    on the diagonals only, then reduced once.  Every sum, difference,
+    negation, scalar multiple and scaled identity is one call, and so
+    is each Paterson-Stockmeyer chunk of :func:`horner_eval`."""
+    c0, e0 = const
+    used = [(c, e * A._den, A) for (c, e), A in terms if c]
+    D = lcm(e0, *(de for _, de, _ in used))
+    by_label: Dict[int, list] = {}
+    for c, de, A in used:
+        f = D // de
+        for la, P in A._parts.items():
+            for lc, x in c.items():
+                coef, lbl = _label_mul(la, lc)
+                by_label.setdefault(lbl, []).append((coef * x * f, P))
+    parts = {lbl: _lincomb(t) for lbl, t in by_label.items()}
+    f0 = D // e0
+    for lc, x in c0.items():
+        y = x * f0
+        P = parts.get(lc) or _zeros(n)
+        parts[lc] = tuple(r[:i] + (r[i] + y,) + r[i + 1 :] for i, r in enumerate(P))
+    return _reduced(n, parts, D)
 
 
 def _rational_ints(M: DenseMatrix, what: str) -> Tuple[tuple, int]:
@@ -409,7 +398,7 @@ def inverse(M: DenseMatrix) -> DenseMatrix:
     to [den*I | R], and M^-1 = d*R/den."""
     num, d = _rational_ints(M, "inverse")
     n = M.n
-    red, den, pivots = _kernel.rref([r + e for r, e in zip(num, _int_identity(n, 1))])
+    red, den, pivots = _kernel.rref([r + e for r, e in zip(num, _int_identity(n))])
     if pivots[:n] != list(range(n)):
         raise SingularMatrix("matrix has no inverse")
     return _reduced(n, {1: tuple(tuple(d * x for x in r[n:]) for r in red)}, den)
@@ -454,8 +443,8 @@ def horner_eval(f: Polynomial, M: DenseMatrix) -> DenseMatrix:
     analysis: there d <= deg m takes b = d, the table grows to M^d,
     never past M^(deg m), and f(M) is a single combination with no
     giant step; d > deg m keeps b = isqrt(d) + 1.  Each C_j(M), plus
-    acc @ M^b, is one integer linear combination per label of the parts
-    over their least common
+    acc @ M^b, is one :func:`_combination`: one integer linear
+    combination per label of the parts over their least common
     denominator, its constant term added on the diagonals only, then
     reduced once.  So f(M) costs about 2*sqrt(d) products instead of
     d.  Coefficients are rational or MultiQuad, at any matrix; others
@@ -475,9 +464,10 @@ def horner_eval(f: Polynomial, M: DenseMatrix) -> DenseMatrix:
     powers = _baby_steps(M, b)
     b = min(len(powers), d)
     g = (d - 1) // b
-    acc = _chunk(n, cs[g * b :], powers, None)
+    acc = _combination(n, zip(cs[g * b + 1 :], powers), cs[g * b])
     for j in range(g - 1, -1, -1):
-        acc = _chunk(n, cs[j * b : j * b + b], powers, acc @ powers[b - 1])
+        giant = (_ONE, acc @ powers[b - 1])
+        acc = _combination(n, (giant, *zip(cs[j * b + 1 : j * b + b], powers)), cs[j * b])
     return acc
 
 
@@ -535,34 +525,6 @@ def _baby_steps(M: DenseMatrix, b: int) -> tuple:
             steps.append(last)
         kept = M.analysis.powers = tuple(steps)
     return (M,) + kept
-
-
-def _chunk(n: int, cs, powers: tuple, giant) -> DenseMatrix:
-    """giant + sum(cs[k] * M^k), M^k = powers[k - 1] (M^0 = I and giant
-    a matrix or None), as one integer combination per label over the
-    least common denominator; the constant goes on the diagonals only."""
-    (c0, e0), rest = cs[0], cs[1:]
-    used = [(c, e * P._den, P) for (c, e), P in zip(rest, powers) if c]
-    if not used and not c0:
-        return giant
-    D = lcm(e0, *(de for _, de, _ in used))
-    terms: Dict[int, list] = {}
-    if giant is not None:
-        D = lcm(D, giant._den)
-        terms = {la: [(D // giant._den, A)] for la, A in giant._parts.items()}
-    for c, de, P in used:
-        fp = D // de
-        for la, A in P._parts.items():
-            for lc, x in c.items():
-                coef, lbl = _label_mul(la, lc)
-                terms.setdefault(lbl, []).append((coef * x * fp, A))
-    parts = {lbl: _lincomb(t) for lbl, t in terms.items()}
-    f0 = D // e0
-    for lc, x in c0.items():
-        y = x * f0
-        P = parts.get(lc) or _zeros(n)
-        parts[lc] = tuple(r[:i] + (r[i] + y,) + r[i + 1 :] for i, r in enumerate(P))
-    return _reduced(n, parts, D)
 
 
 def minimal_polynomial(M: DenseMatrix) -> Polynomial:

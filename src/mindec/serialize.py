@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional, Union
 from mindec.errors import FormatError, OrderTooLarge, PolyParseError
 from mindec.matrix import DenseMatrix
 from mindec.poly import Polynomial, X, _int_to_string, ratio_to_string
-from mindec.scalar import MultiQuad, int_from_digits, rational_from_string
+from mindec.scalar import MultiQuad, _ascii_digits, int_from_digits, rational_from_string
 
 Scalar = Union[Fraction, MultiQuad]
 
@@ -52,10 +52,14 @@ def scalar_from_json(obj) -> Scalar:
     if isinstance(obj, dict):
         coords = {}
         for label, coeff in obj.items():
+            # a sign and ASCII digits, the rule of rational_from_string
+            text = label.strip() if isinstance(label, str) else ""
+            if not _ascii_digits(text[1:] if text[:1] in "+-" else text):
+                raise FormatError(f"bad radicand label: {label!r}")
             try:
-                key = int(label)
-            except (TypeError, ValueError):
-                raise FormatError(f"bad radicand label: {label!r}") from None
+                key = int_from_digits(text)
+            except PolyParseError as exc:
+                raise FormatError(f"radicand label: {exc}") from None
             if not isinstance(coeff, str):
                 raise FormatError(f"coordinate for {label!r} must be a string")
             try:

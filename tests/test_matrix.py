@@ -387,8 +387,16 @@ class TestIntegerRepresentation:
             if B.n != A.n:
                 B = DenseMatrix([[big_entry(rng) for _ in range(A.n)] for _ in range(A.n)])
             f = Polynomial((Fraction(1, 3), Fraction(-2, 1000003), Fraction(5, 7)))
-            for M in (A, A @ B, A + B, A - B, -A, A * Fraction(-6, 65537), A.transpose(), horner_eval(f, A)):
+            n, sqrt2 = A.n, MultiQuad({2: 1})
+            # zero scalars and zero matrices, a double negation, and 1 + X^9
+            # at a matrix with no analysis: b = 4, and the middle
+            # Paterson-Stockmeyer chunk is all zero
+            for M in (A, A @ B, A + B, A - B, -A, A * Fraction(-6, 65537), A.transpose(), horner_eval(f, A),
+                      A * 0, 0 * A, A * MultiQuad(0), DenseMatrix.zeros(n) * sqrt2,
+                      DenseMatrix.scaled_identity(n, 0), -(-A), horner_eval(1 + X**9, DenseMatrix(A.rows))):
                 assert_canonical(M)
+            # the constant lands on a label no part of A has
+            assert_mq_canonical(A + DenseMatrix.scaled_identity(n, sqrt2))
 
     def test_arithmetic_matches_fraction_oracle(self):
         rng = random.Random("repr-arith")
@@ -604,9 +612,19 @@ class TestMultiQuadRepresentation:
                 assert as_lists(B - A) == [[y - x for x, y in zip(p, q)] for p, q in zip(a, b)]
                 assert (A @ B == B @ A) == (entrywise_matmul(a, b) == entrywise_matmul(b, a))
             assert as_lists(-A) == [[-x for x in p] for p in a]
-            for c in (Fraction(-3, 1000033), 7, 0, MultiQuad({-1: 2, 3: Fraction(1, 5)}), MultiQuad({6: 1})):
+            assert as_lists(-(-A)) == a
+            for c in (Fraction(-3, 1000033), 7, 0, MultiQuad(0), MultiQuad({-1: 2, 3: Fraction(1, 5)}), MultiQuad({6: 1})):
                 assert as_lists(A * c) == [[x * c for x in p] for p in a]
                 assert as_lists(c * A) == [[c * x for x in p] for p in a]
+            sqrt2, zero = MultiQuad({2: 1}), [[0] * n for _ in range(n)]
+            assert as_lists(DenseMatrix.zeros(n) * sqrt2) == zero
+            assert as_lists(DenseMatrix.scaled_identity(n, 0)) == zero
+            # a rational B: the constant lands on a label no part of B has
+            assert as_lists(B + DenseMatrix.scaled_identity(n, sqrt2)) == [
+                [x + sqrt2 * (i == j) for j, x in enumerate(p)] for i, p in enumerate(b)
+            ]
+            # b = 4 at a matrix with no analysis, the middle chunk all zero
+            assert as_lists(horner_eval(1 + X**9, DenseMatrix(A.rows))) == plain_poly_at((1,) + (0,) * 8 + (1,), a)
             assert as_lists(A.transpose()) == [list(r) for r in zip(*a)]
             assert A.trace() == sum((a[i][i] for i in range(n)), MultiQuad(0))
             assert A.is_zero == all(not x for p in a for x in p)
@@ -620,8 +638,12 @@ class TestMultiQuadRepresentation:
         f = Polynomial((MultiQuad({2: Fraction(1, 3)}), Fraction(-2, 1000003), MultiQuad({-1: 5, 1: 1})))
         for A in mq_cases(rng):
             B = mq_matrix(rng, A.n)
+            n, sqrt2, R = A.n, MultiQuad({2: 1}), rand_matrix(random.Random(f"mq-canonical-{A.n}"), A.n)
             for M in (A, A @ B, A + B, A - B, -A, A * Fraction(-6, 65537), A * MultiQuad({3: Fraction(2, 9)}),
-                      A.transpose(), horner_eval(f, A), A - A, (A * 6) * Fraction(1, 6)):
+                      A.transpose(), horner_eval(f, A), A - A, (A * 6) * Fraction(1, 6),
+                      A * 0, 0 * A, A * MultiQuad(0), DenseMatrix.zeros(n) * sqrt2,
+                      DenseMatrix.scaled_identity(n, 0), R + DenseMatrix.scaled_identity(n, sqrt2), -(-A),
+                      horner_eval(1 + X**9, DenseMatrix(A.rows))):
                 assert_mq_canonical(M)
             # the same values reached two ways compare equal
             assert (A * 6) * Fraction(1, 6) == A

@@ -92,8 +92,11 @@ class TestScalarJson:
     def test_bad_inputs(self):
         with pytest.raises(FormatError):
             scalar_from_json("seven")
-        with pytest.raises(FormatError):
-            scalar_from_json({"abc": "1"})
+        # a radicand label is a sign and ASCII digits, as a coordinate is:
+        # an Arabic-Indic 4 and an underscore are refused, not read as 4 and 40
+        for label in ("abc", "\u0664", "4_0"):
+            with pytest.raises(FormatError, match="radicand label"):
+                scalar_from_json({label: "1"})
         with pytest.raises(FormatError):
             scalar_from_json({"2": 3})
         with pytest.raises(FormatError):
