@@ -36,6 +36,7 @@ from mindec.matrix import (
     is_minimal_polynomial,
     is_semisimple,
     kernel_basis,
+    linear_combination,
     minimal_polynomial,
     rank,
 )
@@ -67,16 +68,12 @@ class FineDecomposition:
     zero_index: Optional[int]
 
     def total_semisimple(self) -> DenseMatrix:
-        acc = self.components[0].semisimple
-        for c in self.components[1:]:
-            acc = acc + c.semisimple
-        return acc
+        n = self.components[0].semisimple.n
+        return linear_combination(n, [(1, c.semisimple) for c in self.components])
 
     def total_nilpotent(self) -> DenseMatrix:
-        acc = self.components[0].nilpotent
-        for c in self.components[1:]:
-            acc = acc + c.nilpotent
-        return acc
+        n = self.components[0].nilpotent.n
+        return linear_combination(n, [(1, c.nilpotent) for c in self.components])
 
 
 @dataclass(frozen=True)
@@ -410,7 +407,7 @@ def multiplicative_jc(M: DenseMatrix) -> MultiplicativeJC:
     if sn.system.factored.zero_index is not None:
         raise SingularMatrix("matrix is singular; no multiplicative decomposition")
     S = sn.semisimple
-    U = DenseMatrix.identity(M.n) + inverse(S) @ sn.nilpotent
+    U = linear_combination(M.n, [(1, inverse(S) @ sn.nilpotent)], 1)
     jc = MultiplicativeJC(semisimple=S, unipotent=U)
     return attach_report(jc, verify_mjc(M, jc))
 
@@ -418,10 +415,8 @@ def multiplicative_jc(M: DenseMatrix) -> MultiplicativeJC:
 def verify_unbreakable(M: DenseMatrix, components: Sequence[DenseMatrix]) -> VerificationReport:
     """Check an unbreakable-component list against its semisimple source."""
     report = VerificationReport("unbreakable components")
-    acc = DenseMatrix.zeros(M.n)
-    for c in components:
-        acc = acc + c
-    report.add("reassembly", "components sum to M", acc == M)
+    total = linear_combination(M.n, [(1, c) for c in components])
+    report.add("reassembly", "components sum to M", total == M)
     report.add(
         "pairwise-products",
         "U_h U_l = 0 for h != l",
@@ -467,7 +462,7 @@ def verify_mjc(M: DenseMatrix, jc: MultiplicativeJC) -> VerificationReport:
     report.add(
         "unipotent",
         "(U - I)^n = 0",
-        ((jc.unipotent - DenseMatrix.identity(M.n)) ** mu).is_zero,
+        (linear_combination(M.n, [(1, jc.unipotent)], -1) ** mu).is_zero,
     )
     return report
 
@@ -500,11 +495,8 @@ def verify_frobenius_system(
         for j in range(i + 1, len(coeffs))
     )
     report.add("coefficients", "coefficients pairwise distinct and nonzero", distinct)
-    assembled = DenseMatrix.zeros(n)
-    for c, A in zip(coeffs, matrices):
-        assembled = assembled + A * c
     rank_sum = sum(rank(A) for A in matrices)
-    singular = rank(assembled) < n
+    singular = rank(linear_combination(n, zip(coeffs, matrices))) < n
     report.add(
         "rank-criterion",
         "sum(rank A_i) < n iff 0 is an eigenvalue of sum(coeff_i A_i)",

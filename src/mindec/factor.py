@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import gcd, isqrt
 from typing import List, Optional, Tuple
 
@@ -64,21 +64,11 @@ def _gf_mul(a, b, p):
 
 
 def _gf_sub(a, b, p):
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, bi in enumerate(b):
-        out[i] = (out[i] - bi) % p
-    return _gf_trim(out)
+    return _gf_add(a, [-y for y in b], p)
 
 
 def _gf_add(a, b, m):
-    la, lb = len(a), len(b)
-    if la < lb:
-        a = list(a) + [0] * (lb - la)
-        b = list(b)
-    else:
-        a = list(a)
-        b = list(b) + [0] * (la - lb)
-    return _gf_trim([(x + y) % m for x, y in zip(a, b)])
+    return _gf_trim([(x + y) % m for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def _gf_monic(a, p):

@@ -47,6 +47,7 @@ from mindec.matrix import (
     companion,
     horner_eval,
     is_semisimple,
+    linear_combination,
     minimal_polynomial,
 )
 from mindec.poly import Polynomial, X, compose_mod
@@ -158,8 +159,7 @@ def fine_of_image(f: Polynomial, M: DenseMatrix) -> FineDecomposition:
     components = []
     zero_index = None
     for pos, cls in enumerate(result.classes):
-        first, *rest = (projectors[i] for i in cls.indices)
-        P_c = sum(rest, first)
+        P_c = linear_combination(M.n, [(1, projectors[i]) for i in cls.indices])
         S_c = P_c @ result.semisimple_part
         N_c = P_c @ result.nilpotent_part
         mult = 1

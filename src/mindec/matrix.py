@@ -12,11 +12,14 @@ from, and then its entries and trace read as Fractions; otherwise they
 read as MultiQuads over Q(sqrt(d1), ...).
 
 A product is one integer ``mat_mul`` (in :mod:`mindec._kernel`) per
-pair of labels, combined through sqrt(a) * sqrt(b) = coef * sqrt(label).
+pair of nonzero parts, so none when a factor is zero, combined through
+sqrt(a) * sqrt(b) = coef * sqrt(label).
 Every sum, difference, negation, scalar multiple and scaled identity,
 and each Paterson-Stockmeyer chunk, is one integer linear combination
 of the parts over their least common denominator (:func:`_combination`);
-transposes and powers run on the parts too.
+its public front :func:`linear_combination` takes rational or MultiQuad
+scalars, and every sum over eigenvalue classes is one call of it.
+Transposes and powers run on the parts too.
 A polynomial is evaluated at M by the Paterson-Stockmeyer scheme
 (:func:`horner_eval`): baby steps M^2 ... M^b, b about sqrt(deg + 1),
 kept on M's analysis and shared by every polynomial evaluated at M,
@@ -139,7 +142,7 @@ class DenseMatrix:
     @classmethod
     def scaled_identity(cls, n: int, c) -> "DenseMatrix":
         """c times the identity, c rational or MultiQuad."""
-        return _combination(n, (), _scalar_parts(c))
+        return linear_combination(n, (), c)
 
     @property
     def rows(self) -> Tuple[tuple, ...]:
@@ -229,19 +232,14 @@ class DenseMatrix:
         n = self.n
         if n != other.n:
             raise ValueError("order mismatch")
-        ap, bp = self._parts, other._parts
-        den = self._den * other._den
-        if len(ap) <= 1 and len(bp) <= 1:
-            # one integer product, also when a factor is zero
-            (la, A), (lb, B) = _sole(ap, n), _sole(bp, n)
-            coef, lbl = _label_mul(la, lb)
-            return _reduced(n, {lbl: _scaled(_kernel.mat_mul(A, B), coef)}, den)
+        # one integer product per pair of nonzero parts, so none when a
+        # factor is zero
         terms: Dict[int, list] = {}
-        for la, A in ap.items():
-            for lb, B in bp.items():
+        for la, A in self._parts.items():
+            for lb, B in other._parts.items():
                 coef, lbl = _label_mul(la, lb)
                 terms.setdefault(lbl, []).append((coef, _kernel.mat_mul(A, B)))
-        return _reduced(n, {lbl: _lincomb(t) for lbl, t in terms.items()}, den)
+        return _reduced(n, {lbl: _lincomb(t) for lbl, t in terms.items()}, self._den * other._den)
 
     def __pow__(self, k: int) -> "DenseMatrix":
         if k < 0:
@@ -265,13 +263,6 @@ def _int_identity(n: int) -> Tuple[tuple, ...]:
 
 def _zeros(n: int) -> tuple:
     return ((0,) * n,) * n
-
-
-def _sole(parts: Parts, n: int) -> Tuple[int, tuple]:
-    # the (label, part) of a matrix with at most one part; zero as label 1
-    if parts:
-        return next(iter(parts.items()))
-    return 1, _zeros(n)
 
 
 def _scaled(P: tuple, c: int) -> tuple:
@@ -350,6 +341,14 @@ def _lincomb(terms) -> tuple:
     return tuple(map(tuple, acc)) if rest else acc
 
 
+def linear_combination(n: int, terms, const=0) -> DenseMatrix:
+    """const * I + sum(c * A) over the (c, A) in terms, A of order n, each
+    scalar rational or MultiQuad (FieldMismatch otherwise): one
+    :func:`_combination`, so one integer linear combination per label,
+    reduced once.  Every sum over eigenvalue classes is one call."""
+    return _combination(n, [(_scalar_parts(c), A) for c, A in terms], _scalar_parts(const))
+
+
 #: the scalars 1 and -1 as ({label: integer}, den)
 _ONE, _MINUS_ONE = ({1: 1}, 1), ({1: -1}, 1)
 
@@ -386,7 +385,7 @@ def _rational_ints(M: DenseMatrix, what: str) -> Tuple[tuple, int]:
     for one with an irrational entry."""
     if not M.is_rational:
         raise FieldMismatch(f"{what} expects a matrix with rational entries")
-    return _sole(M._parts, M.n)[1], M._den
+    return M._parts.get(1) or _zeros(M.n), M._den
 
 
 def rank(M: DenseMatrix) -> int:

@@ -38,8 +38,12 @@ Delta, Sigma, U, the A_i and every product the verifiers form are
 matrices over Q(sqrt(d1), ...) in the integer form of
 :mod:`mindec.matrix`, sum(sqrt(label) * A_label) over one denominator;
 a rational matrix is the label-1 case, so rational and MultiQuad
-operands mix freely and no product here runs entry by entry.  Sigma's entries are real exactly when no nonzero part
-of Sigma has a negative label.
+operands mix freely and no product here runs entry by entry.  Delta,
+Sigma, each of P+ and P-, U = I + S^-1 N, the U - I of verify_cmjc and
+the sum(sigma_i A_i) of verify_svd_system are each one
+:func:`mindec.matrix.linear_combination` of their (scalar, matrix)
+terms.  Sigma's entries are real exactly when no nonzero part of Sigma
+has a negative label.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from mindec.matrix import (
     is_minimal_polynomial,
     is_normal,
     is_symmetric,
+    linear_combination,
     rank,
 )
 from mindec.poly import Polynomial, poly_gcd
@@ -110,10 +115,12 @@ def complete_mjc(M: DenseMatrix) -> DeltaSigmaU:
                 f"factor of degree {factor.degree}; eigenvalues leave quadratic extensions"
             )
     n = M.n
-    delta = sigma = DenseMatrix.zeros(n)
     radicands = set()
-    delta_eigen: List[MultiQuad] = []
-    sigma_lin: List[MultiQuad] = []
+    # (scalar, matrix) terms; Sigma's are kept in two lists because
+    # sigma_linear reads the real eigenvalues' alone
+    delta_terms: List[Tuple[MultiQuad, DenseMatrix]] = []
+    sigma_real: List[Tuple[MultiQuad, DenseMatrix]] = []
+    sigma_pairs: List[Tuple[MultiQuad, DenseMatrix]] = []
     sigma_quad: List[Polynomial] = []
     projectors = materialize_projectors(system, M)
     for (factor, _), E_i in zip(system.factored.factors, projectors):
@@ -126,30 +133,27 @@ def complete_mjc(M: DenseMatrix) -> DeltaSigmaU:
         else:
             norm = mq_sqrt_rational(q)  # q = root * conjugate root > 0
             radicands.update(norm.radicands)
-            delta = delta + E_i * norm
-            sigma = sigma + (E_i @ sn.semisimple) * norm.inverse()
-            _record(delta_eigen, norm)
+            delta_terms.append((norm, E_i))
+            sigma_pairs.append((norm.inverse(), E_i @ sn.semisimple))
             quad = Polynomial((MultiQuad(1), MultiQuad(p) * norm.inverse(), MultiQuad(1)))
             if quad not in sigma_quad:
                 sigma_quad.append(quad)
             continue
         # a real eigenvalue adds |root| to Delta and sign(root) to Sigma
         for root, proj in pairs:
-            sgn = root.sign()
-            delta = delta + proj * (root * sgn)
-            sigma = sigma + proj * sgn
-            _record(delta_eigen, root * sgn)
-            _record(sigma_lin, MultiQuad(sgn))
-    U = DenseMatrix.identity(n) + inverse(sn.semisimple) @ sn.nilpotent
+            sgn = MultiQuad(root.sign())
+            delta_terms.append((root * sgn, proj))
+            sigma_real.append((sgn, proj))
+    U = linear_combination(n, [(1, inverse(sn.semisimple) @ sn.nilpotent)], 1)
     dsu = DeltaSigmaU(
-        delta=delta,
-        sigma=sigma,
+        delta=linear_combination(n, delta_terms),
+        sigma=linear_combination(n, sigma_real + sigma_pairs),
         unipotent=U,
         radicands=tuple(sorted(radicands)),
         # class listings run from the largest absolute eigenvalue down,
         # ties broken with the positive sign first
-        delta_spectrum=tuple(sorted(delta_eigen, reverse=True)),
-        sigma_linear=tuple(sorted(sigma_lin, reverse=True)),
+        delta_spectrum=tuple(sorted({v for v, _ in delta_terms}, reverse=True)),
+        sigma_linear=tuple(sorted({v for v, _ in sigma_real}, reverse=True)),
         sigma_quadratics=tuple(sigma_quad),
     )
     return attach_report(dsu, verify_cmjc(M, dsu))
@@ -168,14 +172,9 @@ def split_real_pair(
     d, lam_plus, lam_minus = quadratic_roots(factor)
     inv_t = (lam_plus - lam_minus).inverse()
     return d, (
-        (lam_plus, (S - E * lam_minus) * inv_t),
-        (lam_minus, (E * lam_plus - S) * inv_t),
+        (lam_plus, linear_combination(E.n, [(inv_t, S), (-lam_minus * inv_t, E)])),
+        (lam_minus, linear_combination(E.n, [(lam_plus * inv_t, E), (-inv_t, S)])),
     )
-
-
-def _record(values: List[MultiQuad], v: MultiQuad):
-    if v not in values:
-        values.append(v)
 
 
 def _linear(v) -> Polynomial:
@@ -219,9 +218,10 @@ def verify_cmjc(M: DenseMatrix, dsu: DeltaSigmaU) -> VerificationReport:
         delta_sigma == sigma @ delta
         and all(A @ B == B @ A for A, B in ((delta, U), (sigma, U))),
     )
-    ident = DenseMatrix.identity(n)
     mu = _nilpotency_index(M)
-    report.add("unipotence", "(U - I)^n = 0", ((U - ident) ** mu).is_zero)
+    report.add(
+        "unipotence", "(U - I)^n = 0", (linear_combination(n, [(1, U)], -1) ** mu).is_zero
+    )
     report.add(
         "delta-spectrum",
         "minimal polynomial of Delta is the product of (X - v) over the "
@@ -373,10 +373,7 @@ def verify_svd_system(A: DenseMatrix, candidate) -> VerificationReport:
     )
     isometry_ok = all(B @ B.transpose() @ B == B for _, B in terms)
     report.add("partial-isometry", "A_i A_i^T A_i = A_i", isometry_ok)
-    acc = DenseMatrix.zeros(n)
-    for t, B in terms:
-        acc = acc + B * t
-    report.add("reassembly", "sum(sigma_i A_i) = A", acc == A)
+    report.add("reassembly", "sum(sigma_i A_i) = A", linear_combination(n, terms) == A)
     report.add(
         "kernel-sanity",
         "Ker(A^T A) = Ker(A)",

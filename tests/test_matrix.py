@@ -16,6 +16,7 @@ from oracles import (
     plain_poly_at,
 )
 
+from mindec import _kernel
 from mindec.errors import FieldMismatch, SingularMatrix
 from mindec.matrix import (
     DenseMatrix,
@@ -25,6 +26,7 @@ from mindec.matrix import (
     inverse,
     is_semisimple,
     kernel_basis,
+    linear_combination,
     minimal_polynomial,
     rank,
 )
@@ -397,6 +399,15 @@ class TestIntegerRepresentation:
                 assert_canonical(M)
             # the constant lands on a label no part of A has
             assert_mq_canonical(A + DenseMatrix.scaled_identity(n, sqrt2))
+            # Fraction and rational-valued MultiQuad scalars, and a MultiQuad constant
+            terms = [(Fraction(-6, 65537), A), (MultiQuad(3), B), (Fraction(1, 3), A @ B), (MultiQuad(-1), A)]
+            L = linear_combination(n, terms, MultiQuad(Fraction(5, 2)))
+            assert_canonical(L)
+            assert L == A * Fraction(-6, 65537) + B * 3 + (A @ B) * Fraction(1, 3) - A + DenseMatrix.scaled_identity(
+                n, Fraction(5, 2)
+            )
+            assert_canonical(linear_combination(n, [], MultiQuad(Fraction(5, 2))))
+            assert linear_combination(n, [], Fraction(-1, 3)) == DenseMatrix.identity(n) * Fraction(-1, 3)
 
     def test_arithmetic_matches_fraction_oracle(self):
         rng = random.Random("repr-arith")
@@ -625,6 +636,14 @@ class TestMultiQuadRepresentation:
             ]
             # b = 4 at a matrix with no analysis, the middle chunk all zero
             assert as_lists(horner_eval(1 + X**9, DenseMatrix(A.rows))) == plain_poly_at((1,) + (0,) * 8 + (1,), a)
+            # three terms, Fraction and MultiQuad scalars mixed, a MultiQuad
+            # constant; and no term at all
+            c1, c2, c3, c0 = Fraction(2, 7), MultiQuad({-1: 2, 3: Fraction(1, 5)}), sqrt2, MultiQuad({1: -1, 6: 3})
+            assert as_lists(linear_combination(n, [(c1, A), (c2, B), (c3, A)], c0)) == [
+                [c1 * x + c2 * y + c3 * x + c0 * (i == j) for j, (x, y) in enumerate(zip(p, q))]
+                for i, (p, q) in enumerate(zip(a, b))
+            ]
+            assert as_lists(linear_combination(n, (), c0)) == [[c0 * (i == j) for j in range(n)] for i in range(n)]
             assert as_lists(A.transpose()) == [list(r) for r in zip(*a)]
             assert A.trace() == sum((a[i][i] for i in range(n)), MultiQuad(0))
             assert A.is_zero == all(not x for p in a for x in p)
@@ -645,20 +664,40 @@ class TestMultiQuadRepresentation:
                       DenseMatrix.scaled_identity(n, 0), R + DenseMatrix.scaled_identity(n, sqrt2), -(-A),
                       horner_eval(1 + X**9, DenseMatrix(A.rows))):
                 assert_mq_canonical(M)
+            # Fraction and MultiQuad scalars mixed, a MultiQuad constant
+            c0 = MultiQuad({2: Fraction(1, 3), -1: 1})
+            terms = [(Fraction(-6, 65537), A), (sqrt2, B), (MultiQuad({3: Fraction(2, 9)}), R), (Fraction(1, 2), A @ B)]
+            L = linear_combination(n, terms, c0)
+            assert_mq_canonical(L)
+            assert L == A * Fraction(-6, 65537) + B * sqrt2 + R * MultiQuad({3: Fraction(2, 9)}) + (
+                A @ B
+            ) * Fraction(1, 2) + DenseMatrix.scaled_identity(n, c0)
+            assert_mq_canonical(linear_combination(n, [], c0))
             # the same values reached two ways compare equal
             assert (A * 6) * Fraction(1, 6) == A
             assert (A + B) - B == A
             assert (A - A).is_zero and A - A == DenseMatrix.zeros(A.n)
 
-    def test_rational_values_and_the_zero_matrix(self):
+    def test_rational_values_and_the_zero_matrix(self, monkeypatch):
         rng = random.Random("mq-rational")
         sqrt2 = MultiQuad({2: 1})
+        products = []
+        mat_mul = _kernel.mat_mul
+        monkeypatch.setattr(_kernel, "mat_mul", lambda A, B: products.append(1) or mat_mul(A, B))
         for n in (1, 2, 4):
             Z = DenseMatrix([[MultiQuad(0)] * n] * n)
             assert Z.is_zero and Z.is_rational and Z.labels == ()
             assert Z == DenseMatrix.zeros(n) and Z.rows == ((Fraction(0),) * n,) * n
             A, B = rand_matrix(rng, n), rand_matrix(rng, n)
             Aq = as_mq_entries(A)
+            # a zero factor, in either order, makes no integer product and
+            # gives the canonical zero
+            R = DenseMatrix([[Fraction(i + 2 * j + 1, 3) for j in range(n)] for i in range(n)])
+            products.clear()
+            for F in (R, as_mq_entries(R), R * sqrt2, R * sqrt2 + R * MultiQuad({-3: 1})):
+                for P in (F @ Z, Z @ F, F @ DenseMatrix.zeros(n), DenseMatrix.zeros(n) @ F):
+                    assert (P._parts, P._den, P.labels) == ({}, 1, ())
+            assert products == []
             assert (Aq @ Z).is_zero and (Z @ A).is_zero and (Z @ A).is_rational
             assert Aq.labels == ((1,) if not A.is_zero else ())
             # rational values read as Fractions, however they were reached

@@ -153,16 +153,21 @@ class TestSpectrumCertificate:
     # X - 2, X^2 - 2 (real pair) and X^2 + 1 (complex pair): Delta has
     # eigenvalues 2, sqrt(2), 1 and Sigma has 1, -1 and X^2 + 1
     M = companion(((X - 2 * ONE) * (X * X - 2 * ONE) * (X * X + ONE)).monic())
+    # with X + 2 as well: two linear classes share the absolute value 2
+    M_SHARED = companion(((X - 2 * ONE) * (X + 2 * ONE) * (X * X - 2 * ONE) * (X * X + ONE)).monic())
 
-    def _dsu(self):
-        dsu = complete_mjc(self.M)
+    def _dsu(self, M=M):
+        dsu = complete_mjc(M)
         assert len(dsu.delta_spectrum) == 3
         assert dsu.sigma_linear == (MultiQuad(1), MultiQuad(-1))
         assert dsu.sigma_quadratics == (Polynomial((MultiQuad(1), MultiQuad(0), MultiQuad(1))),)
         return dsu
 
     def test_honest_result_passes(self):
-        assert _spectrum_failures(self.M, self._dsu()) == set()
+        for M in (self.M, self.M_SHARED):
+            dsu = self._dsu(M)
+            assert dsu.delta_spectrum == (MultiQuad(2), SQRT2, MultiQuad(1))
+            assert _spectrum_failures(M, dsu) == set()
 
     @pytest.mark.parametrize("field", ["delta_spectrum", "sigma_linear"])
     def test_dropped_value_fails(self, field):
