@@ -51,7 +51,6 @@ E_i(M) S.  No command builds it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from mindec.errors import DoesNotSplit, PartitionOfUnityFailure, SystemMatrixMismatch
@@ -327,5 +326,8 @@ def quadratic_roots(m: Polynomial) -> Tuple[int, MultiQuad, MultiQuad]:
     p = m.coefficient(1)
     disc = p * p - 4 * m.coefficient(0)
     s, d = square_split(disc.numerator * disc.denominator)
-    centre, half_t = MultiQuad(-p / 2), MultiQuad({d: Fraction(s, 2 * disc.denominator)})
-    return d, centre + half_t, centre - half_t
+    # sqrt(disc) = s * sqrt(d) / disc.den, so over den = 2 * p.den * disc.den
+    # the coordinates of lambda+- are -p.num * disc.den and +-s * p.den
+    c0, c1 = -p.numerator * disc.denominator, s * p.denominator
+    den = 2 * p.denominator * disc.denominator
+    return d, MultiQuad._of_ints({1: c0, d: c1}, den), MultiQuad._of_ints({1: c0, d: -c1}, den)

@@ -18,7 +18,11 @@ Every sum, difference, negation, scalar multiple and scaled identity,
 and each Paterson-Stockmeyer chunk, is one integer linear combination
 of the parts over their least common denominator (:func:`_combination`);
 its public front :func:`linear_combination` takes rational or MultiQuad
-scalars, and every sum over eigenvalue classes is one call of it.
+scalars, and every sum over eigenvalue classes is one call of it.  A
+MultiQuad holds its coordinates in the same form, integers over one
+positive denominator, so :func:`_scalar_parts` reads a MultiQuad
+scalar's integers as they are, and entries read from the parts are
+built from the integers with no Fraction in between.
 Transposes and powers run on the parts too.
 A polynomial is evaluated at M by the Paterson-Stockmeyer scheme
 (:func:`horner_eval`): baby steps M^2 ... M^b, b about sqrt(deg + 1),
@@ -50,7 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from mindec import _kernel
 from mindec.errors import FieldMismatch, SingularMatrix
 from mindec.poly import Polynomial, binary_power, poly_gcd, poly_lcm
-from mindec.scalar import MultiQuad, _label_mul, cleared_row
+from mindec.scalar import MultiQuad, _label_mul
 
 #: {squarefree label: integer rows} of a matrix over one denominator
 Parts = Dict[int, tuple]
@@ -116,7 +120,7 @@ class DenseMatrix:
             self._rows = None
         else:
             den = lcm(*(e.denominator for r in rs for e in r))
-            num = tuple(tuple(cleared_row(r, den)) for r in rs)
+            num = tuple(tuple(e.numerator * (den // e.denominator) for e in r) for r in rs)
             self._parts = {1: num} if any(map(any, num)) else {}
             self._den = den
             self._rows = rs
@@ -193,15 +197,10 @@ class DenseMatrix:
         return DenseMatrix._of_parts(self.n, parts, self._den)
 
     def trace(self):
-        n, d = self.n, self._den
-        coords = {}
-        for lbl, p in sorted(self._parts.items()):
-            t = sum(p[i][i] for i in range(n))
-            if t:
-                coords[lbl] = Fraction(t, d)
-        if self.is_rational:
-            return coords.get(1, Fraction(0))
-        return MultiQuad._raw(coords)
+        n = self.n
+        sums = {lbl: sum(p[i][i] for i in range(n)) for lbl, p in self._parts.items()}
+        t = MultiQuad._of_ints(sums, self._den)
+        return t.rational_part if self.is_rational else t
 
     def entry(self, i: int, j: int):
         return self.rows[i][j]
@@ -287,8 +286,8 @@ def _reduced(n: int, parts: Parts, den: int) -> DenseMatrix:
 
 def _parts_of_rows(rows) -> Tuple[Parts, int]:
     """(parts, den) of rows of Fraction and MultiQuad entries.  den is
-    the lcm of the reduced coordinate denominators, so no factor is
-    common to den and every part, and only nonzero parts arise."""
+    the lcm of the entries' reduced denominators, so no factor is common
+    to den and every part, and only nonzero parts arise."""
     n = len(rows)
     scalars = [[_scalar_parts(e) for e in r] for r in rows]
     den = lcm(*(e for r in scalars for _, e in r))
@@ -308,7 +307,7 @@ def _rows_of_parts(n: int, parts: Parts, den: int) -> Tuple[tuple, ...]:
     items = sorted(parts.items())
     return tuple(
         tuple(
-            MultiQuad._raw({lbl: Fraction(p[i][j], den) for lbl, p in items if p[i][j]})
+            MultiQuad._of_ints({lbl: p[i][j] for lbl, p in items if p[i][j]}, den)
             for j in range(n)
         )
         for i in range(n)
@@ -316,15 +315,13 @@ def _rows_of_parts(n: int, parts: Parts, den: int) -> Tuple[tuple, ...]:
 
 
 def _scalar_parts(c) -> Tuple[Dict[int, int], int]:
-    """({label: integer}, den) of a rational or MultiQuad scalar, den
-    the lcm of its coordinate denominators."""
+    """({label: integer}, den) of a rational or MultiQuad scalar, in
+    lowest terms: a MultiQuad's own integers, as they are held."""
     if isinstance(c, (int, Fraction)):
         return ({1: c.numerator} if c else {}), c.denominator
     if not isinstance(c, MultiQuad):
         raise FieldMismatch(f"scalars must be rational or MultiQuad, not {type(c).__name__}")
-    coords = c._coords
-    den = lcm(*(x.denominator for x in coords.values()))
-    return {lbl: x.numerator * (den // x.denominator) for lbl, x in coords.items()}, den
+    return c._num, c._den
 
 
 def _lincomb(terms) -> tuple:

@@ -6,11 +6,14 @@ Three coefficient domains are used throughout the library:
   type already guarantees the normalized p/q invariants we rely on);
 
 * :class:`MultiQuad`, elements of Q adjoined finitely many square
-  roots, stored as coordinates on the basis of square roots of
-  squarefree integers.  The basis label 1 is the rational part;
-  negative labels are allowed (the values are then complex), but sign
-  queries demand a totally real element.  A MultiQuad divides through
-  ``.inverse()``: ``a * b.inverse()``, as the type has no ``/``;
+  roots, with coordinates on the basis of square roots of squarefree
+  integers.  The basis label 1 is the rational part; negative labels
+  are allowed (the values are then complex), but sign queries demand a
+  totally real element.  The coordinates are integers over one
+  positive denominator, the one rational format of the library, and
+  sums, products, inverses and signs are computed on those integers.
+  A MultiQuad divides through ``.inverse()``: ``a * b.inverse()``, as
+  the type has no ``/``;
 
 * :class:`NumberFieldElement`, residues modulo one fixed irreducible
   monic polynomial, used for computing with a generic root of an
@@ -78,15 +81,6 @@ def rational_from_string(text: str) -> Fraction:
         raise PolyParseError(f"zero denominator: {text!r}")
     p = int_from_digits(num)
     return Fraction(-p if s[0] == "-" else p, int_from_digits(den) if sep else 1)
-
-
-def cleared_row(row: Sequence[Fraction], den: int = 0) -> list:
-    """The rationals of row times den, as ints.  den must be a multiple
-    of every denominator; it defaults to their lcm.  Clearing each row of
-    a matrix this way keeps its row space."""
-    if not den:
-        den = lcm(*(e.denominator for e in row))
-    return [e.numerator * (den // e.denominator) for e in row]
 
 
 #: trial division bound B of square_split
@@ -261,58 +255,72 @@ def _label_mul(a: int, b: int) -> Tuple[int, int]:
 
 @total_ordering
 class MultiQuad:
-    """Element of a multi-quadratic extension of Q.
+    """Element of a multi-quadratic extension of Q: sum(c * sqrt(label))
+    over squarefree integer labels, the label 1 the rational part.
 
-    Coordinates map squarefree integer labels to rational coefficients;
-    the element is sum(coeff * sqrt(label)).  Labels are normalized at
-    construction (a coordinate on 12 becomes 2*sqrt(3)) and zero
-    coordinates are dropped, so equality is dict equality.
+    Held as ``_num`` ({label: integer}) over ``_den``, the form of a
+    rational Polynomial and of a DenseMatrix.  The form is canonical:
+    ``_den`` > 0, no coordinate is zero and no factor is common to
+    ``_den`` and every coordinate, so equality compares integers.
+    Labels are normalized at construction (a coordinate on 12 becomes
+    2*sqrt(3)); Fractions are built only when coordinates are read.
     """
 
-    __slots__ = ("_coords",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, value: Union[RationalLike, Mapping[int, RationalLike]] = 0):
-        coords: Dict[int, Fraction] = {}
-        if isinstance(value, MultiQuad):
-            coords = dict(value._coords)
-        elif isinstance(value, (int, Fraction)):
-            if value:
-                coords[1] = Fraction(value)
-        else:
+        if isinstance(value, (int, Fraction)):
+            value = MultiQuad._of_ints({1: value.numerator}, value.denominator)
+        elif not isinstance(value, MultiQuad):
+            coords: Dict[int, Fraction] = {}
             for label, coeff in value.items():
                 if not isinstance(label, int) or label == 0:
                     raise ValueError(f"bad radicand label: {label!r}")
                 c = Fraction(coeff)
-                if not c:
-                    continue
-                s, d = square_split(label)
-                coords[d] = coords.get(d, Fraction(0)) + c * s
-                if not coords[d]:
-                    del coords[d]
-        self._coords = coords
+                if c:
+                    s, d = square_split(label)
+                    coords[d] = coords.get(d, 0) + c * s
+            den = lcm(*(c.denominator for c in coords.values()))
+            num = {k: c.numerator * (den // c.denominator) for k, c in coords.items()}
+            value = MultiQuad._of_ints(num, den)
+        self._num, self._den = value._num, value._den
 
     @classmethod
-    def _raw(cls, coords: Dict[int, Fraction]) -> "MultiQuad":
-        out = cls.__new__(cls)
-        out._coords = coords
+    def _of_ints(cls, num: Dict[int, int], den: int) -> "MultiQuad":
+        """sum(x * sqrt(label)) / den for integers x on squarefree labels
+        and den != 0: zero coordinates are dropped, the content common
+        to den and every coordinate is divided out and den made
+        positive."""
+        if not all(num.values()):
+            num = {k: x for k, x in num.items() if x}
+        if den != 1:
+            g = gcd(den, *num.values())
+            if den < 0:
+                g = -g
+            if g != 1:
+                num = {k: x // g for k, x in num.items()}
+                den //= g
+        out = object.__new__(cls)
+        out._num = num
+        out._den = den
         return out
 
     @property
     def coordinates(self) -> Dict[int, Fraction]:
-        return dict(self._coords)
+        return {k: Fraction(x, self._den) for k, x in self._num.items()}
 
     @property
     def radicands(self) -> Tuple[int, ...]:
         """Squarefree labels with nonzero coordinate, excluding 1."""
-        return tuple(sorted(k for k in self._coords if k != 1))
+        return tuple(sorted(k for k in self._num if k != 1))
 
     @property
     def rational_part(self) -> Fraction:
-        return self._coords.get(1, Fraction(0))
+        return Fraction(self._num.get(1, 0), self._den)
 
     @property
     def is_rational(self) -> bool:
-        return all(k == 1 for k in self._coords)
+        return self._num.keys() <= {1}
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
@@ -322,65 +330,54 @@ class MultiQuad:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        other = _mq_coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self._coords)
-        for k, c in other._coords.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return MultiQuad._raw(out)
+        return self._combine(1, other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _mq_coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(1, other, -1)
 
     def __rsub__(self, other):
+        return self._combine(-1, other, 1)
+
+    def _combine(self, s: int, other, t: int):
+        # s * self + t * other, s and t = +-1, over the lcm of the two
+        # denominators
         other = _mq_coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        a, b = self._den, other._den
+        den = a // gcd(a, b) * b
+        fa, fb = s * (den // a), t * (den // b)
+        num = {k: fa * x for k, x in self._num.items()}
+        for k, x in other._num.items():
+            num[k] = num.get(k, 0) + fb * x
+        return MultiQuad._of_ints(num, den)
 
     def __neg__(self):
-        return MultiQuad._raw({k: -c for k, c in self._coords.items()})
+        return MultiQuad._of_ints({k: -x for k, x in self._num.items()}, self._den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return MultiQuad._raw({})
-            q = Fraction(other)
-            return MultiQuad._raw({k: c * q for k, c in self._coords.items()})
-        if not isinstance(other, MultiQuad):
+        other = _mq_coerce(other)
+        if other is None:
             return NotImplemented
-        out: Dict[int, Fraction] = {}
-        for la, ca in self._coords.items():
-            for lb, cb in other._coords.items():
+        num: Dict[int, int] = {}
+        for la, a in self._num.items():
+            for lb, b in other._num.items():
                 coef, lbl = _label_mul(la, lb)
-                s = out.get(lbl, Fraction(0)) + ca * cb * coef
-                if s:
-                    out[lbl] = s
-                else:
-                    out.pop(lbl, None)
-        return MultiQuad._raw(out)
+                num[lbl] = num.get(lbl, 0) + coef * a * b
+        return MultiQuad._of_ints(num, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __bool__(self):
-        return bool(self._coords)
+        return bool(self._num)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiQuad(other)
-        if not isinstance(other, MultiQuad):
+        other = _mq_coerce(other)
+        if other is None:
             return NotImplemented
-        return self._coords == other._coords
+        return self._den == other._den and self._num == other._num
 
     def __lt__(self, other):
         other = _mq_coerce(other)
@@ -391,53 +388,44 @@ class MultiQuad:
     def __hash__(self):
         if self.is_rational:
             return hash(self.rational_part)
-        return hash(tuple(sorted(self._coords.items())))
+        return hash((self._den, *sorted(self._num.items())))
 
     # -- field structure ----------------------------------------------
 
     def inverse(self) -> "MultiQuad":
         """Multiplicative inverse, by solving the linear system of the
-        multiplication operator on the subfield spanned by the labels."""
-        if not self._coords:
+        multiplication operator on the subfield spanned by the labels:
+        with self = N / den, the y of T y = den * e_1, T the integer
+        matrix of multiplication by N."""
+        num, den = self._num, self._den
+        if not num:
             raise NotInvertible("zero has no inverse")
         if self.is_rational:
-            return MultiQuad(1 / self.rational_part)
-        labels = set(self._coords)
-        labels.add(1)
-        while True:  # close the label set under products
-            new = set()
-            for a in labels:
-                for b in labels:
-                    lbl = _label_mul(a, b)[1]
-                    if lbl not in labels:
-                        new.add(lbl)
-            if not new:
-                break
-            labels |= new
+            return MultiQuad._of_ints({1: den}, num[1])
+        # the labels of all products of labels of self: a label squares
+        # to a rational, so products of subsets close the set
+        labels = {1}
+        for l in num:
+            labels |= {_label_mul(l, b)[1] for b in labels}
         basis = sorted(labels)
         index = {lbl: i for i, lbl in enumerate(basis)}
         n = len(basis)
-        # augmented system [T | e_1]: column j of T is self * sqrt(basis[j])
-        aug = [[Fraction(0)] * (n + 1) for _ in range(n)]
+        # augmented system [T | den * e_1]: column j of T is N * sqrt(basis[j])
+        aug = [[0] * (n + 1) for _ in range(n)]
         for j, bj in enumerate(basis):
-            for l, c in self._coords.items():
+            for l, x in num.items():
                 coef, lbl = _label_mul(l, bj)
-                aug[index[lbl]][j] += c * coef
-        aug[index[1]][n] = Fraction(1)
-        red, den, pivots = _kernel.rref([cleared_row(r) for r in aug])
+                aug[index[lbl]][j] += x * coef
+        aug[index[1]][n] = den
+        red, rden, pivots = _kernel.rref(aug)
         if pivots != list(range(n)):
             raise NotInvertible(f"{self} is not invertible")
-        out: Dict[int, Fraction] = {}
-        for lbl, row in zip(basis, red):
-            if row[n]:
-                out[lbl] = Fraction(row[n], den)
-        return MultiQuad._raw(out)
+        return MultiQuad._of_ints({lbl: row[n] for lbl, row in zip(basis, red)}, rden)
 
     def conjugate(self) -> "MultiQuad":
         """Complex conjugate: negates coordinates on negative labels."""
-        return MultiQuad._raw(
-            {k: (-c if k < 0 else c) for k, c in self._coords.items()}
-        )
+        num = {k: (-x if k < 0 else x) for k, x in self._num.items()}
+        return MultiQuad._of_ints(num, self._den)
 
     def sign(self) -> int:
         """Exact sign (-1, 0, +1) of a totally real element.
@@ -446,35 +434,26 @@ class MultiQuad:
         basis square roots are refined (halving the width each round)
         until the value interval excludes zero, which terminates
         because distinct squarefree square roots are linearly
-        independent over Q.
+        independent over Q.  The sign is that of the integer
+        coordinates (den > 0), and each round bounds their value times
+        2^bits between two integers.
         """
-        if not self._coords:
+        if not self._num:
             return 0
-        for k in self._coords:
+        for k in self._num:
             if k < 0:
                 raise NotTotallyReal(f"{self} involves sqrt({k})")
         if self.is_rational:
-            r = self.rational_part
-            return -1 if r < 0 else 1
+            return -1 if self._num[1] < 0 else 1
         bits = 8
         while True:
-            lo = Fraction(0)
-            hi = Fraction(0)
-            scale = 1 << bits
-            for k, c in self._coords.items():
-                if k == 1:
-                    lo += c
-                    hi += c
-                    continue
-                root = isqrt(k * scale * scale)
-                rlo = Fraction(root, scale)
-                rhi = Fraction(root + 1, scale)
-                if c > 0:
-                    lo += c * rlo
-                    hi += c * rhi
-                else:
-                    lo += c * rhi
-                    hi += c * rlo
+            lo = hi = self._num.get(1, 0) << bits
+            for k, x in self._num.items():
+                if k != 1:
+                    # root / 2^bits <= sqrt(k) < (root + 1) / 2^bits
+                    root = isqrt(k << 2 * bits)
+                    lo += x * (root if x > 0 else root + 1)
+                    hi += x * (root + 1 if x > 0 else root)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -482,24 +461,22 @@ class MultiQuad:
             bits *= 2
 
     def __repr__(self):
-        return f"MultiQuad({self._coords!r})"
+        return f"MultiQuad({dict(sorted(self.coordinates.items()))!r})"
 
     def __str__(self):
-        if not self._coords:
+        if not self._num:
             return "0"
         parts = []
-        for k, c in sorted(self._coords.items()):
-            c = ratio_to_string(c.numerator, c.denominator)
+        for k, x in sorted(self._num.items()):
+            c = ratio_to_string(x, self._den)
             parts.append(c if k == 1 else f"{c}*sqrt({_int_to_string(k)})")
         return " + ".join(parts)
 
 
 def _mq_coerce(value):
-    if isinstance(value, MultiQuad):
-        return value
     if isinstance(value, (int, Fraction)):
-        return MultiQuad(value)
-    return None
+        return MultiQuad._of_ints({1: value.numerator}, value.denominator)
+    return value if isinstance(value, MultiQuad) else None
 
 
 #: MultiQuad.inverse under the name perfbench/tracer.py wraps; the
@@ -517,7 +494,7 @@ def mq_sqrt_rational(q: RationalLike) -> MultiQuad:
     if q <= 0:
         raise NonPositiveRadicand(f"sqrt of {ratio_to_string(q.numerator, q.denominator)}")
     s, d = square_split(q.numerator * q.denominator)
-    return MultiQuad({d: Fraction(s, q.denominator)})
+    return MultiQuad._of_ints({d: s}, q.denominator)
 
 
 # -- number fields ----------------------------------------------------

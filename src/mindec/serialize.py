@@ -31,16 +31,14 @@ MAX_ORDER = 64
 
 
 def scalar_to_json(value) -> Union[str, Dict[str, str]]:
-    if isinstance(value, MultiQuad):
-        if not value.is_rational:
-            return {
-                _int_to_string(label): ratio_to_string(c.numerator, c.denominator)
-                for label, c in sorted(value.coordinates.items())
-            }
-        value = value.rational_part
     if isinstance(value, (int, Fraction)):
         return ratio_to_string(value.numerator, value.denominator)
-    raise FormatError(f"cannot serialize scalar of type {type(value).__name__}")
+    if not isinstance(value, MultiQuad):
+        raise FormatError(f"cannot serialize scalar of type {type(value).__name__}")
+    num, den = value._num, value._den
+    if value.is_rational:
+        return ratio_to_string(num.get(1, 0), den)
+    return {_int_to_string(label): ratio_to_string(x, den) for label, x in sorted(num.items())}
 
 
 def scalar_from_json(obj) -> Scalar:

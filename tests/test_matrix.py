@@ -56,6 +56,8 @@ class TestArithmetic:
     def test_scalar_multiplication_and_sum(self):
         A = DenseMatrix([[1, 2], [3, 4]])
         assert A * Fraction(1, 2) + A * Fraction(1, 2) == A
+        assert repr(A * Fraction(1, 2)) == "DenseMatrix([['1/2', '1'], ['3/2', '2']])"
+        assert repr(A * MultiQuad({2: 1})) == "DenseMatrix([['1*sqrt(2)', '2*sqrt(2)'], ['3*sqrt(2)', '4*sqrt(2)']])"
 
     def test_transpose_involution(self):
         A = DenseMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])

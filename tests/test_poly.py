@@ -74,6 +74,10 @@ class TestArithmetic:
     def test_monic_scales_leading_coefficient(self):
         p = Polynomial((2, 0, 4))
         assert p.monic() == Polynomial((Fraction(1, 2), 0, 1))
+        # repr reads back, for rational and MultiQuad coefficients
+        namespace = {"Polynomial": Polynomial, "Fraction": Fraction, "MultiQuad": MultiQuad}
+        for q in (p.monic(), Polynomial((MultiQuad({2: Fraction(1, 3)}), MultiQuad(1)))):
+            assert eval(repr(q), namespace) == q
 
     def test_call_is_horner_evaluation(self):
         p = Polynomial((1, -2, 3))

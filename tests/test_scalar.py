@@ -1,6 +1,8 @@
 """Scalar layer: quadratic-surd field and number field residues."""
 
+import random
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 from oracles import invert_a_plus_b_sqrt2, sign_a_plus_b_sqrt2
@@ -66,10 +68,128 @@ class TestMultiQuadSign:
 
     @pytest.mark.parametrize(
         "coords, expected",
-        [({1: 1, 2: 1, 3: -1}, 1), ({1: -1, 2: 1, 5: -1}, -1), ({6: 1, 10: -1}, -1)],
+        [
+            ({1: 1, 2: 1, 3: -1}, 1),
+            ({1: -1, 2: 1, 5: -1}, -1),
+            ({6: 1, 10: -1}, -1),
+            # +-(140 - 99 sqrt2) and +-(99 - 70 sqrt2) lie within 0.01 of
+            # zero, inside the first round's enclosure of their value: an
+            # end that takes the wrong root bound of sqrt2 gives the wrong
+            # sign
+            ({1: 140, 2: -99}, -1),
+            ({1: -140, 2: 99}, 1),
+            ({1: 99, 2: -70}, 1),
+            ({1: -99, 2: 70}, -1),
+        ],
     )
     def test_multi_radical_signs(self, coords, expected):
+        if coords.keys() == {1, 2}:
+            assert sign_a_plus_b_sqrt2(Fraction(coords[1]), Fraction(coords[2])) == expected
         assert MultiQuad(coords).sign() == expected
+
+
+# -- the integer form: coordinates over one positive denominator ---------
+
+#: labels with square factors (12 = 4*3, -8 = 4*-2) beside squarefree
+#: ones, so that construction merges and cancels coordinates
+MQ_LABELS = (1, 2, 3, 12, -8, -2, -1, 6, 5)
+
+
+def naive_split(m):
+    """(s, d) with m = s^2 * d, d squarefree, by trying every s."""
+    s = max(k for k in range(1, isqrt(abs(m)) + 1) if m % (k * k) == 0)
+    return s, m // (s * s)
+
+
+def frac_coords(coords):
+    """{squarefree label: Fraction} of sum(c * sqrt(label)), zeros dropped."""
+    out = {}
+    for m, c in coords.items():
+        s, d = naive_split(m)
+        out[d] = out.get(d, 0) + Fraction(c) * s
+    return {d: c for d, c in out.items() if c}
+
+
+def frac_sum(x, y, t=1):
+    """Coordinates of x + t*y."""
+    out = dict(x)
+    for k, c in y.items():
+        out[k] = out.get(k, 0) + t * c
+    return {k: c for k, c in out.items() if c}
+
+
+def frac_product(x, y):
+    """Coordinates of a product: sqrt(a) * sqrt(b) = -sqrt(ab) for
+    a, b < 0 and sqrt(ab) otherwise."""
+    terms = {}
+    for a, p in x.items():
+        for b, q in y.items():
+            both = a < 0 and b < 0
+            for d, c in frac_coords({a * b: -p * q if both else p * q}).items():
+                terms[d] = terms.get(d, 0) + c
+    return frac_coords(terms)
+
+
+def random_coords(rng):
+    """Up to four coordinates, some zero, over large coprime denominators."""
+    dens = (1, 2, 9, 65537, 1000003)
+    return {
+        lbl: Fraction(rng.randint(-(10**6), 10**6) if rng.random() < 0.85 else 0, rng.choice(dens))
+        for lbl in rng.sample(MQ_LABELS, rng.randint(0, 4))
+    }
+
+
+def assert_form(x):
+    """den > 0, integer coordinates on squarefree labels, none zero, and no
+    factor common to den and every coordinate."""
+    num, den = x._num, x._den
+    assert den > 0
+    assert all(type(v) is int and v for v in num.values())
+    assert all(naive_split(k)[0] == 1 for k in num)
+    assert gcd(den, *num.values()) == 1
+
+
+class TestMultiQuadRepresentation:
+    def test_results_are_canonical_and_match_fractions(self):
+        rng = random.Random("mq-form")
+        namespace = {"MultiQuad": MultiQuad, "Fraction": Fraction}
+        for _ in range(150):
+            cx, cy = random_coords(rng), random_coords(rng)
+            x, y = MultiQuad(cx), MultiQuad(cy)
+            fx, fy = frac_coords(cx), frac_coords(cy)
+            q = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            results = [
+                (x, fx),
+                (x + y, frac_sum(fx, fy)),
+                (x - y, frac_sum(fx, fy, -1)),
+                (x * y, frac_product(fx, fy)),
+                (x * q, frac_product(fx, {1: q})),
+                (q - x, frac_sum({1: q}, fx, -1)),
+                (-x, {k: -c for k, c in fx.items()}),
+                (x.conjugate(), {k: -c if k < 0 else c for k, c in fx.items()}),
+            ]
+            if x:
+                inv = x.inverse()
+                assert frac_product(fx, inv.coordinates) == {1: 1}
+                results.append((inv, inv.coordinates))
+            for value, coords in results:
+                assert_form(value)
+                assert value.coordinates == coords
+                assert eval(repr(value), namespace) == value
+                # equal values hash alike; a rational value like its Fraction
+                assert hash(value) == hash(MultiQuad(coords))
+                if value.is_rational:
+                    assert hash(value) == hash(value.rational_part) and value == value.rational_part
+
+    def test_labels_and_denominators_merge(self):
+        x = MultiQuad({12: Fraction(1, 6), 3: Fraction(-1, 3), -8: Fraction(3, 4), 1: Fraction(2, 4)})
+        assert (x._num, x._den) == ({-2: 3, 1: 1}, 2)
+        assert MultiQuad({2: Fraction(4, 6)}) == MultiQuad({8: Fraction(1, 3)})
+        assert (MultiQuad(0)._num, MultiQuad(0)._den) == ({}, 1)
+        assert (MultiQuad(Fraction(-6, 4))._num, MultiQuad(Fraction(-6, 4))._den) == ({1: -3}, 2)
+        assert hash(MultiQuad(Fraction(5, 3))) == hash(Fraction(5, 3))
+        assert repr(x) == "MultiQuad({-2: Fraction(3, 2), 1: Fraction(1, 2)})"
+        assert str(x) == "3/2*sqrt(-2) + 1/2"
 
 
 class TestSquareSplit:
@@ -200,6 +320,10 @@ class TestNumberField:
     def test_reduction_wraps_high_powers(self):
         field = NumberField((-2, 0, 1))
         assert field.element((0, 0, 1)) == field.embed(2)
+        assert repr(field) == "NumberField(['-2', '0', '1'])"
+        u = field.element((Fraction(1, 2), 0, -3))
+        assert str(u) == "-11/2" and str(field.element((0, -3))) == "-3*Y"
+        assert repr(field.element((Fraction(1, 2), 3))) == "<1/2 + 3*Y mod ['-2', '0', '1']>"
 
 
 class TestConjugation:
