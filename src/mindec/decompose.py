@@ -221,7 +221,11 @@ def verify_sn(M: DenseMatrix, sn: SNDecomposition) -> VerificationReport:
     The "nilpotent" check computes N^mu, mu <= n the largest
     multiplicity in the factorization of M's own minimal polynomial,
     never the candidate's system: the true N has index exactly mu, and
-    N^mu = 0 implies the stated N^n = 0."""
+    N^mu = 0 implies the stated N^n = 0.
+
+    "commutation" is implied by "reassembly" and "newton-agreement"
+    unless the oracle itself is wrong: with S = z(M) and S + N = M, S and
+    N = M - z(M) are both polynomials in M, so they commute."""
     report = VerificationReport("additive decomposition")
     report.add("reassembly", "S + N = M", sn.semisimple + sn.nilpotent == M)
     report.add("commutation", "SN = NS", commute(sn.semisimple, sn.nilpotent))
@@ -262,6 +266,38 @@ def fine_decompose(M: DenseMatrix) -> FineDecomposition:
     return FineDecomposition(components=components, zero_index=system.factored.zero_index)
 
 
+def _class_parts_witness(
+    M: DenseMatrix, parts: Sequence[Tuple[str, Optional[Polynomial], DenseMatrix]]
+) -> str:
+    """The empty string when ``parts`` are the nonzero-class parts of M,
+    one for each irreducible factor m_i != X of M's own minimal
+    polynomial; else a witness.  Each part is (name, claimed factor or None, matrix).
+
+    With one factor, the one part is M itself (none when that factor is
+    X).  With two or more, a part A is the class part of m_i only if its
+    minimal polynomial is X m_i, decided by evaluation
+    (:func:`mindec.matrix.is_minimal_polynomial`), for an m_i that no
+    earlier part took: the claimed one, or with None the first that
+    fits.  A matrix has one minimal polynomial, so at most one m_i fits
+    and the parts may come in any order.  A candidate that merges two
+    classes, splits one or takes a factor that is not M's fails.
+    """
+    factors = [f for f, _ in system_of(M).factored.factors]
+    free = [f for f in factors if f != X]
+    if len(parts) != len(free):
+        return f"{len(parts)} parts for the {len(free)} nonzero classes of M"
+    for name, claimed, A in parts:
+        for f in free:
+            if claimed in (None, f) and (
+                A == M if len(factors) == 1 else is_minimal_polynomial(A, (X, f))
+            ):
+                free.remove(f)
+                break
+        else:
+            return f"{name} is not the class part of a factor of M that no earlier part took"
+    return ""
+
+
 def verify_fine(M: DenseMatrix, fd: FineDecomposition) -> VerificationReport:
     """Check the defining conditions of a fine decomposition of M.
 
@@ -273,23 +309,25 @@ def verify_fine(M: DenseMatrix, fd: FineDecomposition) -> VerificationReport:
     * each nonzero-class nilpotent kills the kernel of M^e, where e is
       the multiplicity of the factor X (e = 0 for nonsingular M);
     * the kernel of the summed semisimple part is exactly Ker(M^e);
-    * with two or more factors, each nonzero S_i has minimal
-      polynomial X * m_i, for an m_i that no earlier component took.
+    * with r >= 2, r the number of irreducible factors of M's own
+      minimal polynomial, the nonzero S_i are one per factor m_i != X,
+      each with minimal polynomial X * m_i for its own m_i.
 
     The two kernel checks are integer matrix products: the basis of
     Ker(M^e) fills the first columns of an n x n matrix K, zeros the
     rest, and A v = 0 for every basis vector v exactly when A K = 0.
     With e = 0 the kernel is 0, both checks hold and no product is made.
 
-    The last check asks that m_i be an irreducible factor of M's own
-    minimal polynomial, one factor per component, and then decides by
-    evaluation: (X m_i)(S_i) = 0, m_i(S_i) != 0 and S_i != 0
-    (:func:`mindec.matrix.is_minimal_polynomial`).  The minimal
-    polynomial of S_i then divides X m_i, and with X and m_i irreducible
-    it keeps each of them, so it is X m_i; it is X m_i only if those
-    three hold.  A true decomposition has one component per factor, so
-    a candidate that merges two classes under a reducible m_i, or splits
-    one class between two components, fails.
+    The last check is :func:`_class_parts_witness`, which verify_unbreakable
+    runs too: it decides by evaluation, (X m_i)(S_i) = 0, m_i(S_i) != 0
+    and S_i != 0 (:func:`mindec.matrix.is_minimal_polynomial`), with m_i
+    the factor S_i claims, and counts the nonzero S_i against M's
+    factors.  The minimal polynomial of S_i then divides X m_i, and with
+    X and m_i irreducible it keeps each of them, so it is X m_i; it is
+    X m_i only if those three hold.  r is read from M, not from the
+    candidate, so a candidate that merges all of M's classes into one
+    component, merges two under a reducible m_i, or splits one class
+    between two components, fails.
     """
     report = VerificationReport("fine decomposition")
     n = M.n
@@ -345,26 +383,13 @@ def verify_fine(M: DenseMatrix, fd: FineDecomposition) -> VerificationReport:
         "Ker(sum S_i) = Ker(M^e)",
         equality_ok,
     )
-    if len(comps) >= 2:
-        minpoly_ok = True
-        witness = ""
-        # the irreducible factors of M no component has taken yet
-        free = {f for f, _ in system_of(M).factored.factors}
-        for i, c in enumerate(comps):
-            if c.semisimple.is_zero:
-                continue
-            ok = c.factor in free and is_minimal_polynomial(c.semisimple, (X, c.factor))
-            free.discard(c.factor)
-            if not ok:
-                minpoly_ok = False
-                witness = (
-                    f"m_{i} is not a factor of M that no earlier S_j took, "
-                    f"or X * m_{i} is not the minimal polynomial of S_{i}"
-                )
+    if len(system_of(M).factored.factors) >= 2:
+        nonzero = [(i, c) for i, c in enumerate(comps) if not c.semisimple.is_zero]
+        witness = _class_parts_witness(M, [(f"S_{i}", c.factor, c.semisimple) for i, c in nonzero])
         report.add(
             "component-min-poly",
             "minimal polynomial of each nonzero S_i is X * m_i (r >= 2)",
-            minpoly_ok,
+            not witness,
             witness,
         )
     return report
@@ -374,25 +399,19 @@ def unbreakable_components(S: DenseMatrix) -> List[DenseMatrix]:
     """Decompose a nonzero semisimple matrix into its unbreakable
     semisimple summands, one per nonzero eigenvalue class.
 
-    These are the S_i of the fine decomposition of S, whose N is 0:
-    P_i S for the nonzero classes, P_i = E_i(S) S's own class
-    projectors from :func:`mindec.covariant.materialize_projectors`,
-    which checks m(S) = 0 and keeps all of them, the zero class's too,
-    on S's analysis.  None of them can be written as a sum of two
-    nonzero commuting semisimple matrices with the same one-factor
-    structure.  Raises NotSemisimple when the minimal polynomial is not
-    squarefree and ZeroMatrix for S = 0.
+    These are the S_i = E_i(S) S of :func:`fine_decompose` for the
+    nonzero classes (S's N is 0), in its factor order.  None of them can
+    be written as a sum of two nonzero commuting semisimple matrices
+    with the same one-factor structure.  Raises NotSemisimple when the
+    minimal polynomial is not squarefree and ZeroMatrix for S = 0.
     """
     system = system_of(S)
     if S.is_zero:
         raise ZeroMatrix("the zero matrix has no unbreakable components")
     if not system.factored.is_squarefree:
         raise NotSemisimple("matrix is not semisimple")
-    return [
-        E_i @ S
-        for i, E_i in enumerate(materialize_projectors(system, S))
-        if i != system.factored.zero_index
-    ]
+    fd = fine_decompose(S)
+    return [c.semisimple for i, c in enumerate(fd.components) if i != fd.zero_index]
 
 
 def multiplicative_jc(M: DenseMatrix) -> MultiplicativeJC:
@@ -413,7 +432,15 @@ def multiplicative_jc(M: DenseMatrix) -> MultiplicativeJC:
 
 
 def verify_unbreakable(M: DenseMatrix, components: Sequence[DenseMatrix]) -> VerificationReport:
-    """Check an unbreakable-component list against its semisimple source."""
+    """Check an unbreakable-component list against its semisimple source.
+
+    "single-class" asks for one component per nonzero class of M, each
+    the class part of a distinct irreducible factor of M's own minimal
+    polynomial, in any order (:func:`_class_parts_witness`, the
+    certificate of verify_fine's "component-min-poly"): the component
+    equals M when M has one factor, and otherwise has minimal polynomial
+    X m_i.  No matrix but M has its minimal polynomial computed or
+    factored."""
     report = VerificationReport("unbreakable components")
     total = linear_combination(M.n, [(1, c) for c in components])
     report.add("reassembly", "components sum to M", total == M)
@@ -427,18 +454,13 @@ def verify_unbreakable(M: DenseMatrix, components: Sequence[DenseMatrix]) -> Ver
             if h != l
         ),
     )
-    single_ok = True
-    witness = ""
-    for i, c in enumerate(components):
-        factored = factor_rational(minimal_polynomial(c))
-        nonzero = [f for f, _ in factored.factors if f != X]
-        if len(nonzero) != 1:
-            single_ok = False
-            witness = f"component {i} mixes {len(nonzero)} eigenvalue classes"
+    witness = _class_parts_witness(
+        M, [(f"component {i}", None, c) for i, c in enumerate(components)]
+    )
     report.add(
         "single-class",
         "each component's nonzero spectrum is one conjugacy class",
-        single_ok,
+        not witness,
         witness,
     )
     return report

@@ -131,10 +131,17 @@ def f_equivalence_classes(
 ) -> List[EquivalenceClass]:
     """Group factors by the minimal polynomial of the image of their
     generic root; classes are ordered by their image as factorizations
-    order their factors (:func:`mindec.factor.factor_order`)."""
+    order their factors (:func:`mindec.factor.factor_order`).
+
+    Each image q is certified where it is built, with no matrix and
+    without reusing the Krylov run: q(f mod p) = 0 in Q[Y]/(p), p the
+    factor, so q is a multiple of the minimal polynomial of f(Y) there;
+    InvariantViolation if not."""
     images = {}
     for i, (factor, _) in enumerate(factored.factors):
         q = _image_min_poly(f, factor)
+        if not compose_mod(q, f % factor, factor).is_zero:
+            raise InvariantViolation(f"image {q} does not vanish at f(Y) mod {factor}")
         images.setdefault(q.coeffs, []).append((i, q))
     classes = [
         EquivalenceClass(image=entries[0][1], indices=tuple(i for i, _ in entries))

@@ -98,6 +98,19 @@ class TestWorkPerRequest:
         assert at_m[system.min_poly.coeffs] == 1
 
 
+    def test_unbreakable_check_computes_and_factors_only_the_minimal_polynomial_of_m(
+        self, monkeypatch
+    ):
+        M = blocks_matrix([X * X - 2 * ONE, X - 3 * ONE, X * X + ONE, X], "work").matrix
+        decompose_mod._system_of_min_poly.cache_clear()
+        minpolys = _record_calls(monkeypatch, decompose_mod, "minimal_polynomial")
+        factors = _record_calls(monkeypatch, decompose_mod, "factor_rational")
+        code, out, err = run_cli(["unbreakable", "--check"], input_text=_document(M))
+        assert code == 0, err
+        assert json.loads(out)["report"]["pass"] is True
+        assert minpolys == [(M,)]
+        assert factors == [(system_of(M).min_poly,)]
+
     def test_spectral_check_computes_the_minimal_polynomial_once(self, monkeypatch):
         A = DenseMatrix([[2, 1, 0], [1, 2, 0], [0, 0, 3]])
         calls = _record_calls(monkeypatch, decompose_mod, "minimal_polynomial")

@@ -345,19 +345,25 @@ class TestFineSplit:
             ((1, 2, 0), [((X - 1) * (X - 2), (1, 2, 0))]),
             # two components split the class of 1, each under X - 1
             ((1, 1, 0), [(X - 1, (1, 0, 0)), (X - 1, (0, 1, 0))]),
+            # one component, no zero class: r = 2 is M's factor count
+            ((1, 2), [((X - 1) * (X - 2), (1, 2))]),
         ],
-        ids=["merged-classes", "split-class"],
+        ids=["merged-classes", "split-class", "one-component"],
     )
     def test_component_min_poly_takes_each_factor_of_m_once(self, diagonal, parts):
         # the candidate sums to M, its parts annihilate one another and
         # its kernels are right; only the one-component-per-factor rule
         # of the fine decomposition tells it from the true one
-        def diag(d):
-            return DenseMatrix([[d[i] if i == j else 0 for j in range(3)] for i in range(3)])
+        n = len(diagonal)
 
-        M, zero = diag(diagonal), DenseMatrix.zeros(3)
+        def diag(d):
+            return DenseMatrix([[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+        M, zero = diag(diagonal), DenseMatrix.zeros(n)
         comps = [FineComponent(m, 1, diag(s), zero) for m, s in parts]
-        candidate = FineDecomposition((*comps, FineComponent(X, 1, zero, zero)), len(comps))
+        if 0 in diagonal:
+            comps.append(FineComponent(X, 1, zero, zero))
+        candidate = FineDecomposition(tuple(comps), len(parts) if 0 in diagonal else None)
         assert verify_fine(M, fine_decompose(M)).passed
         report = verify_fine(M, candidate)
         assert {c.name for c in report.failed_checks()} == {"component-min-poly"}
@@ -404,11 +410,20 @@ class TestUnbreakable:
         comps = unbreakable_components(M)
         report = verify_unbreakable(M, comps)
         assert report.passed, str(report)
+        # in any order
+        assert verify_unbreakable(M, comps[::-1]).passed
 
     def test_verifier_rejects_merged_components(self):
         M = DenseMatrix([[1, 0], [0, -1]])
         report = verify_unbreakable(M, [M])
         assert not report.passed
+
+    def test_a_scaled_component_fails_single_class(self):
+        # 2 U_0 still has one nonzero class, that of 2, which is not M's
+        M = DenseMatrix([[1, 0], [0, -1]])
+        comps = unbreakable_components(M)
+        comps[0] = comps[0] * 2
+        assert "single-class" in {c.name for c in verify_unbreakable(M, comps).failed_checks()}
 
     def test_random_components_pairwise_annihilate(self):
         for k in range(10):

@@ -178,6 +178,16 @@ class TestEquivalenceClasses:
         covered = sorted(i for c in classes for i in c.indices)
         assert covered == list(range(len(factored.factors)))
 
+    def test_an_image_that_does_not_vanish_at_f_is_refused(self, monkeypatch):
+        # the mutant adds 1 to every image: X - 1 and X - 4 become X and
+        # X - 3, which the Krylov route alone would print
+        honest = matfun_mod._image_min_poly
+        monkeypatch.setattr(matfun_mod, "_image_min_poly", lambda f, p: honest(f, p) + 1)
+        doc = '{"entries": [["1", "1"], ["0", "2"]]}'
+        code, out, err = run_cli(["apply", "--poly", "X^2"], input_text=doc)
+        assert (code, out) == (4, "")
+        assert json.loads(err)["error"] == "InvariantViolation"
+
 
 class TestFineOfImage:
     def test_square_plus_x_matches_direct_fine(self):
