@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from mindec.covariant import (
     CovariantSystem,
@@ -267,34 +267,27 @@ def fine_decompose(M: DenseMatrix) -> FineDecomposition:
 
 
 def _class_parts_witness(
-    M: DenseMatrix, parts: Sequence[Tuple[str, Optional[Polynomial], DenseMatrix]]
+    M: DenseMatrix, parts: Sequence[Tuple[str, Any]], fits: Callable[[Any, Polynomial], bool]
 ) -> str:
-    """The empty string when ``parts`` are the nonzero-class parts of M,
-    one for each irreducible factor m_i != X of M's own minimal
-    polynomial; else a witness.  Each part is (name, claimed factor or None, matrix).
+    """The empty string when ``parts`` match the irreducible factors
+    m_i != X of M's own minimal polynomial one to one; else a witness.
+    Each part is (name, part), and fits(part, m_i) is the caller's test
+    that the part is the class part of m_i.
 
-    With one factor, the one part is M itself (none when that factor is
-    X).  With two or more, a part A is the class part of m_i only if its
-    minimal polynomial is X m_i, decided by evaluation
-    (:func:`mindec.matrix.is_minimal_polynomial`), for an m_i that no
-    earlier part took: the claimed one, or with None the first that
-    fits.  A matrix has one minimal polynomial, so at most one m_i fits
-    and the parts may come in any order.  A candidate that merges two
-    classes, splits one or takes a factor that is not M's fails.
+    Each part takes the first factor it fits that no earlier part took.
+    A fits test that holds for at most one m_i, such as a minimal
+    polynomial decided by evaluation, makes the order of the parts free.
+    A candidate that merges two classes, splits one or takes a factor
+    that is not M's fails.
     """
-    factors = [f for f, _ in system_of(M).factored.factors]
-    free = [f for f in factors if f != X]
+    free = [f for f, _ in system_of(M).factored.factors if f != X]
     if len(parts) != len(free):
         return f"{len(parts)} parts for the {len(free)} nonzero classes of M"
-    for name, claimed, A in parts:
-        for f in free:
-            if claimed in (None, f) and (
-                A == M if len(factors) == 1 else is_minimal_polynomial(A, (X, f))
-            ):
-                free.remove(f)
-                break
-        else:
+    for name, part in parts:
+        f = next((f for f in free if fits(part, f)), None)
+        if f is None:
             return f"{name} is not the class part of a factor of M that no earlier part took"
+        free.remove(f)
     return ""
 
 
@@ -310,8 +303,9 @@ def verify_fine(M: DenseMatrix, fd: FineDecomposition) -> VerificationReport:
       the multiplicity of the factor X (e = 0 for nonsingular M);
     * the kernel of the summed semisimple part is exactly Ker(M^e);
     * with r >= 2, r the number of irreducible factors of M's own
-      minimal polynomial, the nonzero S_i are one per factor m_i != X,
-      each with minimal polynomial X * m_i for its own m_i.
+      minimal polynomial, or with two or more components, the nonzero
+      S_i are one per factor m_i != X, each with minimal polynomial
+      X * m_i for its own m_i.
 
     The two kernel checks are integer matrix products: the basis of
     Ker(M^e) fills the first columns of an n x n matrix K, zeros the
@@ -319,15 +313,16 @@ def verify_fine(M: DenseMatrix, fd: FineDecomposition) -> VerificationReport:
     With e = 0 the kernel is 0, both checks hold and no product is made.
 
     The last check is :func:`_class_parts_witness`, which verify_unbreakable
-    runs too: it decides by evaluation, (X m_i)(S_i) = 0, m_i(S_i) != 0
-    and S_i != 0 (:func:`mindec.matrix.is_minimal_polynomial`), with m_i
-    the factor S_i claims, and counts the nonzero S_i against M's
-    factors.  The minimal polynomial of S_i then divides X m_i, and with
-    X and m_i irreducible it keeps each of them, so it is X m_i; it is
-    X m_i only if those three hold.  r is read from M, not from the
+    runs too.  It counts the nonzero S_i against M's factors and decides
+    each by evaluation, (X m_i)(S_i) = 0, m_i(S_i) != 0 and S_i != 0
+    (:func:`mindec.matrix.is_minimal_polynomial`), with m_i the factor
+    S_i claims.  The minimal polynomial of S_i then divides X m_i, and
+    with X and m_i irreducible it keeps each of them, so it is X m_i; it
+    is X m_i only if those three hold.  r is read from M, not from the
     candidate, so a candidate that merges all of M's classes into one
     component, merges two under a reducible m_i, or splits one class
-    between two components, fails.
+    between two components, fails.  A true decomposition has exactly r
+    components, so the check runs on every candidate with more.
     """
     report = VerificationReport("fine decomposition")
     n = M.n
@@ -383,9 +378,11 @@ def verify_fine(M: DenseMatrix, fd: FineDecomposition) -> VerificationReport:
         "Ker(sum S_i) = Ker(M^e)",
         equality_ok,
     )
-    if len(system_of(M).factored.factors) >= 2:
-        nonzero = [(i, c) for i, c in enumerate(comps) if not c.semisimple.is_zero]
-        witness = _class_parts_witness(M, [(f"S_{i}", c.factor, c.semisimple) for i, c in nonzero])
+    if len(system_of(M).factored.factors) >= 2 or len(comps) >= 2:
+        nonzero = [(f"S_{i}", c) for i, c in enumerate(comps) if not c.semisimple.is_zero]
+        witness = _class_parts_witness(
+            M, nonzero, lambda c, f: f == c.factor and is_minimal_polynomial(c.semisimple, (X, f))
+        )
         report.add(
             "component-min-poly",
             "minimal polynomial of each nonzero S_i is X * m_i (r >= 2)",
@@ -437,10 +434,11 @@ def verify_unbreakable(M: DenseMatrix, components: Sequence[DenseMatrix]) -> Ver
     "single-class" asks for one component per nonzero class of M, each
     the class part of a distinct irreducible factor of M's own minimal
     polynomial, in any order (:func:`_class_parts_witness`, the
-    certificate of verify_fine's "component-min-poly"): the component
-    equals M when M has one factor, and otherwise has minimal polynomial
-    X m_i.  No matrix but M has its minimal polynomial computed or
-    factored."""
+    certificate of verify_fine's "component-min-poly"): with two or
+    more factors each component has minimal polynomial X m_i, decided
+    by evaluation; with one factor the one component is M, which
+    "reassembly" checks.  No matrix but M has its minimal polynomial
+    computed or factored."""
     report = VerificationReport("unbreakable components")
     total = linear_combination(M.n, [(1, c) for c in components])
     report.add("reassembly", "components sum to M", total == M)
@@ -454,8 +452,12 @@ def verify_unbreakable(M: DenseMatrix, components: Sequence[DenseMatrix]) -> Ver
             if h != l
         ),
     )
+    # with one factor the one component is M, which "reassembly" checks
+    one = len(system_of(M).factored.factors) == 1
     witness = _class_parts_witness(
-        M, [(f"component {i}", None, c) for i, c in enumerate(components)]
+        M,
+        [(f"component {i}", c) for i, c in enumerate(components)],
+        lambda c, f: one or is_minimal_polynomial(c, (X, f)),
     )
     report.add(
         "single-class",

@@ -97,7 +97,6 @@ class TestWorkPerRequest:
             assert at_m[e.coeffs] == 1
         assert at_m[system.min_poly.coeffs] == 1
 
-
     def test_unbreakable_check_computes_and_factors_only_the_minimal_polynomial_of_m(
         self, monkeypatch
     ):

@@ -347,8 +347,10 @@ class TestFineSplit:
             ((1, 1, 0), [(X - 1, (1, 0, 0)), (X - 1, (0, 1, 0))]),
             # one component, no zero class: r = 2 is M's factor count
             ((1, 2), [((X - 1) * (X - 2), (1, 2))]),
+            # two components split the only class of M = I, r = 1
+            ((1, 1), [(X - 1, (1, 0)), (X - 1, (0, 1))]),
         ],
-        ids=["merged-classes", "split-class", "one-component"],
+        ids=["merged-classes", "split-class", "one-component", "split-only-class"],
     )
     def test_component_min_poly_takes_each_factor_of_m_once(self, diagonal, parts):
         # the candidate sums to M, its parts annihilate one another and
@@ -366,6 +368,14 @@ class TestFineSplit:
         candidate = FineDecomposition(tuple(comps), len(parts) if 0 in diagonal else None)
         assert verify_fine(M, fine_decompose(M)).passed
         report = verify_fine(M, candidate)
+        assert {c.name for c in report.failed_checks()} == {"component-min-poly"}
+
+    def test_component_min_poly_refuses_a_zero_class_m_lacks(self):
+        # M = I is nonsingular: its one class part is M, whose minimal
+        # polynomial is X - 1, not X (X - 1)
+        M, zero = DenseMatrix.identity(2), DenseMatrix.zeros(2)
+        comps = (FineComponent(X - 1, 1, M, zero), FineComponent(X, 1, zero, zero))
+        report = verify_fine(M, FineDecomposition(comps, 1))
         assert {c.name for c in report.failed_checks()} == {"component-min-poly"}
 
 
