@@ -129,12 +129,13 @@ def _assemble(parts: List[Tuple[Polynomial, int]], rng: random.Random) -> Genera
     return GeneratedMatrix(matrix=M, min_poly=min_poly, label=label)
 
 
-def random_matrix(seed: str, max_size: int = 6) -> GeneratedMatrix:
-    """Random rational matrix (size 2..max_size) whose minimal polynomial
-    is a known product of small irreducible powers, X among them."""
-    rng = random.Random(f"gen:{seed}")
-    pool = IRREDUCIBLE_POOL + (X,)
-    budget = rng.randint(2, max_size)
+def _draw_parts(
+    rng: random.Random, pool: Tuple[Polynomial, ...], budget: int, max_mu: int, twins: bool
+) -> List[Tuple[Polynomial, int]]:
+    """Distinct factors drawn from pool, each to a power up to max_mu,
+    until their degrees times powers exhaust budget or no factor fits;
+    with twins, a factor may repeat once at a lower power.  A budget of
+    at least 2 always draws, since the pools hold linear factors."""
     parts: List[Tuple[Polynomial, int]] = []
     used: List[Polynomial] = []
     while budget > 0:
@@ -142,18 +143,24 @@ def random_matrix(seed: str, max_size: int = 6) -> GeneratedMatrix:
         if not candidates:
             break
         m = rng.choice(candidates)
-        mu = rng.randint(1, min(budget // m.degree, 3))
+        mu = rng.randint(1, min(budget // m.degree, max_mu))
         parts.append((m, mu))
         used.append(m)
         budget -= mu * m.degree
         # a lower-power twin block shrinks the geometric multiplicity gap
-        if rng.random() < 0.3 and budget >= m.degree:
+        if twins and rng.random() < 0.3 and budget >= m.degree:
             k = rng.randint(1, min(budget // m.degree, mu))
             parts.append((m, k))
             budget -= k * m.degree
-    if not parts:
-        parts = [(rng.choice(IRREDUCIBLE_POOL[:6]), 1)]
-    return _assemble(parts, rng)
+    return parts
+
+
+def random_matrix(seed: str, max_size: int = 6) -> GeneratedMatrix:
+    """Random rational matrix (size 2..max_size) whose minimal polynomial
+    is a known product of small irreducible powers, X among them."""
+    rng = random.Random(f"gen:{seed}")
+    budget = rng.randint(2, max_size)
+    return _assemble(_draw_parts(rng, IRREDUCIBLE_POOL + (X,), budget, max_mu=3, twins=True), rng)
 
 
 def blocks_matrix(polys: List[Polynomial], seed: str = "") -> GeneratedMatrix:
@@ -186,20 +193,7 @@ def random_invertible_quadratic(seed: str, max_size: int = 5) -> GeneratedMatrix
     the input family for the Delta Sigma U split."""
     rng = random.Random(f"mjc:{seed}")
     budget = rng.randint(2, max_size)
-    parts: List[Tuple[Polynomial, int]] = []
-    used: List[Polynomial] = []
-    while budget > 0:
-        candidates = [m for m in QUADRATIC_POOL if m.degree <= budget and m not in used]
-        if not candidates:
-            break
-        m = rng.choice(candidates)
-        mu = rng.randint(1, min(budget // m.degree, 2))
-        parts.append((m, mu))
-        used.append(m)
-        budget -= mu * m.degree
-    if not parts:
-        parts = [(rng.choice(QUADRATIC_POOL), 1)]
-    return _assemble(parts, rng)
+    return _assemble(_draw_parts(rng, QUADRATIC_POOL, budget, max_mu=2, twins=False), rng)
 
 
 def _signed_permutation(n: int, rng: random.Random) -> DenseMatrix:

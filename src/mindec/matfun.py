@@ -122,8 +122,9 @@ def _image_min_poly(f: Polynomial, factor: Polynomial) -> Polynomial:
     """Minimal polynomial over Q of f(Y) in Q[Y]/(factor): the minimal
     polynomial of the multiplication-by-f(Y) operator, which is f(C)
     for C = companion(factor), the multiplication by Y in the basis
-    1, Y, ..., Y^(d-1)."""
-    return minimal_polynomial(horner_eval(f % factor, companion(factor)))
+    1, Y, ..., Y^(d-1).  factor(C) = 0, so f(C) is the same for every
+    f of one residue; the residue f mod factor costs the least."""
+    return minimal_polynomial(horner_eval(f, companion(factor)))
 
 
 def f_equivalence_classes(
@@ -139,8 +140,9 @@ def f_equivalence_classes(
     InvariantViolation if not."""
     images = {}
     for i, (factor, _) in enumerate(factored.factors):
-        q = _image_min_poly(f, factor)
-        if not compose_mod(q, f % factor, factor).is_zero:
+        residue = f % factor
+        q = _image_min_poly(residue, factor)
+        if not compose_mod(q, residue, factor).is_zero:
             raise InvariantViolation(f"image {q} does not vanish at f(Y) mod {factor}")
         images.setdefault(q.coeffs, []).append((i, q))
     classes = [

@@ -3,9 +3,15 @@
 Coefficients are read low degree first with trailing zeros stripped,
 so the tuple index is the degree and the zero polynomial is the empty
 tuple.  Integer coefficients are normalized to :class:`~fractions.Fraction`
-at construction; any other coefficient type (multi-quadratic scalars,
-number field elements) is kept as given and only assumed to support
-exact field arithmetic through the usual operators.
+at construction; any other coefficient is a field element, kept as
+given: a :class:`~mindec.scalar.MultiQuad` of Q(sqrt(d1), ...) or a
+:class:`~mindec.scalar.NumberFieldElement` of Q[Y]/(m).  The contract
+of such a coefficient is ``+``, ``-``, ``*`` and ``==`` with itself and
+with an integer, a truth value, and ``inverse()``; every reciprocal of
+a coefficient goes through :func:`_reciprocal`, so division, ``monic``,
+``poly_gcd`` and ``ext_gcd`` run over either field.  A value outside
+that contract (a float, a matrix) is no coefficient: arithmetic with it
+raises TypeError.
 
 The degree of the zero polynomial is the sentinel -1.
 
@@ -50,7 +56,9 @@ class Polynomial:
 
     A rational polynomial holds ``_num`` (a tuple of ints) over ``_den``
     and builds ``_coeffs`` on demand; other polynomials hold
-    ``_coeffs`` only, with ``_num`` None.
+    ``_coeffs`` only, with ``_num`` None.  Their coefficients need only
+    ring operations, comparison with an integer, a truth value and
+    ``inverse()`` (see the module docstring).
     """
 
     __slots__ = ("_coeffs", "_num", "_den")
@@ -218,7 +226,7 @@ class Polynomial:
         quo = [None] * qlen
         # one inversion per division: over a number field each one is
         # a full extended gcd
-        inv = other._one_coeff() / other.coeffs[-1]
+        inv = _reciprocal(other.coeffs[-1])
         for k in range(qlen - 1, -1, -1):
             top = rem[k + dlen - 1]
             if not top:
@@ -262,12 +270,9 @@ class Polynomial:
             # num / lc(num), which divides out the content of num
             return self if num[-1] == self._den else Polynomial._of_ints(num, num[-1])
         lead = self.lc
-        try:
-            if lead == 1:
-                return self
-        except TypeError:
-            pass
-        inv = self._one_coeff() / lead
+        if lead == 1:
+            return self
+        inv = _reciprocal(lead)
         return Polynomial(tuple(c * inv for c in self.coeffs))
 
     def derivative(self) -> "Polynomial":
@@ -293,8 +298,8 @@ class Polynomial:
     def _one_coeff(self):
         if self._num is not None:
             return Fraction(1)
-        # c ** 0 is the one of the field c belongs to
-        return self._coeffs[-1] ** 0
+        # the one of the field the leading coefficient belongs to
+        return self._coeffs[-1] * 0 + 1
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
@@ -368,10 +373,16 @@ def _coerce(value):
         return value
     if isinstance(value, (int, Fraction)):
         return Polynomial._of_ints((value.numerator,) if value else (), value.denominator)
-    # scalar-like coefficient (duck typed: supports * and +)
-    if hasattr(value, "__mul__") and not isinstance(value, (list, tuple, str)):
+    # a field element: the generic coefficient contract
+    if hasattr(value, "inverse"):
         return Polynomial((value,))
     return None
+
+
+def _reciprocal(c):
+    """1 / c for a nonzero coefficient: a Fraction's quotient, any other
+    field element's ``inverse()``."""
+    return 1 / c if type(c) is Fraction else c.inverse()
 
 
 def _rational_combine(a: Polynomial, b: Polynomial, op) -> Polynomial:
@@ -418,21 +429,16 @@ def ext_gcd(a: Polynomial, b: Polynomial):
     if a.is_zero and b.is_zero:
         raise BothZero("ext_gcd(0, 0) is undefined")
     if a == b or b.is_zero:
-        g = a.monic()
-        inv = a._one_coeff() / a.lc
-        return g, Polynomial((inv,)), Polynomial()
+        return a.monic(), Polynomial((_reciprocal(a.lc),)), Polynomial()
     if a.is_zero:
-        g = b.monic()
-        inv = b._one_coeff() / b.lc
-        return g, Polynomial(), Polynomial((inv,))
+        return b.monic(), Polynomial(), Polynomial((_reciprocal(b.lc),))
     r0, r1 = a, b
-    one = a._one_coeff()
-    s0, s1 = Polynomial((one,)), Polynomial()
+    s0, s1 = Polynomial((a._one_coeff(),)), Polynomial()
     while not r1.is_zero:
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
-    inv = one / r0.lc  # makes g monic and scales s to match
+    inv = _reciprocal(r0.lc)  # makes g monic and scales s to match
     g = r0 * inv
     s = s0 * inv
     cofactor = b // g

@@ -11,15 +11,17 @@ Three coefficient domains are used throughout the library:
   are allowed (the values are then complex), but sign queries demand a
   totally real element.  The coordinates are integers over one
   positive denominator, the one rational format of the library, and
-  sums, products, inverses and signs are computed on those integers.
-  A MultiQuad divides through ``.inverse()``: ``a * b.inverse()``, as
-  the type has no ``/``;
+  sums, products, inverses and signs are computed on those integers;
 
 * :class:`NumberFieldElement`, residues modulo one fixed irreducible
   monic polynomial, used for computing with a generic root of an
   irreducible factor without naming any particular root.  A residue is
   a rational :class:`~mindec.poly.Polynomial`, so it is held in the one
   rational format of the library: integers over one denominator.
+
+Both extension types divide through ``.inverse()``, ``a * b.inverse()``,
+and neither has ``/``: ring operations and ``inverse()`` are all that
+:class:`~mindec.poly.Polynomial` asks of a coefficient.
 
 Multiplication of basis square roots follows the principal-branch
 convention sqrt(a)*sqrt(b) = sqrt(-1)^[a<0]+[b<0] * sqrt(|ab|), e.g.
@@ -620,12 +622,6 @@ class NumberFieldElement:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
 
     def __pow__(self, n: int):
         if n < 0:

@@ -9,6 +9,7 @@ on those.  Tests freeze expected values by computing them through
 these instead of trusting the code under test.
 """
 
+import random
 from fractions import Fraction
 
 
@@ -334,3 +335,31 @@ def entrywise_matmul(a, b):
         [sum((a[i][t] * b[t][j] for t in range(n)), zero) for j in range(n)]
         for i in range(n)
     ]
+
+
+#: the fields Q(sqrt(d1), ...) of the K[X] Euclid tests, each given by
+#: its radicands d1, ..., pairwise coprime
+MULTIQUAD_FIELDS = {"Q(sqrt2)": (2,), "Q(sqrt2,sqrt3)": (2, 3), "Q(sqrt-1)": (-1,)}
+
+
+def multiquad_gcd_cases(radicands, count=4):
+    """count seeded triples (g, u, v) of coefficient lists, low degree
+    first, over Q(sqrt(d) for d in radicands).  Each coefficient is a
+    {label: Fraction} coordinate dict on the labels, the products of
+    the radicands, and the leading one is nonzero: deg g is 1 or 2 and
+    deg u, deg v are at most 3, so a = g*u and b = g*v share g."""
+    labels = [1]
+    for d in radicands:
+        labels += [l * d for l in labels]
+    rng = random.Random(f"multiquad-gcd:{radicands}")
+
+    def poly(low, high):
+        coeffs = [
+            {l: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for l in labels if rng.random() < 0.6}
+            for _ in range(rng.randint(low, high) + 1)
+        ]
+        if not any(coeffs[-1].values()):
+            coeffs[-1] = {1: Fraction(1)}
+        return coeffs
+
+    return [(poly(1, 2), poly(0, 3), poly(0, 3)) for _ in range(count)]

@@ -7,14 +7,17 @@ from math import comb, gcd
 
 import pytest
 from oracles import (
+    MULTIQUAD_FIELDS,
     frac_poly_add,
     frac_poly_compose_mod,
     frac_poly_divmod,
     frac_poly_monic_gcd,
     frac_poly_mul,
+    multiquad_gcd_cases,
 )
 
 from mindec.errors import BothZero, FieldMismatch, ZeroPolynomial
+from mindec.matrix import DenseMatrix
 from mindec.poly import (
     Polynomial,
     X,
@@ -83,6 +86,15 @@ class TestArithmetic:
         p = Polynomial((1, -2, 3))
         assert p(Fraction(2)) == 1 - 4 + 12
 
+    @pytest.mark.parametrize("value", [1.5, DenseMatrix.identity(2)], ids=["float", "matrix"])
+    def test_a_value_without_inverse_is_no_coefficient(self, value):
+        with pytest.raises(TypeError):
+            X * value
+        with pytest.raises(TypeError):
+            value * X
+        with pytest.raises(TypeError):
+            X + value
+
 
 class TestExtGcd:
     def test_identity_on_random_rational_pairs(self):
@@ -126,6 +138,50 @@ class TestExtGcd:
         g, s, t = ext_gcd(a, b)
         assert g == (X - Polynomial((1,))) ** 2
         assert s * a + t * b == g
+
+
+def multiquad_pairs(radicands):
+    """(g, a, b) with a = g*u and b = g*v over Q(sqrt(d) for d in
+    radicands), from the seeded cases of the oracle module."""
+    for case in multiquad_gcd_cases(radicands):
+        g, u, v = (Polynomial(tuple(MultiQuad(c) for c in coeffs)) for coeffs in case)
+        yield g, g * u, g * v
+
+
+@pytest.mark.parametrize("radicands", MULTIQUAD_FIELDS.values(), ids=list(MULTIQUAD_FIELDS))
+class TestEuclidOverMultiQuad:
+    """A MultiQuad coefficient has ring operations and inverse() only,
+    which is all division, monic, gcd and powers ask of it."""
+
+    def test_divmod_reassembles(self, radicands):
+        for _, a, b in multiquad_pairs(radicands):
+            for num, den in ((a, b), (b, a), (a * a + b, b)):
+                q, r = divmod(num, den)
+                assert q * den + r == num
+                assert r.degree < den.degree
+
+    def test_monic_has_leading_one(self, radicands):
+        for g, a, b in multiquad_pairs(radicands):
+            for p in (g, a, b):
+                monic = p.monic()
+                assert monic.lc == 1
+                assert monic * p.lc == p
+
+    def test_ext_gcd_identity_within_degree_bounds(self, radicands):
+        for g, a, b in multiquad_pairs(radicands):
+            h, s, t = ext_gcd(a, b)
+            assert s * a + t * b == h
+            assert h.lc == 1
+            assert (a % h).is_zero and (b % h).is_zero and (h % g).is_zero
+            assert h == poly_gcd(a, b)
+            if a.degree > 0 and b.degree > 0 and (a % b) and (b % a):
+                assert s.degree < b.degree - h.degree
+                assert t.degree < a.degree - h.degree
+
+    def test_zeroth_power_is_one(self, radicands):
+        for _, a, _ in multiquad_pairs(radicands):
+            assert a**0 == 1
+            assert a**3 == a * a * a
 
 
 class TestLeadingCoefficientInversions:

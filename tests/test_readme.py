@@ -6,6 +6,7 @@ the module that defines it.  Run from outside the checkout with no
 PYTHONPATH, the blocks import the installed package.
 """
 
+from collections import Counter
 from pathlib import Path
 from types import ModuleType
 
@@ -34,6 +35,19 @@ def library_use_blocks():
     return blocks
 
 
+def block_ids(blocks):
+    """Each block named by its first nonblank line, and the k-th block
+    to repeat a name by that name and " #k": ids that no paragraph
+    added above a block can change."""
+    seen = Counter()
+    ids = []
+    for _, source in blocks:
+        name = next(line for line in source.splitlines() if line.strip())
+        seen[name] += 1
+        ids.append(name if seen[name] == 1 else f"{name} #{seen[name]}")
+    return ids
+
+
 _BLOCKS = library_use_blocks()
 
 
@@ -41,7 +55,7 @@ def test_section_has_examples():
     assert len(_BLOCKS) >= 3
 
 
-@pytest.mark.parametrize("opened,source", _BLOCKS, ids=[f"line{n}" for n, _ in _BLOCKS])
+@pytest.mark.parametrize("opened,source", _BLOCKS, ids=block_ids(_BLOCKS))
 def test_example_runs(opened, source):
     exec(compile(source, f"README.md:{opened}", "exec"), {"__name__": "readme_example"})
 

@@ -1,12 +1,14 @@
 """Differential checks against sympy, an independent computer algebra
 system: factorization, minimal polynomials (of matrices and of the
-images f(alpha) of algebraic numbers) and MultiQuad matrix products.
-Skipped when sympy is not installed."""
+images f(alpha) of algebraic numbers), MultiQuad matrix products and
+gcds in K[X] over K = Q(sqrt(d1), ...).  Skipped when sympy is not
+installed."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from oracles import MULTIQUAD_FIELDS, multiquad_gcd_cases
 
 sympy = pytest.importorskip("sympy")
 
@@ -16,7 +18,7 @@ from mindec.factor import factor_rational  # noqa: E402
 from mindec.generator import IRREDUCIBLE_POOL, blocks_matrix, random_matrix  # noqa: E402
 from mindec.matfun import _image_min_poly  # noqa: E402
 from mindec.matrix import DenseMatrix, minimal_polynomial  # noqa: E402
-from mindec.poly import Polynomial, X  # noqa: E402
+from mindec.poly import Polynomial, X, poly_gcd  # noqa: E402
 from mindec.scalar import MultiQuad  # noqa: E402
 from mindec.serialize import parse_poly_expression  # noqa: E402
 
@@ -165,3 +167,18 @@ def test_multiquad_products_match_sympy():
             )
             got = sympy.Matrix([[mq_to_sympy(e) for e in r] for r in (A @ B).rows])
             assert (want - got).expand() == sympy.zeros(n, n)
+
+
+@pytest.mark.parametrize("radicands", MULTIQUAD_FIELDS.values(), ids=list(MULTIQUAD_FIELDS))
+def test_multiquad_gcd_matches_sympy(radicands):
+    # one sympy field per test: building it is most of sympy's time
+    field = sympy.QQ.algebraic_field(*(sympy.sqrt(d) for d in radicands))
+
+    def over_field(p):
+        terms = (mq_to_sympy(c) * x**k for k, c in enumerate(p.coeffs))
+        return sympy.Poly(sum(terms, sympy.Integer(0)), x, domain=field)
+
+    for case in multiquad_gcd_cases(radicands):
+        g, u, v = (Polynomial(tuple(MultiQuad(c) for c in coeffs)) for coeffs in case)
+        a, b = g * u, g * v
+        assert over_field(poly_gcd(a, b)) == over_field(a).gcd(over_field(b)).monic()
