@@ -55,6 +55,7 @@ from mindec.serialize import (
     MatrixDocument,
     document_from_json,
     document_to_json,
+    json_text,
     matrix_to_json,
     parse_poly_expression,
     poly_to_json,
@@ -79,7 +80,7 @@ def _load_matrix(args):
 def _finish(payload, report) -> int:
     if report is not None:
         payload["report"] = report.to_json()
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(json_text(payload) + "\n")
     if report is not None and not report.passed:
         return 4
     return 0
@@ -238,8 +239,7 @@ def _cmd_gen(args) -> int:
     doc = MatrixDocument(
         matrix=gm.matrix, label=gm.label, seed=seed, min_poly=gm.min_poly
     )
-    json.dump(document_to_json(doc), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json_text(document_to_json(doc)) + "\n")
     return 0
 
 
@@ -264,8 +264,7 @@ def _cmd_selftest(args) -> int:
             for r in results
         ],
     }
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json_text(payload) + "\n")
     return 0 if payload["pass"] else 4
 
 

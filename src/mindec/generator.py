@@ -7,6 +7,10 @@ companion blocks of small irreducible polynomials (or from explicit
 diagonal/orthogonal pieces for the Gram-friendly and normal families)
 and then conjugated by a unimodular integer matrix, so the interesting
 invariants are known by construction while the entries look generic.
+Each conjugator comes with its exact inverse, built from the same
+elementary operations as it (:func:`_unimodular`), so no matrix is
+inverted.  Every matrix is built as integer rows over one denominator,
+with no Fraction entry.
 """
 
 from __future__ import annotations
@@ -14,10 +18,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Tuple
 
 from mindec.factor import FactoredMinPoly, factor_rational
-from mindec.matrix import DenseMatrix, companion, inverse
+from mindec.matrix import DenseMatrix, _zeros, companion, int_matrix
 from mindec.poly import Polynomial, X, poly_lcm
 from mindec.scalar import MultiQuad, mq_sqrt_rational
 
@@ -62,15 +67,16 @@ class NormalCase:
 
 
 def block_diag(blocks: List[DenseMatrix]) -> DenseMatrix:
+    """The block diagonal matrix of rational blocks, from their integer
+    rows over the lcm of their denominators."""
     n = sum(b.n for b in blocks)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    at = 0
+    den = lcm(*(b._den for b in blocks))
+    rows = []
     for b in blocks:
-        for i in range(b.n):
-            for j in range(b.n):
-                rows[at + i][at + j] = b.rows[i][j]
-        at += b.n
-    return DenseMatrix(rows)
+        f, left = den // b._den, [0] * len(rows)
+        for r in b._parts.get(1) or _zeros(b.n):
+            rows.append(left + [f * x for x in r] + [0] * (n - len(left) - b.n))
+    return int_matrix(rows, den)
 
 
 def _poly_label(p: Polynomial) -> str:
@@ -88,8 +94,13 @@ def _poly_label(p: Polynomial) -> str:
 
 
 def _unimodular(n: int, rng: random.Random) -> Tuple[DenseMatrix, DenseMatrix]:
-    """A determinant +-1 integer matrix and its exact inverse."""
-    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    """A determinant +-1 integer matrix T = E_k ... E_1, a product of
+    elementary row operations, and T^-1 = E_1^-1 ... E_k^-1, built
+    alongside as the inverse column operations: row i += c * row j
+    undoes as column j -= c * column i, and a row swap or negation as
+    the same swap or negation of columns."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    cols = [r[:] for r in rows]  # the columns of T^-1
     for _ in range(n + 2):
         op = rng.randrange(3)
         i = rng.randrange(n)
@@ -97,12 +108,14 @@ def _unimodular(n: int, rng: random.Random) -> Tuple[DenseMatrix, DenseMatrix]:
         if op == 0 and i != j:
             c = rng.choice((-2, -1, 1, 2))
             rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+            cols[j] = [a - c * b for a, b in zip(cols[j], cols[i])]
         elif op == 1 and i != j:
             rows[i], rows[j] = rows[j], rows[i]
+            cols[i], cols[j] = cols[j], cols[i]
         else:
             rows[i] = [-a for a in rows[i]]
-    T = DenseMatrix(rows)
-    return T, inverse(T)
+            cols[i] = [-a for a in cols[i]]
+    return int_matrix(rows), int_matrix(list(zip(*cols)))
 
 
 def _conjugate(M: DenseMatrix, rng: random.Random) -> DenseMatrix:
@@ -172,9 +185,10 @@ def blocks_matrix(polys: List[Polynomial], seed: str = "") -> GeneratedMatrix:
     min_poly = polys[0].monic()
     for p in polys[1:]:
         min_poly = poly_lcm(min_poly, p)
-    rng = random.Random(f"blocks:{seed}:{';'.join(_poly_label(p) for p in polys)}")
+    labels = [_poly_label(p) for p in polys]
+    rng = random.Random(f"blocks:{seed}:{';'.join(labels)}")
     M = _conjugate(block_diag(blocks), rng)
-    label = "blocks " + ", ".join(_poly_label(p) for p in polys)
+    label = "blocks " + ", ".join(labels)
     return GeneratedMatrix(matrix=M, min_poly=min_poly, label=label)
 
 
@@ -199,26 +213,27 @@ def random_invertible_quadratic(seed: str, max_size: int = 5) -> GeneratedMatrix
 def _signed_permutation(n: int, rng: random.Random) -> DenseMatrix:
     perm = list(range(n))
     rng.shuffle(perm)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i, j in enumerate(perm):
-        rows[i][j] = Fraction(rng.choice((-1, 1)))
-    return DenseMatrix(rows)
+        rows[i][j] = rng.choice((-1, 1))
+    return int_matrix(rows)
 
 
 def _orthogonal_columns(n: int, rng: random.Random) -> DenseMatrix:
     """Integer matrix whose columns are pairwise orthogonal: a signed
     permutation with some 2x2 blocks replaced by [[1,1],[1,-1]] twists."""
-    blocks = []
-    left = n
-    while left > 0:
-        if left >= 2 and rng.random() < 0.5:
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    while at < n:
+        if at <= n - 2 and rng.random() < 0.5:
             s = rng.choice((-1, 1))
-            blocks.append(DenseMatrix([[s, s], [s, -s]]))
-            left -= 2
+            rows[at][at : at + 2] = [s, s]
+            rows[at + 1][at : at + 2] = [s, -s]
+            at += 2
         else:
-            blocks.append(DenseMatrix([[rng.choice((-1, 1))]]))
-            left -= 1
-    return block_diag(blocks) @ _signed_permutation(n, rng)
+            rows[at][at] = rng.choice((-1, 1))
+            at += 1
+    return int_matrix(rows) @ _signed_permutation(n, rng)
 
 
 def random_gram_friendly(seed: str, max_size: int = 4) -> GeneratedMatrix:
@@ -228,16 +243,17 @@ def random_gram_friendly(seed: str, max_size: int = 4) -> GeneratedMatrix:
     rng = random.Random(f"svd:{seed}")
     n = rng.randint(2, max_size)
     if rng.random() < 0.15:
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for i in range(n - 1):
-            rows[i][i + 1] = Fraction(rng.choice((0, 1, 2)))
-        rows[0][1] = Fraction(rng.choice((1, 2)))  # keep it nonzero
-        return GeneratedMatrix(DenseMatrix(rows), None, "nilpotent ladder")
+            rows[i][i + 1] = rng.choice((0, 1, 2))
+        rows[0][1] = rng.choice((1, 2))  # keep it nonzero
+        return GeneratedMatrix(int_matrix(rows), None, "nilpotent ladder")
     values = [0, 1, 2, 3, Fraction(1, 2), Fraction(3, 2)]
     diag = [rng.choice(values) for _ in range(n)]
     if not any(diag):
         diag[0] = 1
-    D = DenseMatrix([[Fraction(diag[i]) if i == j else Fraction(0) for j in range(n)] for i in range(n)])
+    # diag over the denominator 2 of its halves
+    D = int_matrix([[int(2 * d) if i == j else 0 for j in range(n)] for i, d in enumerate(diag)], 2)
     U = _orthogonal_columns(n, rng)
     V = _orthogonal_columns(n, rng)
     A = U @ D @ V.transpose()

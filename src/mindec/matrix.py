@@ -100,30 +100,18 @@ class DenseMatrix:
 
     Holds ``_parts`` ({label: integer rows}) over ``_den``; ``_rows``
     caches the entries once read.  Entries may be Fractions (or ints)
-    and MultiQuads in any mix; other entries raise FieldMismatch.
+    and MultiQuads in any mix, each read as its ({label: integer}, den)
+    pair and assembled by :func:`_parts_of_scalars`, the route of the
+    JSON reader too; other entries raise FieldMismatch.
     """
 
     __slots__ = ("n", "_parts", "_den", "_rows", "_analysis")
 
     def __init__(self, rows: Sequence[Sequence]):
-        rs = tuple(tuple(Fraction(e) if isinstance(e, int) else e for e in r) for r in rows)
-        n = len(rs)
-        if n == 0 or any(len(r) != n for r in rs):
-            raise ValueError("matrix must be square and nonempty")
-        kinds = {type(e) for r in rs for e in r}
-        bad = kinds - {Fraction, MultiQuad}
-        if bad:
-            raise FieldMismatch(f"matrix entries must be rational or MultiQuad, not {bad.pop().__name__}")
-        self.n = n
-        if MultiQuad in kinds:
-            self._parts, self._den = _parts_of_rows(rs)
-            self._rows = None
-        else:
-            den = lcm(*(e.denominator for r in rs for e in r))
-            num = tuple(tuple(e.numerator * (den // e.denominator) for e in r) for r in rs)
-            self._parts = {1: num} if any(map(any, num)) else {}
-            self._den = den
-            self._rows = rs
+        scalars = [[_scalar_parts(e) for e in r] for r in rows]
+        self.n = len(scalars)
+        self._parts, self._den = _parts_of_scalars(scalars)
+        self._rows = None
 
     @classmethod
     def _of_parts(cls, n: int, parts: Parts, den: int) -> "DenseMatrix":
@@ -158,10 +146,8 @@ class DenseMatrix:
             n, d = self.n, self._den
             if not self.is_rational:
                 rows = _rows_of_parts(n, self._parts, d)
-            elif not self._parts:
-                rows = ((Fraction(0),) * n,) * n
             elif d == 1:
-                rows = tuple(tuple(map(Fraction, r)) for r in self._parts[1])
+                rows = tuple(tuple(map(Fraction, r)) for r in self._parts.get(1) or _zeros(n))
             else:
                 rows = tuple(tuple(Fraction(x, d) for x in r) for r in self._parts[1])
             self._rows = rows
@@ -284,15 +270,18 @@ def _reduced(n: int, parts: Parts, den: int) -> DenseMatrix:
     return DenseMatrix._of_parts(n, parts, den)
 
 
-def _parts_of_rows(rows) -> Tuple[Parts, int]:
-    """(parts, den) of rows of Fraction and MultiQuad entries.  den is
-    the lcm of the entries' reduced denominators, so no factor is common
-    to den and every part, and only nonzero parts arise."""
+def _parts_of_scalars(rows) -> Tuple[Parts, int]:
+    """(parts, den) of a square matrix given as rows of ({label:
+    integer}, den) scalars in lowest terms (see :func:`_scalar_parts`);
+    ValueError if the rows are not square and nonempty.  den is the lcm
+    of the entries' denominators, so no factor is common to den and
+    every part, and only nonzero parts arise."""
     n = len(rows)
-    scalars = [[_scalar_parts(e) for e in r] for r in rows]
-    den = lcm(*(e for r in scalars for _, e in r))
+    if n == 0 or any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square and nonempty")
+    den = lcm(*(e for r in rows for _, e in r))
     parts: Dict[int, list] = {}
-    for i, r in enumerate(scalars):
+    for i, r in enumerate(rows):
         for j, (c, e) in enumerate(r):
             for lbl, x in c.items():
                 part = parts.get(lbl)
@@ -657,13 +646,20 @@ def companion(p: Polynomial) -> DenseMatrix:
     """Companion matrix of a monic rational polynomial of degree >= 1."""
     if p.degree < 1 or p.lc != 1 or not p.is_rational:
         raise ValueError("companion needs a monic rational polynomial of degree >= 1")
-    n = p.degree
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    # over p's denominator d: d on the subdiagonal, -d*p_i in the last
+    # column
+    n, num, d = p.degree, p._num, p._den
+    rows = [[0] * n for _ in range(n)]
     for i in range(1, n):
-        rows[i][i - 1] = Fraction(1)
+        rows[i][i - 1] = d
     for i in range(n):
-        rows[i][n - 1] = -p.coefficient(i)
-    return DenseMatrix(rows)
+        rows[i][n - 1] = -num[i]
+    return int_matrix(rows, d)
+
+
+def int_matrix(rows, den: int = 1) -> DenseMatrix:
+    """The rational matrix rows / den of square integer rows, den != 0."""
+    return _reduced(len(rows), {1: tuple(map(tuple, rows))}, den)
 
 
 def is_symmetric(M: DenseMatrix) -> bool:

@@ -2,8 +2,10 @@
 
 Coefficients are read low degree first with trailing zeros stripped,
 so the tuple index is the degree and the zero polynomial is the empty
-tuple.  Integer coefficients are normalized to :class:`~fractions.Fraction`
-at construction; any other coefficient is a field element, kept as
+tuple.  Integer coefficients, and MultiQuad coefficients of rational
+value, are normalized to :class:`~fractions.Fraction` at construction,
+so a product over Q(sqrt(d1), ...) that lands in Q[X] is a rational
+polynomial; any other coefficient is a field element, kept as
 given: a :class:`~mindec.scalar.MultiQuad` of Q(sqrt(d1), ...) or a
 :class:`~mindec.scalar.NumberFieldElement` of Q[Y]/(m).  The contract
 of such a coefficient is ``+``, ``-``, ``*`` and ``==`` with itself and
@@ -48,7 +50,10 @@ ZERO_DEGREE = -1
 
 
 def _norm_coeff(c):
-    return Fraction(c) if isinstance(c, int) else c
+    # an int, or a MultiQuad of rational value, is the Fraction it equals
+    if isinstance(c, int):
+        return Fraction(c)
+    return c.rational_part if type(c) is scalar.MultiQuad and c.is_rational else c
 
 
 class Polynomial:
@@ -359,10 +364,10 @@ _STR_BITS = 12000
 def _int_to_string(n: int) -> str:
     # str() refuses ints past the interpreter's digit limit, so a long
     # one is split at a power of ten near half its digits
-    if n < 0:
-        return "-" + _int_to_string(-n)
     if n.bit_length() < _STR_BITS:
         return str(n)
+    if n < 0:
+        return "-" + _int_to_string(-n)
     k = n.bit_length() * 3 // 20  # log10(2) / 2 is about 0.15
     high, low = divmod(n, 10**k)
     return _int_to_string(high) + _int_to_string(low).zfill(k)
@@ -561,3 +566,8 @@ def trace_coeffwise(p: Polynomial) -> Polynomial:
         else:
             out.append(c.trace())
     return Polynomial(tuple(out))
+
+
+# scalar imports this module, so it is bound last; _norm_coeff reads
+# MultiQuad from it when called
+from mindec import scalar  # noqa: E402

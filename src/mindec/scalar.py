@@ -69,11 +69,12 @@ def int_from_digits(digits: str) -> int:
         ) from None
 
 
-def rational_from_string(text: str) -> Fraction:
-    """Parse "p" or "p/q" with ASCII digits.  Stricter than the Fraction
-    constructor: no decimals, exponents, embedded whitespace or
-    non-ASCII digits, and a zero denominator or an overlong integer is
-    a PolyParseError rather than a ZeroDivisionError or ValueError."""
+def ratio_from_string(text: str) -> Tuple[int, int]:
+    """(p, q) in lowest terms, q > 0, of "p" or "p/q" with ASCII digits.
+    Stricter than the Fraction constructor: no decimals, exponents,
+    embedded whitespace or non-ASCII digits, and a zero denominator or
+    an overlong integer is a PolyParseError rather than a
+    ZeroDivisionError or ValueError."""
     s = text.strip()
     body = s[1:] if s[:1] in "+-" else s
     num, sep, den = body.partition("/")
@@ -81,8 +82,15 @@ def rational_from_string(text: str) -> Fraction:
         raise PolyParseError(f"not a rational: {text!r}")
     if sep and set(den) == {"0"}:
         raise PolyParseError(f"zero denominator: {text!r}")
-    p = int_from_digits(num)
-    return Fraction(-p if s[0] == "-" else p, int_from_digits(den) if sep else 1)
+    p = -int_from_digits(num) if s[0] == "-" else int_from_digits(num)
+    q = int_from_digits(den) if sep else 1
+    g = gcd(p, q)
+    return p // g, q // g
+
+
+def rational_from_string(text: str) -> Fraction:
+    """The Fraction of :func:`ratio_from_string`."""
+    return Fraction(*ratio_from_string(text))
 
 
 #: trial division bound B of square_split
@@ -274,17 +282,10 @@ class MultiQuad:
         if isinstance(value, (int, Fraction)):
             value = MultiQuad._of_ints({1: value.numerator}, value.denominator)
         elif not isinstance(value, MultiQuad):
-            coords: Dict[int, Fraction] = {}
-            for label, coeff in value.items():
-                if not isinstance(label, int) or label == 0:
-                    raise ValueError(f"bad radicand label: {label!r}")
-                c = Fraction(coeff)
-                if c:
-                    s, d = square_split(label)
-                    coords[d] = coords.get(d, 0) + c * s
-            den = lcm(*(c.denominator for c in coords.values()))
-            num = {k: c.numerator * (den // c.denominator) for k, c in coords.items()}
-            value = MultiQuad._of_ints(num, den)
+            cs = map(Fraction, value.values())
+            value = MultiQuad._of_coords(
+                ((label, c.numerator, c.denominator) for label, c in zip(value, cs)), {}
+            )
         self._num, self._den = value._num, value._den
 
     @classmethod
@@ -306,6 +307,28 @@ class MultiQuad:
         out._num = num
         out._den = den
         return out
+
+    @classmethod
+    def _of_coords(cls, coords, splits: Dict[int, Tuple[int, int]]) -> "MultiQuad":
+        """sum(p/q * sqrt(label)) over the (label, p, q) in coords, q > 0.
+        Each label is normalized by square_split (a coordinate on 12
+        becomes 2*sqrt(3)), looked up in splits first and recorded
+        there, so a caller that keeps one splits map splits each
+        distinct label once.  A label that is no nonzero int raises
+        ValueError."""
+        terms = []
+        for label, p, q in coords:
+            if not isinstance(label, int) or label == 0:
+                raise ValueError(f"bad radicand label: {label!r}")
+            if p:
+                if label not in splits:
+                    splits[label] = square_split(label)
+                terms.append((splits[label], p, q))
+        den = lcm(*(q for _, _, q in terms))
+        num: Dict[int, int] = {}
+        for (s, d), p, q in terms:
+            num[d] = num.get(d, 0) + p * s * (den // q)
+        return MultiQuad._of_ints(num, den)
 
     @property
     def coordinates(self) -> Dict[int, Fraction]:

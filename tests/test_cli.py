@@ -1,5 +1,6 @@
 """End-to-end command line checks, run in-process via selftest.run_cli."""
 
+import hashlib
 import io
 import json
 import os
@@ -13,7 +14,8 @@ import pytest
 from test_factor import swinnerton_dyer
 
 from mindec import cli
-from mindec.matrix import companion
+from mindec.generator import _unimodular
+from mindec.matrix import DenseMatrix, companion
 from mindec.poly import _int_to_string
 from mindec.selftest import run_cli
 from mindec.serialize import (
@@ -758,6 +760,91 @@ def derogatory_blocks(seed):
             return "; ".join(blocks), degree, degree + d * k, len(powers)
 
 
+#: SHA-256 of the gen documents of seeds GEN_SEEDS, in that order, for
+#: each source; recorded from the generator that built Fraction rows and
+#: inverted each conjugator by elimination
+GEN_SEEDS = ("0", "1", "2", "7", "demo")
+GEN_DIGESTS = [
+    (["--family", "general"], "f00183c40c55d9213fdf5be15b24e98afec65e74444079ee9640bce95ce9aedb"),
+    (
+        ["--family", "invertible-quadratic"],
+        "625a6317a33c50f2d2a2dd006660b1129383c002160994a24b5cd8953db05878",
+    ),
+    (["--family", "gram"], "5d1f3ad796364518e216ab882abdb35ea8e4c65b81bae09c7904192218e470f9"),
+    (["--family", "normal"], "b3e168997e84e6274c3251debe4e140ae837a2e050b87454bc750538f55c9778"),
+    (
+        ["--family", "general", "--size", "12"],
+        "66af9c9ffadaed68bd83f048b1bb977c4c0e5b4d6518b160536d34d857771f50",
+    ),
+    (
+        ["--family", "gram", "--size", "8"],
+        "91b641467c2a35594e6ac564c914bfb9ca014281dfb2ff625da760ed7c2be3d2",
+    ),
+    (
+        ["--blocks", "(X-1)^2; X^2+1; X^3-2; X+1/3"],
+        "e80d07fdfe0aca8037569a883910a0d8ef133d68cff1703b1f50b30317a085bf",
+    ),
+    (
+        ["--minpoly", "(X^2-2)(X-1)^2(X+1/2)"],
+        "751bbeb6822b24e46973d2269262ad4ea3394aca4fa83164daacf10fdaf13679",
+    ),
+]
+
+
+class TestGeneratedDocuments:
+    @pytest.mark.parametrize(
+        "source, digest", GEN_DIGESTS, ids=[" ".join(a) for a, _ in GEN_DIGESTS]
+    )
+    def test_documents_are_pinned(self, source, digest):
+        text = "".join(gen(seed, *source) for seed in GEN_SEEDS)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_unimodular_returns_t_and_its_inverse(self, n):
+        for k in range(20):
+            T, Ti = _unimodular(n, random.Random(f"unimodular:{n}:{k}"))
+            I = DenseMatrix.identity(n)
+            assert T @ Ti == I and Ti @ T == I
+            assert T._den == Ti._den == 1
+
+
+class TestWriters:
+    """Every document the command line prints is json.dumps(..., indent=2)
+    of itself, plus a newline."""
+
+    @staticmethod
+    def _assert_indent_2(out):
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @pytest.mark.parametrize("family", ["general", "invertible-quadratic", "gram", "normal"])
+    def test_gen(self, family):
+        self._assert_indent_2(gen("w", "--family", family))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sn"],
+            ["fine"],
+            ["covariants"],
+            ["unbreakable"],
+            ["mjc"],
+            ["apply", "--poly", "X^2-1/3"],
+        ],
+    )
+    def test_commands(self, argv):
+        code, out, err = run_cli(argv + ["--check"], gen("w", "--blocks", "X-1; X^2-2; X+2"))
+        assert code == 0, err
+        self._assert_indent_2(out)
+
+    @pytest.mark.parametrize(
+        "argv, family", [(["cmjc"], "invertible-quadratic"), (["svd"], "gram")]
+    )
+    def test_realclosed_commands(self, argv, family):
+        code, out, err = run_cli(argv + ["--check"], gen("w", "--family", family))
+        assert code == 0, err
+        self._assert_indent_2(out)
+
+
 class TestDefaultSettingsAboveDegree16:
     @pytest.fixture(scope="class")
     def ladder(self):
@@ -956,6 +1043,7 @@ class TestSelftestCommand:
         assert code == 0, err
         assert elapsed < 10.0, f"quick selftest took {elapsed:.1f}s"
         payload = json.loads(out)
+        assert out == json.dumps(payload, indent=2) + "\n"
         assert payload["pass"] is True
         assert len(payload["criteria"]) == 8
         # one human-readable line per criterion on stderr

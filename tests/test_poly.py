@@ -283,6 +283,38 @@ class TestSquarefree:
         assert radical == p and dict(profile) == {p: 5}
 
 
+class TestRationalValuedMultiQuadCoefficients:
+    """A MultiQuad coefficient of rational value is held as its Fraction,
+    so a product over Q(sqrt(2)) that lands in Q[X] is a rational
+    polynomial, as the norms N(f(X - s*alpha)) are."""
+
+    R = MultiQuad({2: 1})
+
+    def test_a_product_in_q_is_rational(self):
+        p = (X - self.R) * (X + self.R)
+        assert p.is_rational
+        assert p == X**2 - 2 and p.coeffs == (Fraction(-2), Fraction(0), Fraction(1))
+        assert all(type(c) is Fraction for c in p.coeffs)
+        mixed = Polynomial((MultiQuad(3), self.R))
+        assert not mixed.is_rational and mixed.coeffs == (Fraction(3), self.R)
+        assert type(mixed.coeffs[0]) is Fraction
+
+    def test_compose_mod(self):
+        p = (X - self.R) * (X + self.R)
+        assert compose_mod(p, X + 1, X**3) == X**2 + 2 * X - 1
+        assert compose_mod(p, X, X**2 - 2).is_zero
+
+    def test_squarefree_part(self):
+        p = (X - self.R) * (X + self.R)
+        radical, profile = squarefree_part(p)
+        assert radical == p and profile == [(p, 1)]
+        assert all(type(c) is Fraction for c in radical.coeffs)
+        radical, profile = squarefree_part(p * p * (X - 1))
+        assert radical == p * (X - 1) and dict(profile) == {p: 2, X - 1: 1}
+        for h, _ in profile:
+            assert h.is_rational
+
+
 class TestHasseDerivative:
     def test_taylor_expansion_reassembles(self):
         # f(X + c) = sum_k hasse_k(f)(c) X^k for rational c
@@ -496,13 +528,20 @@ class TestIntegerRepresentation:
     def test_hash_agrees_with_equality_across_coefficient_fields(self):
         for a, _ in integer_form_pairs(40):
             p = Polynomial(a)
+            # a MultiQuad of rational value is read as its Fraction
             lifted = p.map_coefficients(MultiQuad)
-            assert not lifted.is_rational or not a
+            assert lifted.is_rational
             assert lifted == p and p == lifted
             assert hash(lifted) == hash(p)
+            # on the generic branch, with one irrational coefficient
+            mixed = Polynomial(list(a) + [MultiQuad({2: 1})])
+            lifted_mixed = Polynomial([MultiQuad(c) for c in a] + [MultiQuad({2: 1})])
+            assert not lifted_mixed.is_rational
+            assert lifted_mixed == mixed and hash(lifted_mixed) == hash(mixed)
             if a:
                 assert p != p + Polynomial((Fraction(1, 10**9 + 7),))
                 assert lifted != p * Polynomial((Fraction(2),))
+                assert mixed != lifted_mixed * Polynomial((Fraction(2),))
 
     def test_property_arithmetic_matches_oracles(self):
         hypothesis = pytest.importorskip("hypothesis")

@@ -2,7 +2,9 @@
 ``apply --check`` pass, and the Krylov minimal polynomial equals the
 plain-Fraction oracle's.  Two families are drawn: conjugated companion
 blocks of repeated factors from the generator's pool (n <= 24), and
-small dense matrices whose entries have denominators up to 10^6."""
+small dense matrices whose entries have denominators up to 10^6.  The
+command line's one writer, ``serialize.json_text``, equals
+``json.dumps(..., indent=2)`` on drawn JSON values."""
 
 import json
 
@@ -12,7 +14,7 @@ from oracles import fraction_minimal_polynomial
 from mindec.generator import IRREDUCIBLE_POOL, blocks_matrix
 from mindec.matrix import DenseMatrix, minimal_polynomial
 from mindec.selftest import run_cli
-from mindec.serialize import matrix_to_json
+from mindec.serialize import json_text, matrix_to_json
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -76,3 +78,46 @@ def test_rational_matrices_pass_every_check():
         _check(M, coeffs)
 
     check()
+
+
+#: strings with the characters json escapes: quotes, backslashes,
+#: control characters and non-ASCII ones, astral and surrogate included
+TEXT = st.text(max_size=8) | st.sampled_from(
+    ['"', "\\", "\n\t\x00\x1f\x7f", "é", "\u2028", "\U0001f600", "\ud800"]
+)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**64, 2**200).flatmap(lambda x: st.sampled_from((x, -x)))
+    | st.floats()
+    | st.sampled_from((float("nan"), float("inf"), float("-inf"), -0.0, 1e300))
+    | TEXT
+)
+KEYS = TEXT | st.integers() | st.booleans() | st.none() | st.floats()
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(KEYS, children, max_size=4),
+    max_leaves=30,
+)
+
+
+def test_json_text_is_json_dumps_indent_2():
+    @hypothesis.settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(JSON_VALUES)
+    def check(value):
+        assert json_text(value) == json.dumps(value, indent=2)
+
+    check()
+    for value in ({}, [], (), [[]], {"": {}}, [{}, []]):
+        assert json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, [1, {"a": b"x"}], {"k": 1j}, {(1, 2): "key"}])
+def test_json_text_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        json_text(value)

@@ -162,6 +162,117 @@ class TestMatrixJson:
             document_from_json({"entries": [["1"]], "label": 7})
 
 
+#: the longest integer literal one int() converts, or 0 for no limit
+STR_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG_LITERAL = "1" * 5000
+TOO_LONG = "longer than this interpreter converts"
+SQRT_MISMATCH = ("FieldMismatch", "minimal_polynomial expects a matrix with rational entries")
+
+#: (entry e, exit code of ``sn`` on [[e, 1], [0, 2]], its (error, message)
+#: or None, the document's matrix entries or None), recorded from the
+#: reader that built a Fraction or a MultiQuad per entry before the matrix
+READER_TABLE = [
+    (" 7 ", 0, None, [["7", "1"], ["0", "2"]]),
+    ("+5", 0, None, [["5", "1"], ["0", "2"]]),
+    ("-0", 0, None, [["0", "1"], ["0", "2"]]),
+    ("4/6", 0, None, [["2/3", "1"], ["0", "2"]]),
+    ("0/5", 0, None, [["0", "1"], ["0", "2"]]),
+    ("-12/-4", 2, ("FormatError", "not a rational: '-12/-4'"), None),
+    ("1.5", 2, ("FormatError", "not a rational: '1.5'"), None),
+    ("1e3", 2, ("FormatError", "not a rational: '1e3'"), None),
+    ("", 2, ("FormatError", "not a rational: ''"), None),
+    ("1/0", 2, ("FormatError", "zero denominator: '1/0'"), None),
+    ("\u0661", 2, ("FormatError", "not a rational: '\u0661'"), None),
+    (5, 2, ("FormatError", "scalar must be a string or object, got int"), None),
+    (None, 2, ("FormatError", "scalar must be a string or object, got NoneType"), None),
+    (True, 2, ("FormatError", "scalar must be a string or object, got bool"), None),
+    (["1"], 2, ("FormatError", "scalar must be a string or object, got list"), None),
+    pytest.param(
+        LONG_LITERAL,
+        *(
+            (2, ("FormatError", f"integer literal of 5000 digits is {TOO_LONG}"), None)
+            if STR_LIMIT
+            else (0, None, [[LONG_LITERAL, "1"], ["0", "2"]])
+        ),
+        id="5000-digit literal",
+    ),
+    ({"x": "1"}, 2, ("FormatError", "bad radicand label: 'x'"), None),
+    ({"0": "1"}, 2, ("FormatError", "bad radicand label: 0"), None),
+    ({"0": "0"}, 2, ("FormatError", "bad radicand label: 0"), None),
+    ({"0": "1", "x": "1"}, 2, ("FormatError", "bad radicand label: 'x'"), None),
+    ({"\u0664": "1"}, 2, ("FormatError", "bad radicand label: '\u0664'"), None),
+    ({"4": 1}, 2, ("FormatError", "coordinate for '4' must be a string"), None),
+    ({"+2": "1/0"}, 2, ("FormatError", "coordinate for '+2': zero denominator: '1/0'"), None),
+    ({"2": "1.5"}, 2, ("FormatError", "coordinate for '2': not a rational: '1.5'"), None),
+    ({"12": "1/2", "3": "-1"}, 0, None, [["0", "1"], ["0", "2"]]),
+    ({"2": "4/6", "8": "-1/3"}, 0, None, [["0", "1"], ["0", "2"]]),
+    ({"4": "1/2", "9": "-1/3"}, 0, None, [["0", "1"], ["0", "2"]]),
+    ({"1": "3"}, 0, None, [["3", "1"], ["0", "2"]]),
+    ({}, 0, None, [["0", "1"], ["0", "2"]]),
+    ({"2": "0"}, 0, None, [["0", "1"], ["0", "2"]]),
+    # a label written twice keeps its last coordinate
+    ({"2": "1", "+2": "3"}, 3, SQRT_MISMATCH, [[{"2": "3"}, "1"], ["0", "2"]]),
+    ({" -3 ": "2"}, 3, SQRT_MISMATCH, [[{"-3": "2"}, "1"], ["0", "2"]]),
+    ({"-4": "1"}, 3, SQRT_MISMATCH, [[{"-1": "2"}, "1"], ["0", "2"]]),
+    ({"12": "1/2"}, 3, SQRT_MISMATCH, [[{"3": "1"}, "1"], ["0", "2"]]),
+]
+
+
+class TestIntegerReader:
+    """document_from_json parses every entry straight to integers over
+    one denominator and keeps the reader's results, errors and exit
+    codes entry for entry."""
+
+    @pytest.mark.parametrize("entry, code, error, entries", READER_TABLE)
+    def test_edge_entries(self, entry, code, error, entries):
+        doc = {"entries": [[entry, "1"], ["0", "2"]]}
+        got_code, out, err = run_cli(["sn"], json.dumps(doc))
+        assert got_code == code
+        if error is None:
+            assert err == ""
+        else:
+            assert json.loads(err) == {"error": error[0], "message": error[1]}
+        if entries is None:
+            with pytest.raises(FormatError) as info:
+                document_from_json(doc)
+            assert str(info.value) == error[1]
+        else:
+            assert matrix_to_json(document_from_json(doc).matrix)["entries"] == entries
+
+    def test_entries_become_integer_parts_with_no_fraction(self, monkeypatch):
+        from mindec import matrix, scalar, serialize
+
+        def no_fraction(*args):
+            raise AssertionError("a document entry built a Fraction")
+
+        doc = {"entries": [["1/2", {"2": "1/3", "8": "1"}], [" -4/6 ", {"1": "5"}]]}
+        for module in (matrix, scalar, serialize):
+            monkeypatch.setattr(module, "Fraction", no_fraction)
+        M = document_from_json(doc).matrix
+        monkeypatch.undo()
+        surd = MultiQuad({2: Fraction(7, 3)})  # 1/3 * sqrt(2) + sqrt(8)
+        assert M == DenseMatrix([[Fraction(1, 2), surd], [Fraction(-2, 3), 5]])
+
+    def test_each_distinct_label_is_split_once_per_document(self, monkeypatch):
+        from mindec import scalar
+
+        calls = []
+        real = scalar.square_split
+        monkeypatch.setattr(scalar, "square_split", lambda n: calls.append(n) or real(n))
+        label = "100000000000000000039"  # a prime: trial division runs to its bound
+        doc = {"entries": [[{label: "1"}] * 8 for _ in range(8)]}
+        code, out, err = run_cli(["sn"], json.dumps(doc))
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": SQRT_MISMATCH[0], "message": SQRT_MISMATCH[1]}
+        assert calls == [int(label)]
+        calls.clear()
+        doc = {"entries": [[{"12": "1", "3": "-1/2"}, {"12": "2"}], [{"8": "1"}, {"-3": "1"}]]}
+        document_from_json(doc)
+        assert sorted(calls) == [-3, 3, 8, 12]
+        document_from_json(doc)
+        assert len(calls) == 8
+
+
 def _entrywise_json(M):
     # the entry-by-entry form that matrix_to_json must reproduce
     return [[scalar_to_json(e) for e in row] for row in M.rows]
