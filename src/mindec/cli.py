@@ -2,8 +2,11 @@
 
 Matrices travel as JSON documents (see the serialize module) on
 standard input or via --input; results are JSON on standard output.
-With --check each command appends a verification report of exact
-identities and exits with status 4 if any check fails.  Exit codes:
+One function, _serve, serves every matrix command: it reads the
+document, has the command's own function compute the payload of M, and
+writes it.  --check only adds that function's verification report of
+exact identities, under the key "report", and exits with status 4 if
+any check fails; the rest of the output is the same.  Exit codes:
 0 success, 2 malformed input or arguments (JSON nested too deeply
 included), 3 violated precondition (singular matrix, irrational
 singular values, a minimal polynomial whose factorization needs more
@@ -86,23 +89,28 @@ def _finish(payload, report) -> int:
     return 0
 
 
-def _cmd_sn(args) -> int:
-    M = _load_matrix(args)
+def _serve(args, build) -> int:
+    """The one handler of every matrix command: read the document, build
+    the payload of M and write it; the report is made only under
+    --check."""
+    payload, report = build(_load_matrix(args))
+    return _finish(payload, report() if args.check else None)
+
+
+def _sn(M):
     sn = sn_decompose(M)
-    payload = {
+    return {
         "semisimple": matrix_to_json(sn.semisimple),
         "nilpotent": matrix_to_json(sn.nilpotent),
         "s_poly": poly_to_json(sn.s_poly),
         "n_poly": poly_to_json(sn.n_poly),
         "min_poly": poly_to_json(sn.system.min_poly),
-    }
-    return _finish(payload, verify_sn(M, sn) if args.check else None)
+    }, lambda: verify_sn(M, sn)
 
 
-def _cmd_fine(args) -> int:
-    M = _load_matrix(args)
+def _fine(M):
     fd = fine_decompose(M)
-    payload = {
+    return {
         "components": [
             {
                 "factor": poly_to_json(c.factor),
@@ -113,15 +121,13 @@ def _cmd_fine(args) -> int:
             for c in fd.components
         ],
         "zero_index": fd.zero_index,
-    }
-    return _finish(payload, verify_fine(M, fd) if args.check else None)
+    }, lambda: verify_fine(M, fd)
 
 
-def _cmd_covariants(args) -> int:
-    M = _load_matrix(args)
+def _covariants(M):
     system = system_of(M)
     projectors = materialize_projectors(system, M)
-    payload = {
+    return {
         "min_poly": poly_to_json(system.min_poly),
         "factors": [
             {
@@ -134,57 +140,47 @@ def _cmd_covariants(args) -> int:
             }
             for i, (factor, mult) in enumerate(system.factored.factors)
         ],
-    }
-    return _finish(payload, verify_system(system, M) if args.check else None)
+    }, lambda: verify_system(system, M)
 
 
-def _cmd_unbreakable(args) -> int:
-    M = _load_matrix(args)
+def _unbreakable(M):
     components = unbreakable_components(M)
     payload = {"components": [matrix_to_json(c) for c in components]}
-    return _finish(payload, verify_unbreakable(M, components) if args.check else None)
+    return payload, lambda: verify_unbreakable(M, components)
 
 
-def _cmd_mjc(args) -> int:
-    M = _load_matrix(args)
+def _mjc(M):
     jc = multiplicative_jc(M)
-    payload = {
+    return {
         "semisimple": matrix_to_json(jc.semisimple),
         "unipotent": matrix_to_json(jc.unipotent),
-    }
-    return _finish(payload, jc.report if args.check else None)
+    }, lambda: jc.report
 
 
-def _cmd_cmjc(args) -> int:
-    M = _load_matrix(args)
+def _cmjc(M):
     dsu = complete_mjc(M)
-    payload = {
+    return {
         "delta": matrix_to_json(dsu.delta),
         "sigma": matrix_to_json(dsu.sigma),
         "unipotent": matrix_to_json(dsu.unipotent),
         "radicands": list(dsu.radicands),
-    }
-    return _finish(payload, dsu.report if args.check else None)
+    }, lambda: dsu.report
 
 
-def _cmd_svd(args) -> int:
-    A = _load_matrix(args)
+def _svd(A):
     result = svd(A)
-    payload = {
+    return {
         "terms": [
             {"sigma": scalar_to_json(t.sigma), "matrix": matrix_to_json(t.matrix)}
             for t in result.terms
         ],
         "radicands": list(result.radicands),
-    }
-    return _finish(payload, result.report if args.check else None)
+    }, lambda: result.report
 
 
-def _cmd_apply(args) -> int:
-    f = parse_poly_expression(args.poly)
-    M = _load_matrix(args)
+def _apply(M, f):
     result = schwerdtfeger_eval(f, M)
-    payload = {
+    return {
         "value": matrix_to_json(result.value),
         "semisimple": matrix_to_json(result.semisimple_part),
         "nilpotent": matrix_to_json(result.nilpotent_part),
@@ -192,8 +188,13 @@ def _cmd_apply(args) -> int:
             {"image": poly_to_json(c.image), "indices": list(c.indices)}
             for c in result.classes
         ],
-    }
-    return _finish(payload, verify_matfun(f, M, result) if args.check else None)
+    }, lambda: verify_matfun(f, M, result)
+
+
+def _cmd_apply(args) -> int:
+    # a bad --poly fails before the document is read
+    f = parse_poly_expression(args.poly)
+    return _serve(args, lambda M: _apply(M, f))
 
 
 def _cmd_gen(args) -> int:
@@ -239,8 +240,7 @@ def _cmd_gen(args) -> int:
     doc = MatrixDocument(
         matrix=gm.matrix, label=gm.label, seed=seed, min_poly=gm.min_poly
     )
-    sys.stdout.write(json_text(document_to_json(doc)) + "\n")
-    return 0
+    return _finish(document_to_json(doc), None)
 
 
 def _cmd_selftest(args) -> int:
@@ -294,17 +294,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "--check", action="store_true", help="append a verification report"
     )
 
-    for name, handler, desc in (
-        ("sn", _cmd_sn, "additive decomposition M = S + N"),
-        ("fine", _cmd_fine, "fine decomposition, one pair per irreducible factor"),
-        ("covariants", _cmd_covariants, "covariant system of the minimal polynomial"),
-        ("unbreakable", _cmd_unbreakable, "unbreakable semisimple components"),
-        ("mjc", _cmd_mjc, "multiplicative decomposition M = S U"),
-        ("cmjc", _cmd_cmjc, "complete multiplicative decomposition M = Delta Sigma U"),
-        ("svd", _cmd_svd, "exact singular value system"),
+    for name, build, desc in (
+        ("sn", _sn, "additive decomposition M = S + N"),
+        ("fine", _fine, "fine decomposition, one pair per irreducible factor"),
+        ("covariants", _covariants, "covariant system of the minimal polynomial"),
+        ("unbreakable", _unbreakable, "unbreakable semisimple components"),
+        ("mjc", _mjc, "multiplicative decomposition M = S U"),
+        ("cmjc", _cmjc, "complete multiplicative decomposition M = Delta Sigma U"),
+        ("svd", _svd, "exact singular value system"),
     ):
         p = sub.add_parser(name, parents=[matrix_in], help=desc)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=functools.partial(_serve, build=build))
 
     p = sub.add_parser(
         "apply", parents=[matrix_in], help="evaluate a polynomial at the matrix"

@@ -88,11 +88,6 @@ def ratio_from_string(text: str) -> Tuple[int, int]:
     return p // g, q // g
 
 
-def rational_from_string(text: str) -> Fraction:
-    """The Fraction of :func:`ratio_from_string`."""
-    return Fraction(*ratio_from_string(text))
-
-
 #: trial division bound B of square_split
 TRIAL_BOUND = 10**6
 #: Miller-Rabin with the first 13 prime bases is deterministic below this

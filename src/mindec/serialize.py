@@ -13,7 +13,11 @@ Matrices cross the text boundary in their integer form.  The reader,
 reduced (numerator, denominator) pair and each object to its
 ({label: integer}, denominator) pair, splitting each distinct radicand
 label once per document, and assembles the integer parts over the lcm
-of the denominators: no entry becomes a Fraction.  The writers,
+of the denominators: no entry becomes a Fraction.  Polynomial text
+crosses as integer pairs too: the coefficient lists of
+:func:`parse_poly_expression` and its rational literals assemble their
+(numerator, denominator) pairs over the lcm into a rational
+:class:`Polynomial`.  The writers,
 :func:`matrix_to_json` and :func:`poly_to_json`, write from the integer
 parts over the one denominator.  :func:`json_text` is the one writer of
 JSON text, for every document the command line prints: it returns
@@ -34,13 +38,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from mindec.errors import FormatError, OrderTooLarge, PolyParseError
 from mindec.matrix import DenseMatrix, _parts_of_scalars
 from mindec.poly import Polynomial, X, _int_to_string, ratio_to_string
-from mindec.scalar import (
-    MultiQuad,
-    _ascii_digits,
-    int_from_digits,
-    ratio_from_string,
-    rational_from_string,
-)
+from mindec.scalar import MultiQuad, _ascii_digits, int_from_digits, ratio_from_string
 
 Scalar = Union[Fraction, MultiQuad]
 
@@ -260,6 +258,23 @@ def poly_from_json(data) -> Polynomial:
     return Polynomial(tuple(scalar_from_json(c) for c in data))
 
 
+def _rational_poly(pairs, what: Optional[str] = None) -> Polynomial:
+    """The rational polynomial of the (p, q) pairs p/q, q > 0, lowest
+    degree first, as the text grammar reads them: integers over the lcm
+    of the q, with no Fraction built.  With what, the lcm is checked
+    against MAX_POLY_BITS as each q joins it: the lcm of many large
+    denominators alone costs seconds."""
+    den = 1
+    for _, q in pairs:
+        den = lcm(den, q)
+        if what:
+            _check_bits(den.bit_length(), what, 0)
+    num = [p * (den // q) for p, q in pairs]
+    while num and not num[-1]:
+        num.pop()
+    return Polynomial._of_ints(num, den)
+
+
 def poly_to_text(p: Polynomial) -> str:
     """The text form str(p) of a rational polynomial, e.g.
     "2 - X + 3/2*X^2", which parse_poly_expression reads back."""
@@ -378,7 +393,7 @@ class _PolyParser:
                 den = int_from_digits(self.take("int")[1])
                 if den == 0:
                     raise PolyParseError(f"zero denominator at position {pos}")
-            literal = Polynomial((Fraction(num, den),))
+            literal = _rational_poly([(num, den)])
             _check_bits(_bits(literal), "literal", pos)
             return literal
         if kind == "X":
@@ -435,15 +450,10 @@ def _coefficient_list(text: str) -> Polynomial:
     """The polynomial of comma-separated rationals "p" or "p/q", lowest
     degree first, under the limits of the expression grammar: at most
     MAX_POLY_DEGREE + 1 entries and a coefficient bit bound of at most
-    MAX_POLY_BITS.  The common denominator is checked as each entry
-    joins it: the lcm of many large denominators alone costs seconds."""
+    MAX_POLY_BITS, the common denominator checked as each entry joins
+    it."""
     entries = text.split(",")
     _check_degree(len(entries) - 1, "coefficient list degree", 0)
-    coeffs = [rational_from_string(entry) for entry in entries]
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
-        _check_bits(den.bit_length(), "coefficient list", 0)
-    p = Polynomial(coeffs)
+    p = _rational_poly([ratio_from_string(entry) for entry in entries], "coefficient list")
     _check_bits(_bits(p), "coefficient list", 0)
     return p

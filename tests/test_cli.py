@@ -845,6 +845,66 @@ class TestWriters:
         self._assert_indent_2(out)
 
 
+#: J_2(2) + [2] (derogatory: order 3, minimal polynomial of degree 2), a
+#: singular matrix and [[0, 2], [1, 0]] (semisimple, minimal polynomial
+#: X^2 - 2, singular values 2 and 1)
+CHECK_DOCUMENTS = {
+    "derogatory": json.dumps({"entries": [["2", "1", "0"], ["0", "2", "0"], ["0", "0", "2"]]}),
+    "singular": SINGULAR_2,
+    "semisimple": json.dumps({"entries": [["0", "2"], ["1", "0"]]}),
+}
+EVERY_MATRIX_COMMAND = [[c] for c in MATRIX_COMMANDS] + [["apply", "--poly", "X^2-1/3"]]
+
+
+class TestCheckOnlyAddsTheReport:
+    """One function serves every matrix command; --check adds the
+    report and changes nothing else."""
+
+    @pytest.mark.parametrize("doc", CHECK_DOCUMENTS)
+    @pytest.mark.parametrize("argv", EVERY_MATRIX_COMMAND, ids=lambda argv: argv[0])
+    def test_same_exit_stderr_and_stdout_but_the_report(self, argv, doc):
+        text = CHECK_DOCUMENTS[doc]
+        code, out, err = run_cli(argv, text)
+        checked_code, checked_out, checked_err = run_cli(argv + ["--check"], text)
+        assert (checked_code, checked_err) == (code, err)
+        # every command succeeds on the semisimple document
+        assert code == 0 or doc != "semisimple"
+        if code == 0:
+            payload = json.loads(checked_out)
+            assert payload.pop("report")["pass"] is True
+            assert "report" not in json.loads(out)
+            assert out == json.dumps(payload, indent=2) + "\n"
+        else:
+            assert out == checked_out == ""
+
+    @pytest.mark.parametrize(
+        "argv, verifier",
+        [
+            (["sn"], "verify_sn"),
+            (["fine"], "verify_fine"),
+            (["covariants"], "verify_system"),
+            (["unbreakable"], "verify_unbreakable"),
+            (["apply", "--poly", "X^2-1/3"], "verify_matfun"),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else v,
+    )
+    def test_no_report_is_made_without_check(self, monkeypatch, argv, verifier):
+        def refuse(*args):
+            raise AssertionError(f"{verifier} ran without --check")
+
+        monkeypatch.setattr(cli, verifier, refuse)
+        code, out, err = run_cli(argv, CHECK_DOCUMENTS["semisimple"])
+        assert (code, err) == (0, "")
+        code, out, err = run_cli(argv + ["--check"], CHECK_DOCUMENTS["semisimple"])
+        assert code == 4
+        assert "ran without --check" in json.loads(err)["message"]
+
+    def test_a_bad_poly_fails_before_the_document_is_read(self):
+        code, out, err = run_cli(["apply", "--poly", "X^"], "{not json")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "PolyParseError"
+
+
 class TestDefaultSettingsAboveDegree16:
     @pytest.fixture(scope="class")
     def ladder(self):

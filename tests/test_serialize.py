@@ -13,7 +13,7 @@ from mindec.errors import FormatError, PolyParseError
 from mindec.generator import random_matrix
 from mindec.matrix import DenseMatrix
 from mindec.poly import _STR_BITS, Polynomial, X
-from mindec.scalar import MultiQuad, rational_from_string
+from mindec.scalar import MultiQuad, ratio_from_string
 from mindec.selftest import run_cli
 from mindec.serialize import (
     MAX_POLY_BITS,
@@ -62,7 +62,7 @@ class TestScalarJson:
         t0 = time.perf_counter()
         for text in (long, f"-{long}", f"1/{long}", f"{long}/3"):
             with pytest.raises(PolyParseError, match="digits"):
-                rational_from_string(text)
+                ratio_from_string(text)
             with pytest.raises(FormatError, match="digits"):
                 scalar_from_json(text)
             with pytest.raises(FormatError, match="digits"):
@@ -72,7 +72,7 @@ class TestScalarJson:
                 parse_poly_expression(text)
         assert time.perf_counter() - t0 < 2.0
         # one digit fewer is still a number
-        assert rational_from_string(long[1:]) == int(long[1:])
+        assert ratio_from_string(long[1:]) == (int(long[1:]), 1)
 
     def test_rational_multiquad_collapses_to_string(self):
         assert scalar_to_json(MultiQuad(Fraction(7, 3))) == "7/3"
@@ -271,6 +271,88 @@ class TestIntegerReader:
         assert sorted(calls) == [-3, 3, 8, 12]
         document_from_json(doc)
         assert len(calls) == 8
+
+
+#: (min_poly value v, exit code of ``sn`` on a document that carries v,
+#: its (error, message) or None, the polynomial read back as JSON or
+#: None), pinned so that the polynomial readers keep them
+MIN_POLY_TABLE = [
+    ([{"2": "1"}], 0, None, [{"2": "1"}]),
+    ([{"4": "1"}, "1"], 0, None, ["2", "1"]),
+    (["-4/6", "0", "3/9"], 0, None, ["-2/3", "0", "1/3"]),
+    (["0", "0"], 0, None, []),
+    (["1/0"], 2, ("FormatError", "zero denominator: '1/0'"), None),
+    ([{"0": "1"}], 2, ("FormatError", "bad radicand label: 0"), None),
+    ([["1"]], 2, ("FormatError", "scalar must be a string or object, got list"), None),
+    ("X", 2, ("FormatError", "polynomial must be a list of coefficients"), None),
+    pytest.param(
+        [LONG_LITERAL],
+        *(
+            (2, ("FormatError", f"integer literal of 5000 digits is {TOO_LONG}"), None)
+            if STR_LIMIT
+            else (0, None, [LONG_LITERAL])
+        ),
+        id="5000-digit literal",
+    ),
+]
+
+#: (--poly coefficient list, exit code of ``apply`` with it, its (error,
+#: message) or None, the polynomial as JSON or None), recorded as above
+POLY_LIST_TABLE = [
+    ("4/6,0/5,1", 0, None, ["2/3", "0", "1"]),
+    ("1/0,1", 2, ("PolyParseError", "zero denominator: '1/0'"), None),
+    ("0,0", 0, None, []),
+]
+
+
+class TestIntegerPolynomialReader:
+    """The --poly coefficient lists and rational literals read straight
+    to integers over one denominator; the text and JSON polynomial
+    readers keep their results, errors and exit codes."""
+
+    @pytest.mark.parametrize("min_poly, code, error, coeffs", MIN_POLY_TABLE)
+    def test_edge_min_polys(self, min_poly, code, error, coeffs):
+        doc = {"entries": [["1", "1"], ["0", "2"]], "min_poly": min_poly}
+        got_code, out, err = run_cli(["sn"], json.dumps(doc))
+        assert got_code == code
+        if error is None:
+            assert err == ""
+            assert poly_to_json(document_from_json(doc).min_poly) == coeffs
+        else:
+            assert json.loads(err) == {"error": error[0], "message": error[1]}
+            with pytest.raises(FormatError) as info:
+                document_from_json(doc)
+            assert str(info.value) == error[1]
+
+    @pytest.mark.parametrize("text, code, error, coeffs", POLY_LIST_TABLE)
+    def test_edge_coefficient_lists(self, text, code, error, coeffs):
+        doc = '{"entries": [["1", "1"], ["0", "2"]]}'
+        got_code, out, err = run_cli(["apply", "--poly", text], doc)
+        assert got_code == code
+        if error is None:
+            assert err == ""
+            assert poly_to_json(parse_poly_expression(text)) == coeffs
+        else:
+            assert json.loads(err) == {"error": error[0], "message": error[1]}
+            with pytest.raises(PolyParseError) as info:
+                parse_poly_expression(text)
+            assert str(info.value) == error[1]
+
+    def test_a_rational_coefficient_list_keeps_no_fraction(self, monkeypatch):
+        from mindec import poly, scalar, serialize
+
+        def no_fraction(*args):
+            raise AssertionError("a rational coefficient built a Fraction")
+
+        for module in (poly, scalar, serialize):
+            monkeypatch.setattr(module, "Fraction", no_fraction)
+        read = [parse_poly_expression("-4/6, 0/5, 1/3"), parse_poly_expression("2/4")]
+        assert all(p._coeffs is None for p in read)
+        monkeypatch.undo()
+        assert read == [
+            Polynomial((Fraction(-2, 3), 0, Fraction(1, 3))),
+            Polynomial((Fraction(1, 2),)),
+        ]
 
 
 def _entrywise_json(M):

@@ -3,7 +3,9 @@ seeded generator never draws: one eigenvalue with several Jordan block
 sizes (nilpotent when the eigenvalue is 0), and Jordan matrices
 conjugated by a rational matrix with denominators 10^6.  Each matrix is
 built in sympy from its Jordan data, n <= 5; hypothesis draws are
-derandomized.  Skipped when sympy or hypothesis is not installed."""
+derandomized.  The singular value systems are checked on products
+Q1 diag(sigma) Q2 of rational orthogonal matrices built the same way.
+Skipped when sympy or hypothesis is not installed."""
 
 from fractions import Fraction
 
@@ -13,9 +15,17 @@ sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from mindec.decompose import fine_decompose, sn_decompose  # noqa: E402
+from mindec.covariant import materialize_projectors  # noqa: E402
+from mindec.decompose import (  # noqa: E402
+    fine_decompose,
+    multiplicative_jc,
+    sn_decompose,
+    system_of,
+)
+from mindec.errors import SingularMatrix  # noqa: E402
 from mindec.matrix import DenseMatrix  # noqa: E402
 from mindec.poly import X  # noqa: E402
+from mindec.realclosed import svd  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=10, derandomize=True, deadline=None, database=None)
 #: largest order of a drawn matrix
@@ -73,6 +83,31 @@ def large_denominators(draw):
 
 
 FAMILIES = {"one-eigenvalue": one_eigenvalue(), "large-denominators": large_denominators()}
+
+
+@st.composite
+def cayley(draw, n):
+    """(I - K)(I + K)^-1 for a rational skew K: orthogonal, since I + K
+    is invertible for every real skew K."""
+    entry = st.builds(sympy.Rational, st.integers(-3, 3), st.integers(1, 3))
+    K = sympy.zeros(n, n)
+    for i in range(n):
+        for j in range(i):
+            K[i, j] = draw(entry)
+            K[j, i] = -K[i, j]
+    return (sympy.eye(n) - K) * (sympy.eye(n) + K).inv()
+
+
+@st.composite
+def orthogonal_products(draw):
+    """(Q1 diag(sigma) Q2, sigma) for Cayley orthogonal Q1 and Q2 and
+    rational sigma, one entry at least nonzero; repeated, signed and zero
+    entries of sigma included."""
+    n = draw(st.integers(1, MAX_ORDER))
+    value = st.sampled_from((0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2), 3))
+    sigma = draw(st.lists(value, min_size=n, max_size=n).filter(any))
+    middle = sympy.diag(*(sympy.Rational(s.numerator, s.denominator) for s in sigma))
+    return draw(cayley(n)) * middle * draw(cayley(n)), sigma
 
 
 def to_dense(A):
@@ -133,3 +168,57 @@ def test_fine_matches_the_jordan_blocks(family):
                 assert part.factor == X
 
     check()
+
+
+@pytest.mark.parametrize("family", FAMILIES.values(), ids=list(FAMILIES))
+def test_covariant_projectors_match_the_jordan_blocks(family):
+    @SETTINGS
+    @hypothesis.given(family)
+    def check(A):
+        P, J = A.jordan_form()
+        M = to_dense(A)
+        system = system_of(M)
+        projectors = materialize_projectors(system, M)
+        factors = [factor for factor, _ in system.factored.factors]
+        assert len(projectors) == len(factors)
+        assert all(factor.degree == 1 for factor in factors)
+        # factor i is X - lambda_i; E_i is the identity on the blocks of
+        # lambda_i, conjugated by P
+        eigenvalues = [sympy.Rational(-factor.coefficient(0)) for factor in factors]
+        assert set(eigenvalues) == set(J.diagonal())
+        for lam, E in zip(eigenvalues, projectors):
+            D = sympy.diag(*(1 if J[k, k] == lam else 0 for k in range(J.rows)))
+            assert to_sympy(E) == P * D * P.inv()
+
+    check()
+
+
+@pytest.mark.parametrize("family", FAMILIES.values(), ids=list(FAMILIES))
+def test_mjc_matches_the_jordan_form(family):
+    @SETTINGS
+    @hypothesis.given(family)
+    def check(A):
+        M = to_dense(A)
+        if A.det() == 0:
+            with pytest.raises(SingularMatrix):
+                multiplicative_jc(M)
+            return
+        P, J = A.jordan_form()
+        S = P * sympy.diag(*J.diagonal()) * P.inv()
+        jc = multiplicative_jc(M)
+        assert to_sympy(jc.semisimple) == S
+        assert to_sympy(jc.unipotent) == S.inv() * A
+
+    check()
+
+
+@SETTINGS
+@hypothesis.given(orthogonal_products())
+def test_svd_matches_the_orthogonal_product(drawn):
+    A, sigma = drawn
+    result = svd(to_dense(A))
+    values = sorted({abs(s) for s in sigma if s}, reverse=True)
+    assert all(t.sigma.is_rational for t in result.terms)
+    assert [t.sigma.rational_part for t in result.terms] == values
+    for t, value in zip(result.terms, values):
+        assert to_sympy(t.matrix).rank() == sum(abs(s) == value for s in sigma)
