@@ -135,10 +135,10 @@ def _covariants(M):
                 "multiplicity": mult,
                 "e_poly": poly_to_json(system.e_polys[i]),
                 "s_poly": poly_to_json(system.s_polys[i]),
-                "n_poly": poly_to_json(system.n_polys[i]),
+                "n_poly": poly_to_json(n_i),
                 "projector": matrix_to_json(projectors[i]),
             }
-            for i, (factor, mult) in enumerate(system.factored.factors)
+            for i, ((factor, mult), n_i) in enumerate(zip(system.factored.factors, system.n_polys))
         ],
     }, lambda: verify_system(system, M)
 

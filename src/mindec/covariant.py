@@ -51,6 +51,7 @@ E_i(M) S.  No command builds it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from mindec.errors import DoesNotSplit, PartitionOfUnityFailure, SystemMatrixMismatch
@@ -79,7 +80,8 @@ class GenericCovariant:
 @dataclass(frozen=True)
 class CovariantSystem:
     """Covariant data for a full factored minimal polynomial: the
-    rational witnesses, all computed at construction.  The generic
+    rational witnesses E_i and S_i, computed at construction; the
+    nilpotent witnesses N_i are derived from them.  The generic
     covariant of a factor is built apart, by build_generic_covariant.
     """
 
@@ -87,16 +89,20 @@ class CovariantSystem:
     min_poly: Polynomial  # the product of the factored powers
     e_polys: Tuple[Polynomial, ...]  # rational: partition of unity
     s_polys: Tuple[Polynomial, ...]  # rational: semisimple witnesses
-    n_polys: Tuple[Polynomial, ...]  # rational: nilpotent witnesses
     s_poly: Polynomial  # s = sum(S_i), the semisimple witness of X
 
     @property
     def r(self) -> int:
         return len(self.factored.factors)
 
+    @cached_property
+    def n_polys(self) -> Tuple[Polynomial, ...]:
+        """The nilpotent witnesses N_i = X * E_i - S_i, formed on first read."""
+        return tuple(X * e_i - s_i for e_i, s_i in zip(self.e_polys, self.s_polys))
+
 
 def build_covariant_system(factored: FactoredMinPoly) -> CovariantSystem:
-    """Construct the rational witnesses E_i, S_i, N_i in Q[X].
+    """Construct the rational witnesses E_i and S_i in Q[X].
 
     Each u_i = G_i^-1 mod q_i comes from G_i mod q_i alone (see
     inverse_mod), and a linear q_i = X - a gives S_i = a * E_i.  Raises
@@ -113,7 +119,6 @@ def build_covariant_system(factored: FactoredMinPoly) -> CovariantSystem:
         m = m * q_i
     e_polys: List[Polynomial] = []
     s_polys: List[Polynomial] = []
-    n_polys: List[Polynomial] = []
     for i, ((m_i, mu_i), q_i) in enumerate(zip(factors, powers)):
         complement = m // q_i
         u_i = inverse_mod(complement % q_i, q_i)
@@ -130,7 +135,6 @@ def build_covariant_system(factored: FactoredMinPoly) -> CovariantSystem:
             s_i = (e_i * root_lift(m_i, mu_i)) % m
         e_polys.append(e_i)
         s_polys.append(s_i)
-        n_polys.append(X * e_i - s_i)
     total = s_poly = Polynomial()
     for e_i, s_i in zip(e_polys, s_polys):
         total = total + e_i
@@ -142,7 +146,6 @@ def build_covariant_system(factored: FactoredMinPoly) -> CovariantSystem:
         min_poly=m,
         e_polys=tuple(e_polys),
         s_polys=tuple(s_polys),
-        n_polys=tuple(n_polys),
         s_poly=s_poly,
     )
 

@@ -46,12 +46,19 @@ from mindec.report import VerificationReport, attach_report
 
 @dataclass(frozen=True)
 class SNDecomposition:
-    matrix: DenseMatrix
+    """S + N with the witness s_poly that sn_decompose chose; n_poly is
+    derived from it, so "newton-agreement", which certifies s_poly,
+    certifies n_poly too."""
+
     semisimple: DenseMatrix
     nilpotent: DenseMatrix
     s_poly: Polynomial  # S = s_poly(M), degree < deg of the minimal polynomial
-    n_poly: Polynomial  # N = n_poly(M) = M - S
     system: CovariantSystem
+
+    @property
+    def n_poly(self) -> Polynomial:
+        """N = n_poly(M) = M - S."""
+        return X - self.s_poly
 
 
 @dataclass(frozen=True)
@@ -64,8 +71,15 @@ class FineComponent:
 
 @dataclass(frozen=True)
 class FineDecomposition:
+    """The components alone; zero_index is derived from them."""
+
     components: Tuple[FineComponent, ...]
-    zero_index: Optional[int]
+
+    @property
+    def zero_index(self) -> Optional[int]:
+        """Index of the component whose factor is X (the zero class), or
+        None; the rule of :attr:`mindec.factor.FactoredMinPoly.zero_index`."""
+        return next((i for i, c in enumerate(self.components) if c.factor == X), None)
 
     def total_semisimple(self) -> DenseMatrix:
         n = self.components[0].semisimple.n
@@ -128,14 +142,7 @@ def sn_decompose(M: DenseMatrix) -> SNDecomposition:
     """
     system = system_of(M)
     S = horner_eval(system.s_poly, M)
-    return SNDecomposition(
-        matrix=M,
-        semisimple=S,
-        nilpotent=M - S,
-        s_poly=system.s_poly,
-        n_poly=X - system.s_poly,
-        system=system,
-    )
+    return SNDecomposition(semisimple=S, nilpotent=M - S, s_poly=system.s_poly, system=system)
 
 
 def _nilpotency_index(M: DenseMatrix) -> int:
@@ -146,12 +153,12 @@ def _nilpotency_index(M: DenseMatrix) -> int:
     return min(M.n, max(k for _, k in system_of(M).factored.factors))
 
 
-def sn_newton_oracle(M: DenseMatrix) -> DenseMatrix:
+def sn_newton_oracle(M: DenseMatrix, z: Optional[Polynomial] = None) -> DenseMatrix:
     """Independent construction of the semisimple part: the polynomial
     z of :func:`_newton_poly`, Newton's iteration in Q[X]/(m) on the
     minimal polynomial m of M (read from M's analysis), evaluated once
-    at M.  z(M) is the unique semisimple S with M - S nilpotent,
-    commuting with M.
+    at M; a caller that already holds z passes it.  z(M) is the unique
+    semisimple S with M - S nilpotent, commuting with M.
 
     It shares nothing with the covariant construction but basic
     polynomial arithmetic, m and the final :func:`horner_eval` at M: no
@@ -164,7 +171,7 @@ def sn_newton_oracle(M: DenseMatrix) -> DenseMatrix:
     wrong s_poly, and so a wrong S = s_poly(M), and when S is corrupted
     after it was built: either way S no longer equals z(M).
     """
-    return horner_eval(_newton_poly(_min_poly_of(M)), M)
+    return horner_eval(_newton_poly(_min_poly_of(M)) if z is None else z, M)
 
 
 def _newton_poly(m: Polynomial) -> Polynomial:
@@ -216,7 +223,10 @@ def verify_sn(M: DenseMatrix, sn: SNDecomposition) -> VerificationReport:
     (:func:`sn_newton_oracle`, which shares only basic polynomial
     arithmetic, the minimal polynomial and the final evaluation at M
     with the covariant route, so an S from a wrong s_poly or a
-    corrupted S fails "newton-agreement").
+    corrupted S fails "newton-agreement").  The same check compares the
+    printed s_poly with the Newton polynomial z itself, a polynomial
+    comparison: the witness of X in Q[X]/(m) is unique, so a wrong
+    s_poly, and with it the derived n_poly, fails even beside a true S.
 
     The "nilpotent" check computes N^mu, mu <= n the largest
     multiplicity in the factorization of M's own minimal polynomial,
@@ -234,10 +244,11 @@ def verify_sn(M: DenseMatrix, sn: SNDecomposition) -> VerificationReport:
     )
     mu = _nilpotency_index(M)
     report.add("nilpotent", "N^n = 0", (sn.nilpotent**mu).is_zero)
+    z = _newton_poly(_min_poly_of(M))
     report.add(
         "newton-agreement",
         "S equals the Newton iteration limit bit for bit",
-        sn.semisimple == sn_newton_oracle(M),
+        sn.s_poly == z and sn.semisimple == sn_newton_oracle(M, z),
     )
     return report
 
@@ -263,7 +274,7 @@ def fine_decompose(M: DenseMatrix) -> FineDecomposition:
         )
         for (factor, mult), E_i in zip(system.factored.factors, projectors)
     )
-    return FineDecomposition(components=components, zero_index=system.factored.zero_index)
+    return FineDecomposition(components)
 
 
 def _class_parts_witness(
@@ -305,7 +316,14 @@ def verify_fine(M: DenseMatrix, fd: FineDecomposition) -> VerificationReport:
     * with r >= 2, r the number of irreducible factors of M's own
       minimal polynomial, or with two or more components, the nonzero
       S_i are one per factor m_i != X, each with minimal polynomial
-      X * m_i for its own m_i.
+      X * m_i for its own m_i and the multiplicity of m_i in M's
+      minimal polynomial.
+
+    The zero class is the component whose factor is X, and e its
+    multiplicity; when M's minimal polynomial has the factor X,
+    "kernel-equality" also asks e to be its multiplicity there.  With
+    r = 1 and one component, no check reads a nonzero class's factor
+    or multiplicity, so one that is not M's raises InvariantViolation.
 
     The two kernel checks are integer matrix products: the basis of
     Ker(M^e) fills the first columns of an n x n matrix K, zeros the
@@ -355,14 +373,16 @@ def verify_fine(M: DenseMatrix, fd: FineDecomposition) -> VerificationReport:
         cross_ok,
         witness,
     )
-    e = comps[fd.zero_index].multiplicity if fd.zero_index is not None else 0
+    factored = system_of(M).factored
+    z, own = fd.zero_index, dict(factored.factors)
+    e = comps[z].multiplicity if z is not None else 0
     ker = kernel_basis(M**e) if e else []
     K = DenseMatrix(ker + [(0,) * n] * (n - len(ker))).transpose() if e else None
     kills = lambda A: K is None or (A @ K).is_zero  # noqa: E731
     containment_ok = True
     witness = ""
     for h, ch in enumerate(comps):
-        if h != fd.zero_index and not kills(ch.nilpotent):
+        if h != z and not kills(ch.nilpotent):
             containment_ok = False
             witness = f"Ker(M^{e}) not inside Ker(N_{h})"
     report.add(
@@ -372,16 +392,21 @@ def verify_fine(M: DenseMatrix, fd: FineDecomposition) -> VerificationReport:
         witness,
     )
     # dim Ker(M^e) is the length of its basis, 0 for e = 0
-    equality_ok = n - rank(total_s) == len(ker) and kills(total_s)
+    # and e is the multiplicity of X in M's minimal polynomial, if it has X
+    equality_ok = n - rank(total_s) == len(ker) and kills(total_s) and own.get(X, e) == e
     report.add(
         "kernel-equality",
         "Ker(sum S_i) = Ker(M^e)",
         equality_ok,
     )
-    if len(system_of(M).factored.factors) >= 2 or len(comps) >= 2:
+    if len(factored.factors) >= 2 or len(comps) >= 2:
         nonzero = [(f"S_{i}", c) for i, c in enumerate(comps) if not c.semisimple.is_zero]
         witness = _class_parts_witness(
-            M, nonzero, lambda c, f: f == c.factor and is_minimal_polynomial(c.semisimple, (X, f))
+            M,
+            nonzero,
+            lambda c, f: f == c.factor
+            and c.multiplicity == own[f]
+            and is_minimal_polynomial(c.semisimple, (X, f)),
         )
         report.add(
             "component-min-poly",
@@ -389,6 +414,8 @@ def verify_fine(M: DenseMatrix, fd: FineDecomposition) -> VerificationReport:
             not witness,
             witness,
         )
+    elif X not in own and (comps[0].factor, comps[0].multiplicity) != factored.factors[0]:
+        raise InvariantViolation("component 0 is not the one class of M's minimal polynomial")
     return report
 
 
@@ -408,7 +435,7 @@ def unbreakable_components(S: DenseMatrix) -> List[DenseMatrix]:
     if not system.factored.is_squarefree:
         raise NotSemisimple("matrix is not semisimple")
     fd = fine_decompose(S)
-    return [c.semisimple for i, c in enumerate(fd.components) if i != fd.zero_index]
+    return [c.semisimple for c in fd.components if c.factor != X]
 
 
 def multiplicative_jc(M: DenseMatrix) -> MultiplicativeJC:

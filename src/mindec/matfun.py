@@ -50,7 +50,7 @@ from mindec.matrix import (
     linear_combination,
     minimal_polynomial,
 )
-from mindec.poly import Polynomial, X, compose_mod
+from mindec.poly import Polynomial, compose_mod
 from mindec.report import VerificationReport
 
 
@@ -166,8 +166,7 @@ def fine_of_image(f: Polynomial, M: DenseMatrix) -> FineDecomposition:
     result = schwerdtfeger_eval(f, M)
     projectors = materialize_projectors(system_of(M), M)
     components = []
-    zero_index = None
-    for pos, cls in enumerate(result.classes):
+    for cls in result.classes:
         P_c = linear_combination(M.n, [(1, projectors[i]) for i in cls.indices])
         S_c = P_c @ result.semisimple_part
         N_c = P_c @ result.nilpotent_part
@@ -178,8 +177,6 @@ def fine_of_image(f: Polynomial, M: DenseMatrix) -> FineDecomposition:
             if mult > M.n:
                 raise InvariantViolation("class nilpotent is not nilpotent")
             power = power @ N_c
-        if cls.image == X:
-            zero_index = pos
         components.append(
             FineComponent(
                 factor=cls.image,
@@ -188,7 +185,7 @@ def fine_of_image(f: Polynomial, M: DenseMatrix) -> FineDecomposition:
                 nilpotent=N_c,
             )
         )
-    return FineDecomposition(components=tuple(components), zero_index=zero_index)
+    return FineDecomposition(tuple(components))
 
 
 def verify_matfun(f: Polynomial, M: DenseMatrix, result: MatFunResult) -> VerificationReport:

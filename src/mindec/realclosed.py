@@ -78,10 +78,12 @@ from mindec.scalar import MultiQuad, mq_sqrt_rational
 
 @dataclass(frozen=True)
 class DeltaSigmaU:
+    """Delta, Sigma and U with the spectra verify_cmjc certifies;
+    radicands is derived from delta_spectrum."""
+
     delta: DenseMatrix
     sigma: DenseMatrix
     unipotent: DenseMatrix
-    radicands: Tuple[int, ...]  # squarefree radicands adjoined to Q
     delta_spectrum: Tuple[MultiQuad, ...]  # distinct eigenvalues of delta
     sigma_linear: Tuple[MultiQuad, ...]  # distinct rational eigenvalues of sigma
     sigma_quadratics: Tuple[Polynomial, ...]  # norm-1 quadratic factors of sigma
@@ -90,6 +92,14 @@ class DeltaSigmaU:
     report: Optional[VerificationReport] = field(
         default=None, init=False, compare=False, repr=False
     )
+
+    @property
+    def radicands(self) -> Tuple[int, ...]:
+        """The squarefree radicands adjoined to Q, sorted: those of the
+        class norms |lambda|.  A real pair's |lambda+-| carries its
+        sqrt(d), a complex pair's norm sqrt(q) its own radicands, and a
+        rational eigenvalue none."""
+        return tuple(sorted({d for v in self.delta_spectrum for d in v.radicands}))
 
 
 def complete_mjc(M: DenseMatrix) -> DeltaSigmaU:
@@ -115,7 +125,6 @@ def complete_mjc(M: DenseMatrix) -> DeltaSigmaU:
                 f"factor of degree {factor.degree}; eigenvalues leave quadratic extensions"
             )
     n = M.n
-    radicands = set()
     # (scalar, matrix) terms; Sigma's are kept in two lists because
     # sigma_linear reads the real eigenvalues' alone
     delta_terms: List[Tuple[MultiQuad, DenseMatrix]] = []
@@ -128,11 +137,9 @@ def complete_mjc(M: DenseMatrix) -> DeltaSigmaU:
         if factor.degree == 1:
             pairs = ((MultiQuad(-q), E_i),)
         elif p * p > 4 * q:
-            d, pairs = split_real_pair(factor, E_i, E_i @ sn.semisimple)
-            radicands.add(d)
+            _, pairs = split_real_pair(factor, E_i, E_i @ sn.semisimple)
         else:
             norm = mq_sqrt_rational(q)  # q = root * conjugate root > 0
-            radicands.update(norm.radicands)
             delta_terms.append((norm, E_i))
             sigma_pairs.append((norm.inverse(), E_i @ sn.semisimple))
             quad = Polynomial((MultiQuad(1), MultiQuad(p) * norm.inverse(), MultiQuad(1)))
@@ -149,7 +156,6 @@ def complete_mjc(M: DenseMatrix) -> DeltaSigmaU:
         delta=linear_combination(n, delta_terms),
         sigma=linear_combination(n, sigma_real + sigma_pairs),
         unipotent=U,
-        radicands=tuple(sorted(radicands)),
         # class listings run from the largest absolute eigenvalue down,
         # ties broken with the positive sign first
         delta_spectrum=tuple(sorted({v for v, _ in delta_terms}, reverse=True)),
@@ -270,8 +276,9 @@ class SVDTerm:
 
 @dataclass(frozen=True)
 class SVDResult:
+    """The terms sigma_i A_i; radicands is derived from the sigma_i."""
+
     terms: Tuple[SVDTerm, ...]
-    radicands: Tuple[int, ...]
     #: verify_svd_system's report, set by svd; None on a copy made with
     #: dataclasses.replace and on a hand-built candidate
     report: Optional[VerificationReport] = field(
@@ -281,6 +288,11 @@ class SVDResult:
     @property
     def singular_values(self) -> Tuple[MultiQuad, ...]:
         return tuple(t.sigma for t in self.terms)
+
+    @property
+    def radicands(self) -> Tuple[int, ...]:
+        """The squarefree radicands of the sigma_i, sorted."""
+        return tuple(sorted({d for t in self.terms for d in t.sigma.radicands}))
 
 
 def svd(A: DenseMatrix) -> SVDResult:
@@ -327,12 +339,10 @@ def _svd_terms(A: DenseMatrix) -> SVDResult:
         raise InvariantViolation("nonzero matrix with zero Gram spectrum")
     projectors = materialize_projectors(system, gram)
     terms = []
-    radicands = set()
     for value, i in eigen:
         sigma_i = mq_sqrt_rational(value)
-        radicands.update(sigma_i.radicands)
         terms.append(SVDTerm(sigma=sigma_i, matrix=(A @ projectors[i]) * sigma_i.inverse()))
-    return SVDResult(terms=tuple(terms), radicands=tuple(sorted(radicands)))
+    return SVDResult(terms=tuple(terms))
 
 
 def _as_terms(candidate) -> List[Tuple[MultiQuad, DenseMatrix]]:

@@ -245,7 +245,6 @@ class TestChecksAfterCaching:
         c0, c1 = fd.components
         swapped = FineDecomposition(
             (replace(c0, nilpotent=c1.nilpotent), replace(c1, nilpotent=c0.nilpotent)),
-            fd.zero_index,
         )
         assert not verify_fine(M, swapped).passed
 

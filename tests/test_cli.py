@@ -982,6 +982,17 @@ class TestPipelines:
         assert payload["report"]["pass"] is True
         assert payload["min_poly"] == ["4", "0", "-4", "0", "1"]
 
+    def test_cmjc_radicands_come_from_the_spectrum_not_the_entries(self):
+        # 2 +- sqrt(3) are both positive, so Delta and Sigma keep the
+        # rational E_i and S_i of their class, yet sqrt(3) is adjoined
+        doc = gen("3", "--blocks", "X^2-4*X+1; X+3")
+        code, out, err = run_cli(["cmjc", "--check"], input_text=doc)
+        assert code == 0, err
+        payload = json.loads(out)
+        rows = payload["delta"]["entries"] + payload["sigma"]["entries"]
+        assert all(isinstance(entry, str) for row in rows for entry in row)
+        assert payload["radicands"] == [3]
+
     def test_cmjc_and_svd_report_radicands(self):
         code, out, err = run_cli(
             ["cmjc", "--check"], input_text=json.dumps({"entries": [["0", "2"], ["1", "0"]]})

@@ -171,6 +171,15 @@ class TestAdditiveSplit:
         report = verify_sn(M, bad)
         assert not report.passed
 
+    def test_verify_sn_rejects_a_wrong_s_poly_beside_the_true_parts(self):
+        # S and N stay true; only the printed s_poly, and the n_poly
+        # derived from it, are wrong, and the Newton polynomial tells
+        M = DenseMatrix([[2, 1, 0], [0, 2, 0], [0, 0, 0]])
+        sn = sn_decompose(M)
+        bad = replace(sn, s_poly=sn.s_poly + X)
+        assert bad.n_poly == sn.n_poly - X
+        assert {c.name for c in verify_sn(M, bad).failed_checks()} == {"newton-agreement"}
+
 
 class TestFineSplit:
     @pytest.mark.parametrize(
@@ -308,7 +317,6 @@ class TestFineSplit:
                 replace(comps[0], nilpotent=comps[1].nilpotent),
                 replace(comps[1], nilpotent=comps[0].nilpotent),
             ),
-            fd.zero_index,
         )
         report = verify_fine(M, swapped)
         assert not report.passed
@@ -365,17 +373,57 @@ class TestFineSplit:
         comps = [FineComponent(m, 1, diag(s), zero) for m, s in parts]
         if 0 in diagonal:
             comps.append(FineComponent(X, 1, zero, zero))
-        candidate = FineDecomposition(tuple(comps), len(parts) if 0 in diagonal else None)
+        candidate = FineDecomposition(tuple(comps))
         assert verify_fine(M, fine_decompose(M)).passed
         report = verify_fine(M, candidate)
         assert {c.name for c in report.failed_checks()} == {"component-min-poly"}
+
+    #: minimal polynomial (X - 2)^2 X: the class of X - 2 is component 0,
+    #: of multiplicity 2, and the zero class component 1, of multiplicity 1
+    SINGULAR = DenseMatrix([[2, 1, 0], [0, 2, 0], [0, 0, 0]])
+
+    def _failed(self, i, **change):
+        fd = fine_decompose(self.SINGULAR)
+        assert verify_fine(self.SINGULAR, fd).passed
+        comps = list(fd.components)
+        comps[i] = replace(comps[i], **change)
+        report = verify_fine(self.SINGULAR, FineDecomposition(tuple(comps)))
+        return {c.name for c in report.failed_checks()}
+
+    def test_the_zero_class_is_the_component_whose_factor_is_x(self):
+        # relabelled X - 7, the zero class is no longer read as one, so
+        # Ker(M) is no longer accounted for
+        assert fine_decompose(self.SINGULAR).zero_index == 1
+        assert self._failed(1, factor=X - 7) == {"kernel-equality"}
+
+    @pytest.mark.parametrize(
+        "i, multiplicity, check",
+        [(0, 5, "component-min-poly"), (1, 3, "kernel-equality")],
+        ids=["nonzero-class", "zero-class"],
+    )
+    def test_each_multiplicity_is_that_of_m(self, i, multiplicity, check):
+        assert self._failed(i, multiplicity=multiplicity) == {check}
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"multiplicity": 5}, {"factor": X - 3}, {"factor": X}],
+        ids=["multiplicity", "factor", "zero"],
+    )
+    def test_the_only_nonzero_class_raises_when_it_is_not_m_s(self, change):
+        # J_2(1): r = 1 and one component, so no check reads its label
+        M = DenseMatrix([[1, 1], [0, 1]])
+        fd = fine_decompose(M)
+        assert verify_fine(M, fd).passed
+        bad = FineDecomposition((replace(fd.components[0], **change),))
+        with pytest.raises(InvariantViolation, match="component 0"):
+            verify_fine(M, bad)
 
     def test_component_min_poly_refuses_a_zero_class_m_lacks(self):
         # M = I is nonsingular: its one class part is M, whose minimal
         # polynomial is X - 1, not X (X - 1)
         M, zero = DenseMatrix.identity(2), DenseMatrix.zeros(2)
         comps = (FineComponent(X - 1, 1, M, zero), FineComponent(X, 1, zero, zero))
-        report = verify_fine(M, FineDecomposition(comps, 1))
+        report = verify_fine(M, FineDecomposition(comps))
         assert {c.name for c in report.failed_checks()} == {"component-min-poly"}
 
 
