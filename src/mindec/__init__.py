@@ -18,12 +18,16 @@ points:
   the exact singular value decomposition in outer-product form for
   matrices whose squared singular values are rational; verify_cmjc and
   verify_svd_system.
-- mindec.matfun: schwerdtfeger_eval / sylvester_eval, polynomial
-  functions of a matrix through its covariant system; fine_of_image
-  and verify_matfun.
-- mindec.covariant: build_covariant_system and materialize_projectors.
+- mindec.matfun: schwerdtfeger_eval, polynomial functions of a matrix
+  through its covariant system, and verify_matfun.
+- mindec.covariant: build_covariant_system, materialize_projectors and
+  verify_system.
 - mindec.poly and mindec.factor: Polynomial and factor_rational.
 - mindec.scalar: MultiQuad, the multi-quadratic scalars.
+- mindec.oracles: the independent oracles that selftest and the tests
+  compare against, which no command imports: the number field
+  Q[Y]/(m), the generic-root covariant, sylvester_eval, fine_of_image
+  and three verifiers no command calls.
 - mindec.serialize: the JSON documents; mindec.cli: the command line.
 - mindec.report: VerificationReport, the itemized result of every
   verify_*; mindec.errors: MindecError and its subclasses.

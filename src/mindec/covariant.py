@@ -30,22 +30,10 @@ N_i(M) = E_i(M) (M - S), so the per-factor S_i and N_i are never
 evaluated at a matrix: ``mindec covariants`` prints them, and s_poly
 is their sum.
 
-The generic-root construction never names an eigenvalue either.  It
-works in R_i = Q[Y]/(m_i) with the generic root Y and builds
-
-    h_i = m_i / (X - Y)                      (synthetic division),
-    G_i = h_i^mu_i * prod_{j != i} m_j^mu_j,
-    B_i * G_i + L_i * (X - Y)^mu_i = 1       (extended gcd in R_i[X]),
-    C_i = B_i * G_i,
-
-so C_i is the generic covariant of the factor: substituting a concrete
-root for Y gives the classical Frobenius covariant of that root, and
-the coefficient-wise field traces Tr(C_i) and Tr(Y * C_i) are E_i and
-S_i again.  build_generic_covariant builds it for one factor on each
-call, and nothing keeps it: it serves only as an independent oracle,
-its traces for the rational witnesses and its split over Q(sqrt(d))
-for the real-pair projectors that complete_mjc forms from E_i(M) and
-E_i(M) S.  No command builds it.
+The generic-root construction of the same witnesses, over
+Q[Y]/(m_i) with a generic root Y, is the independent oracle that
+selftest and the tests compare them against; it lives in
+:mod:`mindec.oracles`, and no command builds it.
 """
 
 from __future__ import annotations
@@ -54,35 +42,19 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-from mindec.errors import DoesNotSplit, PartitionOfUnityFailure, SystemMatrixMismatch
+from mindec.errors import InvariantViolation, PartitionOfUnityFailure, SystemMatrixMismatch
 from mindec.factor import FactoredMinPoly
-from mindec.matrix import DenseMatrix, horner_eval, rank
-from mindec.poly import ONE, Polynomial, X, ext_gcd, on_powers, power_table, trace_coeffwise
+from mindec.matrix import DenseMatrix, horner_eval, minimal_polynomial, rank
+from mindec.poly import ONE, Polynomial, X, ext_gcd, on_powers, power_table
 from mindec.report import VerificationReport
-from mindec.scalar import MultiQuad, NumberField, square_split
-
-
-@dataclass(frozen=True)
-class GenericCovariant:
-    """Per-factor data over the generic root ring R_i = Q[Y]/(m_i)."""
-
-    index: int
-    modulus: Polynomial
-    multiplicity: int
-    ring: NumberField
-    cofactor: Polynomial  # h_i, over R_i
-    complement: Polynomial  # G_i, over R_i
-    bezout: Polynomial  # B_i, over R_i, degree < mu_i
-    bezout_other: Polynomial  # L_i, over R_i
-    covariant: Polynomial  # C_i = B_i * G_i, over R_i, degree < deg m
+from mindec.scalar import MultiQuad, square_split
 
 
 @dataclass(frozen=True)
 class CovariantSystem:
     """Covariant data for a full factored minimal polynomial: the
     rational witnesses E_i and S_i, computed at construction; the
-    nilpotent witnesses N_i are derived from them.  The generic
-    covariant of a factor is built apart, by build_generic_covariant.
+    nilpotent witnesses N_i are derived from them.
     """
 
     factored: FactoredMinPoly
@@ -187,46 +159,6 @@ def root_lift(m_i: Polynomial, mu_i: int) -> Polynomial:
     return z
 
 
-def build_generic_covariant(factored: FactoredMinPoly, index: int) -> GenericCovariant:
-    """Generic covariant C_i of one factor over R_i = Q[Y]/(m_i)."""
-    factors = factored.factors
-    m_i, mu_i = factors[index]
-    ring = NumberField(m_i.coeffs)
-    y = ring.gen()
-    one = ring.one()
-    lift = lambda q: q.map_coefficients(ring.embed)  # noqa: E731
-    x_minus_y = Polynomial((-y, one))
-    h_i, rem = divmod(lift(m_i), x_minus_y)
-    if not rem.is_zero:
-        raise PartitionOfUnityFailure("generic root does not satisfy its modulus")
-    complement = h_i**mu_i
-    for j, (m_j, mu_j) in enumerate(factors):
-        if j != index:
-            complement = complement * lift(m_j) ** mu_j
-    g, bez, other = ext_gcd(complement, x_minus_y**mu_i)
-    if g != Polynomial((one,)):
-        raise PartitionOfUnityFailure(f"factor {index} shares a root with its complement")
-    return GenericCovariant(
-        index=index,
-        modulus=m_i,
-        multiplicity=mu_i,
-        ring=ring,
-        cofactor=h_i,
-        complement=complement,
-        bezout=bez,
-        bezout_other=other,
-        covariant=bez * complement,
-    )
-
-
-def trace_witnesses(gen: GenericCovariant) -> Tuple[Polynomial, Polynomial]:
-    """(Tr(C_i), Tr(Y * C_i)): E_i and S_i by the generic-root route."""
-    return (
-        trace_coeffwise(gen.covariant),
-        trace_coeffwise(gen.ring.gen() * gen.covariant),
-    )
-
-
 def materialize_projectors(system: CovariantSystem, M: DenseMatrix) -> List[DenseMatrix]:
     """The projectors E_i(M), in the order of the system's factors.
 
@@ -262,6 +194,12 @@ def verify_system(system: CovariantSystem, M: DenseMatrix) -> VerificationReport
     i != j of P_i x = 0, hence P_i x = 0 and P_i P_j = 0.  When either
     premise fails, all k^2 products are compared, so the check has the
     same value on every input.
+
+    Once every check passes, the printed polynomials are tied to M as
+    well: the system's min_poly must be M's own minimal polynomial, and
+    each S_i must be E_i * s mod m, which every honest system satisfies
+    because E_i * S_j = delta_ij S_i mod m.  Either failure raises
+    InvariantViolation.  s itself is certified by verify_sn.
     """
     report = VerificationReport("covariant system")
     total = Polynomial()
@@ -281,6 +219,15 @@ def verify_system(system: CovariantSystem, M: DenseMatrix) -> VerificationReport
         "ranks of the projectors sum to n",
         sum(rank(P) for P in projectors) == M.n,
     )
+    if report.passed:
+        m = M.analysis.min_poly or minimal_polynomial(M)
+        if system.min_poly != m:
+            raise InvariantViolation(
+                f"system polynomial {system.min_poly} is not M's minimal polynomial {m}"
+            )
+        for i, (e_i, s_i) in enumerate(zip(system.e_polys, system.s_polys)):
+            if s_i != e_i * system.s_poly % m:
+                raise InvariantViolation(f"S_{i} is not E_{i} * s mod m")
     return report
 
 
@@ -296,32 +243,6 @@ def _delta_witness(matrices: Sequence[DenseMatrix], witness: str) -> str:
     return found
 
 
-def split_covariants_over_extension(
-    system: CovariantSystem, index: int, d: int
-) -> List[Tuple[MultiQuad, Polynomial]]:
-    """Split one quadratic factor's generic covariant over Q(sqrt(d)).
-
-    Only degree-2 factors are accepted.  Returns the two
-    (eigenvalue, covariant polynomial) pairs with MultiQuad
-    coefficients, the +sqrt(d) branch first; their covariants sum to
-    E_i.  Raises DoesNotSplit if the factor's roots are not in
-    Q(sqrt(d)).  This is the generic-root oracle for
-    :func:`mindec.realclosed.split_real_pair`, which complete_mjc uses.
-    """
-    gen = build_generic_covariant(system.factored, index)
-    if gen.modulus.degree != 2:
-        raise DoesNotSplit(
-            f"factor of degree {gen.modulus.degree}; only quadratics split here"
-        )
-    d0, lam_plus, lam_minus = quadratic_roots(gen.modulus)
-    if d0 != d:
-        raise DoesNotSplit(f"roots of {gen.modulus} need sqrt({d0}), not sqrt({d})")
-    return [
-        (lam, gen.covariant.map_coefficients(lambda c: c.residue(lam)))
-        for lam in (lam_plus, lam_minus)
-    ]
-
-
 def quadratic_roots(m: Polynomial) -> Tuple[int, MultiQuad, MultiQuad]:
     """(d, lambda+, lambda-) for a monic rational X^2 + pX + q whose
     discriminant is not a square: lambda+- = (-p +- s sqrt(d)) / 2 with
@@ -334,3 +255,12 @@ def quadratic_roots(m: Polynomial) -> Tuple[int, MultiQuad, MultiQuad]:
     c0, c1 = -p.numerator * disc.denominator, s * p.denominator
     den = 2 * p.denominator * disc.denominator
     return d, MultiQuad._of_ints({1: c0, d: c1}, den), MultiQuad._of_ints({1: c0, d: -c1}, den)
+
+
+def __getattr__(name):
+    # perfbench's tracer binds this here; ROADMAP item 2 rebinds it and deletes the hook
+    if name == "split_covariants_over_extension":
+        from mindec import oracles
+
+        return oracles.split_covariants_over_extension
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

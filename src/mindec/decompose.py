@@ -20,12 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from mindec.covariant import (
-    CovariantSystem,
-    _delta_witness,
-    build_covariant_system,
-    materialize_projectors,
-)
+from mindec.covariant import CovariantSystem, build_covariant_system, materialize_projectors
 from mindec.errors import InvariantViolation, NotSemisimple, SingularMatrix, ZeroMatrix
 from mindec.factor import factor_rational
 from mindec.matrix import (
@@ -514,43 +509,5 @@ def verify_mjc(M: DenseMatrix, jc: MultiplicativeJC) -> VerificationReport:
         "unipotent",
         "(U - I)^n = 0",
         (linear_combination(M.n, [(1, jc.unipotent)], -1) ** mu).is_zero,
-    )
-    return report
-
-
-def verify_frobenius_system(
-    matrices: Sequence[DenseMatrix], coeffs: Sequence
-) -> VerificationReport:
-    """Check a claimed Frobenius covariant system with its coefficients.
-
-    Conditions: every matrix nonzero, A_i A_j = delta_ij A_i, the
-    coefficients pairwise distinct and nonzero, and the rank criterion:
-    the ranks of the A_i sum to strictly less than n exactly when 0 is
-    an eigenvalue of sum(coeff_i * A_i).
-    """
-    report = VerificationReport("Frobenius system")
-    if len(matrices) != len(coeffs) or not matrices:
-        report.add("shape", "one coefficient per matrix, at least one", False)
-        return report
-    n = matrices[0].n
-    report.add(
-        "nonzero-matrices",
-        "A_i != 0 for all i",
-        all(not A.is_zero for A in matrices),
-    )
-    witness = _delta_witness(matrices, "A_{i} A_{j} wrong")
-    report.add("products", "A_i A_j = delta_ij A_i", not witness, witness)
-    distinct = all(bool(c) for c in coeffs) and all(
-        coeffs[i] != coeffs[j]
-        for i in range(len(coeffs))
-        for j in range(i + 1, len(coeffs))
-    )
-    report.add("coefficients", "coefficients pairwise distinct and nonzero", distinct)
-    rank_sum = sum(rank(A) for A in matrices)
-    singular = rank(linear_combination(n, zip(coeffs, matrices))) < n
-    report.add(
-        "rank-criterion",
-        "sum(rank A_i) < n iff 0 is an eigenvalue of sum(coeff_i A_i)",
-        (rank_sum < n) == singular,
     )
     return report

@@ -15,9 +15,11 @@ so there E_i * (f - f(s)) = 0 mod m, and only the classical
 interpolation formula on eigenvalues remains.
 
 The part of a class of factors is a projector times a part: with
-P = E_i(M) summed over the class, P f(s)(M) and P (f - f(s))(M)
-(:func:`fine_of_image`).  (E_i * g mod m)(M) = E_i(M) g(M) because
-m(M) = 0, so no per-factor polynomial is formed.
+P = E_i(M) summed over the class, P f(s)(M) and P (f - f(s))(M).
+(E_i * g mod m)(M) = E_i(M) g(M) because m(M) = 0, so no per-factor
+polynomial is formed; :func:`mindec.oracles.fine_of_image` assembles
+the fine decomposition of f(M) that way, and
+:func:`mindec.oracles.sylvester_eval` is the interpolation route.
 
 Factors whose roots map to conjugate values under f merge in the
 image; the equivalence classes are computed from the minimal
@@ -31,15 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from mindec.covariant import CovariantSystem, materialize_projectors
-from mindec.decompose import (
-    FineComponent,
-    FineDecomposition,
-    _nilpotency_index,
-    sn_decompose,
-    system_of,
-)
-from mindec.errors import InvariantViolation, NotSemisimple
+from mindec.covariant import CovariantSystem
+from mindec.decompose import _nilpotency_index, sn_decompose, system_of
+from mindec.errors import InvariantViolation
 from mindec.factor import FactoredMinPoly, factor_order
 from mindec.matrix import (
     DenseMatrix,
@@ -47,7 +43,6 @@ from mindec.matrix import (
     companion,
     horner_eval,
     is_semisimple,
-    linear_combination,
     minimal_polynomial,
 )
 from mindec.poly import Polynomial, compose_mod
@@ -106,18 +101,6 @@ def schwerdtfeger_eval(f: Polynomial, M: DenseMatrix) -> MatFunResult:
     )
 
 
-def sylvester_eval(f: Polynomial, M: DenseMatrix) -> DenseMatrix:
-    """Eigenvalue interpolation for a matrix with squarefree minimal
-    polynomial: f(s) mod m at M, with no nilpotent correction.
-
-    Raises NotSemisimple when nilpotent corrections would be needed.
-    """
-    system = system_of(M)
-    if not system.factored.is_squarefree:
-        raise NotSemisimple("matrix has a repeated factor; interpolation insufficient")
-    return horner_eval(_parts_of(system, f)[1], M)
-
-
 def _image_min_poly(f: Polynomial, factor: Polynomial) -> Polynomial:
     """Minimal polynomial over Q of f(Y) in Q[Y]/(factor): the minimal
     polynomial of the multiplication-by-f(Y) operator, which is f(C)
@@ -151,41 +134,6 @@ def f_equivalence_classes(
     ]
     classes.sort(key=lambda c: factor_order(c.image))
     return classes
-
-
-def fine_of_image(f: Polynomial, M: DenseMatrix) -> FineDecomposition:
-    """Fine decomposition of f(M) assembled classwise from the source
-    covariants, without decomposing f(M) itself.
-
-    The parts and classes come from one :func:`schwerdtfeger_eval`;
-    the class parts are P_c sem and P_c nil, P_c the sum of the
-    projectors E_i(M) over the class.  Component multiplicities are the
-    nilpotency orders of the class nilpotents, which match the factor
-    multiplicities in the minimal polynomial of f(M).
-    """
-    result = schwerdtfeger_eval(f, M)
-    projectors = materialize_projectors(system_of(M), M)
-    components = []
-    for cls in result.classes:
-        P_c = linear_combination(M.n, [(1, projectors[i]) for i in cls.indices])
-        S_c = P_c @ result.semisimple_part
-        N_c = P_c @ result.nilpotent_part
-        mult = 1
-        power = N_c
-        while not power.is_zero:
-            mult += 1
-            if mult > M.n:
-                raise InvariantViolation("class nilpotent is not nilpotent")
-            power = power @ N_c
-        components.append(
-            FineComponent(
-                factor=cls.image,
-                multiplicity=mult,
-                semisimple=S_c,
-                nilpotent=N_c,
-            )
-        )
-    return FineDecomposition(tuple(components))
 
 
 def verify_matfun(f: Polynomial, M: DenseMatrix, result: MatFunResult) -> VerificationReport:

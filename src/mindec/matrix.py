@@ -662,14 +662,5 @@ def int_matrix(rows, den: int = 1) -> DenseMatrix:
     return _reduced(len(rows), {1: tuple(map(tuple, rows))}, den)
 
 
-def is_symmetric(M: DenseMatrix) -> bool:
-    return M.transpose() == M
-
-
-def is_normal(M: DenseMatrix) -> bool:
-    t = M.transpose()
-    return M @ t == t @ M
-
-
 def commute(A: DenseMatrix, B: DenseMatrix) -> bool:
     return A @ B == B @ A

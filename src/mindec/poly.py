@@ -7,7 +7,7 @@ value, are normalized to :class:`~fractions.Fraction` at construction,
 so a product over Q(sqrt(d1), ...) that lands in Q[X] is a rational
 polynomial; any other coefficient is a field element, kept as
 given: a :class:`~mindec.scalar.MultiQuad` of Q(sqrt(d1), ...) or a
-:class:`~mindec.scalar.NumberFieldElement` of Q[Y]/(m).  The contract
+:class:`~mindec.oracles.NumberFieldElement` of Q[Y]/(m).  The contract
 of such a coefficient is ``+``, ``-``, ``*`` and ``==`` with itself and
 with an integer, a truth value, and ``inverse()``; every reciprocal of
 a coefficient goes through :func:`_reciprocal`, so division, ``monic``,
@@ -39,12 +39,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Callable, Iterable
 
 from mindec import _kernel
-from mindec.errors import BothZero, FieldMismatch, MixedModuli, ZeroPolynomial
+from mindec.errors import BothZero, FieldMismatch, ZeroPolynomial
 
 ZERO_DEGREE = -1
 
@@ -522,50 +522,6 @@ def squarefree_part(p: Polynomial):
         g = g * h
     profile.sort(key=lambda item: -item[1])
     return g.monic(), profile
-
-
-def hasse_derivative(f: Polynomial, k: int) -> Polynomial:
-    """k-th Hasse derivative: sum of C(m, k) * a_m * X^(m-k).
-
-    Equals the k-th formal derivative divided by k! in characteristic
-    zero; the zeroth Hasse derivative is f itself.
-    """
-    if k < 0:
-        raise ValueError("Hasse derivative order must be nonnegative")
-    if k == 0:
-        return f
-    return Polynomial(
-        tuple(comb(m, k) * f.coeffs[m] for m in range(k, len(f.coeffs)))
-    )
-
-
-def trace_coeffwise(p: Polynomial) -> Polynomial:
-    """Coefficient-wise number field trace down to the rationals.
-
-    Coefficients must be elements of one number field (plain rationals
-    are read as embedded rationals, whose trace is degree * value).
-    """
-    if not p.coeffs:
-        return Polynomial()
-    field = None
-    for c in p.coeffs:
-        f = getattr(c, "field", None)
-        if f is None:
-            continue
-        if field is None:
-            field = f
-        elif f.modulus != field.modulus:
-            raise MixedModuli("coefficients from different number fields")
-    if field is None:
-        raise FieldMismatch("no number field coefficient to take the trace of")
-    d = field.degree
-    out = []
-    for c in p.coeffs:
-        if isinstance(c, Fraction):
-            out.append(d * c)
-        else:
-            out.append(c.trace())
-    return Polynomial(tuple(out))
 
 
 # scalar imports this module, so it is bound last; _norm_coeff reads

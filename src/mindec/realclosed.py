@@ -53,7 +53,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from mindec.covariant import materialize_projectors, quadratic_roots
-from mindec.decompose import _min_poly_of, _nilpotency_index, sn_decompose, system_of
+from mindec.decompose import _nilpotency_index, sn_decompose, system_of
 from mindec.errors import (
     FactorDegreeTooHigh,
     FieldMismatch,
@@ -66,12 +66,10 @@ from mindec.matrix import (
     DenseMatrix,
     inverse,
     is_minimal_polynomial,
-    is_normal,
-    is_symmetric,
     linear_combination,
     rank,
 )
-from mindec.poly import Polynomial, poly_gcd
+from mindec.poly import Polynomial
 from mindec.report import VerificationReport, attach_report
 from mindec.scalar import MultiQuad, mq_sqrt_rational
 
@@ -389,60 +387,4 @@ def verify_svd_system(A: DenseMatrix, candidate) -> VerificationReport:
         "Ker(A^T A) = Ker(A)",
         rank(A.transpose() @ A) == rank(A),
     )
-    return report
-
-
-def verify_svd_uniqueness(A: DenseMatrix, candidate) -> VerificationReport:
-    """Axioms plus exact comparison against the canonical system.
-
-    Any candidate satisfying the axioms must coincide with svd(A) term
-    by term; the comparison is part of the report.  The canonical terms
-    are built as svd builds them, without verifying them a second time:
-    the candidate's axioms are checked here, and equality with the
-    canonical terms is exact.
-    """
-    report = verify_svd_system(A, candidate)
-    terms = _as_terms(candidate)
-    canonical = _svd_terms(A)
-    same = len(terms) == len(canonical.terms) and all(
-        t == ct.sigma and B == ct.matrix
-        for (t, B), ct in zip(terms, canonical.terms)
-    )
-    report.add(
-        "canonical-equality",
-        "candidate coincides with the recomputed system term by term",
-        same,
-    )
-    return report
-
-
-def symmetric_spectral_check(A: DenseMatrix) -> VerificationReport:
-    """Spectral sanity for symmetric (or normal) rational matrices:
-    squarefree minimal polynomial and symmetric class projectors, the
-    latter from :func:`mindec.covariant.materialize_projectors` (m(A) = 0
-    checked, kept on A's analysis).  Other matrices get a report noting
-    the checks were skipped."""
-    report = VerificationReport("spectral projector check")
-    if is_symmetric(A):
-        shape = "symmetric"
-    elif is_normal(A):
-        shape = "normal"
-    else:
-        report.add(
-            "normality",
-            "matrix is neither symmetric nor normal; spectral checks skipped",
-            True,
-            "skipped",
-        )
-        return report
-    mp = _min_poly_of(A)  # kept in A's analysis for system_of below
-    sf = poly_gcd(mp, mp.derivative()).degree == 0
-    report.add("squarefree", f"{shape} matrix has squarefree minimal polynomial", sf)
-    if sf:
-        projectors = materialize_projectors(system_of(A), A)
-        report.add(
-            "projectors-symmetric",
-            "every spectral projector is symmetric",
-            all(is_symmetric(P) for P in projectors),
-        )
     return report

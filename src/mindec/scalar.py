@@ -1,6 +1,6 @@
-"""Exact scalars: rationals, multi-quadratic reals, number field elements.
+"""Exact scalars: rationals and multi-quadratic reals.
 
-Three coefficient domains are used throughout the library:
+Two coefficient domains are used throughout the library:
 
 * plain rationals, which are :class:`fractions.Fraction` (the stdlib
   type already guarantees the normalized p/q invariants we rely on);
@@ -11,17 +11,13 @@ Three coefficient domains are used throughout the library:
   are allowed (the values are then complex), but sign queries demand a
   totally real element.  The coordinates are integers over one
   positive denominator, the one rational format of the library, and
-  sums, products, inverses and signs are computed on those integers;
+  sums, products, inverses and signs are computed on those integers.
 
-* :class:`NumberFieldElement`, residues modulo one fixed irreducible
-  monic polynomial, used for computing with a generic root of an
-  irreducible factor without naming any particular root.  A residue is
-  a rational :class:`~mindec.poly.Polynomial`, so it is held in the one
-  rational format of the library: integers over one denominator.
-
-Both extension types divide through ``.inverse()``, ``a * b.inverse()``,
-and neither has ``/``: ring operations and ``inverse()`` are all that
-:class:`~mindec.poly.Polynomial` asks of a coefficient.
+A MultiQuad divides through ``.inverse()``, ``a * b.inverse()``, and
+has no ``/``: ring operations and ``inverse()`` are all that
+:class:`~mindec.poly.Polynomial` asks of a coefficient.  The number
+field Q[Y]/(m) of one irreducible factor, the generic-root oracle's
+coefficient domain, is :class:`mindec.oracles.NumberField`.
 
 Multiplication of basis square roots follows the principal-branch
 convention sqrt(a)*sqrt(b) = sqrt(-1)^[a<0]+[b<0] * sqrt(|ab|), e.g.
@@ -33,19 +29,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, isqrt, lcm
-from operator import mul
-from typing import Dict, Mapping, Sequence, Tuple, Union
+from typing import Dict, Mapping, Tuple, Union
 
 from mindec import _kernel
 from mindec.errors import (
-    MixedModuli,
     NonPositiveRadicand,
     NotInvertible,
     NotTotallyReal,
     PolyParseError,
     RadicandTooLarge,
 )
-from mindec.poly import ONE, Polynomial, _int_to_string, binary_power, ext_gcd, ratio_to_string
+from mindec.poly import _int_to_string, ratio_to_string
 
 RationalLike = Union[int, Fraction]
 
@@ -517,181 +511,10 @@ def mq_sqrt_rational(q: RationalLike) -> MultiQuad:
     return MultiQuad._of_ints({d: s}, q.denominator)
 
 
-# -- number fields ----------------------------------------------------
+def __getattr__(name):
+    # perfbench's tracer binds these here; ROADMAP item 2 rebinds it and deletes the hook
+    if name in ("NumberFieldElement", "nf_invert"):
+        from mindec import oracles
 
-
-class NumberField:
-    """Q[Y]/(m) for one monic irreducible m over Q.
-
-    Irreducibility is the caller's responsibility (factors of a
-    factored minimal polynomial are irreducible by construction); the
-    arithmetic here only requires m to be monic of degree >= 1.
-    Power sums of the roots of m are computed once per field by
-    Newton's identities and cached for trace computations.
-    """
-
-    __slots__ = ("modulus", "_m", "_psums")
-
-    def __init__(self, modulus: Sequence[RationalLike]):
-        coeffs = tuple(Fraction(c) for c in modulus)
-        if len(coeffs) < 2 or coeffs[-1] != 1:
-            raise ValueError("modulus must be monic of degree >= 1")
-        self.modulus = coeffs
-        self._m = Polynomial(coeffs)
-        self._psums = None
-
-    @property
-    def degree(self) -> int:
-        return len(self.modulus) - 1
-
-    @property
-    def power_sums(self) -> Tuple[Fraction, ...]:
-        """p_0 .. p_(d-1) where p_k is the sum of k-th powers of the
-        roots of the modulus (Newton's identities)."""
-        if self._psums is None:
-            d = self.degree
-            e = [Fraction(0)] * (d + 1)  # elementary symmetric functions
-            for i in range(1, d + 1):
-                e[i] = (-1) ** i * self.modulus[d - i]
-            p = [Fraction(d)]
-            for k in range(1, d):
-                acc = (-1) ** (k - 1) * k * e[k]
-                for i in range(1, k):
-                    acc += (-1) ** (i - 1) * e[i] * p[k - i]
-                p.append(acc)
-            self._psums = tuple(p)
-        return self._psums
-
-    def element(self, coeffs: Sequence[RationalLike]) -> "NumberFieldElement":
-        return NumberFieldElement(self, Polynomial(map(Fraction, coeffs)) % self._m)
-
-    def embed(self, q: RationalLike) -> "NumberFieldElement":
-        return NumberFieldElement(self, Polynomial((Fraction(q),)))
-
-    def gen(self) -> "NumberFieldElement":
-        """The generic root Y of the modulus."""
-        return self.element((0, 1))
-
-    def zero(self) -> "NumberFieldElement":
-        return NumberFieldElement(self, Polynomial())
-
-    def one(self) -> "NumberFieldElement":
-        return NumberFieldElement(self, ONE)
-
-    def __repr__(self):
-        return f"NumberField({[str(c) for c in self.modulus]})"
-
-
-class NumberFieldElement:
-    """Residue in Q[Y]/(m), stored as a rational Polynomial of degree
-    below deg m; sums, products and inverses are computed on it."""
-
-    __slots__ = ("field", "residue")
-
-    def __init__(self, field: NumberField, residue: Polynomial):
-        self.field = field
-        self.residue = residue
-
-    @property
-    def coeffs(self) -> Tuple[Fraction, ...]:
-        return self.residue.coeffs
-
-    @property
-    def is_rational(self) -> bool:
-        return self.residue.degree <= 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is not rational")
-        return self.residue.coefficient(0)
-
-    def _check(self, other) -> "NumberFieldElement":
-        if isinstance(other, (int, Fraction)):
-            return self.field.embed(other)
-        if isinstance(other, NumberFieldElement):
-            if other.field.modulus != self.field.modulus:
-                raise MixedModuli("elements of different number fields")
-            return other
-        return None
-
-    def __add__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return NumberFieldElement(self.field, self.residue + other.residue)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return NumberFieldElement(self.field, self.residue - other.residue)
-
-    def __neg__(self):
-        return NumberFieldElement(self.field, -self.residue)
-
-    def __mul__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return NumberFieldElement(
-            self.field, (self.residue * other.residue) % self.field._m
-        )
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return binary_power(self, n, mul) if n else self.field.one()
-
-    def __bool__(self):
-        return bool(self.residue)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.embed(other)
-        if not isinstance(other, NumberFieldElement):
-            return NotImplemented
-        if other.field.modulus != self.field.modulus:
-            return False
-        return self.residue == other.residue
-
-    def inverse(self) -> "NumberFieldElement":
-        """Extended Euclid against the modulus: s*x + t*m = 1, with
-        deg s < deg m."""
-        if not self.residue:
-            raise NotInvertible("zero has no inverse")
-        g, s, _ = ext_gcd(self.residue, self.field._m)
-        if g.degree != 0:
-            # cannot happen over an irreducible modulus
-            raise NotInvertible(f"{self} shares a factor with the modulus")
-        return NumberFieldElement(self.field, s)
-
-    def trace(self) -> Fraction:
-        """Trace to Q: sum of the element over all embeddings, via the
-        cached power sums of the modulus."""
-        sums = self.field.power_sums
-        acc = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            acc += c * sums[i]
-        return acc
-
-    def __repr__(self):
-        return f"<{self} mod {[str(c) for c in self.field.modulus]}>"
-
-    def __str__(self):
-        if not self.residue:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            c = ratio_to_string(c.numerator, c.denominator)
-            parts.append(c if i == 0 else (f"{c}*Y" if i == 1 else f"{c}*Y^{i}"))
-        return " + ".join(parts)
-
-
-#: NumberFieldElement.inverse under the name perfbench/tracer.py wraps
-nf_invert = NumberFieldElement.inverse
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

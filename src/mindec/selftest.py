@@ -21,14 +21,7 @@ from fractions import Fraction
 from time import perf_counter
 from typing import Callable, List, Tuple
 
-from mindec.covariant import (
-    build_covariant_system,
-    build_generic_covariant,
-    materialize_projectors,
-    split_covariants_over_extension,
-    trace_witnesses,
-    verify_system,
-)
+from mindec.covariant import build_covariant_system, materialize_projectors, verify_system
 from mindec.decompose import (
     FineDecomposition,
     fine_decompose,
@@ -38,7 +31,6 @@ from mindec.decompose import (
     system_of,
     unbreakable_components,
     verify_fine,
-    verify_frobenius_system,
     verify_sn,
 )
 from mindec.errors import DoesNotSplit, NotSemisimple
@@ -51,12 +43,7 @@ from mindec.generator import (
     random_matrix,
     random_normal_matrix,
 )
-from mindec.matfun import (
-    f_equivalence_classes,
-    fine_of_image,
-    schwerdtfeger_eval,
-    sylvester_eval,
-)
+from mindec.matfun import f_equivalence_classes, schwerdtfeger_eval
 from mindec.matrix import (
     DenseMatrix,
     companion,
@@ -65,26 +52,22 @@ from mindec.matrix import (
     kernel_basis,
     minimal_polynomial,
 )
-from mindec.poly import (
-    Polynomial,
-    X,
-    ext_gcd,
+from mindec.oracles import (
+    NumberField,
+    build_generic_covariant,
+    fine_of_image,
     hasse_derivative,
-    squarefree_part,
-    trace_coeffwise,
-)
-from mindec.realclosed import (
-    complete_mjc,
-    split_real_pair,
-    svd,
+    split_covariants_over_extension,
+    sylvester_eval,
     symmetric_spectral_check,
+    trace_coeffwise,
+    trace_witnesses,
+    verify_frobenius_system,
     verify_svd_uniqueness,
 )
-from mindec.scalar import (
-    MultiQuad,
-    NumberField,
-    mq_sqrt_rational,
-)
+from mindec.poly import Polynomial, X, ext_gcd, squarefree_part
+from mindec.realclosed import complete_mjc, split_real_pair, svd
+from mindec.scalar import MultiQuad, mq_sqrt_rational
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import mindec.covariant as covariant_mod
 import mindec.decompose as decompose_mod
 import mindec.factor as factor_mod
 import mindec.matrix as matrix_mod
+import mindec.oracles as oracles_mod
 import mindec.realclosed as realclosed_mod
 from mindec.covariant import materialize_projectors, verify_system
 from mindec.decompose import (
@@ -34,7 +35,8 @@ from mindec.generator import blocks_matrix, matrix_from_min_poly
 from mindec.matfun import schwerdtfeger_eval, verify_matfun
 from mindec.matrix import DenseMatrix, companion
 from mindec.poly import Polynomial, X
-from mindec.realclosed import complete_mjc, svd, symmetric_spectral_check
+from mindec.oracles import symmetric_spectral_check
+from mindec.realclosed import complete_mjc, svd
 from mindec.report import VerificationReport
 from mindec.selftest import run_cli
 from mindec.serialize import matrix_to_json
@@ -204,7 +206,7 @@ class TestGenericCovariantsOffTheHotPath:
         ids=lambda argv: argv[0],
     )
     def test_none_built(self, monkeypatch, argv):
-        calls = _record_calls(monkeypatch, covariant_mod, "build_generic_covariant")
+        calls = _record_calls(monkeypatch, oracles_mod, "build_generic_covariant")
         code, out, err = run_cli(argv + ["--check"], input_text=_document(_matrix()))
         assert code == 0, err
         assert json.loads(out)["report"]["pass"] is True
@@ -213,7 +215,7 @@ class TestGenericCovariantsOffTheHotPath:
     def test_cmjc_builds_none(self, monkeypatch):
         # factors X - 2, X^2 - 2 (real roots, split) and X^2 + 1 (not split)
         M = companion(((X - 2 * ONE) * (X * X - 2 * ONE) * (X * X + ONE)).monic())
-        calls = _record_calls(monkeypatch, covariant_mod, "build_generic_covariant")
+        calls = _record_calls(monkeypatch, oracles_mod, "build_generic_covariant")
         code, out, err = run_cli(["cmjc", "--check"], input_text=_document(M))
         assert code == 0, err
         assert json.loads(out)["report"]["pass"] is True

@@ -2,32 +2,37 @@
 with, and concrete projectors."""
 
 import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
 from oracles import frac_covariant_witnesses, fraction_rank
 
 import mindec.covariant as covariant_mod
-from mindec.covariant import (
-    build_covariant_system,
-    build_generic_covariant,
-    materialize_projectors,
-    split_covariants_over_extension,
-    trace_witnesses,
-    verify_system,
-)
-from mindec.decompose import sn_decompose, verify_sn
+import mindec.oracles as oracles_mod
+from mindec.covariant import build_covariant_system, materialize_projectors, verify_system
+from mindec.decompose import sn_decompose, system_of, verify_sn
 from mindec.errors import (
     DoesNotSplit,
+    InvariantViolation,
     PartitionOfUnityFailure,
     SystemMatrixMismatch,
 )
 from mindec.factor import FactoredMinPoly, factor_rational
 from mindec.generator import IRREDUCIBLE_POOL, blocks_matrix
-from mindec.matfun import f_equivalence_classes, fine_of_image
+from mindec.matfun import f_equivalence_classes
 from mindec.matrix import DenseMatrix, companion, horner_eval
-from mindec.poly import Polynomial, X, hasse_derivative, trace_coeffwise
+from mindec.oracles import (
+    build_generic_covariant,
+    fine_of_image,
+    hasse_derivative,
+    split_covariants_over_extension,
+    trace_coeffwise,
+    trace_witnesses,
+)
+from mindec.poly import Polynomial, X
 from mindec.scalar import MultiQuad
+from mindec.selftest import run_cli
 from mindec.serialize import parse_poly_expression
 
 
@@ -118,6 +123,46 @@ class TestProjectors:
             "idempotent-orthogonal",
         }
         assert verify_system(honest, M).passed
+
+    @pytest.mark.parametrize(
+        "blocks",
+        ["X-1;X-2;X-3", "(X^2-2)^3;(X-3)^3;X^3-2;X^2+X+1;X^3-2", "X^2+1;(X-1)^2;X"],
+    )
+    def test_honest_printed_polynomials_pass(self, blocks):
+        M = blocks_matrix([parse_poly_expression(b) for b in blocks.split(";")], "tie").matrix
+        assert verify_system(system_of(M), M).passed
+
+    def test_swapped_s_polys_raise(self):
+        # every projector check passes, since the E_i are untouched, but
+        # S_0 is no longer E_0 * s mod m
+        M = DenseMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+        swapped = dataclasses.replace(system_of(M), s_polys=system_of(M).s_polys[::-1])
+        with pytest.raises(InvariantViolation, match="S_0 is not E_0"):
+            verify_system(swapped, M)
+
+    def test_a_multiple_of_the_minimal_polynomial_raises(self):
+        # m (X - 5) annihilates M too, so the projectors are evaluated and
+        # pass; the printed min_poly is not M's own
+        M = DenseMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+        honest = system_of(M)
+        padded = dataclasses.replace(honest, min_poly=honest.min_poly * (X - 5))
+        with pytest.raises(InvariantViolation, match="not M's minimal polynomial"):
+            verify_system(padded, M)
+
+    def test_covariants_check_exits_4_on_swapped_s_polys(self, monkeypatch):
+        import mindec.cli as cli_mod
+
+        honest = cli_mod.system_of
+        monkeypatch.setattr(
+            cli_mod,
+            "system_of",
+            lambda M: dataclasses.replace(honest(M), s_polys=honest(M).s_polys[::-1]),
+        )
+        doc = json.dumps({"entries": [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]]})
+        code, out, err = run_cli(["covariants", "--check"], input_text=doc)
+        assert (code, out) == (4, "")
+        assert json.loads(err)["error"] == "InvariantViolation"
+        assert run_cli(["covariants"], input_text=doc)[0] == 0
 
 
 class TestSplitCovariants:
@@ -390,13 +435,13 @@ class TestGenericRootOracle:
         # one of its factor, and nothing else
         system = build_covariant_system(factor_rational(X * (X * X - Polynomial((2,)))))
         calls = []
-        honest = covariant_mod.build_generic_covariant
+        honest = oracles_mod.build_generic_covariant
 
         def counting(factored, index):
             calls.append(index)
             return honest(factored, index)
 
-        monkeypatch.setattr(covariant_mod, "build_generic_covariant", counting)
+        monkeypatch.setattr(oracles_mod, "build_generic_covariant", counting)
         assert calls == []
         split_covariants_over_extension(system, 0, 2)
         split_covariants_over_extension(system, 0, 2)

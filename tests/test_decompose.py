@@ -17,7 +17,6 @@ from mindec.decompose import (
     system_of,
     unbreakable_components,
     verify_fine,
-    verify_frobenius_system,
     verify_mjc,
     verify_sn,
     verify_unbreakable,
@@ -31,6 +30,7 @@ from mindec.matrix import (
     horner_eval,
     minimal_polynomial,
 )
+from mindec.oracles import verify_frobenius_system
 from mindec.poly import Polynomial, X, poly_gcd
 from mindec.serialize import parse_poly_expression
 

@@ -11,6 +11,7 @@ import mindec.covariant as covariant_mod
 import mindec.decompose as decompose_mod
 import mindec.matfun as matfun_mod
 import mindec.matrix as matrix_mod
+import mindec.oracles as oracles_mod
 from mindec.decompose import fine_decompose, sn_decompose, system_of
 from mindec.errors import NotSemisimple
 from mindec.factor import factor_rational
@@ -20,14 +21,9 @@ from mindec.generator import (
     random_function_poly,
     random_matrix,
 )
-from mindec.matfun import (
-    f_equivalence_classes,
-    fine_of_image,
-    schwerdtfeger_eval,
-    sylvester_eval,
-    verify_matfun,
-)
+from mindec.matfun import f_equivalence_classes, schwerdtfeger_eval, verify_matfun
 from mindec.matrix import DenseMatrix, companion, horner_eval
+from mindec.oracles import fine_of_image, sylvester_eval
 from mindec.poly import Polynomial, X
 from mindec.scalar import MultiQuad
 from mindec.selftest import run_cli
@@ -295,7 +291,7 @@ class TestPartsWithoutSlices:
             return honest_eval(f, A)
 
         monkeypatch.setattr(decompose_mod, "build_covariant_system", recording_build)
-        for module in (decompose_mod, covariant_mod, matfun_mod):
+        for module in (decompose_mod, covariant_mod, matfun_mod, oracles_mod):
             monkeypatch.setattr(module, "horner_eval", counting_eval)
         for command, blocks in (
             ("fine", LADDER_BLOCKS[1]),

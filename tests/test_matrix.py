@@ -31,7 +31,8 @@ from mindec.matrix import (
     rank,
 )
 from mindec.poly import Polynomial, X
-from mindec.scalar import MultiQuad, NumberField
+from mindec.oracles import NumberField
+from mindec.scalar import MultiQuad
 
 
 def rand_matrix(rng, n):

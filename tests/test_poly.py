@@ -24,13 +24,12 @@ from mindec.poly import (
     binary_power,
     compose_mod,
     ext_gcd,
-    hasse_derivative,
     poly_gcd,
     poly_lcm,
     squarefree_part,
-    trace_coeffwise,
 )
-from mindec.scalar import MultiQuad, NumberField, NumberFieldElement
+from mindec.oracles import NumberField, NumberFieldElement, hasse_derivative, trace_coeffwise
+from mindec.scalar import MultiQuad
 
 
 def rand_poly(rng, max_degree=6):

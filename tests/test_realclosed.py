@@ -15,14 +15,8 @@ from mindec.errors import (
 from mindec.generator import blocks_matrix, random_gram_friendly, random_invertible_quadratic
 from mindec.matrix import DenseMatrix, companion, minimal_polynomial, rank
 from mindec.poly import Polynomial, X
-from mindec.realclosed import (
-    complete_mjc,
-    svd,
-    symmetric_spectral_check,
-    verify_cmjc,
-    verify_svd_system,
-    verify_svd_uniqueness,
-)
+from mindec.oracles import symmetric_spectral_check, verify_svd_uniqueness
+from mindec.realclosed import complete_mjc, svd, verify_cmjc, verify_svd_system
 from mindec.scalar import MultiQuad
 
 
@@ -346,18 +340,18 @@ class TestSvdUniqueness:
     def test_candidate_is_verified_once(self, monkeypatch):
         # the canonical terms are rebuilt unverified: the only axiom
         # check is the candidate's, and the comparison is exact
-        import mindec.realclosed as realclosed_mod
+        import mindec.oracles as oracles_mod
 
         A = random_gram_friendly("uniqueness", 5).matrix
         result = svd(A)
-        real = realclosed_mod.verify_svd_system
+        real = oracles_mod.verify_svd_system
         checked = []
 
         def recording(matrix, candidate):
             checked.append(candidate)
             return real(matrix, candidate)
 
-        monkeypatch.setattr(realclosed_mod, "verify_svd_system", recording)
+        monkeypatch.setattr(oracles_mod, "verify_svd_system", recording)
         report = verify_svd_uniqueness(A, result)
         assert report.passed and checked == [result]
         assert report.checks[-1].name == "canonical-equality"

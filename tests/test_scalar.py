@@ -15,9 +15,9 @@ from mindec.errors import (
     NotTotallyReal,
     RadicandTooLarge,
 )
+from mindec.oracles import NumberField
 from mindec.scalar import (
     MultiQuad,
-    NumberField,
     mq_sqrt_rational,
     square_split,
 )
