@@ -26,8 +26,7 @@ points:
 - mindec.scalar: MultiQuad, the multi-quadratic scalars.
 - mindec.oracles: the independent oracles that selftest and the tests
   compare against, which no command imports: the number field
-  Q[Y]/(m), the generic-root covariant, sylvester_eval, fine_of_image
-  and three verifiers no command calls.
+  Q[Y]/(m), the generic-root covariant and fine_of_image.
 - mindec.serialize: the JSON documents; mindec.cli: the command line.
 - mindec.report: VerificationReport, the itemized result of every
   verify_*; mindec.errors: MindecError and its subclasses.

@@ -43,7 +43,6 @@ from mindec.decompose import (
 from mindec.covariant import materialize_projectors, verify_system
 from mindec.errors import FormatError, MindecError, UsageError
 from mindec.generator import (
-    GeneratedMatrix,
     blocks_matrix,
     matrix_from_min_poly,
     random_gram_friendly,
@@ -56,9 +55,9 @@ from mindec.realclosed import complete_mjc, svd
 from mindec.serialize import (
     MAX_ORDER,
     MatrixDocument,
-    document_from_json,
     document_to_json,
     json_text,
+    matrix_from_json,
     matrix_to_json,
     parse_poly_expression,
     poly_to_json,
@@ -77,7 +76,7 @@ def _load_matrix(args):
         # ValueError covers JSONDecodeError and a number literal longer
         # than the interpreter converts
         raise FormatError(f"input is not valid JSON: {exc}") from None
-    return document_from_json(data).matrix
+    return matrix_from_json(data)
 
 
 def _finish(payload, report) -> int:
@@ -213,7 +212,7 @@ def _cmd_gen(args) -> int:
             raise UsageError(
                 f"--minpoly degree must be at most {MAX_ORDER}, got {min_poly.degree}"
             )
-        gm = matrix_from_min_poly(min_poly, seed)
+        doc = matrix_from_min_poly(min_poly, seed)
     elif args.blocks is not None:
         texts = [s.strip() for s in args.blocks.split(";") if s.strip()]
         if not texts:
@@ -227,19 +226,16 @@ def _cmd_gen(args) -> int:
             raise UsageError(
                 f"--blocks total degree must be at most {MAX_ORDER}, got {order}"
             )
-        gm = blocks_matrix(polys, seed)
+        doc = blocks_matrix(polys, seed)
     elif args.family == "invertible-quadratic":
-        gm = random_invertible_quadratic(seed, args.size or 5)
+        doc = random_invertible_quadratic(seed, args.size or 5)
     elif args.family == "gram":
-        gm = random_gram_friendly(seed, args.size or 4)
+        doc = random_gram_friendly(seed, args.size or 4)
     elif args.family == "normal":
         case = random_normal_matrix(seed, args.size or 5)
-        gm = GeneratedMatrix(matrix=case.matrix, min_poly=None, label=case.label)
+        doc = MatrixDocument(matrix=case.matrix, label=case.label, seed=seed)
     else:
-        gm = random_matrix(seed, args.size or 6)
-    doc = MatrixDocument(
-        matrix=gm.matrix, label=gm.label, seed=seed, min_poly=gm.min_poly
-    )
+        doc = random_matrix(seed, args.size or 6)
     return _finish(document_to_json(doc), None)
 
 

@@ -19,12 +19,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from mindec.factor import FactoredMinPoly, factor_rational
 from mindec.matrix import DenseMatrix, _zeros, companion, int_matrix
 from mindec.poly import Polynomial, X, poly_lcm
 from mindec.scalar import MultiQuad, mq_sqrt_rational
+from mindec.serialize import MatrixDocument
 
 #: small irreducibles over Q, degree <= 3; none has 0 as a root
 IRREDUCIBLE_POOL: Tuple[Polynomial, ...] = (
@@ -49,13 +50,6 @@ IRREDUCIBLE_POOL: Tuple[Polynomial, ...] = (
 QUADRATIC_POOL: Tuple[Polynomial, ...] = tuple(
     p for p in IRREDUCIBLE_POOL if p.degree <= 2
 )
-
-
-@dataclass(frozen=True)
-class GeneratedMatrix:
-    matrix: DenseMatrix
-    min_poly: Optional[Polynomial]  # known by construction, None if not tracked
-    label: str
 
 
 @dataclass(frozen=True)
@@ -123,7 +117,9 @@ def _conjugate(M: DenseMatrix, rng: random.Random) -> DenseMatrix:
     return Ti @ M @ T
 
 
-def _assemble(parts: List[Tuple[Polynomial, int]], rng: random.Random) -> GeneratedMatrix:
+def _assemble(
+    parts: List[Tuple[Polynomial, int]], rng: random.Random, seed: str
+) -> MatrixDocument:
     """Companion blocks for each (factor, power), a factor possibly
     repeated at a lower power, shuffled and conjugated; the minimal
     polynomial takes each factor to its largest power."""
@@ -139,7 +135,7 @@ def _assemble(parts: List[Tuple[Polynomial, int]], rng: random.Random) -> Genera
     label = "blocks " + ", ".join(
         f"({_poly_label(m)})^{mu}" if mu > 1 else _poly_label(m) for m, mu in parts
     )
-    return GeneratedMatrix(matrix=M, min_poly=min_poly, label=label)
+    return MatrixDocument(matrix=M, label=label, seed=seed, min_poly=min_poly)
 
 
 def _draw_parts(
@@ -168,15 +164,16 @@ def _draw_parts(
     return parts
 
 
-def random_matrix(seed: str, max_size: int = 6) -> GeneratedMatrix:
+def random_matrix(seed: str, max_size: int = 6) -> MatrixDocument:
     """Random rational matrix (size 2..max_size) whose minimal polynomial
     is a known product of small irreducible powers, X among them."""
     rng = random.Random(f"gen:{seed}")
     budget = rng.randint(2, max_size)
-    return _assemble(_draw_parts(rng, IRREDUCIBLE_POOL + (X,), budget, max_mu=3, twins=True), rng)
+    parts = _draw_parts(rng, IRREDUCIBLE_POOL + (X,), budget, max_mu=3, twins=True)
+    return _assemble(parts, rng, seed)
 
 
-def blocks_matrix(polys: List[Polynomial], seed: str = "") -> GeneratedMatrix:
+def blocks_matrix(polys: List[Polynomial], seed: str = "") -> MatrixDocument:
     """One companion block per given monic polynomial, conjugated; the
     minimal polynomial is the lcm of the blocks."""
     if not polys:
@@ -189,25 +186,26 @@ def blocks_matrix(polys: List[Polynomial], seed: str = "") -> GeneratedMatrix:
     rng = random.Random(f"blocks:{seed}:{';'.join(labels)}")
     M = _conjugate(block_diag(blocks), rng)
     label = "blocks " + ", ".join(labels)
-    return GeneratedMatrix(matrix=M, min_poly=min_poly, label=label)
+    return MatrixDocument(matrix=M, label=label, seed=seed, min_poly=min_poly)
 
 
-def matrix_from_min_poly(p: Polynomial, seed: str = "") -> GeneratedMatrix:
+def matrix_from_min_poly(p: Polynomial, seed: str = "") -> MatrixDocument:
     """A matrix whose minimal polynomial is exactly p (one companion
     block per factor power), conjugated deterministically from the seed."""
     factored: FactoredMinPoly = factor_rational(p)
     if factored.degree == 0:
         raise ValueError("constant polynomial cannot be a minimal polynomial")
     rng = random.Random(f"minpoly:{seed}:{','.join(str(c) for c in p.coeffs)}")
-    return _assemble(list(factored.factors), rng)
+    return _assemble(list(factored.factors), rng, seed)
 
 
-def random_invertible_quadratic(seed: str, max_size: int = 5) -> GeneratedMatrix:
+def random_invertible_quadratic(seed: str, max_size: int = 5) -> MatrixDocument:
     """Invertible, with every minimal polynomial factor of degree <= 2:
     the input family for the Delta Sigma U split."""
     rng = random.Random(f"mjc:{seed}")
     budget = rng.randint(2, max_size)
-    return _assemble(_draw_parts(rng, QUADRATIC_POOL, budget, max_mu=2, twins=False), rng)
+    parts = _draw_parts(rng, QUADRATIC_POOL, budget, max_mu=2, twins=False)
+    return _assemble(parts, rng, seed)
 
 
 def _signed_permutation(n: int, rng: random.Random) -> DenseMatrix:
@@ -236,7 +234,7 @@ def _orthogonal_columns(n: int, rng: random.Random) -> DenseMatrix:
     return int_matrix(rows) @ _signed_permutation(n, rng)
 
 
-def random_gram_friendly(seed: str, max_size: int = 4) -> GeneratedMatrix:
+def random_gram_friendly(seed: str, max_size: int = 4) -> MatrixDocument:
     """Square matrices whose Gram matrix A^T A has rational eigenvalues:
     U D V^T with orthogonal-column integer U, V and a small diagonal D
     (zeros allowed), plus occasional plain nilpotent ladders."""
@@ -247,7 +245,7 @@ def random_gram_friendly(seed: str, max_size: int = 4) -> GeneratedMatrix:
         for i in range(n - 1):
             rows[i][i + 1] = rng.choice((0, 1, 2))
         rows[0][1] = rng.choice((1, 2))  # keep it nonzero
-        return GeneratedMatrix(int_matrix(rows), None, "nilpotent ladder")
+        return MatrixDocument(int_matrix(rows), "nilpotent ladder", seed)
     values = [0, 1, 2, 3, Fraction(1, 2), Fraction(3, 2)]
     diag = [rng.choice(values) for _ in range(n)]
     if not any(diag):
@@ -259,7 +257,7 @@ def random_gram_friendly(seed: str, max_size: int = 4) -> GeneratedMatrix:
     A = U @ D @ V.transpose()
     if A.is_zero:
         A = D
-    return GeneratedMatrix(A, None, f"U diag{[str(d) for d in diag]} V^T")
+    return MatrixDocument(A, f"U diag{[str(d) for d in diag]} V^T", seed)
 
 
 def random_normal_matrix(seed: str, max_size: int = 5) -> NormalCase:

@@ -18,8 +18,7 @@ The part of a class of factors is a projector times a part: with
 P = E_i(M) summed over the class, P f(s)(M) and P (f - f(s))(M).
 (E_i * g mod m)(M) = E_i(M) g(M) because m(M) = 0, so no per-factor
 polynomial is formed; :func:`mindec.oracles.fine_of_image` assembles
-the fine decomposition of f(M) that way, and
-:func:`mindec.oracles.sylvester_eval` is the interpolation route.
+the fine decomposition of f(M) that way.
 
 Factors whose roots map to conjugate values under f merge in the
 image; the equivalence classes are computed from the minimal

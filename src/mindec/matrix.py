@@ -69,8 +69,8 @@ class MatrixAnalysis:
     :func:`mindec.decompose.sn_newton_oracle`), the projectors E_i(M)
     of that system by :func:`mindec.covariant.materialize_projectors`,
     the one function that evaluates them, after its m(M) = 0 check, for
-    every command (cmjc, svd at the Gram matrix, unbreakable and the
-    spectral check among them), and the powers (M^2, ..., M^b), the
+    every command (cmjc, svd at the Gram matrix and unbreakable among
+    them), and the powers (M^2, ..., M^b), the
     baby steps of every polynomial evaluated at M, by
     :func:`horner_eval`, which extends them as later polynomials need.
     Once min_poly is set, a polynomial of degree d <= deg m extends the

@@ -1,8 +1,9 @@
-"""Independent oracles: constructions and checks that no command runs.
+"""Independent oracles: the constructions the command path is compared against.
 
 ``mindec selftest`` and the tests compare the command path against the
 code here; :mod:`mindec.cli` and every module it imports leave this one
-unimported, so a request never pays for it.
+unimported, so a request never pays for it.  Each item names what
+compares the program against it.
 
 * :class:`NumberField` and :class:`NumberFieldElement`: residues modulo
   one fixed irreducible monic polynomial, for computing with a generic
@@ -14,7 +15,11 @@ unimported, so a request never pays for it.
   ``inverse()`` are all that ``Polynomial`` asks of a coefficient.
   :func:`trace_coeffwise` takes a polynomial over Q[Y]/(m) down to Q,
   and :func:`hasse_derivative` gives the Taylor coefficients of a
-  polynomial at a generic root.
+  polynomial at a generic root.  Criterion 8 checks the trace and
+  inverse laws that criterion 2's traces rest on, and
+  ``tests/test_covariant.py`` compares the slices of f(M) with the
+  generic-root slices built from :func:`hasse_derivative` and
+  :func:`trace_coeffwise`.
 
 * The generic-root covariant.  In R_i = Q[Y]/(m_i), with the generic
   root Y, :func:`build_generic_covariant` builds
@@ -29,16 +34,15 @@ unimported, so a request never pays for it.
   root, and the coefficient-wise field traces Tr(C_i) and Tr(Y * C_i)
   are the rational witnesses E_i and S_i of
   :func:`mindec.covariant.build_covariant_system` again
-  (:func:`trace_witnesses`).  Its split over Q(sqrt(d)) is the oracle
+  (:func:`trace_witnesses`, compared in criterion 2).  Its split over
+  Q(sqrt(d)), :func:`split_covariants_over_extension`, is the oracle
   for the real-pair projectors that complete_mjc forms from E_i(M) and
-  E_i(M) S.  Each call builds it for one factor, and nothing keeps it.
+  E_i(M) S (criterion 5).  Each call builds it for one factor, and
+  nothing keeps it.
 
-* Second routes to command results: :func:`sylvester_eval`, f(M) by
-  eigenvalue interpolation, and :func:`fine_of_image`, the fine
-  decomposition of f(M) assembled from the classes of M.
-
-* Verifiers no command calls: :func:`verify_frobenius_system`,
-  :func:`verify_svd_uniqueness` and :func:`symmetric_spectral_check`.
+* :func:`fine_of_image`, the fine decomposition of f(M) assembled from
+  the classes of M, which criterion 4 compares with the fine
+  decomposition of f(M) itself.
 """
 
 from __future__ import annotations
@@ -49,28 +53,20 @@ from math import comb
 from operator import mul
 from typing import List, Sequence, Tuple
 
-from mindec.covariant import (
-    CovariantSystem,
-    _delta_witness,
-    materialize_projectors,
-    quadratic_roots,
-)
-from mindec.decompose import FineComponent, FineDecomposition, _min_poly_of, system_of
+from mindec.covariant import CovariantSystem, materialize_projectors, quadratic_roots
+from mindec.decompose import FineComponent, FineDecomposition, system_of
 from mindec.errors import (
     DoesNotSplit,
     FieldMismatch,
     InvariantViolation,
     MixedModuli,
     NotInvertible,
-    NotSemisimple,
     PartitionOfUnityFailure,
 )
 from mindec.factor import FactoredMinPoly
-from mindec.matfun import _parts_of, schwerdtfeger_eval
-from mindec.matrix import DenseMatrix, horner_eval, linear_combination, rank
-from mindec.poly import ONE, Polynomial, binary_power, ext_gcd, poly_gcd, ratio_to_string
-from mindec.realclosed import _as_terms, _svd_terms, verify_svd_system
-from mindec.report import VerificationReport
+from mindec.matfun import schwerdtfeger_eval
+from mindec.matrix import DenseMatrix, linear_combination
+from mindec.poly import ONE, Polynomial, binary_power, ext_gcd, ratio_to_string
 from mindec.scalar import MultiQuad, RationalLike
 
 # -- number fields ----------------------------------------------------
@@ -381,19 +377,7 @@ def split_covariants_over_extension(
     ]
 
 
-# -- second routes to matrix functions --------------------------------
-
-
-def sylvester_eval(f: Polynomial, M: DenseMatrix) -> DenseMatrix:
-    """Eigenvalue interpolation for a matrix with squarefree minimal
-    polynomial: f(s) mod m at M, with no nilpotent correction.
-
-    Raises NotSemisimple when nilpotent corrections would be needed.
-    """
-    system = system_of(M)
-    if not system.factored.is_squarefree:
-        raise NotSemisimple("matrix has a repeated factor; interpolation insufficient")
-    return horner_eval(_parts_of(system, f)[1], M)
+# -- the fine decomposition of an image -----------------------------
 
 
 def fine_of_image(f: Polynomial, M: DenseMatrix) -> FineDecomposition:
@@ -430,109 +414,3 @@ def fine_of_image(f: Polynomial, M: DenseMatrix) -> FineDecomposition:
             )
         )
     return FineDecomposition(tuple(components))
-
-
-# -- verifiers no command calls ---------------------------------------
-
-
-def verify_frobenius_system(
-    matrices: Sequence[DenseMatrix], coeffs: Sequence
-) -> VerificationReport:
-    """Check a claimed Frobenius covariant system with its coefficients.
-
-    Conditions: every matrix nonzero, A_i A_j = delta_ij A_i, the
-    coefficients pairwise distinct and nonzero, and the rank criterion:
-    the ranks of the A_i sum to strictly less than n exactly when 0 is
-    an eigenvalue of sum(coeff_i * A_i).
-    """
-    report = VerificationReport("Frobenius system")
-    if len(matrices) != len(coeffs) or not matrices:
-        report.add("shape", "one coefficient per matrix, at least one", False)
-        return report
-    n = matrices[0].n
-    report.add(
-        "nonzero-matrices",
-        "A_i != 0 for all i",
-        all(not A.is_zero for A in matrices),
-    )
-    witness = _delta_witness(matrices, "A_{i} A_{j} wrong")
-    report.add("products", "A_i A_j = delta_ij A_i", not witness, witness)
-    distinct = all(bool(c) for c in coeffs) and all(
-        coeffs[i] != coeffs[j]
-        for i in range(len(coeffs))
-        for j in range(i + 1, len(coeffs))
-    )
-    report.add("coefficients", "coefficients pairwise distinct and nonzero", distinct)
-    rank_sum = sum(rank(A) for A in matrices)
-    singular = rank(linear_combination(n, zip(coeffs, matrices))) < n
-    report.add(
-        "rank-criterion",
-        "sum(rank A_i) < n iff 0 is an eigenvalue of sum(coeff_i A_i)",
-        (rank_sum < n) == singular,
-    )
-    return report
-
-
-def verify_svd_uniqueness(A: DenseMatrix, candidate) -> VerificationReport:
-    """Axioms plus exact comparison against the canonical system.
-
-    Any candidate satisfying the axioms must coincide with svd(A) term
-    by term; the comparison is part of the report.  The canonical terms
-    are built as svd builds them, without verifying them a second time:
-    the candidate's axioms are checked here, and equality with the
-    canonical terms is exact.
-    """
-    report = verify_svd_system(A, candidate)
-    terms = _as_terms(candidate)
-    canonical = _svd_terms(A)
-    same = len(terms) == len(canonical.terms) and all(
-        t == ct.sigma and B == ct.matrix
-        for (t, B), ct in zip(terms, canonical.terms)
-    )
-    report.add(
-        "canonical-equality",
-        "candidate coincides with the recomputed system term by term",
-        same,
-    )
-    return report
-
-
-def is_symmetric(M: DenseMatrix) -> bool:
-    return M.transpose() == M
-
-
-def is_normal(M: DenseMatrix) -> bool:
-    t = M.transpose()
-    return M @ t == t @ M
-
-
-def symmetric_spectral_check(A: DenseMatrix) -> VerificationReport:
-    """Spectral sanity for symmetric (or normal) rational matrices:
-    squarefree minimal polynomial and symmetric class projectors, the
-    latter from :func:`mindec.covariant.materialize_projectors` (m(A) = 0
-    checked, kept on A's analysis).  Other matrices get a report noting
-    the checks were skipped."""
-    report = VerificationReport("spectral projector check")
-    if is_symmetric(A):
-        shape = "symmetric"
-    elif is_normal(A):
-        shape = "normal"
-    else:
-        report.add(
-            "normality",
-            "matrix is neither symmetric nor normal; spectral checks skipped",
-            True,
-            "skipped",
-        )
-        return report
-    mp = _min_poly_of(A)  # kept in A's analysis for system_of below
-    sf = poly_gcd(mp, mp.derivative()).degree == 0
-    report.add("squarefree", f"{shape} matrix has squarefree minimal polynomial", sf)
-    if sf:
-        projectors = materialize_projectors(system_of(A), A)
-        report.add(
-            "projectors-symmetric",
-            "every spectral projector is symmetric",
-            all(is_symmetric(P) for P in projectors),
-        )
-    return report

@@ -304,12 +304,6 @@ def svd(A: DenseMatrix) -> SVDResult:
     result, which carries the report as ``report``; a failed axiom
     raises InvariantViolation.
     """
-    result = _svd_terms(A)
-    return attach_report(result, verify_svd_system(A, result))
-
-
-def _svd_terms(A: DenseMatrix) -> SVDResult:
-    # the system of svd(A), not yet verified
     if A.is_zero:
         raise ZeroMatrix("the zero matrix has no singular value system")
     if not A.is_rational:
@@ -340,7 +334,8 @@ def _svd_terms(A: DenseMatrix) -> SVDResult:
     for value, i in eigen:
         sigma_i = mq_sqrt_rational(value)
         terms.append(SVDTerm(sigma=sigma_i, matrix=(A @ projectors[i]) * sigma_i.inverse()))
-    return SVDResult(terms=tuple(terms))
+    result = SVDResult(terms=tuple(terms))
+    return attach_report(result, verify_svd_system(A, result))
 
 
 def _as_terms(candidate) -> List[Tuple[MultiQuad, DenseMatrix]]:

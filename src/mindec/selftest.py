@@ -33,7 +33,7 @@ from mindec.decompose import (
     verify_fine,
     verify_sn,
 )
-from mindec.errors import DoesNotSplit, NotSemisimple
+from mindec.errors import DoesNotSplit
 from mindec.factor import factor_rational
 from mindec.generator import (
     block_diag,
@@ -58,15 +58,11 @@ from mindec.oracles import (
     fine_of_image,
     hasse_derivative,
     split_covariants_over_extension,
-    sylvester_eval,
-    symmetric_spectral_check,
     trace_coeffwise,
     trace_witnesses,
-    verify_frobenius_system,
-    verify_svd_uniqueness,
 )
 from mindec.poly import Polynomial, X, ext_gcd, squarefree_part
-from mindec.realclosed import complete_mjc, split_real_pair, svd
+from mindec.realclosed import complete_mjc, split_real_pair, svd, verify_svd_system
 from mindec.scalar import MultiQuad, mq_sqrt_rational
 
 
@@ -303,7 +299,7 @@ def criterion_svd(count: int = 50, normal_count: int = 20) -> CriterionResult:
         if squares != expected:
             failures.append(f"svd-{k} sigma^2 mismatch")
     for A, candidate, check_name in _corruption_cases():
-        report = verify_svd_uniqueness(A, candidate)
+        report = verify_svd_system(A, candidate)
         fired = {c.name for c in report.failed_checks()}
         if report.passed or check_name not in fired:
             failures.append(f"corruption not caught by {check_name}")
@@ -841,28 +837,6 @@ def _t_mjc_semisimple():
     assert jc.unipotent == DenseMatrix.identity(2)
 
 
-@_case("frobenius-complementary-pair")
-def _t_frobenius_pair():
-    report = verify_frobenius_system(
-        [DenseMatrix([[1, 0], [0, 0]]), DenseMatrix([[0, 0], [0, 1]])], (1, 2)
-    )
-    assert report.passed
-
-
-@_case("frobenius-rank-deficit")
-def _t_frobenius_rank_deficit():
-    report = verify_frobenius_system([DenseMatrix([[1, 0], [0, 0]])], (5,))
-    assert report.passed
-
-
-@_case("frobenius-detects-non-idempotent")
-def _t_frobenius_detector():
-    report = verify_frobenius_system(
-        [DenseMatrix([[1, 0], [0, 0]]), DenseMatrix([[0, 1], [0, 0]])], (1, 2)
-    )
-    assert not report.passed
-
-
 @_case("matfun-jordan-square")
 def _t_matfun_jordan_square():
     result = schwerdtfeger_eval(X * X, DenseMatrix([[1, 1], [0, 1]]))
@@ -878,27 +852,6 @@ def _t_matfun_companion_square():
     assert result.value == expected
     assert result.semisimple_part == expected
     assert result.nilpotent_part.is_zero
-
-
-@_case("sylvester-affine")
-def _t_sylvester_affine():
-    value = sylvester_eval(Polynomial((1, 1)), DenseMatrix([[1, 0], [0, 2]]))
-    assert value == DenseMatrix([[2, 0], [0, 3]])
-
-
-@_case("sylvester-companion-square")
-def _t_sylvester_companion_square():
-    value = sylvester_eval(X * X, companion(Polynomial((-2, 0, 1))))
-    assert value == DenseMatrix.scaled_identity(2, Fraction(2))
-
-
-@_case("sylvester-rejects-defective")
-def _t_sylvester_rejects():
-    try:
-        sylvester_eval(X, DenseMatrix([[1, 1], [0, 1]]))
-    except NotSemisimple:
-        return
-    raise AssertionError("defective matrix must be rejected")
 
 
 @_case("classes-square-merges-signs")
@@ -972,43 +925,6 @@ def _t_svd_nilpotent():
     result = svd(A)
     assert result.singular_values == (MultiQuad(1),)
     assert result.terms[0].matrix == A
-
-
-@_case("svd-uniqueness-accepts-canonical")
-def _t_svd_uniqueness_pass():
-    A = DenseMatrix([[3, 0], [0, -2]])
-    assert verify_svd_uniqueness(A, svd(A)).passed
-
-
-@_case("svd-uniqueness-rejects-swap")
-def _t_svd_uniqueness_swap():
-    A = DenseMatrix([[3, 0], [0, -2]])
-    result = svd(A)
-    swapped = [
-        (result.terms[1].sigma, result.terms[1].matrix),
-        (result.terms[0].sigma, result.terms[0].matrix),
-    ]
-    report = verify_svd_uniqueness(A, swapped)
-    assert not report.passed
-    assert "ordering" in {c.name for c in report.failed_checks()}
-
-
-@_case("spectral-diagonal")
-def _t_spectral_diagonal():
-    assert symmetric_spectral_check(DenseMatrix([[1, 0], [0, 2]])).passed
-
-
-@_case("spectral-rotation")
-def _t_spectral_rotation():
-    report = symmetric_spectral_check(DenseMatrix([[0, -1], [1, 0]]))
-    assert report.passed and len(report.checks) == 2
-
-
-@_case("spectral-skips-non-normal")
-def _t_spectral_skips():
-    report = symmetric_spectral_check(DenseMatrix([[1, 1], [0, 1]]))
-    assert report.passed
-    assert report.checks[0].witness == "skipped"
 
 
 @_case("cli-sn-identity")

@@ -30,7 +30,6 @@ from mindec.matrix import (
     horner_eval,
     minimal_polynomial,
 )
-from mindec.oracles import verify_frobenius_system
 from mindec.poly import Polynomial, X, poly_gcd
 from mindec.serialize import parse_poly_expression
 
@@ -509,12 +508,6 @@ class TestUnbreakable:
             fd = fine_decompose(S)
             want = [c.semisimple for i, c in enumerate(fd.components) if i != fd.zero_index]
             assert unbreakable_components(S) == want
-
-
-class TestFrobeniusSystem:
-    def test_a_matrix_without_a_coefficient_fails_only_the_shape_check(self):
-        report = verify_frobenius_system([DenseMatrix.identity(2)], [])
-        assert [(c.name, c.passed) for c in report.checks] == [("shape", False)]
 
 
 class TestMultiplicativeSplit:

@@ -11,9 +11,7 @@ import mindec.covariant as covariant_mod
 import mindec.decompose as decompose_mod
 import mindec.matfun as matfun_mod
 import mindec.matrix as matrix_mod
-import mindec.oracles as oracles_mod
 from mindec.decompose import fine_decompose, sn_decompose, system_of
-from mindec.errors import NotSemisimple
 from mindec.factor import factor_rational
 from mindec.generator import (
     IRREDUCIBLE_POOL,
@@ -23,7 +21,7 @@ from mindec.generator import (
 )
 from mindec.matfun import f_equivalence_classes, schwerdtfeger_eval, verify_matfun
 from mindec.matrix import DenseMatrix, companion, horner_eval
-from mindec.oracles import fine_of_image, sylvester_eval
+from mindec.oracles import fine_of_image
 from mindec.poly import Polynomial, X
 from mindec.scalar import MultiQuad
 from mindec.selftest import run_cli
@@ -69,6 +67,13 @@ class TestSchwerdtfegerEval:
         M = companion(Polynomial((-2, 0, 1)))
         result = schwerdtfeger_eval(Polynomial((5,)), M)
         assert result.value == DenseMatrix.scaled_identity(2, Fraction(5))
+        assert result.nilpotent_part.is_zero
+
+    def test_agrees_with_horner_on_semisimple(self):
+        M = companion((Polynomial((-2, 0, 1)) * (X - Polynomial((3,)))).monic())
+        f = X**4 + Polynomial((1,))
+        result = schwerdtfeger_eval(f, M)
+        assert result.semisimple_part == result.value == horner_eval(f, M)
         assert result.nilpotent_part.is_zero
 
     def test_verifier_rejects_transplanted_parts(self):
@@ -131,17 +136,6 @@ class TestPartsExact:
         sem = result.semisimple_part + shift
         nil = result.nilpotent_part - shift
         assert not _parts_exact(f, M, sem, nil)
-
-
-class TestSylvesterEval:
-    def test_agrees_with_horner_on_semisimple(self):
-        M = companion((Polynomial((-2, 0, 1)) * (X - Polynomial((3,)))).monic())
-        f = X**4 + Polynomial((1,))
-        assert sylvester_eval(f, M) == horner_eval(f, M)
-
-    def test_defective_rejected(self):
-        with pytest.raises(NotSemisimple):
-            sylvester_eval(X, DenseMatrix([[2, 1], [0, 2]]))
 
 
 class TestEquivalenceClasses:
@@ -291,7 +285,7 @@ class TestPartsWithoutSlices:
             return honest_eval(f, A)
 
         monkeypatch.setattr(decompose_mod, "build_covariant_system", recording_build)
-        for module in (decompose_mod, covariant_mod, matfun_mod, oracles_mod):
+        for module in (decompose_mod, covariant_mod, matfun_mod):
             monkeypatch.setattr(module, "horner_eval", counting_eval)
         for command, blocks in (
             ("fine", LADDER_BLOCKS[1]),

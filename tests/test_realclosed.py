@@ -12,10 +12,16 @@ from mindec.errors import (
     SingularValuesNotRational,
     ZeroMatrix,
 )
-from mindec.generator import blocks_matrix, random_gram_friendly, random_invertible_quadratic
-from mindec.matrix import DenseMatrix, companion, minimal_polynomial, rank
+from mindec.covariant import materialize_projectors
+from mindec.decompose import system_of
+from mindec.generator import (
+    blocks_matrix,
+    random_gram_friendly,
+    random_invertible_quadratic,
+    random_normal_matrix,
+)
+from mindec.matrix import DenseMatrix, companion, is_semisimple, minimal_polynomial, rank
 from mindec.poly import Polynomial, X
-from mindec.oracles import symmetric_spectral_check, verify_svd_uniqueness
 from mindec.realclosed import complete_mjc, svd, verify_cmjc, verify_svd_system
 from mindec.scalar import MultiQuad
 
@@ -332,29 +338,8 @@ class TestSvdOrthogonality:
         assert "orthogonality" not in {c.name for c in verify_svd_system(A, fixed).failed_checks()}
 
 
-class TestSvdUniqueness:
-    def test_canonical_passes(self):
-        A = DenseMatrix([[3, 0], [0, -2]])
-        assert verify_svd_uniqueness(A, svd(A)).passed
-
-    def test_candidate_is_verified_once(self, monkeypatch):
-        # the canonical terms are rebuilt unverified: the only axiom
-        # check is the candidate's, and the comparison is exact
-        import mindec.oracles as oracles_mod
-
-        A = random_gram_friendly("uniqueness", 5).matrix
-        result = svd(A)
-        real = oracles_mod.verify_svd_system
-        checked = []
-
-        def recording(matrix, candidate):
-            checked.append(candidate)
-            return real(matrix, candidate)
-
-        monkeypatch.setattr(oracles_mod, "verify_svd_system", recording)
-        report = verify_svd_uniqueness(A, result)
-        assert report.passed and checked == [result]
-        assert report.checks[-1].name == "canonical-equality"
+class TestSvdCorruptions:
+    """Each corruption of criterion 6 fires its own verify_svd_system check."""
 
     def test_swap_fails_ordering(self):
         A = DenseMatrix([[3, 0], [0, -2]])
@@ -363,7 +348,7 @@ class TestSvdUniqueness:
             (result.terms[1].sigma, result.terms[1].matrix),
             (result.terms[0].sigma, result.terms[0].matrix),
         ]
-        report = verify_svd_uniqueness(A, swapped)
+        report = verify_svd_system(A, swapped)
         assert not report.passed
         assert "ordering" in {c.name for c in report.failed_checks()}
 
@@ -378,7 +363,7 @@ class TestSvdUniqueness:
                 base.terms[0].matrix * MultiQuad(2),
             )
         ]
-        report = verify_svd_uniqueness(A, tampered)
+        report = verify_svd_system(A, tampered)
         assert not report.passed
         fired = {c.name for c in report.failed_checks()}
         assert "partial-isometry" in fired, fired
@@ -387,24 +372,24 @@ class TestSvdUniqueness:
     def test_dropped_term_fails_reassembly(self):
         A = DenseMatrix([[3, 0], [0, -2]])
         base = svd(A)
-        report = verify_svd_uniqueness(A, [(base.terms[0].sigma, base.terms[0].matrix)])
+        report = verify_svd_system(A, [(base.terms[0].sigma, base.terms[0].matrix)])
         assert not report.passed
         assert "reassembly" in {c.name for c in report.failed_checks()}
 
 
-class TestSymmetricSpectral:
-    def test_symmetric_matrix_passes(self):
-        A = DenseMatrix([[2, 1], [1, 2]])
-        report = symmetric_spectral_check(A)
-        assert report.passed
-        assert minimal_polynomial(A).degree == 2
+class TestSymmetricProjectors:
+    """The Gram matrix A^T A that svd hands to materialize_projectors is
+    symmetric, so it is semisimple and its class projectors are
+    symmetric too; a normal rational matrix is semisimple."""
 
-    def test_rotation_is_normal(self):
-        report = symmetric_spectral_check(DenseMatrix([[0, -1], [1, 0]]))
-        assert report.passed
-        assert len(report.checks) == 2
+    def test_gram_projectors_are_symmetric(self):
+        for k in range(12):
+            A = random_gram_friendly(f"gram-{k}").matrix
+            G = A.transpose() @ A
+            assert is_semisimple(G)
+            for P in materialize_projectors(system_of(G), G):
+                assert P == P.transpose()
 
-    def test_non_normal_skipped(self):
-        report = symmetric_spectral_check(DenseMatrix([[1, 1], [0, 1]]))
-        assert report.passed
-        assert report.checks[0].witness == "skipped"
+    def test_normal_matrices_are_semisimple(self):
+        for k in range(12):
+            assert is_semisimple(random_normal_matrix(f"normal-{k}").matrix)
